@@ -50,6 +50,17 @@ type reqConn struct {
 	proto     string // response protocol version, echoing the request
 	keepAlive bool   // whether the connection survives the current response
 	served    int    // requests answered on this connection so far
+	// bw carries every response to c, header and body, for the life of the
+	// connection; it is empty between responses.
+	bw *bufio.Writer
+}
+
+// newReqConn wraps an accepted connection: reads are buffered off the raw
+// socket, writes go through the meter and one buffered writer that lives as
+// long as the connection does.
+func newReqConn(s *Server, c net.Conn, id int64) *reqConn {
+	w := &writeMeter{Conn: c}
+	return &reqConn{s: s, c: w, meter: w, id: id, br: bufio.NewReader(c), bw: bufio.NewWriter(w), proto: "HTTP/1.0"}
 }
 
 // connHeader renders the Connection header for the loop's current decision.
@@ -68,7 +79,8 @@ func (rc *reqConn) simple(code int, h httpmsg.Header, body []byte) error {
 		h = httpmsg.Header{}
 	}
 	h.Set("Connection", rc.connHeader())
-	err := httpmsg.WriteProtoSimpleResponse(rc.c, rc.proto, code, h, body)
+	// bufio.NewWriter inside hands rc.bw back rather than wrapping it.
+	err := httpmsg.WriteProtoSimpleResponse(rc.bw, rc.proto, code, h, body)
 	if err != nil {
 		rc.keepAlive = false
 	}
@@ -104,8 +116,7 @@ func (s *Server) isDraining() bool {
 // through the write meter so every request leaves a flight record with an
 // honest time-to-first-byte.
 func (s *Server) serveConn(c net.Conn, ci *connInfo) {
-	w := &writeMeter{Conn: c}
-	rc := &reqConn{s: s, c: w, meter: w, id: ci.id, br: bufio.NewReader(c), proto: "HTTP/1.0"}
+	rc := newReqConn(s, c, ci.id)
 	defer func() {
 		// Requests-per-connection, observed once at connection end: the
 		// keep-alive amortization the PR 6 data plane bought.
@@ -125,7 +136,7 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) {
 			}
 			return
 		}
-		w.reset()
+		rc.meter.reset()
 		t0 := time.Now()
 		_ = c.SetReadDeadline(t0.Add(connTimeout))
 		req, err := httpmsg.ReadRequest(rc.br)

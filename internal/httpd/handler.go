@@ -1,8 +1,6 @@
 package httpd
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -668,29 +666,48 @@ func (s *Server) serveLocalFile(rc *reqConn, req *httpmsg.Request, file storage.
 }
 
 // readLocalFile is the cache's backing read: the whole document in one
-// disk pass, with diskActive held across it so the scheduler sees the
-// disk pressure of the fill.
+// disk pass, with diskActive held across it so the scheduler sees the disk
+// pressure of the fill.
 func (s *Server) readLocalFile(path string) (cache.Entry, error) {
 	s.diskActive.Add(1)
 	defer s.diskActive.Add(-1)
-	full := s.localPath(path)
-	fi, err := os.Stat(full)
+	f, err := os.Open(s.localPath(path))
 	if err != nil {
 		return cache.Entry{}, err
 	}
-	body, err := os.ReadFile(full)
-	if err != nil {
-		return cache.Entry{}, err
-	}
-	return cache.Entry{Path: path, Body: body, ModTime: fi.ModTime()}, nil
+	defer f.Close()
+	return s.readOpenFile(path, f)
 }
 
-// writeEntry answers a request from a memory-resident entry: conditional
-// GETs revalidate against the entry's mtime (local files and relayed
-// bodies alike — the relay path now carries the owner's Last-Modified into
-// the entry), full responses stream from the cached bytes with no
-// diskActive — the whole point of the hit path.
+// readOpenFile fills a cache-owned buffer of exactly the file's size from
+// an open document. Size, mtime and bytes all come from the one descriptor,
+// so a file replaced under the path mid-fill can never be cached as
+// old-mtime/new-bytes — which localCheck would then accept as fresh.
+func (s *Server) readOpenFile(path string, f *os.File) (cache.Entry, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return cache.Entry{}, err
+	}
+	ent := s.cache.Alloc(fi.Size())
+	if _, err := io.ReadFull(f, ent.Body); err != nil {
+		s.cache.Release(ent)
+		return cache.Entry{}, fmt.Errorf("read %s: %w", path, err)
+	}
+	ent.Path, ent.ModTime = path, fi.ModTime()
+	return ent, nil
+}
+
+// writeEntry answers a request from a memory-resident entry and then
+// releases the pin the cache's Lookup or Fetch put on it — every entry the
+// serving path obtains ends here, exactly once. Conditional GETs revalidate
+// against the entry's mtime (local files and relayed bodies alike — the
+// relay path carries the owner's Last-Modified into the entry); a full
+// response hands the cached slice straight to the connection's buffered
+// writer, so a small body leaves with its header in one write and a large
+// one goes to the socket uncopied — no diskActive, the whole point of the
+// hit path.
 func (s *Server) writeEntry(rc *reqConn, req *httpmsg.Request, ent cache.Entry) int {
+	defer s.cache.Release(ent)
 	if !ent.ModTime.IsZero() && httpmsg.NotModified(req.Header.Get("If-Modified-Since"), ent.ModTime) {
 		h := httpmsg.Header{}
 		h.Set("Last-Modified", httpmsg.FormatHTTPDate(ent.ModTime))
@@ -699,7 +716,21 @@ func (s *Server) writeEntry(rc *reqConn, req *httpmsg.Request, ent cache.Entry) 
 		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
 		return httpmsg.StatusNotModified
 	}
-	return s.streamResponse(rc, req, int64(len(ent.Body)), bytes.NewReader(ent.Body), ent.ModTime)
+	s.netActive.Add(1)
+	defer s.netActive.Add(-1)
+	if _, err := s.writeHeader(rc, req, int64(len(ent.Body)), ent.ModTime); err != nil {
+		return rc.fail()
+	}
+	var sent int64
+	if req.Method != "HEAD" {
+		n, err := rc.bw.Write(ent.Body)
+		sent = int64(n)
+		s.bytesOut.Add(sent)
+		if err != nil {
+			return rc.fail()
+		}
+	}
+	return s.finishResponse(rc, req, sent)
 }
 
 // streamLocalFile streams a document from the node's own disk, bypassing
@@ -774,11 +805,7 @@ func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, file storage
 		return s.relayStream(rc, req, sources, tctx)
 	}
 	ent, err := s.cache.Fetch(req.Path, s.entryCheck(req.Path, file), func() (cache.Entry, error) {
-		resp, ferr := s.fetchWithRetry(sources, req.Path, tctx)
-		if ferr != nil {
-			return cache.Entry{}, ferr
-		}
-		return cache.Entry{Path: req.Path, Body: resp.Body, ModTime: lastModified(resp.Header)}, nil
+		return s.fetchWithRetry(sources, req.Path, file.Size, tctx)
 	})
 	if err != nil {
 		return s.degrade503(rc, req)
@@ -844,20 +871,14 @@ func (s *Server) serveCGI(rc *reqConn, req *httpmsg.Request, fn CGIFunc) int {
 	return httpmsg.StatusOK
 }
 
-// streamResponse writes the response header and body in the httpd
-// write-loop style, returning the status written (0 when the write failed
-// mid-flight, which also spends the connection). size < 0 means the length
-// is unknown up front: HTTP/1.1 clients get chunked transfer coding, and
+// writeHeader buffers the 200 header for a body of the given size on the
+// connection's writer. size < 0 means the length is unknown up front:
+// HTTP/1.1 clients get chunked transfer coding (reported back), and
 // HTTP/1.0 clients an EOF-delimited body on a connection marked close. A
-// zero modTime omits Last-Modified. The body crosses through a pooled copy
-// buffer; a HEAD response skips it entirely and logs zero body bytes.
-func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, body io.Reader, modTime time.Time) int {
-	s.netActive.Add(1)
-	defer s.netActive.Add(-1)
-	bw := bufio.NewWriter(rc.c)
+// zero modTime omits Last-Modified.
+func (s *Server) writeHeader(rc *reqConn, req *httpmsg.Request, size int64, modTime time.Time) (chunked bool, err error) {
 	h := httpmsg.Header{}
 	h.Set("Content-Type", httpmsg.ContentTypeFor(req.Path))
-	chunked := false
 	switch {
 	case size >= 0:
 		h.Set("Content-Length", strconv.FormatInt(size, 10))
@@ -873,23 +894,45 @@ func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, b
 		h.Set("Last-Modified", httpmsg.FormatHTTPDate(modTime))
 	}
 	h.Set("Connection", rc.connHeader())
-	if err := httpmsg.WriteProtoResponseHeader(bw, rc.proto, httpmsg.StatusOK, h); err != nil {
+	return chunked, httpmsg.WriteProtoResponseHeader(rc.bw, rc.proto, httpmsg.StatusOK, h)
+}
+
+// finishResponse flushes a fully buffered 200 and accounts for it.
+func (s *Server) finishResponse(rc *reqConn, req *httpmsg.Request, sent int64) int {
+	if err := rc.bw.Flush(); err != nil {
+		return rc.fail()
+	}
+	s.served.Add(1)
+	s.logAccess(rc.c, req, httpmsg.StatusOK, sent)
+	return httpmsg.StatusOK
+}
+
+// streamResponse writes the response header and a body that is read as it
+// is sent (an open file, an upstream socket) in the httpd write-loop style,
+// returning the status written (0 when the write failed mid-flight, which
+// also spends the connection). size and modTime are writeHeader's. The
+// body crosses through a pooled copy buffer; a HEAD response skips it
+// entirely and logs zero body bytes.
+func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, body io.Reader, modTime time.Time) int {
+	s.netActive.Add(1)
+	defer s.netActive.Add(-1)
+	chunked, err := s.writeHeader(rc, req, size, modTime)
+	if err != nil {
 		return rc.fail()
 	}
 	var sent int64
 	if req.Method != "HEAD" {
-		var err error
 		switch {
 		case chunked:
-			cw := httpmsg.NewChunkedWriter(bw)
+			cw := httpmsg.NewChunkedWriter(rc.bw)
 			sent, err = httpmsg.CopyBody(cw, body)
 			if err == nil {
 				err = cw.Close()
 			}
 		case size >= 0:
-			sent, err = httpmsg.CopyBodyN(bw, body, size)
+			sent, err = httpmsg.CopyBodyN(rc.bw, body, size)
 		default:
-			sent, err = httpmsg.CopyBody(bw, body)
+			sent, err = httpmsg.CopyBody(rc.bw, body)
 		}
 		s.bytesOut.Add(sent)
 		if err != nil {
@@ -898,10 +941,5 @@ func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, b
 			return rc.fail()
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return rc.fail()
-	}
-	s.served.Add(1)
-	s.logAccess(rc.c, req, httpmsg.StatusOK, sent)
-	return httpmsg.StatusOK
+	return s.finishResponse(rc, req, sent)
 }

@@ -387,28 +387,9 @@ func TestRelayMidStreamOwnerDeath(t *testing.T) {
 	st.MustAdd(storage.File{Path: "/docs/local.html", Size: 1024, Owner: 0})
 	st.MustAdd(storage.File{Path: doc, Size: 100000, Owner: 1})
 
-	// The owner is a hand-rolled listener: header + partial body, then RST.
-	fakeOwner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fakeOwner.Close()
-	go func() {
-		for {
-			c, err := fakeOwner.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				if _, err := httpmsg.ReadRequest(bufio.NewReader(c)); err != nil {
-					return
-				}
-				_, _ = c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n"))
-				_, _ = c.Write(make([]byte, 1000)) // 1% of the promise, then gone
-			}(c)
-		}
-	}()
+	// The owner is a hand-rolled listener: header + 1% of the promised
+	// body, then gone.
+	fakeOwner, _ := fakePeer(t, "HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n", make([]byte, 1000))
 
 	cfg := Config{ID: 0, DocRoot: t.TempDir(), Store: st, Policy: core.RoundRobin{},
 		CacheOff: true, FetchAttempts: 1}
@@ -426,7 +407,7 @@ func TestRelayMidStreamOwnerDeath(t *testing.T) {
 	t.Cleanup(srv.Close)
 	srv.SetPeers([]Peer{
 		{ID: 0, HTTPAddr: srv.Addr(), UDPAddr: srv.UDPAddr()},
-		{ID: 1, HTTPAddr: fakeOwner.Addr().String(), UDPAddr: "127.0.0.1:1"},
+		{ID: 1, HTTPAddr: fakeOwner, UDPAddr: "127.0.0.1:1"},
 	})
 	srv.Start()
 
@@ -457,7 +438,8 @@ func TestStreamResponseChunked(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	body := bytes.Repeat([]byte("chunk-me-"), 12000) // > one 32K copy buffer
-	rc := &reqConn{s: srv, c: server, br: bufio.NewReader(server), proto: "HTTP/1.1", keepAlive: true}
+	rc := newReqConn(srv, server, 0)
+	rc.proto, rc.keepAlive = "HTTP/1.1", true
 	req := &httpmsg.Request{Method: "GET", Path: "/stream.bin", Proto: "HTTP/1.1", Header: httpmsg.Header{}}
 	go func() {
 		defer server.Close()
@@ -489,7 +471,8 @@ func TestStreamResponseUnknownLengthHTTP10(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	body := []byte("short dynamic body")
-	rc := &reqConn{s: srv, c: server, br: bufio.NewReader(server), proto: "HTTP/1.0", keepAlive: true}
+	rc := newReqConn(srv, server, 0)
+	rc.keepAlive = true
 	req := &httpmsg.Request{Method: "GET", Path: "/gen.txt", Header: httpmsg.Header{}}
 	go func() {
 		defer server.Close()

@@ -38,15 +38,16 @@ func (s *Server) MaterializeReplica(path string) error {
 	if len(sources) == 0 {
 		return fmt.Errorf("replicate: no reachable replica of %q", path)
 	}
-	resp, err := s.fetchWithRetry(sources, path, "")
+	ent, err := s.fetchWithRetry(sources, path, file.Size, "")
 	if err != nil {
 		return fmt.Errorf("replicate: fetch %q: %w", path, err)
 	}
+	defer s.cache.Release(ent)
 	full := s.localPath(path)
 	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	if err := os.WriteFile(full, resp.Body, 0o644); err != nil {
+	if err := os.WriteFile(full, ent.Body, 0o644); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
 	if err := s.cfg.Store.AddReplica(path, s.cfg.ID); err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"sweb/internal/cache"
 	"sweb/internal/httpmsg"
 	"sweb/internal/retry"
 	"sweb/internal/trace"
@@ -145,53 +146,52 @@ func roundTripUpstream(u *upstream, req *httpmsg.Request) (*httpmsg.Response, er
 	return httpmsg.ReadResponseHeader(u.br)
 }
 
-// readUpstreamBody reads the full response body off the upstream reader.
-// reusable reports whether the framing left the connection positioned at
-// the next response (an EOF-delimited body spends it).
-func readUpstreamBody(br *bufio.Reader, resp *httpmsg.Response) (body []byte, reusable bool, err error) {
-	if resp.Chunked() {
-		body, err = io.ReadAll(httpmsg.NewChunkedReader(br))
-		return body, err == nil, err
+// readUpstreamBody materializes a peer's 200 body into a buffer taken from
+// the cache. The peer must announce exactly the want bytes the manifest
+// promises: the Content-Length is checked before anything is allocated, so
+// a confused or hostile peer cannot size the buffer, and a body without one
+// (no SWEB node sends a document that way) is refused outright.
+func (s *Server) readUpstreamBody(br *bufio.Reader, resp *httpmsg.Response, want int64) (cache.Entry, error) {
+	cl := resp.Header.Get("Content-Length")
+	n, err := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
+	if err != nil || n != want {
+		return cache.Entry{}, fmt.Errorf("Content-Length %q, manifest says %d", cl, want)
 	}
-	if cl := resp.Header.Get("Content-Length"); cl != "" {
-		n, perr := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
-		if perr != nil || n < 0 {
-			return nil, false, fmt.Errorf("bad Content-Length %q", cl)
-		}
-		body = make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, false, err
-		}
-		return body, true, nil
+	ent := s.cache.Alloc(n)
+	if _, err := io.ReadFull(br, ent.Body); err != nil {
+		s.cache.Release(ent)
+		return cache.Entry{}, err
 	}
-	body, err = io.ReadAll(br)
-	return body, false, err
+	return ent, nil
 }
 
 // fetchFromPeer performs one internal GET against the owning node over a
-// pooled keep-alive connection and materializes the body — the cache-fill
-// path. The connection returns to the pool when its framing allows.
-func (s *Server) fetchFromPeer(peer Peer, path string, tctx trace.TraceID) (*httpmsg.Response, error) {
+// pooled keep-alive connection and materializes the want-byte body as a
+// cache entry the caller must Release — the cache-fill path. The
+// connection returns to the pool only after a body read to its end; any
+// refusal leaves it mid-response and spends it.
+func (s *Server) fetchFromPeer(peer Peer, path string, want int64, tctx trace.TraceID) (cache.Entry, error) {
 	req := s.internalRequest("GET", path, "", tctx)
 	u, resp, err := s.openPeerStream(peer, req)
 	if err != nil {
-		return nil, err
+		return cache.Entry{}, err
 	}
-	body, reusable, err := readUpstreamBody(u.br, resp)
+	if resp.StatusCode != httpmsg.StatusOK {
+		u.Close()
+		return cache.Entry{}, fmt.Errorf("owner %d returned %d", peer.ID, resp.StatusCode)
+	}
+	ent, err := s.readUpstreamBody(u.br, resp, want)
 	if err != nil {
 		u.Close()
-		return nil, fmt.Errorf("read from owner %d: %w", peer.ID, err)
+		return cache.Entry{}, fmt.Errorf("read from owner %d: %w", peer.ID, err)
 	}
-	if reusable && resp.KeepAlive() {
+	if resp.KeepAlive() {
 		s.ups.put(peer.HTTPAddr, u)
 	} else {
 		u.Close()
 	}
-	if resp.StatusCode != httpmsg.StatusOK {
-		return nil, fmt.Errorf("owner %d returned %d", peer.ID, resp.StatusCode)
-	}
-	resp.Body = body
-	return resp, nil
+	ent.Path, ent.ModTime = path, lastModified(resp.Header)
+	return ent, nil
 }
 
 // fetchSource is one replica candidate for an internal fetch: the node id
@@ -218,26 +218,25 @@ func (s *Server) fetchPolicy(sources int) retry.Policy {
 // fetchWithRetry runs the materializing internal fetch under the node's
 // retry budget, rotating through the failover list — attempt k hits
 // sources[(k-1) mod len] — and feeding the loadd health view on every
-// outcome, so a dead replica is tried, marked, and routed around.
-func (s *Server) fetchWithRetry(sources []fetchSource, path string, tctx trace.TraceID) (*httpmsg.Response, error) {
+// outcome, so a dead replica — or one answering with the wrong size — is
+// tried, marked, and routed around. want is the manifest size; the entry
+// returned carries a cache pin the caller must Release.
+func (s *Server) fetchWithRetry(sources []fetchSource, path string, want int64, tctx trace.TraceID) (cache.Entry, error) {
 	s.internalFetch.Add(1)
-	var resp *httpmsg.Response
+	var ent cache.Entry
 	err := s.fetchPolicy(len(sources)).Do(s.closed, func(attempt int) error {
 		src := sources[(attempt-1)%len(sources)]
-		r, ferr := s.fetchFromPeer(src.peer, path, tctx)
+		e, ferr := s.fetchFromPeer(src.peer, path, want, tctx)
 		if ferr != nil {
 			s.table.MarkFailure(src.node)
 			return ferr
 		}
 		s.table.MarkSuccess(src.node)
 		s.nm.replicaFetch(path, src.node)
-		resp = r
+		ent = e
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return ent, err
 }
 
 // relayStream pipes a non-cacheable document from a replica straight to
