@@ -113,13 +113,13 @@ func (s *Sketch) Observe(o Observation) {
 			e = &Entry{Path: o.Path, Owner: o.Owner}
 			s.entries[o.Path] = e
 		} else {
-			victim := s.minEntry()
-			delete(s.entries, victim.Path)
-			// Inherit the victim's count (the overestimate that keeps
-			// heavy hitters from being starved out) but none of its
-			// auxiliary sums — those belong to the evicted path.
-			e = &Entry{Path: o.Path, Owner: o.Owner,
-				Count: victim.Count, ErrBound: victim.Count}
+			// Re-key the victim's slot in place. The newcomer inherits
+			// the victim's count (the overestimate that keeps heavy
+			// hitters from being starved out) but none of its auxiliary
+			// sums — those belong to the evicted path.
+			e = s.minEntry()
+			delete(s.entries, e.Path)
+			*e = Entry{Path: o.Path, Owner: o.Owner, Count: e.Count, ErrBound: e.Count}
 			s.entries[o.Path] = e
 		}
 	}

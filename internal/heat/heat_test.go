@@ -3,6 +3,7 @@ package heat
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +75,36 @@ func TestSketchEvictionInheritsBound(t *testing.T) {
 // must be tracked (the Space-Saving heavy-hitter guarantee), (2) every
 // tracked count is an overestimate by at most its error bound, and (3)
 // every error bound is at most Total/K.
+// TestSketchChurnAllocatesNothing: once the K slots are taken, an eviction
+// re-keys the victim's slot in place, so a working set larger than the
+// sketch costs no allocation per observation.
+func TestSketchChurnAllocatesNothing(t *testing.T) {
+	s := New(Config{K: 8})
+	paths := make([]string, 32)
+	for i := range paths {
+		paths[i] = "/churn/" + strconv.Itoa(i)
+		s.Observe(Observation{Path: paths[i], Bytes: 1})
+	}
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		s.Observe(Observation{Path: paths[i%len(paths)], Owner: 1, Bytes: 10, Relay: true, Seconds: 0.001})
+		i++
+	}); n != 0 {
+		t.Fatalf("%v allocations per churning observation, want 0", n)
+	}
+	// A dump taken before further evictions is a copy, not a view of slots.
+	d := s.Dump()
+	before := append([]Entry(nil), d.Entries...)
+	for j := 0; j < 64; j++ {
+		s.Observe(Observation{Path: paths[j%len(paths)]})
+	}
+	for j := range before {
+		if d.Entries[j] != before[j] {
+			t.Fatalf("dump entry %d changed under later observations", j)
+		}
+	}
+}
+
 func TestSketchVsExactOracle(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))

@@ -136,6 +136,37 @@ func TestCacheConditionalGetRevalidates(t *testing.T) {
 	}
 }
 
+// TestConditionalGetAcceptsAllDateFormats: a browser may send
+// If-Modified-Since in any of the three HTTP/1.0 date formats, and the 304
+// comes back with dates in the RFC 1123 GMT form.
+func TestConditionalGetAcceptsAllDateFormats(t *testing.T) {
+	srv, doc := startSoloNode(t, nil)
+	if st, _ := get(t, srv.Addr(), doc); st != httpmsg.StatusOK {
+		t.Fatalf("warm-up fetch = %d", st)
+	}
+	fi, err := os.Stat(docFile(srv, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := fi.ModTime().UTC()
+	for name, layout := range map[string]string{
+		"RFC 1123": "Mon, 02 Jan 2006 15:04:05 GMT",
+		"RFC 850":  "Monday, 02-Jan-06 15:04:05 GMT",
+		"asctime":  "Mon Jan  2 15:04:05 2006",
+	} {
+		resp := getWith(t, srv.Addr(), doc, map[string]string{"If-Modified-Since": mod.Format(layout)})
+		if resp.StatusCode != httpmsg.StatusNotModified {
+			t.Errorf("%s If-Modified-Since %q = %d, want 304", name, mod.Format(layout), resp.StatusCode)
+		}
+		for _, h := range []string{"Date", "Last-Modified"} {
+			v := resp.Header.Get(h)
+			if _, err := time.Parse("Mon, 02 Jan 2006 15:04:05 GMT", v); err != nil {
+				t.Errorf("%s: %s header %q is not an RFC 1123 GMT date", name, h, v)
+			}
+		}
+	}
+}
+
 // TestCacheMetricsAndStatus checks the observability wiring: the
 // sweb_cache_* families move with traffic and /sweb/status carries the
 // cache section.

@@ -42,11 +42,14 @@ func (w *writeMeter) reset() {
 // fulfillment paths write responses through it so every response carries a
 // truthful Connection header.
 type reqConn struct {
-	s         *Server
-	c         net.Conn // the metered connection responses are written to
-	meter     *writeMeter
-	id        int64 // tracked connection id, for flight records
-	br        *bufio.Reader
+	s     *Server
+	c     net.Conn // the metered connection responses are written to
+	meter *writeMeter
+	id    int64 // tracked connection id, for flight records
+	br    *bufio.Reader
+	// req is the connection's one request value, refilled in place for each
+	// request the loop reads; nothing may hold it past the end of handle.
+	req       httpmsg.Request
 	proto     string // response protocol version, echoing the request
 	keepAlive bool   // whether the connection survives the current response
 	served    int    // requests answered on this connection so far
@@ -63,24 +66,28 @@ func newReqConn(s *Server, c net.Conn, id int64) *reqConn {
 	return &reqConn{s: s, c: w, meter: w, id: id, br: bufio.NewReader(c), bw: bufio.NewWriter(w), proto: "HTTP/1.0"}
 }
 
-// connHeader renders the Connection header for the loop's current decision.
-func (rc *reqConn) connHeader() string {
-	if rc.keepAlive {
-		return "keep-alive"
-	}
-	return "close"
-}
-
 // simple writes a complete small response (errors, redirects, 304s),
-// stamped with the serve loop's keep-alive decision. A failed write spends
-// the connection.
-func (rc *reqConn) simple(code int, h httpmsg.Header, body []byte) error {
-	if h == nil {
-		h = httpmsg.Header{}
+// stamped with the serve loop's keep-alive decision. h carries whichever
+// optional fields the response needs (nil for none); the protocol, status,
+// Connection and Content-Length are filled in here, and Content-Type
+// defaults to text/html. A failed write spends the connection.
+func (rc *reqConn) simple(code int, h *httpmsg.ResponseHead, body []byte) error {
+	var head httpmsg.ResponseHead
+	if h != nil {
+		head = *h
 	}
-	h.Set("Connection", rc.connHeader())
-	// bufio.NewWriter inside hands rc.bw back rather than wrapping it.
-	err := httpmsg.WriteProtoSimpleResponse(rc.bw, rc.proto, code, h, body)
+	head.Proto, head.Code, head.KeepAlive = rc.proto, code, rc.keepAlive
+	head.ContentLength = int64(len(body))
+	if head.ContentType == "" {
+		head.ContentType = "text/html"
+	}
+	err := head.Write(rc.bw)
+	if err == nil {
+		_, err = rc.bw.Write(body)
+	}
+	if err == nil {
+		err = rc.bw.Flush()
+	}
 	if err != nil {
 		rc.keepAlive = false
 	}
@@ -139,8 +146,8 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) {
 		rc.meter.reset()
 		t0 := time.Now()
 		_ = c.SetReadDeadline(t0.Add(connTimeout))
-		req, err := httpmsg.ReadRequest(rc.br)
-		if err != nil {
+		req := &rc.req
+		if err := httpmsg.ReadRequestInto(rc.br, req); err != nil {
 			rc.keepAlive = false
 			s.errors.Add(1)
 			s.badRequests.Add(1)

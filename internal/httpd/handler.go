@@ -166,17 +166,20 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 
 	redirects := parseRedirectCount(req.Query)
 	tctx, hopSentMicros, _ := parseTraceContext(req.Query)
+	// Trace details are formatted only under traced: with the recorder off
+	// no request pays for a string nobody will read.
 	rec := s.cfg.Trace
+	traced := rec.Enabled()
 	tid := int64(-1)
 	if !internal {
-		if rec.Enabled() {
+		if traced {
 			// Joining an inbound trace context keeps every hop of a
 			// redirected request under one trace id; without one, this
 			// node originates the trace.
 			tid, tctx = rec.Begin(tctx)
 			connDetail := ""
 			if redirects > 0 {
-				connDetail = fmt.Sprintf("hop=%d", redirects)
+				connDetail = "hop=" + strconv.Itoa(redirects)
 			}
 			rec.Record(tid, s.sinceEpoch(t0), trace.EvConnected, s.cfg.ID, connDetail)
 			rec.Record(tid, s.sinceEpoch(tParsed), trace.EvParsed, s.cfg.ID, "path="+req.Path)
@@ -224,7 +227,7 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 	// the tail of the fetcher's own fetch-nfs phase.
 	if internal {
 		s.internalFetch.Add(1)
-		if id := trace.TraceID(req.Header.Get(traceHeader)); id != "" && rec.Enabled() {
+		if id := trace.TraceID(req.Header.Get(traceHeader)); id != "" && traced {
 			jid, _ := rec.Begin(id)
 			rec.Record(jid, s.sinceEpoch(time.Now()), trace.EvFetchLocal, s.cfg.ID, "internal=1")
 		}
@@ -260,8 +263,10 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 		tAnalyzed = time.Now()
 		s.nm.event(trace.EvAnalyzed)
 		s.nm.phase("analyze", tAnalyzed.Sub(tParsed).Seconds())
-		rec.Record(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, s.cfg.ID,
-			fmt.Sprintf("target=%d", target))
+		if traced {
+			rec.Record(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, s.cfg.ID,
+				"target="+strconv.Itoa(target))
+		}
 		if target != s.cfg.ID {
 			if peer, ok := s.peerByID(target); ok {
 				// Phase 3: redirect via a 302 with the bumped URL,
@@ -270,9 +275,7 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 				// time, so the target measures the hop).
 				loc := redirectLocation(peer.HTTPAddr, req.Path, req.Query, redirects,
 					formatTraceContext(tctx, time.Now().UnixMicro()))
-				h := httpmsg.Header{}
-				h.Set("Location", loc)
-				err := rc.simple(httpmsg.StatusMovedTemporarily, h,
+				err := rc.simple(httpmsg.StatusMovedTemporarily, &httpmsg.ResponseHead{Location: loc},
 					httpmsg.ErrorBody(httpmsg.StatusMovedTemporarily,
 						`The document has moved <A HREF="`+loc+`">here</A>.`))
 				if err != nil {
@@ -298,8 +301,10 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 				s.nm.event(trace.EvRedirected)
 				s.nm.redirect(target)
 				s.nm.phase("redirect", tSent.Sub(tAnalyzed).Seconds())
-				rec.Record(tid, s.sinceEpoch(tSent), trace.EvRedirected, s.cfg.ID,
-					fmt.Sprintf("to=%d", target))
+				if traced {
+					rec.Record(tid, s.sinceEpoch(tSent), trace.EvRedirected, s.cfg.ID,
+						"to="+strconv.Itoa(target))
+				}
 				s.audit.add(DecisionAudit{
 					AtSeconds:        s.sinceEpoch(t0),
 					Path:             req.Path,
@@ -310,8 +315,7 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 					ActualSeconds:    -1, // fulfilled by the target node
 					ParseSeconds:     tParsed.Sub(t0).Seconds(),
 					AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-					Candidates:       sanitizeCandidates(dec.Candidates),
-				})
+				}, dec.Candidates)
 				s.logAccess(rc.c, req, httpmsg.StatusMovedTemporarily, -1)
 				s.flightAdd(rc, flight.Record{
 					Path:             req.Path,
@@ -343,7 +347,9 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 	switch {
 	case isCGI:
 		s.nm.event(trace.EvCGI)
-		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvCGI, s.cfg.ID, "path="+req.Path)
+		if traced {
+			rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvCGI, s.cfg.ID, "path="+req.Path)
+		}
 		status = s.serveCGI(rc, req, cgiFn)
 		s.nm.phase("cgi", time.Since(tFulfill).Seconds())
 	case cacheHit:
@@ -361,16 +367,20 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 		s.nm.phase("fetch_local", time.Since(tFulfill).Seconds())
 	default:
 		s.nm.event(trace.EvFetchNFS)
-		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchNFS, s.cfg.ID,
-			fmt.Sprintf("owner=%d", file.Owner))
+		if traced {
+			rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchNFS, s.cfg.ID,
+				"owner="+strconv.Itoa(file.Owner))
+		}
 		status = s.serveRemoteFile(rc, req, file, tctx)
 		s.nm.phase("fetch_nfs", time.Since(tFulfill).Seconds())
 	}
 	done := time.Now()
 	if status > 0 {
 		s.nm.event(trace.EvSent)
-		rec.Record(tid, s.sinceEpoch(done), trace.EvSent, s.cfg.ID,
-			"status="+strconv.Itoa(status))
+		if traced {
+			rec.Record(tid, s.sinceEpoch(done), trace.EvSent, s.cfg.ID,
+				"status="+strconv.Itoa(status))
+		}
 	}
 	total := done.Sub(t0).Seconds()
 	if status == httpmsg.StatusOK || status == httpmsg.StatusNotModified {
@@ -433,9 +443,8 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 			ParseSeconds:     tParsed.Sub(t0).Seconds(),
 			AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
 			FulfillSeconds:   done.Sub(tFulfill).Seconds(),
-			Candidates:       sanitizeCandidates(dec.Candidates),
 		}
-		s.audit.add(a)
+		s.audit.add(a, dec.Candidates)
 		// Compare prediction to reality only for clean local service: an
 		// error path measures the failure handling, not t_s.
 		if status == httpmsg.StatusOK || status == httpmsg.StatusNotModified {
@@ -518,7 +527,8 @@ func formatTraceContext(id trace.TraceID, sentUnixMicros int64) string {
 
 // parseTraceContext extracts the swebt trace context from a query string.
 func parseTraceContext(query string) (id trace.TraceID, sentUnixMicros int64, ok bool) {
-	for _, kv := range strings.Split(query, "&") {
+	for kv, rest := "", query; rest != ""; {
+		kv, rest, _ = strings.Cut(rest, "&")
 		v, has := strings.CutPrefix(kv, traceParam+"=")
 		if !has {
 			continue
@@ -622,7 +632,8 @@ func (s *Server) peerByID(id int) (Peer, bool) {
 }
 
 func parseRedirectCount(query string) int {
-	for _, kv := range strings.Split(query, "&") {
+	for kv, rest := "", query; rest != ""; {
+		kv, rest, _ = strings.Cut(rest, "&")
 		if v, ok := strings.CutPrefix(kv, redirectParam+"="); ok {
 			if n, err := strconv.Atoi(v); err == nil && n >= 0 {
 				return n
@@ -709,9 +720,7 @@ func (s *Server) readOpenFile(path string, f *os.File) (cache.Entry, error) {
 func (s *Server) writeEntry(rc *reqConn, req *httpmsg.Request, ent cache.Entry) int {
 	defer s.cache.Release(ent)
 	if !ent.ModTime.IsZero() && httpmsg.NotModified(req.Header.Get("If-Modified-Since"), ent.ModTime) {
-		h := httpmsg.Header{}
-		h.Set("Last-Modified", httpmsg.FormatHTTPDate(ent.ModTime))
-		_ = rc.simple(httpmsg.StatusNotModified, h, nil)
+		_ = rc.simple(httpmsg.StatusNotModified, &httpmsg.ResponseHead{LastModified: ent.ModTime}, nil)
 		s.served.Add(1)
 		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
 		return httpmsg.StatusNotModified
@@ -765,9 +774,7 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 	// sends If-Modified-Since and gets a body-less 304 if the document is
 	// unchanged — the cheapest response the 1996 server knows.
 	if httpmsg.NotModified(req.Header.Get("If-Modified-Since"), fi.ModTime()) {
-		h := httpmsg.Header{}
-		h.Set("Last-Modified", httpmsg.FormatHTTPDate(fi.ModTime()))
-		_ = rc.simple(httpmsg.StatusNotModified, h, nil)
+		_ = rc.simple(httpmsg.StatusNotModified, &httpmsg.ResponseHead{LastModified: fi.ModTime()}, nil)
 		s.served.Add(1)
 		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
 		return httpmsg.StatusNotModified
@@ -844,9 +851,7 @@ func (s *Server) degrade503(rc *reqConn, req *httpmsg.Request) int {
 	s.errors.Add(1)
 	s.fetchFailed.Add(1)
 	s.drop("owner_unreachable")
-	h := httpmsg.Header{}
-	h.Set("Retry-After", s.retryAfterSeconds())
-	_ = rc.simple(httpmsg.StatusServiceUnavailable, h,
+	_ = rc.simple(httpmsg.StatusServiceUnavailable, &httpmsg.ResponseHead{RetryAfter: s.retryAfterSeconds()},
 		httpmsg.ErrorBody(httpmsg.StatusServiceUnavailable, "owner unreachable"))
 	s.logAccess(rc.c, req, httpmsg.StatusServiceUnavailable, -1)
 	return httpmsg.StatusServiceUnavailable
@@ -859,9 +864,7 @@ func (s *Server) serveCGI(rc *reqConn, req *httpmsg.Request, fn CGIFunc) int {
 	if ctype == "" {
 		ctype = "text/html"
 	}
-	h := httpmsg.Header{}
-	h.Set("Content-Type", ctype)
-	if err := rc.simple(httpmsg.StatusOK, h, body); err != nil {
+	if err := rc.simple(httpmsg.StatusOK, &httpmsg.ResponseHead{ContentType: ctype}, body); err != nil {
 		s.drop("write_failed")
 		return 0
 	}
@@ -877,24 +880,25 @@ func (s *Server) serveCGI(rc *reqConn, req *httpmsg.Request, fn CGIFunc) int {
 // HTTP/1.0 clients an EOF-delimited body on a connection marked close. A
 // zero modTime omits Last-Modified.
 func (s *Server) writeHeader(rc *reqConn, req *httpmsg.Request, size int64, modTime time.Time) (chunked bool, err error) {
-	h := httpmsg.Header{}
-	h.Set("Content-Type", httpmsg.ContentTypeFor(req.Path))
 	switch {
 	case size >= 0:
-		h.Set("Content-Length", strconv.FormatInt(size, 10))
 	case rc.proto == "HTTP/1.1":
 		chunked = true
-		h.Set("Transfer-Encoding", "chunked")
 	default:
 		// Unknown length to a 1.0 client: the body runs to EOF, so this
 		// connection cannot carry another request.
 		rc.keepAlive = false
 	}
-	if !modTime.IsZero() {
-		h.Set("Last-Modified", httpmsg.FormatHTTPDate(modTime))
+	h := httpmsg.ResponseHead{
+		Proto:         rc.proto,
+		Code:          httpmsg.StatusOK,
+		KeepAlive:     rc.keepAlive,
+		ContentLength: size,
+		ContentType:   httpmsg.ContentTypeFor(req.Path),
+		LastModified:  modTime,
+		Chunked:       chunked,
 	}
-	h.Set("Connection", rc.connHeader())
-	return chunked, httpmsg.WriteProtoResponseHeader(rc.bw, rc.proto, httpmsg.StatusOK, h)
+	return chunked, h.Write(rc.bw)
 }
 
 // finishResponse flushes a fully buffered 200 and accounts for it.

@@ -1,9 +1,6 @@
 package httpd
 
-import (
-	"sweb/internal/heat"
-	"sweb/internal/metrics"
-)
+import "sweb/internal/heat"
 
 // heatObserve folds one fulfilled request into the document-heat sketch
 // and bumps the per-path metric counters the monitor's hot_doc rule
@@ -15,14 +12,11 @@ func (s *Server) heatObserve(o heat.Observation, replicas int) {
 		return
 	}
 	s.heat.Observe(o)
-	s.nm.reg.Counter(mHeatRequests, "served requests per document path",
-		metrics.Labels{"path": o.Path}).Inc()
+	s.nm.heatRequests.With(o.Path).Inc()
 	if o.Relay {
-		s.nm.reg.Counter(mHeatRelays, "requests served by fetching the document from a replica",
-			metrics.Labels{"path": o.Path}).Inc()
+		s.nm.heatRelays.With(o.Path).Inc()
 	}
-	s.nm.reg.Gauge(mHeatReplicas, "replica-set size of the document at last serve",
-		metrics.Labels{"path": o.Path}).Set(float64(replicas))
+	s.nm.heatReplicas.With(o.Path).Set(float64(replicas))
 }
 
 // Heat exposes the node's document-heat sketch (nil when disabled) for

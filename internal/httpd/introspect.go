@@ -268,9 +268,7 @@ func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
 		s.logAccess(rc.c, req, code, -1)
 		return code
 	}
-	h := httpmsg.Header{}
-	h.Set("Content-Type", ctype)
-	if err := rc.simple(httpmsg.StatusOK, h, body); err != nil {
+	if err := rc.simple(httpmsg.StatusOK, &httpmsg.ResponseHead{ContentType: ctype}, body); err != nil {
 		return 0
 	}
 	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(body)))

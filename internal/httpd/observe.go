@@ -84,9 +84,12 @@ var gossipIntervalBuckets = []float64{0.5, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64}
 // not seconds.
 var gossipDriftBuckets = []float64{0.5, 1, 2, 4, 8, 16, 32, 64}
 
-// nodeMetrics caches the fixed-label handles the request path touches on
-// every request; dynamic-label instances (event kinds, drop causes,
-// redirect targets) go through the registry, which dedups by signature.
+// nodeMetrics holds every handle the request path touches, resolved once
+// here: fixed-label instances directly, single-label families (event
+// kinds, phases, drop causes, redirect targets, document paths) as vector
+// handles whose With is a map hit on the raw label value. The rule: the
+// request path never passes a metrics.Labels literal to the registry.
+// Series still appear in the exposition on first use, not at start-up.
 type nodeMetrics struct {
 	reg      *metrics.Registry
 	response *metrics.Histogram
@@ -94,6 +97,17 @@ type nodeMetrics struct {
 	compared *metrics.Counter
 	absErr   *metrics.Histogram
 	kaServed *metrics.Histogram
+
+	events         *metrics.CounterVec   // {event}
+	phases         *metrics.HistogramVec // {phase}
+	drops          *metrics.CounterVec   // {cause}
+	redirects      *metrics.CounterVec   // {target}
+	schedPredicted *metrics.CounterVec   // {phase}
+	schedActual    *metrics.CounterVec   // {phase}
+	heatRequests   *metrics.CounterVec   // {path}
+	heatRelays     *metrics.CounterVec   // {path}
+	heatReplicas   *metrics.GaugeVec     // {path}
+	replicaFetches *metrics.CounterVec2  // {path, source}
 }
 
 func newNodeMetrics(s *Server) *nodeMetrics {
@@ -111,6 +125,22 @@ func newNodeMetrics(s *Server) *nodeMetrics {
 		kaServed: reg.Histogram(mKeepAlivePer,
 			"requests served per client connection, observed at connection end",
 			nil, keepAliveBuckets),
+
+		events:    reg.CounterVec(mEvents, "request lifecycle events by trace kind", "event"),
+		phases:    reg.HistogramVec(mPhase, "time spent per lifecycle phase", "phase", nil),
+		drops:     reg.CounterVec(mDrops, "requests not served in full, by cause", "cause"),
+		redirects: reg.CounterVec(mRedirects, "302s issued, by target node", "target"),
+		schedPredicted: reg.CounterVec(mSchedPredicted,
+			"sum of broker-predicted seconds by t_s phase", "phase"),
+		schedActual: reg.CounterVec(mSchedActual,
+			"sum of measured seconds by t_s phase", "phase"),
+		heatRequests: reg.CounterVec(mHeatRequests, "served requests per document path", "path"),
+		heatRelays: reg.CounterVec(mHeatRelays,
+			"requests served by fetching the document from a replica", "path"),
+		heatReplicas: reg.GaugeVec(mHeatReplicas,
+			"replica-set size of the document at last serve", "path"),
+		replicaFetches: reg.CounterVec2(mReplicaFetch,
+			"internal document fetches by source replica node", "path", "source"),
 	}
 	reg.GaugeFunc("sweb_inflight", "client connections open now (idle keep-alive included)", nil,
 		func() float64 { return float64(s.inflight.Load()) })
@@ -225,29 +255,16 @@ func (m *nodeMetrics) gossipDrift(facet string, delta float64) {
 		metrics.Labels{"facet": facet}, gossipDriftBuckets).Observe(delta)
 }
 
-func (m *nodeMetrics) event(kind trace.Kind) {
-	m.reg.Counter(mEvents, "request lifecycle events by trace kind",
-		metrics.Labels{"event": string(kind)}).Inc()
-}
-
-func (m *nodeMetrics) drop(cause string) {
-	m.reg.Counter(mDrops, "requests not served in full, by cause",
-		metrics.Labels{"cause": cause}).Inc()
-}
+func (m *nodeMetrics) event(kind trace.Kind) { m.events.With(string(kind)).Inc() }
 
 func (m *nodeMetrics) phase(phase string, seconds float64) {
-	m.reg.Histogram(mPhase, "time spent per lifecycle phase",
-		metrics.Labels{"phase": phase}, nil).Observe(seconds)
+	m.phases.With(phase).Observe(seconds)
 }
 
-func (m *nodeMetrics) redirect(target int) {
-	m.reg.Counter(mRedirects, "302s issued, by target node",
-		metrics.Labels{"target": strconv.Itoa(target)}).Inc()
-}
+func (m *nodeMetrics) redirect(target int) { m.redirects.With(strconv.Itoa(target)).Inc() }
 
 func (m *nodeMetrics) replicaFetch(path string, source int) {
-	m.reg.Counter(mReplicaFetch, "internal document fetches by source replica node",
-		metrics.Labels{"path": path, "source": strconv.Itoa(source)}).Inc()
+	m.replicaFetches.With([2]string{path, strconv.Itoa(source)}).Inc()
 }
 
 func (m *nodeMetrics) rebalanceAction(action string) {
@@ -264,10 +281,8 @@ func (m *nodeMetrics) keepAliveServed(n float64) {
 // ("cpu", "data", "total"); the cluster report divides the two sums to
 // get mean predicted vs mean actual per phase.
 func (m *nodeMetrics) prediction(phase string, predicted, actual float64) {
-	m.reg.Counter(mSchedPredicted, "sum of broker-predicted seconds by t_s phase",
-		metrics.Labels{"phase": phase}).Add(predicted)
-	m.reg.Counter(mSchedActual, "sum of measured seconds by t_s phase",
-		metrics.Labels{"phase": phase}).Add(actual)
+	m.schedPredicted.With(phase).Add(predicted)
+	m.schedActual.With(phase).Add(actual)
 }
 
 // AuditCandidate is one row of a recorded decision's cost table — a
@@ -309,13 +324,10 @@ func sanitizeSeconds(v float64) float64 {
 	return v
 }
 
-func sanitizeCandidates(cands []core.CostBreakdown) []AuditCandidate {
-	if len(cands) == 0 {
-		return nil
-	}
-	out := make([]AuditCandidate, len(cands))
-	for i, cb := range cands {
-		out[i] = AuditCandidate{
+// appendCandidates appends the sanitized cost table to dst.
+func appendCandidates(dst []AuditCandidate, cands []core.CostBreakdown) []AuditCandidate {
+	for _, cb := range cands {
+		dst = append(dst, AuditCandidate{
 			Node:            cb.Node,
 			SourceNode:      cb.Source,
 			RedirectSeconds: sanitizeSeconds(cb.Redirect),
@@ -324,16 +336,19 @@ func sanitizeCandidates(cands []core.CostBreakdown) []AuditCandidate {
 			NetSeconds:      sanitizeSeconds(cb.Net),
 			TotalSeconds:    sanitizeSeconds(cb.Total),
 			Infeasible:      cb.Infeasible,
-		}
+		})
 	}
-	return out
+	return dst
 }
 
 // auditCap bounds the decision audit: enough recent decisions to diagnose
 // a placement anomaly without letting a long run grow the status payload.
 const auditCap = 128
 
-// auditLog is a fixed-size ring of the most recent decisions.
+// auditLog is a fixed-size ring of the most recent decisions. Each slot
+// owns its candidate table: add rewrites the slot's table in place, so a
+// steady request stream allocates nothing here, and snapshot copies the
+// tables out.
 type auditLog struct {
 	mu   sync.Mutex
 	seq  int64
@@ -346,11 +361,13 @@ func newAuditLog(n int) *auditLog {
 	return &auditLog{ring: make([]DecisionAudit, n)}
 }
 
-func (a *auditLog) add(d DecisionAudit) {
+// add records d with the decision's cost table (d.Candidates is ignored).
+func (a *auditLog) add(d DecisionAudit, cands []core.CostBreakdown) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.seq++
 	d.Seq = a.seq
+	d.Candidates = appendCandidates(a.ring[a.next].Candidates[:0], cands)
 	a.ring[a.next] = d
 	a.next++
 	if a.next == len(a.ring) {
@@ -363,12 +380,15 @@ func (a *auditLog) add(d DecisionAudit) {
 func (a *auditLog) snapshot() []DecisionAudit {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.full {
-		return append([]DecisionAudit(nil), a.ring[:a.next]...)
+	var out []DecisionAudit
+	if a.full {
+		out = append(out, a.ring[a.next:]...)
 	}
-	out := make([]DecisionAudit, 0, len(a.ring))
-	out = append(out, a.ring[a.next:]...)
-	return append(out, a.ring[:a.next]...)
+	out = append(out, a.ring[:a.next]...)
+	for i := range out {
+		out[i].Candidates = append([]AuditCandidate(nil), out[i].Candidates...)
+	}
+	return out
 }
 
 // recordPrediction feeds the predicted-vs-actual accumulators once a
@@ -402,5 +422,5 @@ func (s *Server) drop(cause string) {
 	s.dropMu.Lock()
 	s.dropCounts[cause]++
 	s.dropMu.Unlock()
-	s.nm.drop(cause)
+	s.nm.drops.With(cause).Inc()
 }

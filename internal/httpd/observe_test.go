@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sweb/internal/core"
 	"sweb/internal/httpmsg"
 	"sweb/internal/metrics"
 	"sweb/internal/storage"
@@ -209,14 +210,19 @@ func TestStatsDropsAndInflight(t *testing.T) {
 func TestAuditRingWraps(t *testing.T) {
 	a := newAuditLog(4)
 	for i := 0; i < 10; i++ {
-		a.add(DecisionAudit{Path: "/p", Target: i})
+		a.add(DecisionAudit{Path: "/p", Target: i}, []core.CostBreakdown{{Node: i}})
 	}
 	got := a.snapshot()
 	if len(got) != 4 {
 		t.Fatalf("snapshot len = %d", len(got))
 	}
+	// The ring rewrites each slot's candidate table in place; a snapshot
+	// already handed out must not see the decisions that follow it.
+	for i := 10; i < 14; i++ {
+		a.add(DecisionAudit{Path: "/p", Target: i}, []core.CostBreakdown{{Node: i}})
+	}
 	for i, d := range got {
-		if d.Target != 6+i || d.Seq != int64(7+i) {
+		if d.Target != 6+i || d.Seq != int64(7+i) || len(d.Candidates) != 1 || d.Candidates[0].Node != 6+i {
 			t.Fatalf("snapshot[%d] = %+v", i, d)
 		}
 	}

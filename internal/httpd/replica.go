@@ -133,9 +133,7 @@ func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
 		"action":   action,
 		"replicas": s.cfg.Store.Replicas(path),
 	})
-	h := httpmsg.Header{}
-	h.Set("Content-Type", "application/json")
-	if rc.simple(httpmsg.StatusOK, h, append(b, '\n')) != nil {
+	if rc.simple(httpmsg.StatusOK, &httpmsg.ResponseHead{ContentType: "application/json"}, append(b, '\n')) != nil {
 		return 0
 	}
 	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(b)))

@@ -278,11 +278,8 @@ func (s *Server) relayStream(rc *reqConn, req *httpmsg.Request, sources []fetchS
 
 	if resp.StatusCode == httpmsg.StatusNotModified {
 		s.ups.put(peer.HTTPAddr, u) // a 304 carries no body; the conn is clean
-		h := httpmsg.Header{}
-		if lm := resp.Header.Get("Last-Modified"); lm != "" {
-			h.Set("Last-Modified", lm)
-		}
-		if rc.simple(httpmsg.StatusNotModified, h, nil) != nil {
+		h := httpmsg.ResponseHead{LastModified: lastModified(resp.Header)}
+		if rc.simple(httpmsg.StatusNotModified, &h, nil) != nil {
 			return 0
 		}
 		s.served.Add(1)

@@ -2,10 +2,10 @@ package httpmsg
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // maxChunkLine bounds the "ffff;ext" chunk-size line.
@@ -100,10 +100,10 @@ func (cr *chunkedReader) nextChunk() error {
 		}
 		return err
 	}
-	if i := strings.IndexByte(line, ';'); i >= 0 {
+	if i := bytes.IndexByte(line, ';'); i >= 0 {
 		line = line[:i] // chunk extensions are ignored
 	}
-	size, err := strconv.ParseInt(strings.TrimSpace(line), 16, 64)
+	size, err := strconv.ParseInt(string(bytes.TrimSpace(line)), 16, 64)
 	if err != nil || size < 0 {
 		return parseErrf("bad chunk size %q", line)
 	}
@@ -116,7 +116,7 @@ func (cr *chunkedReader) nextChunk() error {
 				}
 				return err
 			}
-			if l == "" {
+			if len(l) == 0 {
 				break
 			}
 		}
@@ -136,7 +136,7 @@ func (cr *chunkedReader) readCRLF() error {
 		}
 		return err
 	}
-	if line != "" {
+	if len(line) != 0 {
 		return parseErrf("chunk data not followed by CRLF")
 	}
 	return nil

@@ -1,6 +1,7 @@
 package httpmsg
 
 import (
+	"sync/atomic"
 	"time"
 )
 
@@ -12,9 +13,41 @@ var httpDateLayouts = []string{
 	"Mon Jan  2 15:04:05 2006",       // ANSI C asctime()
 }
 
+// httpDateLayout is RFC 1123 with the zone pinned to the literal "GMT" that
+// RFC 1945 §3.3 requires; time.RFC1123 would render a UTC time's zone as
+// "UTC".
+const httpDateLayout = "Mon, 02 Jan 2006 15:04:05 GMT"
+
+// appendHTTPDate is the one place an HTTP date is rendered: FormatHTTPDate
+// and the response-head encoder both go through it.
+func appendHTTPDate(dst []byte, t time.Time) []byte {
+	return t.UTC().AppendFormat(dst, httpDateLayout)
+}
+
 // FormatHTTPDate renders t in the preferred RFC 1123 GMT form.
 func FormatHTTPDate(t time.Time) string {
-	return t.UTC().Format(time.RFC1123)
+	return string(appendHTTPDate(make([]byte, 0, len(httpDateLayout)), t))
+}
+
+// dateCache memoizes the rendered Date header for the current second, so
+// a busy server formats the clock once a second, not once a response.
+var dateCache atomic.Pointer[cachedDate]
+
+type cachedDate struct {
+	unix int64
+	text string
+}
+
+// dateHeader renders now as a Date header value, from the cache when now
+// falls in the second last rendered.
+func dateHeader(now time.Time) string {
+	sec := now.Unix()
+	if c := dateCache.Load(); c != nil && c.unix == sec {
+		return c.text
+	}
+	c := &cachedDate{unix: sec, text: FormatHTTPDate(now)}
+	dateCache.Store(c)
+	return c.text
 }
 
 // ParseHTTPDate accepts any of the three HTTP/1.0 date formats.

@@ -8,7 +8,7 @@ import (
 var refTime = time.Date(1994, time.November, 6, 8, 49, 37, 0, time.UTC)
 
 func TestFormatHTTPDate(t *testing.T) {
-	if got := FormatHTTPDate(refTime); got != "Sun, 06 Nov 1994 08:49:37 UTC" {
+	if got := FormatHTTPDate(refTime); got != "Sun, 06 Nov 1994 08:49:37 GMT" {
 		t.Fatalf("got %q", got)
 	}
 }
@@ -71,5 +71,30 @@ func TestNotModifiedIgnoresSubSecond(t *testing.T) {
 func TestStatusTextNotModified(t *testing.T) {
 	if StatusText(StatusNotModified) != "Not Modified" {
 		t.Fatal("missing 304 reason phrase")
+	}
+}
+
+// TestHTTPDateRoundTrip: what FormatHTTPDate emits, ParseHTTPDate reads
+// back to the same second, and the zone is the literal GMT of RFC 1945.
+func TestHTTPDateRoundTrip(t *testing.T) {
+	est := time.FixedZone("EST", -5*3600)
+	for _, in := range []time.Time{
+		refTime,
+		refTime.In(est),
+		time.Date(2026, time.September, 26, 23, 59, 59, 999, time.UTC),
+		time.Unix(0, 0),
+	} {
+		s := FormatHTTPDate(in)
+		if len(s) != len(httpDateLayout) || s[len(s)-4:] != " GMT" {
+			t.Errorf("FormatHTTPDate(%v) = %q", in, s)
+		}
+		back, err := ParseHTTPDate(s)
+		if err != nil {
+			t.Errorf("parse %q: %v", s, err)
+			continue
+		}
+		if !back.Equal(in.Truncate(time.Second)) {
+			t.Errorf("round trip %v -> %q -> %v", in, s, back)
+		}
 	}
 }

@@ -11,9 +11,9 @@ package httpmsg
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -71,9 +71,23 @@ func StatusText(code int) string {
 // ("Content-Length"). Values keep insertion order per key.
 type Header map[string][]string
 
-// CanonicalKey converts "content-length" to "Content-Length".
+// CanonicalKey converts "content-length" to "Content-Length". A key that
+// is already canonical — every name this package and its callers spell out
+// — comes back as is, without a copy.
 func CanonicalKey(k string) string {
-	b := []byte(k)
+	upper := true
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		if (upper && 'a' <= c && c <= 'z') || (!upper && 'A' <= c && c <= 'Z') {
+			return string(canonicalize([]byte(k)))
+		}
+		upper = c == '-'
+	}
+	return k
+}
+
+// canonicalize rewrites b in place into canonical header-name case.
+func canonicalize(b []byte) []byte {
 	upper := true
 	for i, c := range b {
 		switch {
@@ -84,7 +98,7 @@ func CanonicalKey(k string) string {
 		}
 		upper = c == '-'
 	}
-	return string(b)
+	return b
 }
 
 // Set replaces the values for key.
@@ -138,15 +152,22 @@ func hasToken(v, token string) bool {
 }
 
 // write serializes headers in sorted key order (deterministic output).
+// The keys are insertion-sorted into a stack array — a response carries a
+// handful of fields — so the common case allocates nothing.
 func (h Header) write(w *bufio.Writer) error {
-	keys := make([]string, 0, len(h))
+	var stack [16]string
+	keys := stack[:0]
 	for k := range h {
+		i := len(keys)
 		keys = append(keys, k)
+		for ; i > 0 && keys[i-1] > k; i-- {
+			keys[i] = keys[i-1]
+		}
+		keys[i] = k
 	}
-	sort.Strings(keys)
 	for _, k := range keys {
 		for _, v := range h[k] {
-			if _, err := fmt.Fprintf(w, "%s: %s\r\n", k, v); err != nil {
+			if _, err := w.Write(appendField(w.AvailableBuffer(), k, v)); err != nil {
 				return err
 			}
 		}
@@ -175,64 +196,124 @@ func parseErrf(format string, args ...any) error {
 	return &ParseError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// ReadRequest parses one request from br.
+// ReadRequest parses one request from br into a fresh Request.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
+	req := new(Request)
+	if err := ReadRequestInto(br, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// ReadRequestInto parses one request from br into req, overwriting every
+// field: req.Header is cleared and refilled (allocated when nil), so a
+// serve loop can hand the same Request to each request on a connection
+// and no header of one is visible to the next. The line reader's view of
+// br's buffer never outlives this call — everything stored in req is a
+// constant or a fresh copy.
+func ReadRequestInto(br *bufio.Reader, req *Request) error {
+	hdr := req.Header
+	if hdr == nil {
+		hdr = Header{}
+	} else {
+		clear(hdr)
+	}
+	*req = Request{Header: hdr}
+
 	line, err := readLine(br, MaxRequestLine)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	parts := strings.Fields(line)
-	if len(parts) != 3 {
-		return nil, parseErrf("malformed request line %q", line)
+	methodB, target, protoB, ok := requestFields(line)
+	if !ok {
+		return parseErrf("malformed request line %q", line)
 	}
-	method, target, proto := parts[0], parts[1], parts[2]
-	switch method {
-	case "GET", "HEAD", "POST":
-	default:
-		return nil, parseErrf("unsupported method %q", method)
+	if req.Method, ok = oneOf(methodB, "GET", "HEAD", "POST"); !ok {
+		return parseErrf("unsupported method %q", methodB)
 	}
-	if proto != "HTTP/1.0" && proto != "HTTP/1.1" && proto != "HTTP/0.9" {
-		return nil, parseErrf("unsupported protocol %q", proto)
+	if req.Proto, ok = oneOf(protoB, "HTTP/1.1", "HTTP/1.0", "HTTP/0.9"); !ok {
+		return parseErrf("unsupported protocol %q", protoB)
 	}
-	req := &Request{Method: method, Proto: proto, Header: Header{}}
 	// Accept absolute URLs (proxy-style) by stripping the scheme+host.
-	if strings.HasPrefix(target, "http://") {
-		rest := target[len("http://"):]
-		if slash := strings.IndexByte(rest, '/'); slash >= 0 {
+	if rest, ok := bytes.CutPrefix(target, []byte("http://")); ok {
+		if slash := bytes.IndexByte(rest, '/'); slash >= 0 {
 			target = rest[slash:]
 		} else {
-			target = "/"
+			target = []byte("/")
 		}
 	}
-	if !strings.HasPrefix(target, "/") {
-		return nil, parseErrf("request target %q is not absolute", target)
+	if len(target) == 0 || target[0] != '/' {
+		return parseErrf("request target %q is not absolute", target)
 	}
-	if q := strings.IndexByte(target, '?'); q >= 0 {
-		req.Query = target[q+1:]
+	if q := bytes.IndexByte(target, '?'); q >= 0 {
+		req.Query = string(target[q+1:])
 		target = target[:q]
 	}
-	req.Path, err = decodePath(target)
+	req.Path, err = decodePath(string(target))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := readHeaders(br, req.Header); err != nil {
-		return nil, err
+		return err
 	}
-	if method == "POST" {
+	if req.Method == "POST" {
 		n, err := strconv.Atoi(strings.TrimSpace(req.Header.Get("Content-Length")))
 		if err != nil || n < 0 {
-			return nil, parseErrf("POST without a valid Content-Length")
+			return parseErrf("POST without a valid Content-Length")
 		}
 		if n > MaxBodyBytes {
-			return nil, parseErrf("request body of %d bytes exceeds limit", n)
+			return parseErrf("request body of %d bytes exceeds limit", n)
 		}
 		body := make([]byte, n)
 		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, parseErrf("short request body: %v", err)
+			return parseErrf("short request body: %v", err)
 		}
 		req.Body = body
 	}
-	return req, nil
+	return nil
+}
+
+// requestFields splits a request line into its three whitespace-separated
+// fields, as strings.Fields would; ok is false for any other field count.
+func requestFields(line []byte) (method, target, proto []byte, ok bool) {
+	for _, c := range line {
+		if c >= 0x80 {
+			// Non-ASCII bytes may encode Unicode spaces; take the general
+			// splitter rather than re-derive its table.
+			f := bytes.Fields(line)
+			if len(f) != 3 {
+				return nil, nil, nil, false
+			}
+			return f[0], f[1], f[2], true
+		}
+	}
+	var f [3][]byte
+	n := 0
+	for i := 0; i < len(line); {
+		if asciiSpace(line[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(line) && !asciiSpace(line[j]) {
+			j++
+		}
+		if n == len(f) {
+			return nil, nil, nil, false
+		}
+		f[n] = line[i:j]
+		n++
+		i = j
+	}
+	return f[0], f[1], f[2], n == len(f)
+}
+
+func asciiSpace(c byte) bool {
+	switch c {
+	case ' ', '\t', '\n', '\v', '\f', '\r':
+		return true
+	}
+	return false
 }
 
 // Write serializes the request (client side).
@@ -302,10 +383,11 @@ type Response struct {
 // ReadResponseHeader parses the status line and headers only, leaving the
 // body unread on br — what a HEAD client or a streaming relay needs.
 func ReadResponseHeader(br *bufio.Reader) (*Response, error) {
-	line, err := readLine(br, MaxRequestLine)
+	lineB, err := readLine(br, MaxRequestLine)
 	if err != nil {
 		return nil, err
 	}
+	line := string(lineB)
 	parts := strings.SplitN(line, " ", 3)
 	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
 		return nil, parseErrf("malformed status line %q", line)
@@ -419,12 +501,12 @@ func WriteProtoResponseHeader(w *bufio.Writer, proto string, code int, h Header)
 		h = Header{}
 	}
 	if h.Get("Date") == "" {
-		h.Set("Date", time.Now().UTC().Format(time.RFC1123))
+		h.Set("Date", dateHeader(time.Now()))
 	}
 	if h.Get("Server") == "" {
-		h.Set("Server", "SWEB/1.0 (NCSA-derived)")
+		h.Set("Server", serverHeader)
 	}
-	if _, err := fmt.Fprintf(w, "%s %d %s\r\n", validProto(proto), code, StatusText(code)); err != nil {
+	if _, err := w.Write(appendStatusLine(w.AvailableBuffer(), proto, code)); err != nil {
 		return err
 	}
 	if err := h.write(w); err != nil {
@@ -472,26 +554,38 @@ func ErrorBody(code int, detail string) []byte {
 		code, StatusText(code), code, StatusText(code), detail))
 }
 
-// readLine reads a CRLF- or LF-terminated line of at most max bytes. A
+// readLine reads a CRLF- or LF-terminated line of at most max bytes and
+// returns it without the terminator. The slice is a view of br's buffer,
+// valid only until the next read — callers copy out what they keep. A
 // clean close before any byte arrives surfaces as bare io.EOF (how a
 // keep-alive loop sees the peer hang up between requests); a close after a
 // partial line is a ParseError — the fragment is a truncated message, not
 // a complete line.
-func readLine(br *bufio.Reader, max int) (string, error) {
-	chunk, err := br.ReadString('\n')
+func readLine(br *bufio.Reader, max int) ([]byte, error) {
+	chunk, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// A line longer than br's buffer: gather it piecewise, giving up as
+		// soon as it is over the limit.
+		long := append([]byte(nil), chunk...)
+		for err == bufio.ErrBufferFull && len(long) <= max {
+			chunk, err = br.ReadSlice('\n')
+			long = append(long, chunk...)
+		}
+		chunk = long
+	}
 	if len(chunk) > max {
-		return "", parseErrf("line exceeds %d bytes", max)
+		return nil, parseErrf("line exceeds %d bytes", max)
 	}
 	if err != nil {
 		if err == io.EOF && len(chunk) == 0 {
-			return "", io.EOF
+			return nil, io.EOF
 		}
 		if err == io.EOF {
-			return "", parseErrf("connection closed mid-line after %d bytes", len(chunk))
+			return nil, parseErrf("connection closed mid-line after %d bytes", len(chunk))
 		}
-		return "", err
+		return nil, err
 	}
-	return strings.TrimRight(chunk, "\r\n"), nil
+	return bytes.TrimRight(chunk, "\r\n"), nil
 }
 
 func readHeaders(br *bufio.Reader, h Header) error {
@@ -501,7 +595,7 @@ func readHeaders(br *bufio.Reader, h Header) error {
 		if err != nil {
 			return parseErrf("reading headers: %v", err)
 		}
-		if line == "" {
+		if len(line) == 0 {
 			return nil
 		}
 		total += len(line)
@@ -512,14 +606,38 @@ func readHeaders(br *bufio.Reader, h Header) error {
 		if count > MaxHeaderCount {
 			return parseErrf("more than %d header fields", MaxHeaderCount)
 		}
-		colon := strings.IndexByte(line, ':')
+		colon := bytes.IndexByte(line, ':')
 		if colon <= 0 {
 			return parseErrf("malformed header line %q", line)
 		}
-		key := strings.TrimSpace(line[:colon])
-		if key == "" || strings.ContainsAny(key, " \t") {
+		key := bytes.TrimSpace(line[:colon])
+		if len(key) == 0 || bytes.ContainsAny(key, " \t") {
 			return parseErrf("malformed header name %q", key)
 		}
-		h.Add(key, strings.TrimSpace(line[colon+1:]))
+		ck := headerName(key)
+		h[ck] = append(h[ck], string(bytes.TrimSpace(line[colon+1:])))
 	}
+}
+
+// headerName returns the canonical form of a header name read off the
+// wire. The names a client's request or a peer's response always carries
+// resolve to constants; any other name is copied (and canonicalized) out
+// of the reader's buffer.
+func headerName(key []byte) string {
+	if name, ok := oneOf(key, "Host", "Connection", "Content-Length", "Content-Type", "Date",
+		"If-Modified-Since", "Last-Modified", "Server"); ok {
+		return name
+	}
+	return string(canonicalize(append([]byte(nil), key...)))
+}
+
+// oneOf returns the known string equal to b, if any — the constant, so
+// the caller keeps nothing of b's backing array.
+func oneOf(b []byte, known ...string) (string, bool) {
+	for _, k := range known {
+		if string(b) == k {
+			return k, true
+		}
+	}
+	return "", false
 }

@@ -64,6 +64,13 @@ func unhex(c byte) (byte, bool) {
 // normalize resolves "." and ".." segments. It returns ok=false if the path
 // would climb above the root, and always yields a path starting with "/".
 func normalize(p string) (string, bool) {
+	if isNormal(p) {
+		return p, true
+	}
+	return resolveSegments(p)
+}
+
+func resolveSegments(p string) (string, bool) {
 	segs := strings.Split(p, "/")
 	out := make([]string, 0, len(segs))
 	for _, seg := range segs {
@@ -87,6 +94,26 @@ func normalize(p string) (string, bool) {
 		clean += "/"
 	}
 	return clean, true
+}
+
+// isNormal reports whether resolveSegments would hand p back unchanged —
+// the case for nearly every request, which then costs no allocation: p is
+// rooted, and no segment is empty, ".", "..", or carries a NUL.
+func isNormal(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	for rest := p[1:]; rest != ""; {
+		seg, tail, more := strings.Cut(rest, "/")
+		if seg == "" || seg == "." || seg == ".." || strings.IndexByte(seg, 0) >= 0 {
+			return false
+		}
+		if more && tail == "" {
+			return true // a single trailing slash is kept
+		}
+		rest = tail
+	}
+	return true
 }
 
 // EscapePath percent-encodes the bytes that cannot appear raw in a request
