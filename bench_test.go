@@ -1,21 +1,15 @@
 package sweb_test
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"sweb"
-	"sweb/internal/cache"
 	"sweb/internal/des"
-	"sweb/internal/httpd"
-	"sweb/internal/live"
 	"sweb/internal/metrics"
 	"sweb/internal/rebalance"
 	"sweb/internal/simsrv"
 	"sweb/internal/storage"
-	"sweb/internal/trace"
 	"sweb/internal/workload"
 )
 
@@ -24,10 +18,13 @@ import (
 // full 30s/45s bursts, shortened sustained searches) and reports the
 // headline numbers as custom metrics, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchtime=1x .
 //
-// reproduces the whole evaluation. The full-length variants are available
-// through cmd/swebsim.
+// reproduces the whole evaluation. The runs are seeded and touch no clock
+// or socket, so the metrics are exact: `make bench-compare` requires them to
+// equal BENCH_sim.json digit for digit. Host performance is measured by the
+// bench/ module instead. The full-length variants are available through
+// cmd/swebsim.
 
 func benchOpts(i int) sweb.ExperimentOptions {
 	return sweb.ExperimentOptions{Quick: true, Seed: int64(i) + 1}
@@ -228,26 +225,6 @@ func BenchmarkHeterogeneous(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerDecision measures the raw cost of one broker decision —
-// the paper's "1-4 ms" analysis budget is ~5 orders of magnitude above it.
-func BenchmarkSchedulerDecision(b *testing.B) {
-	sched := sweb.NewScheduler(sweb.DefaultParams())
-	loads := make([]sweb.NodeLoad, 6)
-	for i := range loads {
-		loads[i] = sweb.NodeLoad{
-			Available: true, CPULoad: float64(i), DiskLoad: float64(i % 3),
-			NetLoad: float64(i % 2), CPUOpsPerSec: 40e6,
-			DiskBytesPerSec: 5e6, NetBytesPerSec: 4.5e6,
-		}
-	}
-	req := sweb.Request{Path: "/d.dat", Size: 1536 << 10, Owner: 2, Ops: 8e5, DiskBytes: 1536 << 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Arrived = i % 6
-		_ = sched.Choose(req, req.Arrived, loads)
-	}
-}
-
 // BenchmarkForwarding compares URL redirection with server-side forwarding
 // (the Section 3.1 alternative the paper rejected).
 func BenchmarkForwarding(b *testing.B) {
@@ -326,291 +303,6 @@ func BenchmarkCoopCache(b *testing.B) {
 		rows, _ := sweb.CoopCache(benchOpts(i))
 		b.ReportMetric(rows[0].MeanResponse, "hints-off-s")
 		b.ReportMetric(rows[1].MeanResponse, "hints-on-s")
-	}
-}
-
-// BenchmarkServeHotSet measures the live data path's hot-file cache: a
-// two-node cluster under round-robin (which never redirects, so node 0
-// relays every node-1-owned document through the internal fetch), serving
-// one hot set repeatedly via node 0, cache on vs -cache-off. A millisecond
-// of injected dial latency stands in for the paper's interconnect — on
-// loopback the NFS-stand-in fetch is unrealistically free. Cached serving
-// skips the relay entirely, so throughput must at least double; the
-// steady-state hit rate on a fitting hot set is the headline.
-func BenchmarkServeHotSet(b *testing.B) {
-	const (
-		docBytes = 64 << 10
-		rounds   = 40
-	)
-	run := func(cacheOff bool) (rps, hitRate, missPct float64) {
-		st := storage.NewStore(2)
-		paths := storage.UniformSet(st, 8, docBytes)
-		cl, err := live.Start(live.Options{
-			Nodes: 2, Store: st, BaseDir: b.TempDir(), Policy: "rr",
-			CacheOff: cacheOff,
-			Faults:   &live.Faults{DialLatency: time.Millisecond},
-			Seed:     5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		var hot []string
-		for _, p := range paths {
-			if o, _ := st.Owner(p); o == 1 {
-				hot = append(hot, p)
-			}
-		}
-		client := cl.NewClient()
-		warm := func() {
-			for _, p := range hot {
-				res, err := client.GetVia(0, p)
-				if err != nil || res.Status != 200 {
-					b.Fatalf("%s: res=%+v err=%v", p, res, err)
-				}
-			}
-		}
-		warm() // fill the cache (and the OS page cache, for fairness)
-		var before cache.Stats
-		if !cacheOff {
-			before = cl.Servers[0].Cache().Stats()
-		}
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			warm()
-		}
-		elapsed := time.Since(start).Seconds()
-		rps = float64(rounds*len(hot)) / elapsed
-		if !cacheOff {
-			after := cl.Servers[0].Cache().Stats()
-			hits := float64(after.Hits - before.Hits)
-			misses := float64(after.Misses - before.Misses)
-			if hits+misses > 0 {
-				hitRate = hits / (hits + misses)
-				missPct = 100 * misses / (hits + misses)
-			}
-		}
-		return rps, hitRate, missPct
-	}
-	for i := 0; i < b.N; i++ {
-		cachedRPS, hitRate, missPct := run(false)
-		uncachedRPS, _, _ := run(true)
-		b.ReportMetric(cachedRPS, "cached-rps")
-		b.ReportMetric(uncachedRPS, "uncached-rps")
-		b.ReportMetric(cachedRPS/uncachedRPS, "cache-speedup")
-		b.ReportMetric(hitRate, "hot-hit-rate")
-		b.ReportMetric(missPct, "hot-miss-pct")
-	}
-}
-
-// BenchmarkServeKeepAlive measures the persistent-connection data plane.
-// Part one is the headline: one node serving a small hot document to a
-// single client, HTTP/1.1 keep-alive (every fetch rides one TCP
-// connection) against the old one-shot discipline (dial, fetch, close per
-// request). The whole saving is the connection setup/teardown the paper's
-// phase model charges to every request, so keepalive-rps must be a
-// multiple of serial-rps. Part two prices the same saving on the redirect
-// hop: under file locality a misdirected request bounces to the owner via
-// a 302, and the owner's redirect_hop histogram measures 302-sent to
-// follow-up-arrived. A keep-alive client already holds a connection to
-// the owner, so the warm hop drops the handshake that the cold (fresh
-// client per fetch) hop pays.
-func BenchmarkServeKeepAlive(b *testing.B) {
-	const (
-		docBytes = 4 << 10
-		fetches  = 600
-		hops     = 200
-	)
-	// startServe boots a one-node cluster (flightOff prices the always-on
-	// black box: the same loop with the recorder disabled) and returns a
-	// timed fetch pass plus the client for discipline changes. With traced
-	// set the node runs a span recorder, so every success carries a trace
-	// id; exemplarOff then isolates the one piece that differs — the
-	// per-success exemplar stamp on the response and TTFB histograms —
-	// while the (pre-existing) tracing cost stays on both sides.
-	startServe := func(flightOff, traced, exemplarOff, heatOff bool) (run func() float64, client *live.Client, cleanup func()) {
-		st := storage.NewStore(1)
-		paths := storage.UniformSet(st, 4, docBytes)
-		opts := live.Options{Nodes: 1, Store: st, BaseDir: b.TempDir(),
-			Policy: "rr", FlightOff: flightOff, ExemplarOff: exemplarOff,
-			HeatOff: heatOff, Seed: 9}
-		if traced {
-			opts.Trace = trace.NewRecorder(1 << 22)
-		}
-		cl, err := live.Start(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		client = cl.NewClient()
-		run = func() float64 {
-			start := time.Now()
-			for i := 0; i < fetches; i++ {
-				res, err := client.Get(paths[i%len(paths)])
-				if err != nil || res.Status != 200 {
-					b.Fatalf("fetch %d: res=%+v err=%v", i, res, err)
-				}
-			}
-			return float64(fetches) / time.Since(start).Seconds()
-		}
-		return run, client, func() { client.Close(); cl.Close() }
-	}
-
-	// runServe measures keep-alive vs serial throughput plus the price of
-	// the recorder, of the SLO exemplar stamp, and of the document-heat
-	// sketch update. One pass is only ~25 ms of wall clock, so a
-	// scheduler hiccup landing on one variant masquerades as double-digit
-	// overhead; the variants therefore interleave in the same time
-	// neighbourhood and each keeps its fastest pass. The acceptance bars
-	// are <5% rps overhead with the recorder on, <5% for exemplar
-	// stamping on traced traffic, and <5% for the heat sketch.
-	runServe := func() (kaRPS, offRPS, exRPS, noExRPS, heatOffRPS, serialRPS float64) {
-		runOn, client, cleanOn := startServe(false, false, false, false)
-		defer cleanOn()
-		runOff, _, cleanOff := startServe(true, false, false, false)
-		defer cleanOff()
-		runEx, _, cleanEx := startServe(false, true, false, false)
-		defer cleanEx()
-		runNoEx, _, cleanNoEx := startServe(false, true, true, false)
-		defer cleanNoEx()
-		runNoHeat, _, cleanNoHeat := startServe(false, false, false, true)
-		defer cleanNoHeat()
-		runOn() // warm the caches and the parked connections
-		runOff()
-		runEx()
-		runNoEx()
-		runNoHeat()
-		for t := 0; t < 5; t++ {
-			if r := runOn(); r > kaRPS {
-				kaRPS = r
-			}
-			if r := runOff(); r > offRPS {
-				offRPS = r
-			}
-			if r := runEx(); r > exRPS {
-				exRPS = r
-			}
-			if r := runNoEx(); r > noExRPS {
-				noExRPS = r
-			}
-			if r := runNoHeat(); r > heatOffRPS {
-				heatOffRPS = r
-			}
-		}
-		client.SetKeepAlive(false) // the old discipline: dial per request
-		for t := 0; t < 3; t++ {
-			if r := runOn(); r > serialRPS {
-				serialRPS = r
-			}
-		}
-		return kaRPS, offRPS, exRPS, noExRPS, heatOffRPS, serialRPS
-	}
-
-	// hopMean scrapes the owner's redirect_hop histogram and returns the
-	// mean observed hop in seconds along with the observation count.
-	hopMean := func(srv *httpd.Server) (sum, count float64) {
-		var buf bytes.Buffer
-		if err := srv.Registry().WriteText(&buf); err != nil {
-			b.Fatal(err)
-		}
-		samples, err := metrics.ParseText(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range samples {
-			if s.Labels["phase"] != "redirect_hop" {
-				continue
-			}
-			switch s.Name {
-			case "sweb_phase_seconds_sum":
-				sum = s.Value
-			case "sweb_phase_seconds_count":
-				count = s.Value
-			}
-		}
-		return sum, count
-	}
-	runHops := func() (coldUS, warmUS float64) {
-		const doc = "/hop/doc.html"
-		st := storage.NewStore(2)
-		st.MustAdd(storage.File{Path: doc, Size: docBytes, Owner: 1})
-		st.MustAdd(storage.File{Path: "/hop/local.html", Size: docBytes, Owner: 0})
-		cl, err := live.Start(live.Options{Nodes: 2, Store: st, BaseDir: b.TempDir(),
-			Policy: "fl", Trace: trace.NewRecorder(0), Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		// Wait until node 0 has learned the ownership map and redirects.
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			probe := cl.NewClient()
-			res, err := probe.GetVia(0, doc)
-			probe.Close()
-			if err == nil && res.Status == 200 && res.Redirected {
-				break
-			}
-			if time.Now().After(deadline) {
-				b.Fatalf("node 0 never redirected: res=%+v err=%v", res, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		owner := cl.Servers[1]
-		measure := func(fetch func(i int)) float64 {
-			s0, c0 := hopMean(owner)
-			for i := 0; i < hops; i++ {
-				fetch(i)
-			}
-			s1, c1 := hopMean(owner)
-			if c1 <= c0 {
-				b.Fatalf("no redirect_hop observations (count %v -> %v)", c0, c1)
-			}
-			return 1e6 * (s1 - s0) / (c1 - c0)
-		}
-		coldUS = measure(func(i int) {
-			// A fresh client per fetch: the hop pays the TCP handshake.
-			client := cl.NewClient()
-			defer client.Close()
-			if res, err := client.GetVia(0, doc); err != nil || res.Status != 200 {
-				b.Fatalf("cold hop %d: res=%+v err=%v", i, res, err)
-			}
-		})
-		client := cl.NewClient()
-		defer client.Close()
-		if res, err := client.GetVia(1, doc); err != nil || res.Status != 200 {
-			b.Fatalf("warm prime: res=%+v err=%v", res, err)
-		}
-		warmUS = measure(func(i int) {
-			// The parked connection to the owner turns the hop into a
-			// write on an open socket.
-			if res, err := client.GetVia(0, doc); err != nil || res.Status != 200 {
-				b.Fatalf("warm hop %d: res=%+v err=%v", i, res, err)
-			}
-		})
-		return coldUS, warmUS
-	}
-
-	// Throwaway run: the first cluster of the process pays one-time costs
-	// (page cache, TCP stack, runtime warm-up) that would otherwise inflate
-	// the first measured pass under -benchtime=1x.
-	runServe()
-
-	for i := 0; i < b.N; i++ {
-		kaRPS, offRPS, exRPS, noExRPS, heatOffRPS, serialRPS := runServe()
-		coldUS, warmUS := runHops()
-		b.ReportMetric(kaRPS, "keepalive-rps")
-		b.ReportMetric(serialRPS, "serial-rps")
-		b.ReportMetric(kaRPS/serialRPS, "keepalive-speedup")
-		b.ReportMetric(kaRPS, "flight-on-rps")
-		b.ReportMetric(offRPS, "flight-off-rps")
-		b.ReportMetric(kaRPS/offRPS, "recorder-speedup")
-		b.ReportMetric(100*(offRPS-kaRPS)/offRPS, "flight-overhead-pts")
-		b.ReportMetric(exRPS, "slo-exemplar-rps")
-		b.ReportMetric(100*(noExRPS-exRPS)/noExRPS, "slo-overhead-pts")
-		b.ReportMetric(kaRPS, "heat-on-rps")
-		b.ReportMetric(heatOffRPS, "heat-off-rps")
-		b.ReportMetric(100*(heatOffRPS-kaRPS)/heatOffRPS, "heat-overhead-pts")
-		b.ReportMetric(coldUS, "cold-hop-us")
-		b.ReportMetric(warmUS, "warm-hop-us")
 	}
 }
 

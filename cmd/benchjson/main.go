@@ -1,49 +1,36 @@
-// Command benchjson converts `go test -bench` output on stdin into a
-// machine-readable JSON document on stdout, so benchmark runs can be
-// archived and diffed across commits:
+// Command benchjson archives the custom metrics of `go test -bench` output
+// and checks a fresh run against the archive:
 //
-//	go test -run '^$' -bench=. -benchmem . | go run ./cmd/benchjson > BENCH_sim.json
+//	go test -run '^$' -bench=. -benchtime=1x . | go run ./cmd/benchjson > BENCH_sim.json
+//	go test -run '^$' -bench=. -benchtime=1x . | go run ./cmd/benchjson -compare BENCH_sim.json
 //
-// Standard ns/op, B/op, and allocs/op columns land in dedicated fields;
-// anything else (the b.ReportMetric headline numbers like
-// "meiko-sustained-1.5M-rps") is collected in the per-benchmark metrics
-// map. Non-benchmark lines (PASS, ok, goos/goarch headers) pass through
-// untouched to stderr so the terminal still shows the run's verdict.
-//
-// With -compare, the fresh run is diffed against an archived baseline and
-// the command fails when a headline metric regresses past -threshold:
-//
-//	go test -run '^$' -bench=. -benchtime=1x . | \
-//	    go run ./cmd/benchjson -compare BENCH_sim.json
-//
-// Only the deterministic b.ReportMetric headline numbers gate by default;
-// wall-clock ns/op varies with the machine and only participates under
-// -timing. Direction is inferred from the unit name: throughput ("-rps",
-// "speedup") must not fall, latency/drop figures ("-s", "-ms", "-pct")
-// must not climb.
+// Only b.ReportMetric numbers (like "meiko-sustained-1.5M-rps") are kept:
+// ns/op, B/op, allocs/op and MB/s time the host, not the simulated cluster.
+// Each benchmark replays a seeded discrete-event simulation, so its metrics
+// are exact and -compare fails on any difference, and on any benchmark or
+// metric present on one side only. Input with a FAIL line or without any
+// benchmark line is an error in both modes, so a broken build can neither
+// overwrite the archive nor pass the check. Other lines pass through to
+// stderr.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one parsed result line's custom metrics.
 type Benchmark struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op,omitempty"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Name    string             `json:"name"`
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the document benchjson emits.
@@ -52,191 +39,128 @@ type Report struct {
 }
 
 func main() {
-	compare := flag.String("compare", "", "baseline Report JSON to diff the fresh run against; regressions past -threshold fail")
-	threshold := flag.Float64("threshold", 0.2, "relative regression tolerance for -compare (0.2 = 20%)")
-	timing := flag.Bool("timing", false, "also gate machine-dependent ns/op in -compare mode")
+	compare := flag.String("compare", "", "baseline Report JSON the run must match exactly")
 	flag.Parse()
+	if err := run(*compare); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
 
+func run(compare string) error {
 	rep, err := parse(os.Stdin, os.Stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return err
 	}
-	if *compare != "" {
-		base, err := readReport(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		ok := diffReports(os.Stdout, base, rep, *threshold, *timing)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: regression beyond %.0f%% against %s\n", *threshold*100, *compare)
-			os.Exit(1)
-		}
-		return
+	if compare == "" {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-}
-
-func readReport(path string) (*Report, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(compare)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	var rep Report
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+	var base Report
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return fmt.Errorf("%s: %v", compare, err)
 	}
-	return &rep, nil
+	diffs := diff(&base, rep)
+	for _, d := range diffs {
+		fmt.Println(d)
+	}
+	if len(diffs) > 0 {
+		return fmt.Errorf("%d difference(s) from %s", len(diffs), compare)
+	}
+	fmt.Printf("%d benchmarks identical to %s\n", len(rep.Benchmarks), compare)
+	return nil
 }
 
-// higherIsBetter infers a metric's good direction from its unit name.
-// Unknown units return ok=false and are reported but never gate.
-func higherIsBetter(unit string) (better, ok bool) {
-	switch {
-	case strings.HasSuffix(unit, "-rps"), strings.Contains(unit, "speedup"):
-		return true, true
-	case strings.HasSuffix(unit, "-s"), strings.HasSuffix(unit, "-ms"),
-		strings.HasSuffix(unit, "-pct"), unit == "ns/op":
-		return false, true
+// diff lists, sorted, every benchmark and metric on which fresh differs
+// from base, one line each naming it. Empty means the runs are identical.
+func diff(base, fresh *Report) []string {
+	b, f := flatten(base), flatten(fresh)
+	var out []string
+	for k, bv := range b {
+		if fv, ok := f[k]; !ok {
+			out = append(out, k+": missing from the run")
+		} else if fv != bv {
+			out = append(out, fmt.Sprintf("%s: baseline %v, run %v", k, bv, fv))
+		}
 	}
-	return false, false
+	for k := range f {
+		if _, ok := b[k]; !ok {
+			out = append(out, k+": missing from the baseline")
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
-// diffReports prints a comparison table and reports whether the fresh run
-// stays within threshold of the baseline on every gated metric. A metric
-// present in the baseline but missing from the fresh run also fails: a
-// silently vanished benchmark must not read as a pass.
-func diffReports(w io.Writer, base, fresh *Report, threshold float64, timing bool) bool {
-	freshBy := make(map[string]Benchmark, len(fresh.Benchmarks))
-	for _, b := range fresh.Benchmarks {
-		freshBy[b.Name] = b
-	}
-	pass := true
-	fmt.Fprintf(w, "%-55s %12s %12s %8s  %s\n", "metric", "base", "new", "change", "verdict")
-	for _, bb := range base.Benchmarks {
-		fb, found := freshBy[bb.Name]
-		if !found {
-			fmt.Fprintf(w, "%-55s %12s %12s %8s  FAIL (benchmark missing)\n", bb.Name, "-", "-", "-")
-			pass = false
-			continue
-		}
-		units := make([]string, 0, len(bb.Metrics)+1)
-		for u := range bb.Metrics {
-			units = append(units, u)
-		}
-		sort.Strings(units)
-		if timing && bb.NsPerOp > 0 {
-			units = append(units, "ns/op")
-		}
-		for _, unit := range units {
-			name := bb.Name + " " + unit
-			var bv, fv float64
-			var present bool
-			if unit == "ns/op" {
-				bv, fv, present = bb.NsPerOp, fb.NsPerOp, fb.NsPerOp > 0
-			} else {
-				bv = bb.Metrics[unit]
-				fv, present = fb.Metrics[unit]
-			}
-			if !present {
-				fmt.Fprintf(w, "%-55s %12.4g %12s %8s  FAIL (metric missing)\n", name, bv, "-", "-")
-				pass = false
-				continue
-			}
-			better, known := higherIsBetter(unit)
-			change, regressed := regression(bv, fv, better, threshold)
-			verdict := "ok"
-			switch {
-			case !known:
-				verdict = "skip (unknown unit)"
-			case regressed:
-				verdict = "FAIL"
-				pass = false
-			}
-			fmt.Fprintf(w, "%-55s %12.4g %12.4g %+7.1f%%  %s\n", name, bv, fv, change*100, verdict)
+// flatten keys every metric as "<benchmark> <metric>", plus the bare
+// benchmark name so a row without metrics still has to be present.
+func flatten(r *Report) map[string]float64 {
+	m := make(map[string]float64)
+	for _, b := range r.Benchmarks {
+		m[b.Name] = 0
+		for unit, v := range b.Metrics {
+			m[b.Name+" "+unit] = v
 		}
 	}
-	return pass
-}
-
-// regression returns the relative change and whether it exceeds threshold
-// in the bad direction. A zero baseline only regresses when a lower-better
-// metric becomes positive.
-func regression(base, fresh float64, higherBetter bool, threshold float64) (change float64, regressed bool) {
-	if base == 0 {
-		if fresh == 0 {
-			return 0, false
-		}
-		return math.Inf(1), !higherBetter
-	}
-	change = (fresh - base) / math.Abs(base)
-	if higherBetter {
-		return change, change < -threshold
-	}
-	return change, change > threshold
+	return m
 }
 
 // parse reads `go test -bench` output from r, echoing non-benchmark lines
 // to passthrough (nil discards them).
 func parse(r io.Reader, passthrough io.Writer) (*Report, error) {
 	rep := &Report{Benchmarks: []Benchmark{}}
+	failed := false
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		b, ok := parseLine(line)
-		if !ok {
-			if passthrough != nil {
-				fmt.Fprintln(passthrough, line)
-			}
+		if b, ok := parseLine(line); ok {
+			rep.Benchmarks = append(rep.Benchmarks, b)
 			continue
 		}
-		rep.Benchmarks = append(rep.Benchmarks, b)
+		if passthrough != nil {
+			fmt.Fprintln(passthrough, line)
+		}
+		// go test ends every failed run, build failures included, with a
+		// "FAIL" or "FAIL\t<pkg>" line.
+		failed = failed || strings.HasPrefix(line, "FAIL")
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	switch {
+	case sc.Err() != nil:
+		return nil, sc.Err()
+	case failed:
+		return nil, errors.New("the benchmark run failed")
+	case len(rep.Benchmarks) == 0:
+		return nil, errors.New("no benchmark lines in the input")
 	}
 	return rep, nil
 }
 
-// parseLine parses one result line:
+// parseLine parses one result line — a Benchmark* name, an iteration
+// count, then (value, unit) pairs:
 //
-//	BenchmarkTable1-8   3   123456 ns/op   512 B/op   7 allocs/op   96.5 some-rps
-//
-// i.e. a Benchmark* name, an iteration count, then (value, unit) pairs.
+//	BenchmarkTable1-8   1   123456 ns/op   96.5 some-rps   512 B/op
 func parseLine(line string) (Benchmark, bool) {
 	fields := strings.Fields(line)
-	if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {
+	if len(fields) < 2 || len(fields)%2 != 0 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return Benchmark{}, false
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: trimProcSuffix(fields[0]), Iterations: iters}
-	pairs := fields[2:]
-	if len(pairs)%2 != 0 {
-		return Benchmark{}, false
-	}
-	for i := 0; i < len(pairs); i += 2 {
-		v, err := strconv.ParseFloat(pairs[i], 64)
+	b := Benchmark{Name: trimProcSuffix(fields[0])}
+	for i := 2; i < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			return Benchmark{}, false
 		}
-		switch unit := pairs[i+1]; unit {
-		case "ns/op":
-			b.NsPerOp = v
-		case "B/op":
-			b.BytesPerOp = v
-		case "allocs/op":
-			b.AllocsPerOp = v
+		switch unit := fields[i+1]; unit {
+		case "ns/op", "B/op", "allocs/op", "MB/s":
 		default:
 			if b.Metrics == nil {
 				b.Metrics = map[string]float64{}

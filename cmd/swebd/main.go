@@ -66,12 +66,10 @@ func run() error {
 	keepAliveMax := flag.Int("keepalive-max", 0, "requests served per connection before it is closed (0: default 100, negative: unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "how long a keep-alive connection may sit idle between requests (0: default 15s)")
 	metricsOn := flag.Bool("metrics", true, "serve /sweb/status and /sweb/metrics on the HTTP listener")
-	flightOff := flag.Bool("flight-off", false, "disable the per-request flight recorder (black box)")
 	flightRing := flag.Int("flight-ring", 0, "flight recorder ring capacity in records (0: default 512)")
 	flightNotable := flag.Int("flight-notable", 0, "notable (slow/errored) flight ring capacity (0: default 128)")
 	slowThreshold := flag.Duration("slow-threshold", 0, "requests slower than this are retained as notable (0: default 1s, negative: off)")
 	heatK := flag.Int("heat-k", 0, "document-heat sketch width: hottest paths tracked per node (0: default 64)")
-	heatOff := flag.Bool("heat-off", false, "disable per-document heat telemetry (/sweb/heat and the sweb_heat_* families)")
 	snapshotDir := flag.String("snapshot-dir", "", "write /sweb/snapshot diagnostic bundles under this directory (empty disables)")
 	sloFlag := flag.String("slo", "", `service-level objectives reported on /sweb/slo, e.g. "avail=99.9,p99=250ms" (empty: defaults)`)
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this side address (empty disables)")
@@ -144,12 +142,10 @@ func run() error {
 		KeepAliveOff:   !*keepAlive,
 		KeepAliveMax:   *keepAliveMax,
 		IdleTimeout:    *idleTimeout,
-		FlightOff:      *flightOff,
 		FlightRing:     *flightRing,
 		FlightNotable:  *flightNotable,
 		SlowThreshold:  *slowThreshold,
 		HeatK:          *heatK,
-		HeatOff:        *heatOff,
 		SnapshotDir:    *snapshotDir,
 
 		DisableIntrospection: !*metricsOn,

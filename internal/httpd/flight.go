@@ -18,11 +18,7 @@ const flightTraceTail = 4096
 
 // flightAdd fills the per-connection and timing fields of a flight record
 // and appends it — the single funnel every request path exits through.
-// Nil-safe via the recorder: with the recorder off this is a nil check.
 func (s *Server) flightAdd(rc *reqConn, fl flight.Record, t0 time.Time, status int) {
-	if s.flight == nil {
-		return
-	}
 	fl.Node = s.cfg.ID
 	fl.ConnID = rc.id
 	fl.AtSeconds = s.sinceEpoch(t0)
@@ -38,10 +34,6 @@ func (s *Server) flightAdd(rc *reqConn, fl flight.Record, t0 time.Time, status i
 	}
 	s.flight.Add(fl)
 }
-
-// FlightRecorder exposes the node's flight recorder (nil when disabled)
-// for tests and in-process scrapers.
-func (s *Server) FlightRecorder() *flight.Recorder { return s.flight }
 
 // FlightDump snapshots the flight rings with the node identity and epoch
 // filled in — the /sweb/flight payload.

@@ -391,9 +391,6 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 		// rides along as the bucket's exemplar, linking an SLO breach to the
 		// concrete flight record that burned the budget.
 		exID := string(tctx)
-		if s.cfg.ExemplarOff {
-			exID = ""
-		}
 		s.nm.response.ObserveExemplar(total, exID, done.UnixMicro())
 		if fb := rc.meter.firstWrite; !fb.IsZero() {
 			s.nm.ttfb.ObserveExemplar(fb.Sub(t0).Seconds(), exID, done.UnixMicro())

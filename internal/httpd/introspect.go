@@ -42,10 +42,9 @@ type TraceStatus struct {
 
 // CacheStatus summarizes the node's hot-file cache for /sweb/status:
 // residency and the counters behind the sweb_cache_* families. The Hot
-// ranking is unified on the document-heat sketch when heat telemetry is
-// on — so relay- and miss-heavy documents appear, not just cache
-// residents — with the cache's LRU view as the heat-off fallback; the
-// cache itself stays a feeder, not a second ranking.
+// ranking is the document-heat sketch's — so relay- and miss-heavy
+// documents appear, not just cache residents; the cache itself stays a
+// feeder, not a second ranking.
 type CacheStatus struct {
 	Enabled            bool     `json:"enabled"`
 	CapacityBytes      int64    `json:"capacity_bytes"`
@@ -95,7 +94,7 @@ func (s *Server) cacheStatus() CacheStatus {
 		Evictions:          st.Evictions,
 		SingleflightShared: st.SingleflightShared,
 		HitRate:            st.HitRate(),
-		Hot:                s.hotPaths(8),
+		Hot:                s.heat.Hot(8),
 	}
 }
 

@@ -200,12 +200,10 @@ func newNodeMetrics(s *Server) *nodeMetrics {
 		reg.GaugeFunc(mCacheCapacity, "hot-file cache capacity", nil,
 			func() float64 { return float64(c.Capacity()) })
 	}
-	if h := s.heat; h != nil {
-		reg.CounterFunc(mHeatObservations, "served requests folded into the document-heat sketch", nil,
-			func() float64 { return float64(h.Total()) })
-		reg.GaugeFunc(mHeatTracked, "paths holding a document-heat sketch slot now", nil,
-			func() float64 { return float64(h.Tracked()) })
-	}
+	reg.CounterFunc(mHeatObservations, "served requests folded into the document-heat sketch", nil,
+		func() float64 { return float64(s.heat.Total()) })
+	reg.GaugeFunc(mHeatTracked, "paths holding a document-heat sketch slot now", nil,
+		func() float64 { return float64(s.heat.Tracked()) })
 	if rec := s.cfg.Trace; rec.Enabled() {
 		reg.CounterFunc(mTraceDropped, "trace events discarded at the capture limit", nil,
 			func() float64 { return float64(rec.Dropped()) })

@@ -144,9 +144,6 @@ type Config struct {
 	// slow/error ring (default flight.DefaultNotableCap).
 	FlightRing    int
 	FlightNotable int
-	// FlightOff disables the flight recorder entirely — the ablation
-	// switch for measuring its overhead.
-	FlightOff bool
 	// SlowThreshold routes requests slower than this into the notable
 	// ring (default 1s; negative disables slow routing, errors are still
 	// retained).
@@ -154,9 +151,6 @@ type Config struct {
 	// HeatK sizes the document-heat sketch: the number of hottest paths
 	// tracked per node (default heat.DefaultK).
 	HeatK int
-	// HeatOff disables per-document heat telemetry entirely — the
-	// ablation switch for measuring the sketch update's overhead.
-	HeatOff bool
 	// SnapshotDir, when set, enables diagnostic snapshot bundles: the
 	// /sweb/snapshot endpoint and alert-triggered captures write
 	// timestamped bundle directories under it.
@@ -166,9 +160,6 @@ type Config struct {
 	// empty). Rolling-window budgets and burn-rate alerts are the cluster
 	// monitor's job; this is the per-node accounting view.
 	SLO []slo.Objective
-	// ExemplarOff skips stamping histogram exemplars on traced successes —
-	// the ablation switch for measuring the exemplar path's overhead.
-	ExemplarOff bool
 }
 
 func (c *Config) fillDefaults() error {
@@ -304,12 +295,11 @@ type Server struct {
 	conns   map[net.Conn]*connInfo
 	connSeq atomic.Int64 // connection ids, monotone per node
 
-	// flight is the request black box; nil when Config.FlightOff.
+	// flight is the request black box.
 	flight     *flight.Recorder
 	idleReaped atomic.Int64
 
-	// heat is the per-document heavy-hitter sketch; nil when
-	// Config.HeatOff.
+	// heat is the per-document heavy-hitter sketch.
 	heat *heat.Sketch
 
 	// ups pools idle internal-fetch connections per peer.
@@ -386,20 +376,16 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.CacheOff {
 		s.cache = cache.New(cfg.CacheBytes)
 	}
-	if !cfg.FlightOff {
-		fcfg := flight.Config{Cap: cfg.FlightRing, NotableCap: cfg.FlightNotable}
-		switch {
-		case cfg.SlowThreshold < 0:
-			fcfg.SlowSeconds = -1
-		case cfg.SlowThreshold > 0:
-			fcfg.SlowSeconds = cfg.SlowThreshold.Seconds()
-		}
-		s.flight = flight.New(fcfg)
+	fcfg := flight.Config{Cap: cfg.FlightRing, NotableCap: cfg.FlightNotable}
+	switch {
+	case cfg.SlowThreshold < 0:
+		fcfg.SlowSeconds = -1
+	case cfg.SlowThreshold > 0:
+		fcfg.SlowSeconds = cfg.SlowThreshold.Seconds()
 	}
-	if !cfg.HeatOff {
-		// Before newNodeMetrics: the sweb_heat_* closures read it.
-		s.heat = heat.New(heat.Config{K: cfg.HeatK})
-	}
+	s.flight = flight.New(fcfg)
+	// Before newNodeMetrics: the sweb_heat_* closures read it.
+	s.heat = heat.New(heat.Config{K: cfg.HeatK})
 	s.nm = newNodeMetrics(s)
 	return s, nil
 }

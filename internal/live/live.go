@@ -66,12 +66,6 @@ type Options struct {
 	CacheBytes int64
 	// CacheOff disables the hot-file cache on every node.
 	CacheOff bool
-	// IdleTimeout bounds how long a keep-alive connection may sit between
-	// requests on every node (zero: httpd default).
-	IdleTimeout time.Duration
-	// KeepAliveMax caps requests served per connection (zero: httpd
-	// default; negative: unlimited).
-	KeepAliveMax int
 	// KeepAliveOff makes every node close connections after one response,
 	// the pre-persistent-connection behavior.
 	KeepAliveOff bool
@@ -86,30 +80,15 @@ type Options struct {
 	// where each node captures only its own view and the streams are
 	// stitched back together by scraping /sweb/trace into a Collector.
 	NodeTraces int
-	// DisableIntrospection turns off /sweb/status and /sweb/metrics on
-	// every node.
-	DisableIntrospection bool
-	// FlightOff disables the flight recorder on every node (the overhead
-	// ablation); FlightRing/FlightNotable size the rings (zero: flight
-	// defaults); SlowThreshold routes slower requests to the notable ring
-	// (zero: 1s default, negative: disabled).
-	FlightOff     bool
-	FlightRing    int
-	FlightNotable int
-	SlowThreshold time.Duration
-	// HeatOff disables document-heat telemetry on every node (the
-	// overhead ablation); HeatK sizes the sketches (zero: heat default).
-	HeatOff bool
-	HeatK   int
+	// FlightRing sizes every node's recent flight ring (zero: flight
+	// default).
+	FlightRing int
 	// SnapshotDir, when set, enables diagnostic bundles: alerts from the
 	// cluster monitor and WriteSnapshot calls write cross-node bundle
 	// directories under it.
 	SnapshotDir string
-	// SLO sets every node's /sweb/slo objectives (empty: slo defaults);
-	// ExemplarOff skips histogram exemplar stamping on traced successes
-	// (the overhead ablation).
-	SLO         []slo.Objective
-	ExemplarOff bool
+	// SLO sets every node's /sweb/slo objectives (empty: slo defaults).
+	SLO []slo.Objective
 	// Replicas, when > 1, replicates every static document R ways at
 	// startup (storage.Replicate's round-robin placement) and
 	// materializes each copy in its node's docroot — the availability
@@ -202,24 +181,14 @@ func Start(o Options) (*Cluster, error) {
 			FailureLimit:   o.FailureLimit,
 			CacheBytes:     o.CacheBytes,
 			CacheOff:       o.CacheOff,
-			IdleTimeout:    o.IdleTimeout,
-			KeepAliveMax:   o.KeepAliveMax,
 			KeepAliveOff:   o.KeepAliveOff,
 			DropBroadcast:  o.Faults.dropFn(int64(i)),
 			DialDelay:      o.Faults.delayFn(),
 			Trace:          rec,
 			Epoch:          cl.epoch,
-			FlightOff:      o.FlightOff,
 			FlightRing:     o.FlightRing,
-			FlightNotable:  o.FlightNotable,
-			SlowThreshold:  o.SlowThreshold,
-			HeatOff:        o.HeatOff,
-			HeatK:          o.HeatK,
 			SnapshotDir:    o.SnapshotDir,
 			SLO:            o.SLO,
-			ExemplarOff:    o.ExemplarOff,
-
-			DisableIntrospection: o.DisableIntrospection,
 		}
 		srv, err := httpd.New(cfg)
 		if err != nil {

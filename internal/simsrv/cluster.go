@@ -32,8 +32,8 @@ type Cluster struct {
 	inflight []int  // admitted, not yet finished server-side, per node
 	up       []bool // node in the resource pool
 	nm       []*simMetrics
-	fl       []*flight.Recorder // per-node black boxes, nil when FlightOff
-	ht       []*heat.Sketch     // per-node document-heat sketches, nil when HeatOff
+	fl       []*flight.Recorder // per-node black boxes
+	ht       []*heat.Sketch     // per-node document-heat sketches
 	reqSeq   int64              // sim analogue of the live connection id
 
 	res            *stats.RunResult
@@ -97,23 +97,11 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < n; i++ {
 		c.tables = append(c.tables, loadd.NewTable(i, cfg.LoaddTimeout, c.cfg.Params.Delta))
 	}
-	// Per-node flight recorders precede the registries: the metric
-	// closures read them.
-	if !cfg.FlightOff {
-		fcfg := flight.Config{
-			Cap:         cfg.FlightRing,
-			NotableCap:  cfg.FlightNotable,
-			SlowSeconds: cfg.SlowThresholdSeconds,
-		}
-		for i := 0; i < n; i++ {
-			c.fl = append(c.fl, flight.New(fcfg))
-		}
-	}
-	// Heat sketches precede the registries for the same reason.
-	if !cfg.HeatOff {
-		for i := 0; i < n; i++ {
-			c.ht = append(c.ht, heat.New(heat.Config{K: cfg.HeatK}))
-		}
+	// Per-node flight recorders and heat sketches precede the registries:
+	// the metric closures read them.
+	for i := 0; i < n; i++ {
+		c.fl = append(c.fl, flight.New(flight.Config{}))
+		c.ht = append(c.ht, heat.New(heat.Config{}))
 	}
 	// Per-node registries mirror the live /sweb/metrics families; they need
 	// the tables in place for the gossip gauges.

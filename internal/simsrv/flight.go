@@ -6,20 +6,11 @@ import (
 	"sweb/internal/flight"
 )
 
-// flightOf returns node x's black-box recorder, nil when FlightOff (the
-// flight package's methods are nil-safe, so callers never branch).
-func (c *Cluster) flightOf(x int) *flight.Recorder {
-	if c.fl == nil {
-		return nil
-	}
-	return c.fl[x]
-}
-
 // FlightDump snapshots node x's black box — the simulator analogue of
 // scraping /sweb/flight. AtSeconds values are virtual seconds from sim
 // start, so EpochUnix stays zero (the DES has no wall clock).
 func (c *Cluster) FlightDump(x int) flight.Dump {
-	d := c.flightOf(x).Dump()
+	d := c.fl[x].Dump()
 	d.Node = x
 	return d
 }
@@ -30,10 +21,6 @@ func (c *Cluster) FlightDump(x int) flight.Dump {
 // placement (Target -1). Both substrates fill the same Record schema —
 // the parity test in internal/flight holds them to it.
 func (c *Cluster) flightEmit(rs *request, node, status int, bytes int64, served bool) {
-	r := c.flightOf(node)
-	if r == nil {
-		return
-	}
 	rec := flight.Record{
 		AtSeconds:        rs.issued.ToSeconds(),
 		Node:             node,
@@ -63,7 +50,7 @@ func (c *Cluster) flightEmit(rs *request, node, status int, bytes int64, served 
 	if c.cfg.Trace.Enabled() && rs.tid >= 0 {
 		rec.TraceID = strconv.FormatInt(rs.tid, 10)
 	}
-	r.Add(rec)
+	c.fl[node].Add(rec)
 }
 
 // traceIDOf renders rs's trace id the way flight records carry it — the

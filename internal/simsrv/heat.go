@@ -5,20 +5,11 @@ import (
 	"sweb/internal/metrics"
 )
 
-// heatOf returns node x's document-heat sketch, nil when HeatOff (the
-// heat package's methods are nil-safe, so callers never branch).
-func (c *Cluster) heatOf(x int) *heat.Sketch {
-	if c.ht == nil {
-		return nil
-	}
-	return c.ht[x]
-}
-
 // HeatDump snapshots node x's sketch — the simulator analogue of
 // scraping /sweb/heat. Both substrates fill the same Dump schema; the
 // parity test in internal/heat holds them to it.
 func (c *Cluster) HeatDump(x int) heat.Dump {
-	d := c.heatOf(x).Dump()
+	d := c.ht[x].Dump()
 	d.Node = x
 	return d
 }
@@ -36,16 +27,12 @@ func (c *Cluster) MergedHeat() heat.Merged {
 // heatObserve folds one fulfilled serve into the serving node's sketch
 // and bumps the per-path counters, mirroring the live node's funnel.
 func (c *Cluster) heatObserve(rs *request, resp float64) {
-	h := c.heatOf(rs.servedBy)
-	if h == nil {
-		return
-	}
 	cgi := rs.fetchPhase == "cgi"
 	owner := -1
 	if !cgi {
 		owner = rs.file.Owner
 	}
-	h.Observe(heat.Observation{
+	c.ht[rs.servedBy].Observe(heat.Observation{
 		Path:    rs.path,
 		Owner:   owner,
 		Bytes:   rs.file.Size,

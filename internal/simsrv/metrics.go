@@ -67,14 +67,14 @@ func newSimMetrics(c *Cluster, x int) *simMetrics {
 		func() float64 { return float64(m.bytesOut) })
 	// Flight-recorder accounting, same family names as the live node.
 	reg.CounterFunc("sweb_flight_records_total", "requests recorded by the flight recorder", nil,
-		func() float64 { return float64(c.flightOf(x).Total()) })
+		func() float64 { return float64(c.fl[x].Total()) })
 	reg.CounterFunc("sweb_flight_notable_total", "flight records retained as notable (errors and slow requests)", nil,
-		func() float64 { return float64(c.flightOf(x).NotableTotal()) })
+		func() float64 { return float64(c.fl[x].NotableTotal()) })
 	// Document-heat accounting, same family names as the live node.
 	reg.CounterFunc("sweb_heat_observations_total", "served requests folded into the document-heat sketch", nil,
-		func() float64 { return float64(c.heatOf(x).Total()) })
+		func() float64 { return float64(c.ht[x].Total()) })
 	reg.GaugeFunc("sweb_heat_tracked_paths", "paths holding a document-heat sketch slot now", nil,
-		func() float64 { return float64(c.heatOf(x).Tracked()) })
+		func() float64 { return float64(c.ht[x].Tracked()) })
 	// Page-cache families, mirroring the live sweb_cache_* exposition.
 	// The DES runs one request at a time, so misses never coalesce and
 	// singleflight_shared stays a constant 0 — published anyway to keep
