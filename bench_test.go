@@ -7,6 +7,7 @@ import (
 	"sweb"
 	"sweb/internal/des"
 	"sweb/internal/metrics"
+	"sweb/internal/nodeobs"
 	"sweb/internal/rebalance"
 	"sweb/internal/simsrv"
 	"sweb/internal/storage"
@@ -362,9 +363,7 @@ func BenchmarkReplicatedHotSet(b *testing.B) {
 			b.Fatal("skewed burst completed nothing")
 		}
 		for i := 0; i < cl.Nodes(); i++ {
-			relays += cl.Registry(i).Counter("sweb_heat_relays_total",
-				"requests served by fetching the document from a replica",
-				metrics.Labels{"path": hot}).Value()
+			relays += cl.Registry(i).Counter(nodeobs.HeatRelays, "", metrics.Labels{"path": hot}).Value()
 		}
 		return res.MeanResponse(), relays, float64(res.Completed)
 	}

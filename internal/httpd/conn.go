@@ -7,6 +7,7 @@ import (
 
 	"sweb/internal/flight"
 	"sweb/internal/httpmsg"
+	"sweb/internal/nodeobs"
 )
 
 // writeMeter wraps the client socket on the write side so the serve loop
@@ -127,7 +128,7 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) {
 	defer func() {
 		// Requests-per-connection, observed once at connection end: the
 		// keep-alive amortization the PR 6 data plane bought.
-		s.nm.keepAliveServed(float64(rc.served))
+		s.kaServed.Observe(float64(rc.served))
 	}()
 	for {
 		// Idle wait: the peer may keep the connection open up to
@@ -156,7 +157,9 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) {
 			_ = rc.simple(httpmsg.StatusBadRequest, nil,
 				httpmsg.ErrorBody(httpmsg.StatusBadRequest, err.Error()))
 			s.logAccess(c, nil, httpmsg.StatusBadRequest, -1)
-			s.flightAdd(rc, flight.Record{Path: "(unparsed)"}, t0, httpmsg.StatusBadRequest)
+			o := nodeobs.Outcome{Record: flight.Record{Path: "(unparsed)", Status: httpmsg.StatusBadRequest}}
+			s.stamp(rc, &o, t0, time.Now())
+			s.obs.Observe(o)
 			return
 		}
 		rc.served++

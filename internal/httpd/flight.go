@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"sweb/internal/flight"
+	"sweb/internal/heat"
+	"sweb/internal/nodeobs"
 )
 
 // flightTraceTail bounds the trace dump written into snapshot bundles: the
@@ -16,33 +18,30 @@ import (
 // needs and enough to dominate the bundle size.
 const flightTraceTail = 4096
 
-// flightAdd fills the per-connection and timing fields of a flight record
-// and appends it — the single funnel every request path exits through.
-func (s *Server) flightAdd(rc *reqConn, fl flight.Record, t0 time.Time, status int) {
-	fl.Node = s.cfg.ID
-	fl.ConnID = rc.id
-	fl.AtSeconds = s.sinceEpoch(t0)
-	fl.Status = status
-	fl.TotalSeconds = time.Since(t0).Seconds()
-	fl.Bytes = rc.meter.written
-	fl.TTFBSeconds = -1
-	if !rc.meter.firstWrite.IsZero() {
-		fl.TTFBSeconds = rc.meter.firstWrite.Sub(t0).Seconds()
+// stamp fills the fields every outcome takes from the connection and the
+// clock: arrival and total on the node's epoch, bytes and time to first
+// byte as the write meter saw them.
+func (s *Server) stamp(rc *reqConn, o *nodeobs.Outcome, t0, done time.Time) {
+	o.AtSeconds, o.ConnID = s.sinceEpoch(t0), rc.id
+	o.Bytes = rc.meter.written
+	o.TTFBSeconds = -1
+	if fb := rc.meter.firstWrite; !fb.IsZero() {
+		o.TTFBSeconds = fb.Sub(t0).Seconds()
 	}
-	if fl.PredictedSeconds == 0 {
-		fl.PredictedSeconds = -1
-	}
-	s.flight.Add(fl)
+	o.TotalSeconds, o.DoneMicros = done.Sub(t0).Seconds(), done.UnixMicro()
 }
 
 // FlightDump snapshots the flight rings with the node identity and epoch
 // filled in — the /sweb/flight payload.
 func (s *Server) FlightDump() flight.Dump {
-	d := s.flight.Dump()
-	d.Node = s.cfg.ID
+	d := s.obs.FlightDump()
 	d.EpochUnix = float64(s.epoch.UnixNano()) / 1e9
 	return d
 }
+
+// HeatDump snapshots the heat sketch with the node identity filled in —
+// the /sweb/heat payload.
+func (s *Server) HeatDump() heat.Dump { return s.obs.HeatDump() }
 
 // ConnState is one tracked connection's row in the conn-table snapshot.
 type ConnState struct {
@@ -96,7 +95,7 @@ func (s *Server) SnapshotState() flight.NodeState {
 	ns := flight.NodeState{Name: nodeName(s.cfg.ID), Flight: s.FlightDump(),
 		Heat: s.HeatDump(), Conns: s.ConnTable()}
 	var buf bytes.Buffer
-	if err := s.nm.reg.WriteText(&buf); err == nil {
+	if err := s.obs.Registry().WriteText(&buf); err == nil {
 		ns.Metrics = append([]byte(nil), buf.Bytes()...)
 	}
 	if b, err := json.MarshalIndent(s.StatusReport(), "", "  "); err == nil {

@@ -14,9 +14,8 @@ import (
 	"sweb/internal/accesslog"
 	"sweb/internal/cache"
 	"sweb/internal/core"
-	"sweb/internal/flight"
-	"sweb/internal/heat"
 	"sweb/internal/httpmsg"
+	"sweb/internal/nodeobs"
 	"sweb/internal/retry"
 	"sweb/internal/storage"
 	"sweb/internal/trace"
@@ -83,7 +82,7 @@ func (s *Server) acceptLoop() {
 			// absent reader can never stall the accept loop.
 			s.refused.Add(1)
 			s.drop("shed")
-			s.nm.event(trace.EvRefused)
+			s.obs.Event(trace.EvRefused)
 			if rec := s.cfg.Trace; rec.Enabled() {
 				rec.Record(rec.NewRequest(), s.nowSec(), trace.EvRefused, s.cfg.ID, "reason=capacity")
 			}
@@ -145,23 +144,81 @@ func (s *Server) logAccess(conn net.Conn, req *httpmsg.Request, status int, byte
 	_ = s.cfg.AccessLog.Log(e)
 }
 
-// handle runs the four-phase lifecycle for one parsed request, timing each
-// phase and emitting the same trace events the simulator does. t0 is the
+// exchange is one client request's telemetry as handle's phases fill it
+// in: the outcome Observe records, plus what the decision audit needs.
+type exchange struct {
+	o        nodeobs.Outcome
+	dec      core.Decision
+	tFulfill time.Time // phase 4's start; zero when the request never got there
+}
+
+// handle runs the four-phase lifecycle for one parsed request. t0 is the
 // moment the request's first byte arrived (phase 1, preprocess, is the
-// parse the serve loop already ran). Internal fetches stay invisible to
-// trace and the lifecycle metrics: they are the tail of another node's
-// fetch-nfs span, not requests of their own.
+// parse the serve loop already ran). Every client request leaves through
+// the one Observe at the bottom: lifecycle fills in the outcome, the
+// epilogue stamps its timing and audits the decision.
 func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
+	var x exchange
+	x.o.Path, x.o.Target = req.Path, -1
+	if !s.lifecycle(rc, req, t0, &x) {
+		return
+	}
+	done := time.Now()
+	s.stamp(rc, &x.o, t0, done)
+	if x.o.Policy != "" {
+		s.auditDecision(&x, done)
+	}
+	s.obs.Observe(x.o)
+}
+
+// auditDecision records a scheduled request's decision next to what the
+// node then measured: a 302 that left (fulfilled by its target), or
+// service here, whose clean completion also scores the broker's
+// prediction — an error path measures the failure handling, not t_s. A 302
+// that never reached the client placed nothing and is not audited.
+func (s *Server) auditDecision(x *exchange, done time.Time) {
+	o := &x.o
+	a := DecisionAudit{
+		AtSeconds:        o.AtSeconds,
+		Path:             o.Path,
+		Policy:           o.Policy,
+		Target:           o.Target,
+		PredictedSeconds: sanitizeSeconds(x.dec.Estimate),
+		ActualSeconds:    -1, // a redirect is fulfilled by the target node
+		ParseSeconds:     o.ParseSeconds,
+		AnalyzeSeconds:   o.AnalyzeSeconds,
+	}
+	switch {
+	case o.Status == httpmsg.StatusMovedTemporarily:
+		a.Redirected = true
+	case x.tFulfill.IsZero():
+		return
+	default:
+		a.ActualSeconds = o.TotalSeconds
+		a.FulfillSeconds = done.Sub(x.tFulfill).Seconds()
+	}
+	s.audit.add(a, x.dec.Candidates)
+	if o.Succeeded() {
+		s.obs.Prediction(x.dec, a.ParseSeconds+a.AnalyzeSeconds, a.FulfillSeconds, a.ActualSeconds)
+	}
+}
+
+// lifecycle answers the request, timing each phase, emitting the same
+// trace events the simulator does and filling x. It reports false for an
+// internal fetch, which stays invisible to trace and the lifecycle
+// telemetry: it is the tail of another node's fetch-nfs span, not a
+// request of its own.
+func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *exchange) bool {
 	tParsed := time.Now()
 	internal := req.Header.Get(internalHeader) != ""
+	o := &x.o
 
 	// Introspection is answered right where it arrived, like internal
 	// fetches: rescheduling /sweb/status would report the wrong node.
 	if !internal && !s.cfg.DisableIntrospection && strings.HasPrefix(req.Path, introspectPrefix) {
 		s.introspect.Add(1)
-		status := s.serveIntrospection(rc, req)
-		s.flightAdd(rc, flight.Record{Path: req.Path, Target: -1}, t0, status)
-		return
+		o.Status = s.serveIntrospection(rc, req)
+		return true
 	}
 
 	redirects := parseRedirectCount(req.Query)
@@ -184,9 +241,9 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 			rec.Record(tid, s.sinceEpoch(t0), trace.EvConnected, s.cfg.ID, connDetail)
 			rec.Record(tid, s.sinceEpoch(tParsed), trace.EvParsed, s.cfg.ID, "path="+req.Path)
 		}
-		s.nm.event(trace.EvConnected)
-		s.nm.event(trace.EvParsed)
-		s.nm.phase("parse", tParsed.Sub(t0).Seconds())
+		s.obs.Event(trace.EvConnected)
+		s.obs.Event(trace.EvParsed)
+		s.obs.Phase("parse", tParsed.Sub(t0).Seconds())
 		if hopSentMicros > 0 {
 			// The 302 carried its send time: the gap to this connection is
 			// the measured t_redirection of the paper's cost model.
@@ -194,9 +251,12 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 			if hop < 0 {
 				hop = 0
 			}
-			s.nm.phase("redirect_hop", hop)
+			s.obs.Phase("redirect_hop", hop)
 		}
 	}
+	o.TraceID = string(tctx)
+	o.Redirected = redirects > 0
+	o.ParseSeconds = tParsed.Sub(t0).Seconds()
 
 	cgiFn, isCGI := s.cgiFor(req.Path)
 	file, found := s.cfg.Store.Lookup(req.Path)
@@ -209,16 +269,8 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 		_ = rc.simple(httpmsg.StatusNotFound, nil,
 			httpmsg.ErrorBody(httpmsg.StatusNotFound, "The requested URL was not found on this server."))
 		s.logAccess(rc.c, req, httpmsg.StatusNotFound, -1)
-		if !internal {
-			s.flightAdd(rc, flight.Record{
-				Path:         req.Path,
-				TraceID:      string(tctx),
-				Target:       -1,
-				Redirected:   redirects > 0,
-				ParseSeconds: tParsed.Sub(t0).Seconds(),
-			}, t0, httpmsg.StatusNotFound)
-		}
-		return
+		o.Status = httpmsg.StatusNotFound
+		return !internal
 	}
 
 	// Internal fetches bypass scheduling entirely: we are the NFS server.
@@ -232,18 +284,13 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 			rec.Record(jid, s.sinceEpoch(time.Now()), trace.EvFetchLocal, s.cfg.ID, "internal=1")
 		}
 		s.serveLocalFile(rc, req, file)
-		return
+		return false
 	}
 
-	// CGI and POST are pinned where they arrived (Sec. 3.2 step 2; POST
-	// handling is the paper's footnote-1 extension).
-	pinned := isCGI || req.Method == "POST"
-
-	// Phase 2: analyze — the broker picks the best node.
-	var dec core.Decision
-	scheduled := false
-	tAnalyzed := tParsed
-	if !pinned {
+	// Phase 2: analyze — the broker picks the best node. CGI and POST are
+	// pinned where they arrived (Sec. 3.2 step 2; POST handling is the
+	// paper's footnote-1 extension).
+	if !isCGI && req.Method != "POST" {
 		d := s.cfg.Oracle.Characterize(req.Path)
 		coreReq := core.Request{
 			Path:          req.Path,
@@ -256,13 +303,13 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 			RedirectCount: redirects,
 			CachedLocal:   s.cachedLocally(req.Path),
 		}
-		loads := s.snapshotLoads()
-		dec = s.cfg.Policy.Choose(coreReq, s.cfg.ID, loads)
-		scheduled = true
-		target := s.confirmTarget(dec)
-		tAnalyzed = time.Now()
-		s.nm.event(trace.EvAnalyzed)
-		s.nm.phase("analyze", tAnalyzed.Sub(tParsed).Seconds())
+		x.dec = s.cfg.Policy.Choose(coreReq, s.cfg.ID, s.snapshotLoads())
+		target := s.confirmTarget(x.dec)
+		tAnalyzed := time.Now()
+		o.Policy, o.Target, o.Estimate = s.cfg.Policy.Name(), target, x.dec.Estimate
+		o.AnalyzeSeconds = tAnalyzed.Sub(tParsed).Seconds()
+		s.obs.Event(trace.EvAnalyzed)
+		s.obs.Phase("analyze", o.AnalyzeSeconds)
 		if traced {
 			rec.Record(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, s.cfg.ID,
 				"target="+strconv.Itoa(target))
@@ -284,52 +331,24 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 					// only skew later decisions.
 					s.errors.Add(1)
 					s.drop("write_failed")
-					s.flightAdd(rc, flight.Record{
-						Path:             req.Path,
-						TraceID:          string(tctx),
-						Policy:           s.cfg.Policy.Name(),
-						Target:           target,
-						PredictedSeconds: sanitizeSeconds(dec.Estimate),
-						ParseSeconds:     tParsed.Sub(t0).Seconds(),
-						AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-					}, t0, 0)
-					return
+					return true
 				}
 				tSent := time.Now()
 				s.table.Bump(target)
 				s.redirected.Add(1)
-				s.nm.event(trace.EvRedirected)
-				s.nm.redirect(target)
-				s.nm.phase("redirect", tSent.Sub(tAnalyzed).Seconds())
+				s.obs.Event(trace.EvRedirected)
+				s.obs.Redirect(target)
+				s.obs.Phase("redirect", tSent.Sub(tAnalyzed).Seconds())
 				if traced {
 					rec.Record(tid, s.sinceEpoch(tSent), trace.EvRedirected, s.cfg.ID,
 						"to="+strconv.Itoa(target))
 				}
-				s.audit.add(DecisionAudit{
-					AtSeconds:        s.sinceEpoch(t0),
-					Path:             req.Path,
-					Policy:           s.cfg.Policy.Name(),
-					Target:           target,
-					Redirected:       true,
-					PredictedSeconds: sanitizeSeconds(dec.Estimate),
-					ActualSeconds:    -1, // fulfilled by the target node
-					ParseSeconds:     tParsed.Sub(t0).Seconds(),
-					AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-				}, dec.Candidates)
 				s.logAccess(rc.c, req, httpmsg.StatusMovedTemporarily, -1)
-				s.flightAdd(rc, flight.Record{
-					Path:             req.Path,
-					TraceID:          string(tctx),
-					Policy:           s.cfg.Policy.Name(),
-					Target:           target,
-					Redirected:       true,
-					PredictedSeconds: sanitizeSeconds(dec.Estimate),
-					ParseSeconds:     tParsed.Sub(t0).Seconds(),
-					AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-				}, t0, httpmsg.StatusMovedTemporarily)
-				return
+				o.Status, o.Redirected = httpmsg.StatusMovedTemporarily, true
+				return true
 			}
 		}
+		o.Target = s.cfg.ID
 	}
 
 	// Phase 4: fulfillment. One counted cache lookup per request, exactly
@@ -338,6 +357,7 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 	// as the simulator does for cached remote documents), a miss falls
 	// through to the disk or the owner and fills the cache on the way out.
 	tFulfill := time.Now()
+	x.tFulfill = tFulfill
 	var status int
 	var hot cache.Entry
 	cacheHit := false
@@ -346,108 +366,52 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 	}
 	switch {
 	case isCGI:
-		s.nm.event(trace.EvCGI)
+		s.obs.Event(trace.EvCGI)
 		if traced {
 			rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvCGI, s.cfg.ID, "path="+req.Path)
 		}
 		status = s.serveCGI(rc, req, cgiFn)
-		s.nm.phase("cgi", time.Since(tFulfill).Seconds())
+		s.obs.Phase("cgi", time.Since(tFulfill).Seconds())
 	case cacheHit:
 		// Hot-file hit: a memory copy — no disk read, and for a foreign
 		// document no owner round-trip either, which keeps the document
 		// serving even while its owner is dead.
-		s.nm.event(trace.EvFetchLocal)
+		s.obs.Event(trace.EvFetchLocal)
 		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchLocal, s.cfg.ID, "cache=hit")
 		status = s.writeEntry(rc, req, hot)
-		s.nm.phase("fetch_local", time.Since(tFulfill).Seconds())
+		s.obs.Phase("fetch_local", time.Since(tFulfill).Seconds())
 	case file.HasReplica(s.cfg.ID):
-		s.nm.event(trace.EvFetchLocal)
+		s.obs.Event(trace.EvFetchLocal)
 		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchLocal, s.cfg.ID, "")
 		status = s.serveLocalFile(rc, req, file)
-		s.nm.phase("fetch_local", time.Since(tFulfill).Seconds())
+		s.obs.Phase("fetch_local", time.Since(tFulfill).Seconds())
 	default:
-		s.nm.event(trace.EvFetchNFS)
+		s.obs.Event(trace.EvFetchNFS)
 		if traced {
 			rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchNFS, s.cfg.ID,
 				"owner="+strconv.Itoa(file.Owner))
 		}
 		status = s.serveRemoteFile(rc, req, file, tctx)
-		s.nm.phase("fetch_nfs", time.Since(tFulfill).Seconds())
+		s.obs.Phase("fetch_nfs", time.Since(tFulfill).Seconds())
 	}
-	done := time.Now()
 	if status > 0 {
-		s.nm.event(trace.EvSent)
+		s.obs.Event(trace.EvSent)
 		if traced {
-			rec.Record(tid, s.sinceEpoch(done), trace.EvSent, s.cfg.ID,
+			rec.Record(tid, s.sinceEpoch(time.Now()), trace.EvSent, s.cfg.ID,
 				"status="+strconv.Itoa(status))
 		}
 	}
-	total := done.Sub(t0).Seconds()
-	if status == httpmsg.StatusOK || status == httpmsg.StatusNotModified {
-		// Only successful service counts toward the latency families: every
-		// phase-4 failure pairs with a sweb_drops_total cause, so the SLO
-		// engine reads successes here and errors there with no overlap — and
-		// a fast 503 can never pass for a good response time. The trace id
-		// rides along as the bucket's exemplar, linking an SLO breach to the
-		// concrete flight record that burned the budget.
-		exID := string(tctx)
-		s.nm.response.ObserveExemplar(total, exID, done.UnixMicro())
-		if fb := rc.meter.firstWrite; !fb.IsZero() {
-			s.nm.ttfb.ObserveExemplar(fb.Sub(t0).Seconds(), exID, done.UnixMicro())
-		}
-		// Document-heat telemetry counts fulfilled serves only — the same
-		// event the simulator's complete() observes, so both substrates
-		// fill identical sketches for the same workload.
-		owner := -1
-		if !isCGI {
-			owner = file.Owner
-		}
-		s.heatObserve(heat.Observation{
-			Path:    req.Path,
-			Owner:   owner,
-			Bytes:   rc.meter.written,
-			Relay:   !isCGI && !cacheHit && !file.HasReplica(s.cfg.ID),
-			Miss:    !isCGI && s.cache != nil && !cacheHit,
-			Seconds: total,
-		}, len(file.ReplicaSet()))
+	// Heat counts fulfilled serves only — the same event the simulator's
+	// complete() observes, so both substrates fill identical sketches.
+	o.Status, o.Fulfilled, o.CacheHit = status, true, cacheHit
+	o.Owner = -1
+	if !isCGI {
+		o.Owner = file.Owner
 	}
-
-	fl := flight.Record{
-		Path:             req.Path,
-		TraceID:          string(tctx),
-		Target:           -1,
-		Redirected:       redirects > 0,
-		CacheHit:         cacheHit,
-		PredictedSeconds: -1,
-		ParseSeconds:     tParsed.Sub(t0).Seconds(),
-		AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-	}
-	if scheduled {
-		fl.Policy = s.cfg.Policy.Name()
-		fl.Target = s.cfg.ID
-		fl.PredictedSeconds = sanitizeSeconds(dec.Estimate)
-	}
-	s.flightAdd(rc, fl, t0, status)
-
-	if scheduled {
-		a := DecisionAudit{
-			AtSeconds:        s.sinceEpoch(t0),
-			Path:             req.Path,
-			Policy:           s.cfg.Policy.Name(),
-			Target:           s.cfg.ID,
-			PredictedSeconds: sanitizeSeconds(dec.Estimate),
-			ActualSeconds:    total,
-			ParseSeconds:     tParsed.Sub(t0).Seconds(),
-			AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-			FulfillSeconds:   done.Sub(tFulfill).Seconds(),
-		}
-		s.audit.add(a, dec.Candidates)
-		// Compare prediction to reality only for clean local service: an
-		// error path measures the failure handling, not t_s.
-		if status == httpmsg.StatusOK || status == httpmsg.StatusNotModified {
-			s.recordPrediction(dec, a)
-		}
-	}
+	o.Relay = !isCGI && !cacheHit && !file.HasReplica(s.cfg.ID)
+	o.Miss = !isCGI && s.cache != nil && !cacheHit
+	o.Replicas = len(file.ReplicaSet())
+	return true
 }
 
 // confirmTarget re-validates the broker's pick against the freshest peer

@@ -94,7 +94,7 @@ func (s *Server) cacheStatus() CacheStatus {
 		Evictions:          st.Evictions,
 		SingleflightShared: st.SingleflightShared,
 		HitRate:            st.HitRate(),
-		Hot:                s.heat.Hot(8),
+		Hot:                s.obs.Hot(8),
 	}
 }
 
@@ -131,7 +131,7 @@ func (s *Server) StatusReport() StatusReport {
 }
 
 // Registry exposes the node's metric registry (tests, embedding).
-func (s *Server) Registry() *metrics.Registry { return s.nm.reg }
+func (s *Server) Registry() *metrics.Registry { return s.obs.Registry() }
 
 // SLOReport evaluates the node's configured objectives against its own
 // cumulative registry — the lifetime-window accounting a single node can
@@ -139,7 +139,7 @@ func (s *Server) Registry() *metrics.Registry { return s.nm.reg }
 // (which serves the rolling windows and burn-rate alerts).
 func (s *Server) SLOReport() slo.Report {
 	var buf bytes.Buffer
-	_ = s.nm.reg.WriteText(&buf)
+	_ = s.obs.Registry().WriteText(&buf)
 	samples, err := metrics.ParseText(&buf)
 	if err != nil {
 		samples = nil
@@ -247,7 +247,7 @@ func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
 		return s.serveReplicate(rc, req)
 	case "/sweb/metrics":
 		var buf bytes.Buffer
-		if err := s.nm.reg.WriteText(&buf); err != nil {
+		if err := s.obs.Registry().WriteText(&buf); err != nil {
 			code := httpmsg.StatusInternalServerError
 			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
 			s.logAccess(rc.c, req, code, -1)

@@ -53,7 +53,7 @@ func (s *Server) MaterializeReplica(path string) error {
 	if err := s.cfg.Store.AddReplica(path, s.cfg.ID); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	s.nm.rebalanceAction("add")
+	s.obs.RebalanceAction("add")
 	return nil
 }
 
@@ -70,7 +70,7 @@ func (s *Server) DropReplicaLocal(path string) error {
 	if err := os.Remove(s.localPath(path)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	s.nm.rebalanceAction("drop")
+	s.obs.RebalanceAction("drop")
 	return nil
 }
 

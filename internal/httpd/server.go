@@ -19,9 +19,9 @@ import (
 	"sweb/internal/accesslog"
 	"sweb/internal/cache"
 	"sweb/internal/core"
-	"sweb/internal/flight"
-	"sweb/internal/heat"
 	"sweb/internal/loadd"
+	"sweb/internal/metrics"
+	"sweb/internal/nodeobs"
 	"sweb/internal/oracle"
 	"sweb/internal/retry"
 	"sweb/internal/slo"
@@ -295,12 +295,7 @@ type Server struct {
 	conns   map[net.Conn]*connInfo
 	connSeq atomic.Int64 // connection ids, monotone per node
 
-	// flight is the request black box.
-	flight     *flight.Recorder
 	idleReaped atomic.Int64
-
-	// heat is the per-document heavy-hitter sketch.
-	heat *heat.Sketch
 
 	// ups pools idle internal-fetch connections per peer.
 	ups                           *upstreamPool
@@ -315,8 +310,11 @@ type Server struct {
 	dropMu     sync.Mutex
 	dropCounts map[string]int64
 
-	nm    *nodeMetrics
-	audit *auditLog
+	// obs is the node's telemetry (registry, flight recorder, heat
+	// sketch); kaServed is its one live-only request-path histogram.
+	obs      *nodeobs.Observer
+	kaServed *metrics.Histogram
+	audit    *auditLog
 
 	// lastAdvertised is the previous broadcast's sample, for the
 	// advertised-vs-now drift histograms. Touched only by the broadcast
@@ -376,17 +374,7 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.CacheOff {
 		s.cache = cache.New(cfg.CacheBytes)
 	}
-	fcfg := flight.Config{Cap: cfg.FlightRing, NotableCap: cfg.FlightNotable}
-	switch {
-	case cfg.SlowThreshold < 0:
-		fcfg.SlowSeconds = -1
-	case cfg.SlowThreshold > 0:
-		fcfg.SlowSeconds = cfg.SlowThreshold.Seconds()
-	}
-	s.flight = flight.New(fcfg)
-	// Before newNodeMetrics: the sweb_heat_* closures read it.
-	s.heat = heat.New(heat.Config{K: cfg.HeatK})
-	s.nm = newNodeMetrics(s)
+	s.obs, s.kaServed = newObserver(s)
 	return s, nil
 }
 
@@ -429,7 +417,7 @@ func (s *Server) SetPeers(peers []Peer) {
 		if p.ID == s.cfg.ID {
 			continue
 		}
-		s.nm.gossipGauges(s, p.ID)
+		s.obs.Peer(p.ID)
 	}
 }
 
@@ -646,9 +634,9 @@ func (s *Server) broadcastOnce() {
 	// to the cluster — the error every peer's view of this node carries
 	// for up to a gossip period.
 	if s.haveLastAdvertised {
-		s.nm.gossipDrift("cpu", smp.CPULoad-s.lastAdvertised.CPULoad)
-		s.nm.gossipDrift("disk", smp.DiskLoad-s.lastAdvertised.DiskLoad)
-		s.nm.gossipDrift("net", smp.NetLoad-s.lastAdvertised.NetLoad)
+		s.gossipDrift("cpu", smp.CPULoad-s.lastAdvertised.CPULoad)
+		s.gossipDrift("disk", smp.DiskLoad-s.lastAdvertised.DiskLoad)
+		s.gossipDrift("net", smp.NetLoad-s.lastAdvertised.NetLoad)
 	}
 	s.lastAdvertised, s.haveLastAdvertised = smp, true
 	var buf [loadd.MaxWireSize]byte
@@ -711,7 +699,7 @@ func (s *Server) listenLoop() {
 			if prevAge >= 0 {
 				// Gap between consecutive receptions from this peer — the
 				// distribution the staleness gauge samples from.
-				s.nm.gossipInterval(smp.Node, prevAge)
+				s.gossipInterval(smp.Node, prevAge)
 			}
 		}
 	}

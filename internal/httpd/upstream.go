@@ -232,7 +232,7 @@ func (s *Server) fetchWithRetry(sources []fetchSource, path string, want int64, 
 			return ferr
 		}
 		s.table.MarkSuccess(src.node)
-		s.nm.replicaFetch(path, src.node)
+		s.obs.ReplicaFetch(path, src.node)
 		ent = e
 		return nil
 	})
@@ -273,7 +273,7 @@ func (s *Server) relayStream(rc *reqConn, req *httpmsg.Request, sources []fetchS
 		return s.degrade503(rc, req)
 	}
 	s.table.MarkSuccess(chosen.node)
-	s.nm.replicaFetch(req.Path, chosen.node)
+	s.obs.ReplicaFetch(req.Path, chosen.node)
 	peer := chosen.peer
 
 	if resp.StatusCode == httpmsg.StatusNotModified {

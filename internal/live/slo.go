@@ -1,29 +1,16 @@
 package live
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
-	"sweb/internal/httpmsg"
 	"sweb/internal/monitor"
 	"sweb/internal/slo"
 )
 
 // SLO fetches and decodes one node's /sweb/slo lifetime-budget report.
 func SLO(addr string) (*slo.Report, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/slo", scrapeTimeout, 1<<20)
-	if err != nil {
-		return nil, err
-	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/slo returned %d", addr, code)
-	}
-	var rep slo.Report
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return nil, fmt.Errorf("live: %s/sweb/slo: %v", addr, err)
-	}
-	return &rep, nil
+	return fetchJSON[slo.Report](addr, "/sweb/slo", 1<<20)
 }
 
 // SLOReport evaluates objectives over the cluster monitor's time-series

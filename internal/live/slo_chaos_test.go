@@ -12,6 +12,7 @@ import (
 	"sweb/internal/flight"
 	"sweb/internal/metrics"
 	"sweb/internal/monitor"
+	"sweb/internal/nodeobs"
 	"sweb/internal/slo"
 	"sweb/internal/storage"
 	"sweb/internal/trace"
@@ -172,7 +173,7 @@ func TestSLOBreachFiresFastBurnAndSnapshot(t *testing.T) {
 		}
 		var tid string
 		for _, s := range samples {
-			if s.Name == slo.ResponseFamily+"_bucket" && s.Exemplar != nil && s.Exemplar.TraceID != "" {
+			if s.Name == nodeobs.Response+"_bucket" && s.Exemplar != nil && s.Exemplar.TraceID != "" {
 				tid = s.Exemplar.TraceID
 				break
 			}

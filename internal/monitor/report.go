@@ -8,12 +8,9 @@ import (
 	"strings"
 
 	"sweb/internal/metrics"
+	"sweb/internal/nodeobs"
 	"sweb/internal/stats"
 )
-
-// reportPhases are the request-lifecycle histogram cells the snapshot
-// tabulates, matching internal/live's report ordering.
-var reportPhases = []string{"parse", "analyze", "redirect", "redirect_hop", "fetch_local", "fetch_nfs", "cgi"}
 
 // TimelineRow is one node's state at one collection round — the unit the
 // load-over-time CSV and the dashboard's history sparkline consume.
@@ -33,12 +30,12 @@ type TimelineRow struct {
 func (m *Monitor) captureRows(v *View, now float64) {
 	for _, n := range v.Nodes {
 		row := TimelineRow{T: now, Node: n, Up: v.up(n)}
-		row.Inflight, _ = v.latest("sweb_inflight", metrics.Labels{"node": n})
-		row.DiskActive, _ = v.latest("sweb_disk_active", metrics.Labels{"node": n})
-		row.NetActive, _ = v.latest("sweb_net_active", metrics.Labels{"node": n})
-		row.ReqRate = Rate(m.store.Points("sweb_events_total",
+		row.Inflight, _ = v.latest(nodeobs.Inflight, metrics.Labels{"node": n})
+		row.DiskActive, _ = v.latest(nodeobs.DiskActive, metrics.Labels{"node": n})
+		row.NetActive, _ = v.latest(nodeobs.NetActive, metrics.Labels{"node": n})
+		row.ReqRate = Rate(m.store.Points(nodeobs.Events,
 			metrics.Labels{"event": "connected", "node": n}), v.From, v.To)
-		row.RedirectRate = Rate(m.store.Points("sweb_events_total",
+		row.RedirectRate = Rate(m.store.Points(nodeobs.Events,
 			metrics.Labels{"event": "redirected", "node": n}), v.From, v.To)
 		m.rows = append(m.rows, row)
 	}
@@ -123,37 +120,37 @@ func (m *Monitor) Snapshot() *Snapshot {
 	snap := &Snapshot{T: now, Window: window, Rounds: rounds, Metrics: m.store.SeriesCount()}
 	for _, n := range nodes {
 		row := NodeRow{Node: n, Up: v.up(n)}
-		row.Inflight, _ = v.latest("sweb_inflight", metrics.Labels{"node": n})
-		row.Capacity, _ = v.latest("sweb_capacity", metrics.Labels{"node": n})
-		row.DiskActive, _ = v.latest("sweb_disk_active", metrics.Labels{"node": n})
-		row.NetActive, _ = v.latest("sweb_net_active", metrics.Labels{"node": n})
-		row.Goroutines, _ = v.latest("sweb_goroutines", metrics.Labels{"node": n})
-		row.HeapBytes, _ = v.latest("sweb_heap_alloc_bytes", metrics.Labels{"node": n})
-		row.ReqRate = Rate(m.store.Points("sweb_events_total",
+		row.Inflight, _ = v.latest(nodeobs.Inflight, metrics.Labels{"node": n})
+		row.Capacity, _ = v.latest(nodeobs.Capacity, metrics.Labels{"node": n})
+		row.DiskActive, _ = v.latest(nodeobs.DiskActive, metrics.Labels{"node": n})
+		row.NetActive, _ = v.latest(nodeobs.NetActive, metrics.Labels{"node": n})
+		row.Goroutines, _ = v.latest(nodeobs.Goroutines, metrics.Labels{"node": n})
+		row.HeapBytes, _ = v.latest(nodeobs.HeapAllocBytes, metrics.Labels{"node": n})
+		row.ReqRate = Rate(m.store.Points(nodeobs.Events,
 			metrics.Labels{"event": "connected", "node": n}), from, to)
-		row.RedirectRate = Rate(m.store.Points("sweb_events_total",
+		row.RedirectRate = Rate(m.store.Points(nodeobs.Events,
 			metrics.Labels{"event": "redirected", "node": n}), from, to)
-		for _, s := range m.store.Select("sweb_bytes_out_total", metrics.Labels{"node": n}) {
+		for _, s := range m.store.Select(nodeobs.BytesOut, metrics.Labels{"node": n}) {
 			row.BytesOutRate += Rate(s.Points, from, to)
 		}
 		snap.Nodes = append(snap.Nodes, row)
 	}
-	for _, phase := range reportPhases {
+	for _, phase := range nodeobs.Phases {
 		sel := metrics.Labels{"phase": phase}
-		count := m.store.WindowedCount("sweb_phase_seconds", sel, from, to)
+		count := m.store.WindowedCount(nodeobs.Phase, sel, from, to)
 		if count == 0 {
 			continue
 		}
 		snap.Phases = append(snap.Phases, PhaseRow{
 			Phase: phase,
 			Count: count,
-			P50:   m.store.HistogramQuantile(0.5, "sweb_phase_seconds", sel, from, to),
-			P95:   m.store.HistogramQuantile(0.95, "sweb_phase_seconds", sel, from, to),
+			P50:   m.store.HistogramQuantile(0.5, nodeobs.Phase, sel, from, to),
+			P95:   m.store.HistogramQuantile(0.95, nodeobs.Phase, sel, from, to),
 		})
 	}
-	if m.store.WindowedCount("sweb_response_seconds", nil, from, to) > 0 {
-		snap.P50 = m.store.HistogramQuantile(0.5, "sweb_response_seconds", nil, from, to)
-		snap.P95 = m.store.HistogramQuantile(0.95, "sweb_response_seconds", nil, from, to)
+	if m.store.WindowedCount(nodeobs.Response, nil, from, to) > 0 {
+		snap.P50 = m.store.HistogramQuantile(0.5, nodeobs.Response, nil, from, to)
+		snap.P95 = m.store.HistogramQuantile(0.95, nodeobs.Response, nil, from, to)
 	}
 	snap.Alerts = m.Alerts()
 	return snap

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"sweb/internal/metrics"
+	"sweb/internal/nodeobs"
 )
 
 // RuleConfig tunes the paper-grounded default alert rules. Zero fields
@@ -175,8 +176,8 @@ func DefaultRules(cfg RuleConfig) []Rule {
 				if !v.up(n) {
 					continue
 				}
-				inflight, ok := v.latest("sweb_inflight", metrics.Labels{"node": n})
-				capacity, ok2 := v.latest("sweb_capacity", metrics.Labels{"node": n})
+				inflight, ok := v.latest(nodeobs.Inflight, metrics.Labels{"node": n})
+				capacity, ok2 := v.latest(nodeobs.Capacity, metrics.Labels{"node": n})
 				if !ok || !ok2 || capacity <= 0 {
 					continue
 				}
@@ -190,7 +191,7 @@ func DefaultRules(cfg RuleConfig) []Rule {
 				if !v.up(n) {
 					continue
 				}
-				if l, ok := v.latest("sweb_inflight", metrics.Labels{"node": n}); ok {
+				if l, ok := v.latest(nodeobs.Inflight, metrics.Labels{"node": n}); ok {
 					loads = append(loads, l)
 				}
 			}
@@ -220,7 +221,7 @@ func DefaultRules(cfg RuleConfig) []Rule {
 				if !v.up(n) {
 					continue
 				}
-				for _, s := range v.Store.Select("sweb_loadd_broadcast_age_seconds", metrics.Labels{"node": n}) {
+				for _, s := range v.Store.Select(nodeobs.GossipAge, metrics.Labels{"node": n}) {
 					peer := s.Labels["peer"]
 					p, ok := Latest(s.Points)
 					if peer == "" || !ok || p.T < v.To {
@@ -236,9 +237,9 @@ func DefaultRules(cfg RuleConfig) []Rule {
 		hy("redirect_spike", cfg.RedirectRatio, func(v *View) map[string]float64 {
 			var reqRate, redirRate float64
 			for _, n := range v.Nodes {
-				reqRate += Rate(v.Store.Points("sweb_events_total",
+				reqRate += Rate(v.Store.Points(nodeobs.Events,
 					metrics.Labels{"event": "connected", "node": n}), v.From, v.To)
-				redirRate += Rate(v.Store.Points("sweb_events_total",
+				redirRate += Rate(v.Store.Points(nodeobs.Events,
 					metrics.Labels{"event": "redirected", "node": n}), v.From, v.To)
 			}
 			if reqRate < cfg.RedirectMinRate {
@@ -256,8 +257,8 @@ func DefaultRules(cfg RuleConfig) []Rule {
 				if !v.up(n) {
 					continue
 				}
-				hits := Delta(v.Store.Points("sweb_cache_hits_total", metrics.Labels{"node": n}), v.From, v.To)
-				misses := Delta(v.Store.Points("sweb_cache_misses_total", metrics.Labels{"node": n}), v.From, v.To)
+				hits := Delta(v.Store.Points(nodeobs.CacheHits, metrics.Labels{"node": n}), v.From, v.To)
+				misses := Delta(v.Store.Points(nodeobs.CacheMisses, metrics.Labels{"node": n}), v.From, v.To)
 				if hits+misses < cfg.CacheMinLookups {
 					out[n] = 0
 					continue
@@ -285,14 +286,14 @@ func DefaultRules(cfg RuleConfig) []Rule {
 				if !v.up(n) {
 					continue
 				}
-				total += Delta(v.Store.Points("sweb_heat_observations_total",
+				total += Delta(v.Store.Points(nodeobs.HeatObservations,
 					metrics.Labels{"node": n}), v.From, v.To)
-				for _, s := range v.Store.Select("sweb_heat_requests_total", metrics.Labels{"node": n}) {
+				for _, s := range v.Store.Select(nodeobs.HeatRequests, metrics.Labels{"node": n}) {
 					if path := s.Labels["path"]; path != "" {
 						byPath[path] += Delta(s.Points, v.From, v.To)
 					}
 				}
-				for _, s := range v.Store.Select("sweb_heat_replicas", metrics.Labels{"node": n}) {
+				for _, s := range v.Store.Select(nodeobs.HeatReplicas, metrics.Labels{"node": n}) {
 					path := s.Labels["path"]
 					p, ok := Latest(s.Points)
 					if path == "" || !ok {
@@ -318,10 +319,10 @@ func DefaultRules(cfg RuleConfig) []Rule {
 		}),
 		hy("prediction_drift", cfg.PredictionErrorSeconds, func(v *View) map[string]float64 {
 			var absErr, compared float64
-			for _, s := range v.Store.Select("sweb_sched_abs_error_seconds_sum", nil) {
+			for _, s := range v.Store.Select(nodeobs.SchedAbsError+"_sum", nil) {
 				absErr += Delta(s.Points, v.From, v.To)
 			}
-			for _, s := range v.Store.Select("sweb_sched_compared_total", nil) {
+			for _, s := range v.Store.Select(nodeobs.SchedCompared, nil) {
 				compared += Delta(s.Points, v.From, v.To)
 			}
 			if compared < cfg.PredictionMinCompared {

@@ -7,11 +7,10 @@ import (
 	"sweb/internal/core"
 	"sweb/internal/des"
 	"sweb/internal/dnsrr"
-	"sweb/internal/flight"
-	"sweb/internal/heat"
 	"sweb/internal/loadd"
 	"sweb/internal/model"
 	"sweb/internal/netsim"
+	"sweb/internal/nodeobs"
 	"sweb/internal/stats"
 	"sweb/internal/trace"
 	"sweb/internal/workload"
@@ -29,12 +28,11 @@ type Cluster struct {
 	resolver *dnsrr.Resolver
 	rng      *rand.Rand
 
-	inflight []int  // admitted, not yet finished server-side, per node
-	up       []bool // node in the resource pool
-	nm       []*simMetrics
-	fl       []*flight.Recorder // per-node black boxes
-	ht       []*heat.Sketch     // per-node document-heat sketches
-	reqSeq   int64              // sim analogue of the live connection id
+	inflight []int               // admitted, not yet finished server-side, per node
+	up       []bool              // node in the resource pool
+	bytesOut []int64             // response body bytes sent, per node
+	obs      []*nodeobs.Observer // per-node telemetry: registry, flight, heat
+	reqSeq   int64               // sim analogue of the live connection id
 
 	res            *stats.RunResult
 	outstanding    int64
@@ -58,6 +56,7 @@ func New(cfg Config) (*Cluster, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		inflight: make([]int, n),
 		up:       make([]bool, n),
+		bytesOut: make([]int64, n),
 		res:      &stats.RunResult{PerNodeServed: make([]int64, n)},
 	}
 	nics := make([]*des.PSResource, 0, n)
@@ -97,16 +96,9 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < n; i++ {
 		c.tables = append(c.tables, loadd.NewTable(i, cfg.LoaddTimeout, c.cfg.Params.Delta))
 	}
-	// Per-node flight recorders and heat sketches precede the registries:
-	// the metric closures read them.
+	// Per-node telemetry needs the tables in place for the gossip gauges.
 	for i := 0; i < n; i++ {
-		c.fl = append(c.fl, flight.New(flight.Config{}))
-		c.ht = append(c.ht, heat.New(heat.Config{}))
-	}
-	// Per-node registries mirror the live /sweb/metrics families; they need
-	// the tables in place for the gossip gauges.
-	for i := 0; i < n; i++ {
-		c.nm = append(c.nm, newSimMetrics(c, i))
+		c.obs = append(c.obs, newObserver(c, i))
 	}
 	// Warm the tables (the daemons were already running before the test
 	// bursts start) and kick off the periodic broadcasts, staggered so
@@ -390,6 +382,6 @@ func (c *Cluster) drop(rs *request, cause stats.DropCause) {
 		// Refused and unreachable requests still leave black-box evidence:
 		// a 503 record at the node that turned them away, with no target
 		// (the broker never placed them anywhere).
-		c.flightEmit(rs, rs.entry, 503, 0, false)
+		c.observe(rs, rs.entry, 503, 0, false)
 	}
 }

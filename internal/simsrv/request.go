@@ -56,14 +56,14 @@ func (c *Cluster) arrive(rs *request, x int) {
 	}
 	if c.inflight[x] >= c.cfg.Specs[x].AcceptQueue {
 		c.trace(rs, trace.EvRefused, x, "accept capacity")
-		c.nm[x].event(trace.EvRefused)
-		c.nm[x].drop("refused")
+		c.obs[x].Event(trace.EvRefused)
+		c.obs[x].Drop("refused")
 		c.drop(rs, stats.DropRefused)
 		return
 	}
 	c.inflight[x]++
 	c.trace(rs, trace.EvConnected, x, "")
-	c.nm[x].event(trace.EvConnected)
+	c.obs[x].Event(trace.EvConnected)
 	rs.mark = c.Sim.Now()
 	// "The server parses the HTTP commands, and completes the pathname
 	// given, determining appropriate permissions along the way."
@@ -71,8 +71,8 @@ func (c *Cluster) arrive(rs *request, x int) {
 		d := (c.Sim.Now() - rs.mark).ToSeconds()
 		rs.ph.Preprocess += d
 		c.trace(rs, trace.EvParsed, x, "")
-		c.nm[x].event(trace.EvParsed)
-		c.nm[x].phase("parse", d)
+		c.obs[x].Event(trace.EvParsed)
+		c.obs[x].Phase("parse", d)
 		c.analyze(rs, x)
 	})
 }
@@ -83,7 +83,7 @@ func (c *Cluster) analyze(rs *request, x int) {
 	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.AnalysisOps, func() {
 		d := (c.Sim.Now() - rs.mark).ToSeconds()
 		rs.ph.Analysis += d
-		c.nm[x].phase("analyze", d)
+		c.obs[x].Phase("analyze", d)
 		c.decide(rs, x)
 	})
 }
@@ -135,7 +135,7 @@ func (c *Cluster) decide(rs *request, x int) {
 		target = x
 	}
 	c.trace(rs, trace.EvAnalyzed, x, fmt.Sprintf("target=%d", target))
-	c.nm[x].event(trace.EvAnalyzed)
+	c.obs[x].Event(trace.EvAnalyzed)
 	if target == x {
 		if !math.IsNaN(est) && !math.IsInf(est, 0) {
 			rs.predicted = est
@@ -151,7 +151,7 @@ func (c *Cluster) decide(rs *request, x int) {
 		// double handling (the cost the paper avoided with redirection).
 		c.tables[x].Bump(target)
 		c.trace(rs, trace.EvForwarded, x, fmt.Sprintf("to=%d", target))
-		c.nm[x].event(trace.EvForwarded)
+		c.obs[x].Event(trace.EvForwarded)
 		rs.mark = c.Sim.Now()
 		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
 			rs.redirects++
@@ -159,7 +159,7 @@ func (c *Cluster) decide(rs *request, x int) {
 				// Forwarding has no second chance: the relay fails.
 				c.inflight[x]--
 				c.trace(rs, trace.EvRefused, target, "forward target down")
-				c.nm[x].drop("unavailable")
+				c.obs[x].Drop("unavailable")
 				c.drop(rs, stats.DropUnavailable)
 				return
 			}
@@ -177,9 +177,9 @@ func (c *Cluster) decide(rs *request, x int) {
 	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
 		c.inflight[x]--
 		rs.redirects++
-		c.nm[x].event(trace.EvRedirected)
-		c.nm[x].redirect(target)
-		c.nm[x].phase("redirect", (c.Sim.Now() - rs.mark).ToSeconds())
+		c.obs[x].Event(trace.EvRedirected)
+		c.obs[x].Redirect(target)
+		c.obs[x].Phase("redirect", (c.Sim.Now() - rs.mark).ToSeconds())
 		// "Twice the estimated latency of the connection between the
 		// server and the client plus the time for a server to set up a
 		// connection."
@@ -190,7 +190,7 @@ func (c *Cluster) decide(rs *request, x int) {
 			if c.up[target] {
 				// The hop is measured where the redirected connection
 				// lands, matching the live redirect_hop cell.
-				c.nm[target].phase("redirect_hop", (c.Sim.Now() - hopFrom).ToSeconds())
+				c.obs[target].Phase("redirect_hop", (c.Sim.Now() - hopFrom).ToSeconds())
 			}
 			c.arrive(rs, target)
 		})
@@ -239,8 +239,8 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 	if c.inflight[y] >= c.cfg.Specs[y].AcceptQueue {
 		c.inflight[x]--
 		c.trace(rs, trace.EvRefused, y, "forward target full")
-		c.nm[y].event(trace.EvRefused)
-		c.nm[y].drop("refused")
+		c.obs[y].Event(trace.EvRefused)
+		c.obs[y].Drop("refused")
 		c.drop(rs, stats.DropRefused)
 		return
 	}
@@ -295,7 +295,7 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 			worker.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
 				c.net.InternalTransfer(y, x, chunk, func() {
 					proxy.CPUWork(model.ActFulfill, relayOpsPerByte*float64(chunk), func() {
-						c.nm[x].bytesOut += chunk
+						c.bytesOut[x] += chunk
 						if !rs.hasTTFB {
 							rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
 						}
@@ -333,7 +333,7 @@ func (c *Cluster) fulfill(rs *request, x int) {
 	node := c.nodes[x]
 	if !rs.found {
 		// 404: a small generated body, no disk involved.
-		c.nm[x].drop("not_found")
+		c.obs[x].Drop("not_found")
 		rs.mark = c.Sim.Now()
 		node.CPUWork(model.ActFulfill, rs.demand.BaseOps+float64(errorResponseBytes)*rs.demand.OpsPerByte, func() {
 			c.sendOnly(rs, x, errorResponseBytes)
@@ -344,7 +344,7 @@ func (c *Cluster) fulfill(rs *request, x int) {
 	rs.mark = c.Sim.Now()
 	if f.CGI {
 		c.trace(rs, trace.EvCGI, x, "")
-		c.nm[x].event(trace.EvCGI)
+		c.obs[x].Event(trace.EvCGI)
 		rs.fetchPhase = "cgi"
 		// CGI: fork + compute, then stream the generated result (no
 		// static file fetch).
@@ -375,7 +375,7 @@ func (c *Cluster) sendOnly(rs *request, x int, size int64) {
 		}
 		last := off+chunk >= size
 		node.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
-			c.nm[x].bytesOut += chunk
+			c.bytesOut[x] += chunk
 			if !rs.hasTTFB {
 				rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
 			}
@@ -428,12 +428,12 @@ func (c *Cluster) streamFile(rs *request, x int) {
 
 	if remote && !cachedHere {
 		c.trace(rs, trace.EvFetchNFS, x, fmt.Sprintf("source=%d", source))
-		c.nm[x].event(trace.EvFetchNFS)
-		c.nm[x].replicaFetch(f.Path, source)
+		c.obs[x].Event(trace.EvFetchNFS)
+		c.obs[x].ReplicaFetch(f.Path, source)
 		rs.fetchPhase = "fetch_nfs"
 	} else {
 		c.trace(rs, trace.EvFetchLocal, x, "")
-		c.nm[x].event(trace.EvFetchLocal)
+		c.obs[x].Event(trace.EvFetchLocal)
 		rs.fetchPhase = "fetch_local"
 	}
 	// fetch obtains one chunk into local memory, then calls then().
@@ -486,7 +486,7 @@ func (c *Cluster) streamFile(rs *request, x int) {
 				}
 			}
 			node.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
-				c.nm[x].bytesOut += chunk
+				c.bytesOut[x] += chunk
 				if !rs.hasTTFB {
 					rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
 				}
@@ -521,14 +521,18 @@ func (c *Cluster) finishServerSide(rs *request, x int, release func()) {
 	rs.ph.Transfer += served
 	rs.mark = c.Sim.Now()
 	c.trace(rs, trace.EvSent, x, "")
-	c.nm[x].event(trace.EvSent)
+	c.obs[x].Event(trace.EvSent)
 	if rs.fetchPhase != "" {
-		c.nm[x].phase(rs.fetchPhase, served)
+		c.obs[x].Phase(rs.fetchPhase, served)
 	}
 	if rs.hasPred {
 		// Actual t_s is the server-side portion of the lifecycle; the
-		// client-network drain the broker never modelled stays out.
-		c.nm[x].predictionTotal(rs.predicted, rs.ph.Preprocess+rs.ph.Analysis+rs.ph.Transfer)
+		// client-network drain the broker never modelled stays out. The
+		// simulated broker exposes only its target's total estimate, so
+		// the comparison is whole-t_s — the cells a live node fills when
+		// its policy lacks a full cost table.
+		cpu := rs.ph.Preprocess + rs.ph.Analysis
+		c.obs[x].Prediction(core.Decision{Estimate: rs.predicted}, cpu, rs.ph.Transfer, cpu+rs.ph.Transfer)
 	}
 	release()
 	c.inflight[x]--
@@ -542,26 +546,16 @@ func (c *Cluster) complete(rs *request) {
 	c.lastDone = c.Sim.Now()
 	if resp > c.cfg.ClientTimeout.ToSeconds() {
 		c.trace(rs, trace.EvTimedOut, rs.servedBy, "")
-		c.nm[rs.servedBy].drop("timeout")
-		c.flightComplete(rs, true)
+		c.obs[rs.servedBy].Drop("timeout")
+		c.observe(rs, rs.servedBy, 0, rs.file.Size, true)
 		c.res.RecordDrop(stats.DropTimeout)
 		return
 	}
 	c.trace(rs, trace.EvDelivered, rs.servedBy, "")
-	// Same exemplar rule as the live node: the trace id of the most recent
-	// traced success stays on the bucket it landed in, timestamped in
-	// virtual micros, so a burn-rate breach resolves to a flight record.
-	nowMicros := int64(c.Sim.Now().ToSeconds() * 1e6)
-	tid := c.traceIDOf(rs)
-	c.nm[rs.servedBy].response.ObserveExemplar(resp, tid, nowMicros)
-	if rs.hasTTFB {
-		c.nm[rs.servedBy].ttfb.ObserveExemplar((rs.ttfbAt - rs.issued).ToSeconds(), tid, nowMicros)
+	status, bytes := 200, rs.file.Size
+	if !rs.found {
+		status, bytes = 404, errorResponseBytes
 	}
-	c.flightComplete(rs, false)
-	// Heat counts fulfilled document serves only — the same event the
-	// live handler observes — so both substrates fill identical sketches.
-	if rs.found {
-		c.heatObserve(rs, resp)
-	}
+	c.observe(rs, rs.servedBy, status, bytes, true)
 	c.res.RecordSuccess(resp, rs.servedBy, rs.redirects > 0, rs.ph)
 }

@@ -405,3 +405,37 @@ func TestSWEBOutperformsRoundRobinOnHotSpot(t *testing.T) {
 		t.Fatalf("SWEB (%vs) must beat file locality (%vs) on the hot spot", sweb, fl)
 	}
 }
+
+// TestRoundRobinRecordsNoPrediction: round robin predicts nothing (its
+// estimate is 0), so every served flight record must say -1 — the same
+// "no prediction" rule a live node's records follow.
+func TestRoundRobinRecordsNoPrediction(t *testing.T) {
+	st, paths := smallStore(3, 6, 32<<10)
+	cfg := MeikoConfig(3, st)
+	cfg.Policy = PolicyRoundRobin
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := workload.Burst{RPS: 10, DurationSeconds: 3, Jitter: true}
+	arr, err := burst.Generate(workload.UniformPicker(paths), nil, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.RunSchedule(arr)
+	served := 0
+	for x := 0; x < cl.Nodes(); x++ {
+		for _, r := range cl.FlightDump(x).Records {
+			if r.Policy == "" {
+				continue
+			}
+			served++
+			if r.PredictedSeconds != -1 {
+				t.Errorf("node %d served %s with predicted_seconds %v, want -1", x, r.Path, r.PredictedSeconds)
+			}
+		}
+	}
+	if served == 0 {
+		t.Fatal("no served flight records")
+	}
+}

@@ -25,13 +25,8 @@ import (
 
 	"sweb/internal/metrics"
 	"sweb/internal/monitor"
+	"sweb/internal/nodeobs"
 )
-
-// ResponseFamily is the histogram family objectives are evaluated against.
-const ResponseFamily = "sweb_response_seconds"
-
-// dropsFamily counts refused/failed requests by cause.
-const dropsFamily = "sweb_drops_total"
 
 // clientCauses are drop causes attributable to the client's own request;
 // they consume no error budget.
@@ -164,20 +159,20 @@ func FromStore(st *monitor.Store, o Objective, node string, from, to float64) Co
 		sel["node"] = node
 	}
 	var drops, resp float64
-	for _, s := range st.Select(dropsFamily, sel) {
+	for _, s := range st.Select(nodeobs.Drops, sel) {
 		if clientCauses[s.Labels["cause"]] {
 			continue
 		}
 		drops += increase(s.Points, from, to)
 	}
-	for _, s := range st.Select(ResponseFamily+"_count", sel) {
+	for _, s := range st.Select(nodeobs.Response+"_count", sel) {
 		resp += increase(s.Points, from, to)
 	}
 	total := resp + drops
 	if !o.IsLatency() {
 		return Counts{Good: resp, Total: total}
 	}
-	good := storeCountAtOrBelow(st, ResponseFamily, sel, o.Threshold, from, to)
+	good := storeCountAtOrBelow(st, nodeobs.Response, sel, o.Threshold, from, to)
 	if good > total {
 		good = total
 	}
@@ -240,13 +235,13 @@ func FromSamples(samples []metrics.Sample, o Objective) Counts {
 	best := make(map[string]pick)
 	for _, s := range samples {
 		switch s.Name {
-		case dropsFamily:
+		case nodeobs.Drops:
 			if !clientCauses[s.Labels["cause"]] {
 				drops += s.Value
 			}
-		case ResponseFamily + "_count":
+		case nodeobs.Response + "_count":
 			resp += s.Value
-		case ResponseFamily + "_bucket":
+		case nodeobs.Response + "_bucket":
 			if !o.IsLatency() {
 				continue
 			}
@@ -258,7 +253,7 @@ func FromSamples(samples []metrics.Sample, o Objective) Counts {
 			if err != nil || le > o.Threshold {
 				continue
 			}
-			key := bucketGroupKey(ResponseFamily, s.Labels)
+			key := bucketGroupKey(nodeobs.Response, s.Labels)
 			if cur, seen := best[key]; !seen || le > cur.le {
 				best[key] = pick{le: le, v: s.Value}
 			}
