@@ -8,10 +8,7 @@
 // ties), which keeps the simulation deterministic even under heavy fan-out.
 package des
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulated instant or duration in microseconds.
 type Time int64
@@ -44,41 +41,12 @@ type Event struct {
 // At returns the instant the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
 // Simulator is a single-threaded discrete-event scheduler.
 // The zero value is ready to use, starting at time 0.
 type Simulator struct {
 	now     Time
 	seq     int64
-	events  eventHeap
+	events  []*Event // binary min-heap on (at, seq)
 	stopped bool
 	fired   int64
 }
@@ -98,12 +66,8 @@ func (s *Simulator) Pending() int { return len(s.events) }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a bug in the caller.
 func (s *Simulator) At(t Time, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
-	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.events, e)
+	e := &Event{index: -1}
+	s.rearm(e, t, fn)
 	return e
 }
 
@@ -118,9 +82,25 @@ func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
 		return
 	}
-	heap.Remove(&s.events, e.index)
-	e.index = -1
+	s.remove(e.index)
 	e.fn = nil
+}
+
+// rearm (re)schedules e to fire fn at t, as if it were cancelled and
+// scheduled afresh with At: it takes the next sequence number, so its tie
+// order against same-instant events is exactly that of a new event. e may
+// be pending in s, fired or cancelled; one never scheduled needs index -1.
+func (s *Simulator) rearm(e *Event, t Time, fn func()) {
+	if t < s.now {
+		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
+	}
+	e.at, e.seq, e.fn = t, s.seq, fn
+	s.seq++
+	if e.index < 0 {
+		s.push(e)
+	} else {
+		s.fix(e.index)
+	}
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -131,7 +111,8 @@ func (s *Simulator) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(*Event)
+	e := s.events[0]
+	s.remove(0)
 	s.now = e.at
 	fn := e.fn
 	e.fn = nil
@@ -166,4 +147,85 @@ func (s *Simulator) RunAll() Time {
 	for !s.stopped && s.Step() {
 	}
 	return s.now
+}
+
+// The event queue is a binary min-heap on (at, seq) over []*Event, each
+// event tracking its own index so Cancel and rearm reach it in O(log n).
+// Sequence numbers are unique, so the order is total and any correct heap
+// fires events in the same order.
+
+func (s *Simulator) less(i, j int) bool {
+	a, b := s.events[i], s.events[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (s *Simulator) swap(i, j int) {
+	h := s.events
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+
+// up moves the event at j towards the root until its parent is earlier.
+func (s *Simulator) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s.swap(i, j)
+		j = i
+	}
+}
+
+// down moves the event at i towards the leaves until both children are
+// later, and reports whether it moved.
+func (s *Simulator) down(i int) bool {
+	i0, n := i, len(s.events)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s.less(r, j) {
+			j = r
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (s *Simulator) push(e *Event) {
+	e.index = len(s.events)
+	s.events = append(s.events, e)
+	s.up(e.index)
+}
+
+// remove takes the event at index i out of the heap and marks it unqueued.
+func (s *Simulator) remove(i int) {
+	n := len(s.events) - 1
+	e := s.events[i]
+	if i != n {
+		s.swap(i, n)
+	}
+	s.events[n] = nil
+	s.events = s.events[:n]
+	if i != n {
+		s.fix(i)
+	}
+	e.index = -1
+}
+
+// fix restores the heap after the event at i changed its key.
+func (s *Simulator) fix(i int) {
+	if !s.down(i) {
+		s.up(i)
+	}
 }

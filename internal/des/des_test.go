@@ -270,23 +270,6 @@ func TestPSZeroWorkCompletesAsync(t *testing.T) {
 	}
 }
 
-func TestPSCancelJob(t *testing.T) {
-	sim := New()
-	r := NewPSResource(sim, "r", 1000)
-	fired := false
-	j := r.Submit(1000, func() { fired = true })
-	sim.At(100*Millisecond, func() { r.CancelJob(j) })
-	sim.RunAll()
-	if fired {
-		t.Fatal("cancelled job completed")
-	}
-	if r.Load() != 0 {
-		t.Fatalf("load = %d after cancel", r.Load())
-	}
-	r.CancelJob(j) // idempotent
-	r.CancelJob(nil)
-}
-
 func TestPSLoadCount(t *testing.T) {
 	sim := New()
 	r := NewPSResource(sim, "r", 1e6)

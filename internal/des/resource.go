@@ -5,14 +5,11 @@ import (
 	"math"
 )
 
-// Job is a unit of work submitted to a resource. The resource invokes Done
-// when the job's work has been fully served.
-type Job struct {
-	remaining float64 // work units left (ops, bytes, ...)
+// psJob is one active job: the work units it still needs and the callback
+// to run once they are served.
+type psJob struct {
+	remaining float64
 	done      func()
-	start     Time
-	seq       int64 // submission order, for deterministic completion ties
-	res       *PSResource
 }
 
 // PSResource is an egalitarian processor-sharing server: when n jobs are
@@ -23,22 +20,27 @@ type Job struct {
 // accordingly").
 //
 // The implementation advances all active jobs lazily at each submit/finish
-// event and keeps the next completion event scheduled. Cost is O(n) per
-// event, which is ample for the cluster sizes in the paper.
+// event and keeps the next completion event scheduled. Active jobs live in
+// a slice in submission order, so every pass over them (advancing, finding
+// the next completion, collecting finished jobs) is a linear walk in one
+// fixed order, and jobs finishing together complete in the order they were
+// submitted. Cost is O(n) per event, which is ample for the cluster sizes
+// in the paper.
 type PSResource struct {
 	sim  *Simulator
 	name string
 	rate float64 // work units per second when uncontended
 
-	jobs map[*Job]struct{}
-	last Time   // last time remaining-work was advanced
-	next *Event // pending completion event
+	jobs     []psJob  // active jobs, in submission order
+	last     Time     // last time remaining-work was advanced
+	due      Event    // the next completion, re-armed in place
+	finish   func()   // r.finishDue, bound once so re-arming allocates nothing
+	finished []func() // scratch: callbacks of the jobs finishing now
 
 	// Accounting for utilization/overhead reports (Table 5, Sec. 4.3).
 	busy      Time    // total time with >=1 active job
 	served    float64 // total work completed
 	completed int64
-	subSeq    int64 // next job sequence number
 	// background is phantom elastic load: a constant number of fictitious
 	// jobs that always compete for the resource (models "Ethernet shared
 	// by other UCSB machines"). May be fractional.
@@ -51,7 +53,10 @@ func NewPSResource(sim *Simulator, name string, rate float64) *PSResource {
 	if rate <= 0 {
 		panic(fmt.Sprintf("des: resource %q needs positive rate, got %g", name, rate))
 	}
-	return &PSResource{sim: sim, name: name, rate: rate, jobs: make(map[*Job]struct{}), last: sim.Now()}
+	r := &PSResource{sim: sim, name: name, rate: rate, last: sim.Now()}
+	r.due.index = -1
+	r.finish = r.finishDue
+	return r
 }
 
 // Name returns the resource's diagnostic name.
@@ -128,7 +133,8 @@ func (r *PSResource) advance() {
 	}
 	r.busy += elapsed
 	per := r.perJobRate() * elapsed.ToSeconds()
-	for j := range r.jobs {
+	for i := range r.jobs {
+		j := &r.jobs[i]
 		w := per
 		if j.remaining < w {
 			w = j.remaining
@@ -144,42 +150,22 @@ func (r *PSResource) advance() {
 // Submit enqueues work on the resource; done fires when it completes.
 // Zero or negative work completes after the next event dispatch (still
 // asynchronously, preserving event ordering).
-func (r *PSResource) Submit(work float64, done func()) *Job {
+func (r *PSResource) Submit(work float64, done func()) {
 	r.advance()
-	j := &Job{remaining: math.Max(work, 0), done: done, start: r.sim.Now(), seq: r.subSeq, res: r}
-	r.subSeq++
-	r.jobs[j] = struct{}{}
-	r.reschedule()
-	return j
-}
-
-// CancelJob removes a job without firing its completion callback.
-func (r *PSResource) CancelJob(j *Job) {
-	if j == nil || j.res != r {
-		return
-	}
-	if _, ok := r.jobs[j]; !ok {
-		return
-	}
-	r.advance()
-	delete(r.jobs, j)
-	j.done = nil
+	r.jobs = append(r.jobs, psJob{remaining: math.Max(work, 0), done: done})
 	r.reschedule()
 }
 
 // reschedule recomputes the next completion event.
 func (r *PSResource) reschedule() {
-	if r.next != nil {
-		r.sim.Cancel(r.next)
-		r.next = nil
-	}
 	if len(r.jobs) == 0 {
+		r.sim.Cancel(&r.due)
 		return
 	}
 	minRem := math.Inf(1)
-	for j := range r.jobs {
-		if j.remaining < minRem {
-			minRem = j.remaining
+	for i := range r.jobs {
+		if rem := r.jobs[i].remaining; rem < minRem {
+			minRem = rem
 		}
 	}
 	per := r.perJobRate()
@@ -193,34 +179,31 @@ func (r *PSResource) reschedule() {
 			dt = 1
 		}
 	}
-	r.next = r.sim.After(dt, r.finishDue)
+	r.sim.rearm(&r.due, r.sim.Now()+dt, r.finish)
 }
 
-// finishDue completes every job whose remaining work has reached zero.
+// finishDue completes every job whose remaining work has reached zero, in
+// submission order.
 func (r *PSResource) finishDue() {
-	r.next = nil
 	r.advance()
-	var finished []*Job
-	for j := range r.jobs {
+	done := r.finished[:0]
+	kept := r.jobs[:0]
+	for _, j := range r.jobs {
 		if j.remaining <= 1e-9 {
-			finished = append(finished, j)
+			done = append(done, j.done)
+			r.completed++
+		} else {
+			kept = append(kept, j)
 		}
 	}
-	// Deterministic completion order: map iteration order varies, so order
-	// finished jobs by submission sequence.
-	for i := 1; i < len(finished); i++ {
-		for k := i; k > 0 && finished[k].seq < finished[k-1].seq; k-- {
-			finished[k], finished[k-1] = finished[k-1], finished[k]
-		}
-	}
-	for _, j := range finished {
-		delete(r.jobs, j)
-		r.completed++
-	}
+	clear(r.jobs[len(kept):])
+	r.jobs = kept
 	r.reschedule()
-	for _, j := range finished {
-		if j.done != nil {
-			j.done()
+	for i, fn := range done {
+		done[i] = nil
+		if fn != nil {
+			fn()
 		}
 	}
+	r.finished = done[:0]
 }

@@ -293,7 +293,9 @@ func (c *Cluster) Submit(a workload.Arrival) {
 		c.reqSeq++
 		rs := &request{path: a.Path, domain: a.Domain, issued: c.Sim.Now(), id: c.reqSeq}
 		rs.tid = c.cfg.Trace.NewRequest()
-		c.trace(rs, trace.EvIssued, -1, "path="+a.Path)
+		if c.cfg.Trace.Enabled() {
+			c.trace(rs, trace.EvIssued, -1, "path="+a.Path)
+		}
 		c.trace(rs, trace.EvResolved, node, "")
 		if f, ok := c.cfg.Store.Lookup(a.Path); ok {
 			rs.file = f

@@ -134,7 +134,9 @@ func (c *Cluster) decide(rs *request, x int) {
 	if target < 0 || target >= len(c.nodes) {
 		target = x
 	}
-	c.trace(rs, trace.EvAnalyzed, x, fmt.Sprintf("target=%d", target))
+	if c.cfg.Trace.Enabled() {
+		c.trace(rs, trace.EvAnalyzed, x, fmt.Sprintf("target=%d", target))
+	}
 	c.obs[x].Event(trace.EvAnalyzed)
 	if target == x {
 		if !math.IsNaN(est) && !math.IsInf(est, 0) {
@@ -150,7 +152,9 @@ func (c *Cluster) decide(rs *request, x int) {
 		// response. The client keeps one connection; the cluster pays
 		// double handling (the cost the paper avoided with redirection).
 		c.tables[x].Bump(target)
-		c.trace(rs, trace.EvForwarded, x, fmt.Sprintf("to=%d", target))
+		if c.cfg.Trace.Enabled() {
+			c.trace(rs, trace.EvForwarded, x, fmt.Sprintf("to=%d", target))
+		}
 		c.obs[x].Event(trace.EvForwarded)
 		rs.mark = c.Sim.Now()
 		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
@@ -172,7 +176,9 @@ func (c *Cluster) decide(rs *request, x int) {
 	// decision does not dogpile it, charge the 302 generation, then the
 	// client follows the Location header to the new node.
 	c.tables[x].Bump(target)
-	c.trace(rs, trace.EvRedirected, x, fmt.Sprintf("to=%d", target))
+	if c.cfg.Trace.Enabled() {
+		c.trace(rs, trace.EvRedirected, x, fmt.Sprintf("to=%d", target))
+	}
 	rs.mark = c.Sim.Now()
 	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
 		c.inflight[x]--
@@ -427,7 +433,9 @@ func (c *Cluster) streamFile(rs *request, x int) {
 	}
 
 	if remote && !cachedHere {
-		c.trace(rs, trace.EvFetchNFS, x, fmt.Sprintf("source=%d", source))
+		if c.cfg.Trace.Enabled() {
+			c.trace(rs, trace.EvFetchNFS, x, fmt.Sprintf("source=%d", source))
+		}
 		c.obs[x].Event(trace.EvFetchNFS)
 		c.obs[x].ReplicaFetch(f.Path, source)
 		rs.fetchPhase = "fetch_nfs"
