@@ -26,9 +26,11 @@ import (
 //     not allowed to be redirected more than once"); URL redirection has to
 //     carry this in the URL because a 302 cannot set request headers;
 //   - the "swebt" query parameter carries the trace context the same way:
-//     "<trace-id>" or "<trace-id>:<unix-micros>", the timestamp stamped at
-//     the moment the 302 left the redirecting node so the target can
-//     measure t_redirection on the wall clock, without sharing an epoch;
+//     "<trace-id>:<unix-micros>", the timestamp stamped at the moment the
+//     302 left the redirecting node so the target can measure
+//     t_redirection on the wall clock, without sharing an epoch. Every 302
+//     carries it; the id is empty when the request is untraced, and a
+//     client may send a bare "<trace-id>";
 //   - the X-SWEB-Internal header marks a node-to-node fetch (the NFS
 //     stand-in), which must be served directly, never re-scheduled;
 //   - the X-SWEB-Trace header joins an internal fetch to the originating
@@ -448,8 +450,7 @@ func (s *Server) confirmTarget(dec core.Decision) int {
 // the swebt trace context, so `GET /doc?x=1` arrives at the target node
 // still carrying `x=1`. The decoded path is re-escaped into wire form — a
 // document name with a space or '%' must not produce a malformed Location.
-// traceCtx is the rendered swebt value ("" omits the parameter: tracing is
-// off and no upstream context arrived).
+// traceCtx is the rendered swebt value ("" omits the parameter).
 func redirectLocation(httpAddr, path, query string, redirects int, traceCtx string) string {
 	var b strings.Builder
 	b.WriteString("http://")
@@ -473,20 +474,19 @@ func redirectLocation(httpAddr, path, query string, redirects int, traceCtx stri
 	return b.String()
 }
 
-// formatTraceContext renders the swebt value: the trace id plus the
-// moment the 302 goes out (Unix microseconds). Empty id renders empty —
-// nothing to propagate.
+// formatTraceContext renders the swebt value: the trace id, empty when
+// the request is untraced, plus the moment the 302 goes out (Unix
+// microseconds). The timestamp rides on every redirect, so every target
+// measures t_redirection, traced or not.
 func formatTraceContext(id trace.TraceID, sentUnixMicros int64) string {
-	if id == "" {
-		return ""
-	}
 	if sentUnixMicros <= 0 {
 		return string(id)
 	}
-	return fmt.Sprintf("%s:%d", id, sentUnixMicros)
+	return string(id) + ":" + strconv.FormatInt(sentUnixMicros, 10)
 }
 
-// parseTraceContext extracts the swebt trace context from a query string.
+// parseTraceContext extracts the swebt trace context from a query string:
+// the first swebt value carrying a trace id, a send time, or both.
 func parseTraceContext(query string) (id trace.TraceID, sentUnixMicros int64, ok bool) {
 	for kv, rest := "", query; rest != ""; {
 		kv, rest, _ = strings.Cut(rest, "&")
@@ -494,16 +494,15 @@ func parseTraceContext(query string) (id trace.TraceID, sentUnixMicros int64, ok
 		if !has {
 			continue
 		}
-		idPart, tsPart, hasTS := strings.Cut(v, ":")
-		if idPart == "" {
+		idPart, tsPart, _ := strings.Cut(v, ":")
+		n, err := strconv.ParseInt(tsPart, 10, 64)
+		if err != nil || n <= 0 {
+			n = 0
+		}
+		if idPart == "" && n == 0 {
 			continue
 		}
-		if hasTS {
-			if n, err := strconv.ParseInt(tsPart, 10, 64); err == nil && n > 0 {
-				sentUnixMicros = n
-			}
-		}
-		return trace.TraceID(idPart), sentUnixMicros, true
+		return trace.TraceID(idPart), n, true
 	}
 	return "", 0, false
 }

@@ -138,16 +138,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden 
 // broadcast landed mid-test is the scheduler's business, not this test's.
 func seriesKeys(t *testing.T, srv *Server) []string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := srv.Registry().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := metrics.ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var keys []string
-	for _, s := range samples {
+	for _, s := range scrape(t, srv) {
 		switch {
 		case strings.HasPrefix(s.Name, mGossipInterval), strings.HasPrefix(s.Name, mGossipDrift):
 			continue

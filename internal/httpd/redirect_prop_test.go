@@ -43,24 +43,21 @@ func randQuery(rng *rand.Rand) (query string, ordinary []string) {
 
 // TestRedirectLocationProperty: for random queries, hop counts, and trace
 // contexts, redirectLocation must preserve every ordinary parameter in
-// order, carry exactly one swebr and (when tracing) one swebt, and both
-// must round-trip through parseRedirectCount / parseTraceContext
-// uncorrupted — including across a second hop fed its own output.
+// order, carry exactly one swebr and one swebt — every redirect stamps its
+// send time, traced or not, replacing any stale stamp — and both must
+// round-trip through parseRedirectCount / parseTraceContext uncorrupted,
+// including across a second hop fed its own output.
 func TestRedirectLocationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		query, ordinary := randQuery(rng)
 		redirects := rng.Intn(3)
-		var tctx string
-		wantID := trace.TraceID("")
-		wantMicros := int64(0)
+		wantID := trace.TraceID("") // untraced
 		if rng.Intn(4) > 0 {
 			wantID = trace.TraceID(fmt.Sprintf("t%08x", rng.Uint32()))
-			if rng.Intn(2) == 0 {
-				wantMicros = 1 + rng.Int63n(1e15)
-			}
-			tctx = formatTraceContext(wantID, wantMicros)
 		}
+		wantMicros := 1 + rng.Int63n(1e15)
+		tctx := formatTraceContext(wantID, wantMicros)
 
 		loc := redirectLocation("peer:80", "/doc", query, redirects, tctx)
 		rest, ok := strings.CutPrefix(loc, "http://peer:80/doc?")
@@ -71,10 +68,7 @@ func TestRedirectLocationProperty(t *testing.T) {
 
 		// Second hop: the target node rebuilds the URL from the query it
 		// received; the counter bumps again, the context is re-stamped.
-		micros2 := int64(0)
-		if wantID != "" {
-			micros2 = 1 + rng.Int63n(1e15)
-		}
+		micros2 := 1 + rng.Int63n(1e15)
 		loc2 := redirectLocation("other:81", "/doc", rest, parseRedirectCount(rest),
 			formatTraceContext(wantID, micros2))
 		rest2, ok := strings.CutPrefix(loc2, "http://other:81/doc?")
@@ -82,6 +76,32 @@ func TestRedirectLocationProperty(t *testing.T) {
 			t.Fatalf("case %d: malformed second-hop location %q", i, loc2)
 		}
 		checkThreading(t, i, rest2, ordinary, redirects+2, wantID, micros2)
+	}
+}
+
+// TestParseTraceContext: a swebt value carries a trace id, a send time, or
+// both; one with neither is skipped.
+func TestParseTraceContext(t *testing.T) {
+	cases := []struct {
+		query  string
+		id     trace.TraceID
+		micros int64
+		ok     bool
+	}{
+		{"swebt=cafe", "cafe", 0, true},      // a client's bare trace id
+		{"swebt=cafe:17", "cafe", 17, true},  // a traced 302
+		{"x=1&swebt=:17", "", 17, true},      // an untraced 302
+		{"swebt=cafe:junk", "cafe", 0, true}, // a bad stamp keeps the id
+		{"swebt=:-3&swebt=:0", "", 0, false}, // nothing usable
+		{"swebt=&swebt=:x&swebt=b:9", "b", 9, true},
+		{"swebr=1", "", 0, false},
+	}
+	for _, c := range cases {
+		id, micros, ok := parseTraceContext(c.query)
+		if id != c.id || micros != c.micros || ok != c.ok {
+			t.Errorf("parseTraceContext(%q) = (%q, %d, %v), want (%q, %d, %v)",
+				c.query, id, micros, ok, c.id, c.micros, c.ok)
+		}
 	}
 }
 
@@ -186,12 +206,6 @@ func checkThreading(t *testing.T, i int, query string, ordinary []string,
 	}
 	if got := parseRedirectCount(query); got != wantRedirects {
 		t.Fatalf("case %d: redirect count %d, want %d (query %q)", i, got, wantRedirects, query)
-	}
-	if wantID == "" {
-		if swebt != 0 {
-			t.Fatalf("case %d: untraced redirect still carries swebt: %q", i, query)
-		}
-		return
 	}
 	if swebt != 1 {
 		t.Fatalf("case %d: %d swebt params in %q, want exactly 1", i, swebt, query)

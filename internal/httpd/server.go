@@ -11,6 +11,7 @@ package httpd
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -112,7 +113,8 @@ type Config struct {
 	// dial and the returned duration slept — fault injection for tests.
 	DialDelay func() time.Duration
 	// DropBroadcast, when non-nil, reports whether to drop an outgoing
-	// loadd datagram — fault injection for tests.
+	// loadd datagram, a periodic broadcast or a join reply — fault
+	// injection for tests. It may be called from two goroutines at once.
 	DropBroadcast func() bool
 
 	// Capabilities advertised in load broadcasts. Defaults describe the
@@ -272,6 +274,9 @@ type Server struct {
 	udp   *net.UDPConn
 	table *loadd.Table
 	epoch time.Time
+	// incarnation names this run of the node in its load samples, so peers
+	// tell a restart from a reordered datagram.
+	incarnation uint64
 
 	// cache is the hot-file memory cache; nil when Config.CacheOff.
 	cache *cache.Cache
@@ -370,6 +375,8 @@ func New(cfg Config) (*Server, error) {
 		audit:      newAuditLog(auditCap),
 		conns:      make(map[net.Conn]*connInfo),
 		ups:        newUpstreamPool(0),
+		// Odd, so never zero: zero is the "unknown" incarnation.
+		incarnation: rand.Uint64() | 1,
 	}
 	if !cfg.CacheOff {
 		s.cache = cache.New(cfg.CacheBytes)
@@ -603,6 +610,7 @@ func (s *Server) sample() loadd.Sample {
 		DiskBytesPerSec: s.cfg.DiskBytesPerSec,
 		NetBytesPerSec:  s.cfg.NetBytesPerSec,
 		SentAt:          s.nowSec(),
+		Incarnation:     s.incarnation,
 	}
 }
 
@@ -639,17 +647,28 @@ func (s *Server) broadcastOnce() {
 		s.gossipDrift("net", smp.NetLoad-s.lastAdvertised.NetLoad)
 	}
 	s.lastAdvertised, s.haveLastAdvertised = smp, true
+	s.peersMu.RLock()
+	to := make([]Peer, 0, len(s.peers))
+	for id, p := range s.peers {
+		if id != s.cfg.ID {
+			to = append(to, p)
+		}
+	}
+	s.peersMu.RUnlock()
+	s.gossip(smp, to...)
+}
+
+// gossip encodes smp once and unicasts it to each peer in to. It is the one
+// send path of both the periodic broadcast and the join reply: every
+// datagram passes the injected loss, and each one the socket takes counts
+// as a broadcast.
+func (s *Server) gossip(smp loadd.Sample, to ...Peer) {
 	var buf [loadd.MaxWireSize]byte
 	n, err := loadd.EncodeSample(buf[:], smp)
 	if err != nil {
 		return
 	}
-	s.peersMu.RLock()
-	defer s.peersMu.RUnlock()
-	for id, p := range s.peers {
-		if id == s.cfg.ID {
-			continue
-		}
+	for _, p := range to {
 		if drop := s.cfg.DropBroadcast; drop != nil && drop() {
 			continue // injected gossip loss
 		}
@@ -663,7 +682,12 @@ func (s *Server) broadcastOnce() {
 	}
 }
 
-// listenLoop ingests peer broadcasts.
+// listenLoop ingests peer broadcasts. A sample that joins its sender — first
+// contact, silence past the timeout, or a restart — is answered at once
+// with this node's own sample, so the newcomer can schedule onto this node
+// one round trip after it starts instead of one gossip period. Only
+// configured peers get a reply, at their configured address: a forged
+// datagram cannot aim one anywhere else.
 func (s *Server) listenLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, loadd.MaxWireSize)
@@ -694,12 +718,19 @@ func (s *Server) listenLoop() {
 		}
 		now := s.nowSec()
 		prevAge := s.table.Age(smp.Node, now)
-		if s.table.Update(smp, now) == nil {
-			s.samplesHeard.Add(1)
-			if prevAge >= 0 {
-				// Gap between consecutive receptions from this peer — the
-				// distribution the staleness gauge samples from.
-				s.gossipInterval(smp.Node, prevAge)
+		joined, err := s.table.Receive(smp, now)
+		if err != nil {
+			continue
+		}
+		s.samplesHeard.Add(1)
+		if prevAge >= 0 {
+			// Gap between consecutive receptions from this peer — the
+			// distribution the staleness gauge samples from.
+			s.gossipInterval(smp.Node, prevAge)
+		}
+		if joined {
+			if p, ok := s.peerByID(smp.Node); ok {
+				s.gossip(s.sample(), p)
 			}
 		}
 	}

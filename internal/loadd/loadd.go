@@ -13,6 +13,7 @@ package loadd
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -35,6 +36,12 @@ type Sample struct {
 	// SentAt is the sender's timestamp in seconds.
 	SentAt float64
 
+	// Incarnation names one run of the sending process, drawn at random
+	// when it starts. A restarted node's clock starts over, so SentAt
+	// orders samples only within one incarnation. Zero means unknown (the
+	// simulator's samples) and never marks a restart.
+	Incarnation uint64
+
 	// CacheHints lists the sender's hottest cached document paths —
 	// the cooperative-caching digest (the authors' follow-up work:
 	// peers that know a document is hot in a remote memory can route
@@ -42,12 +49,15 @@ type Sample struct {
 	CacheHints []string
 }
 
-// Validate reports obviously corrupt samples (negative loads or rates),
-// which the live UDP listener drops rather than poisoning the table.
+// Validate reports obviously corrupt samples (non-finite numbers, negative
+// loads or rates), which the live UDP listener drops rather than poisoning
+// the table: one +Inf rate would price every request at that peer as free.
 func (s Sample) Validate() error {
 	switch {
 	case s.Node < 0:
 		return fmt.Errorf("loadd: negative node id %d", s.Node)
+	case !finite(s.CPULoad, s.DiskLoad, s.NetLoad, s.CPUOpsPerSec, s.DiskBytesPerSec, s.NetBytesPerSec, s.SentAt):
+		return fmt.Errorf("loadd: node %d: non-finite load, rate or timestamp", s.Node)
 	case s.CPULoad < 0 || s.DiskLoad < 0 || s.NetLoad < 0:
 		return fmt.Errorf("loadd: node %d: negative load", s.Node)
 	case s.CPUOpsPerSec <= 0 || s.DiskBytesPerSec <= 0 || s.NetBytesPerSec <= 0:
@@ -61,6 +71,16 @@ func (s Sample) Validate() error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether no v is NaN or ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Limits on the cooperative-caching digest, bounding datagram size.
@@ -148,8 +168,17 @@ func (t *Table) Self() int { return t.self }
 // clears any accumulated redirect bumps for that peer. Invalid samples are
 // ignored and reported.
 func (t *Table) Update(s Sample, now float64) error {
+	_, err := t.Receive(s, now)
+	return err
+}
+
+// Receive is Update that also reports whether s joined its sender to this
+// node's view of the pool: it is the first sample from that node, the
+// first after its entry went silent past the timeout, or the first from a
+// new incarnation of it. A sample dropped as out of order never joins.
+func (t *Table) Receive(s Sample, now float64) (joined bool, err error) {
 	if err := s.Validate(); err != nil {
-		return err
+		return false, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -158,10 +187,14 @@ func (t *Table) Update(s Sample, now float64) error {
 		e = &entry{}
 		t.entries[s.Node] = e
 	}
-	// Out-of-order datagrams: keep the newest sender timestamp.
-	if e.haveSample && s.SentAt < e.sample.SentAt {
-		return nil
+	restarted := e.haveSample && s.Incarnation != 0 && e.sample.Incarnation != 0 &&
+		s.Incarnation != e.sample.Incarnation
+	// Out-of-order datagrams: keep the newest sender timestamp. A restarted
+	// sender's clock starts over, so the check holds within one incarnation.
+	if e.haveSample && !restarted && s.SentAt < e.sample.SentAt {
+		return false, nil
 	}
+	joined = !e.haveSample || now-e.receivedAt > t.timeout || restarted
 	e.sample = s
 	e.receivedAt = now
 	e.haveSample = true
@@ -176,7 +209,7 @@ func (t *Table) Update(s Sample, now float64) error {
 	if len(e.history) > HistoryCap {
 		e.history = e.history[len(e.history)-HistoryCap:]
 	}
-	return nil
+	return joined, nil
 }
 
 // Age returns the seconds since node's last broadcast as of now, or -1

@@ -1,6 +1,7 @@
 package loadd
 
 import (
+	"encoding/binary"
 	"math"
 	"sync"
 	"testing"
@@ -87,6 +88,78 @@ func TestTableOutOfOrderSamplesIgnored(t *testing.T) {
 	_ = tb.Update(sample(1, 99, 0, 0, 4), 10.1) // older SentAt
 	if got := tb.Snapshot(2, 10.2)[1].CPULoad; got != 5 {
 		t.Fatalf("stale datagram overwrote table: cpu=%v", got)
+	}
+}
+
+// TestTableRestartIsANewIncarnation: a restarted sender's clock starts
+// over. Its first sample carries an older SentAt than the last one heard
+// from its previous run, and must still be accepted; within the new run,
+// reordered datagrams are dropped as before.
+func TestTableRestartIsANewIncarnation(t *testing.T) {
+	tb := NewTable(0, 8, 0.3)
+	old := sample(1, 5, 0, 0, 3600)
+	old.Incarnation = 7
+	if joined, err := tb.Receive(old, 100); err != nil || !joined {
+		t.Fatalf("first contact: joined=%v err=%v", joined, err)
+	}
+	restarted := sample(1, 1, 0, 0, 0.01)
+	restarted.Incarnation = 9
+	if joined, err := tb.Receive(restarted, 101); err != nil || !joined {
+		t.Fatalf("restart: joined=%v err=%v", joined, err)
+	}
+	if got, _ := tb.Advertised(1); got.Incarnation != 9 || got.SentAt != 0.01 {
+		t.Fatalf("restarted sample not recorded: %+v", got)
+	}
+	if !tb.Available(1, 101.5) {
+		t.Fatal("restarted peer unavailable")
+	}
+	reordered := sample(1, 99, 0, 0, 0.005)
+	reordered.Incarnation = 9
+	if joined, err := tb.Receive(reordered, 101.6); err != nil || joined {
+		t.Fatalf("reordered: joined=%v err=%v", joined, err)
+	}
+	if got, _ := tb.Advertised(1); got.CPULoad != 1 {
+		t.Fatalf("reordered datagram of one incarnation overwrote the table: %+v", got)
+	}
+}
+
+// TestTableUnknownIncarnationNeverRestarts: incarnation 0 (the simulator,
+// literals) keeps the plain newest-SentAt rule against any incarnation.
+func TestTableUnknownIncarnationNeverRestarts(t *testing.T) {
+	for _, c := range []struct{ had, got uint64 }{{0, 0}, {0, 5}, {5, 0}} {
+		tb := NewTable(0, 8, 0.3)
+		a := sample(1, 5, 0, 0, 10)
+		a.Incarnation = c.had
+		_ = tb.Update(a, 10)
+		b := sample(1, 99, 0, 0, 4)
+		b.Incarnation = c.got
+		if joined, err := tb.Receive(b, 10.1); err != nil || joined {
+			t.Fatalf("%v: joined=%v err=%v", c, joined, err)
+		}
+		if got, _ := tb.Advertised(1); got.CPULoad != 5 {
+			t.Fatalf("%v: older sample accepted: %+v", c, got)
+		}
+	}
+}
+
+// TestTableReceiveJoins: a sample joins its sender on first contact and
+// after silence past the timeout; a steady stream does not.
+func TestTableReceiveJoins(t *testing.T) {
+	tb := NewTable(0, 8, 0.3)
+	tb.MarkFailure(1) // an entry without a sample is not a member yet
+	for _, c := range []struct {
+		sentAt, now float64
+		want        bool
+	}{
+		{0, 0, true},      // first contact
+		{2.5, 2.5, false}, // steady gossip
+		{5, 10.5, false},  // 8 s since the last one: not yet stale
+		{20, 19, true},    // 8.5 s of silence
+	} {
+		joined, err := tb.Receive(sample(1, 0, 0, 0, c.sentAt), c.now)
+		if err != nil || joined != c.want {
+			t.Fatalf("sample at %v heard at %v: joined=%v err=%v, want %v", c.sentAt, c.now, joined, err, c.want)
+		}
 	}
 }
 
@@ -192,7 +265,8 @@ func samplesEqual(a, b Sample) bool {
 	if a.Node != b.Node || a.CPULoad != b.CPULoad || a.DiskLoad != b.DiskLoad ||
 		a.NetLoad != b.NetLoad || a.CPUOpsPerSec != b.CPUOpsPerSec ||
 		a.DiskBytesPerSec != b.DiskBytesPerSec || a.NetBytesPerSec != b.NetBytesPerSec ||
-		a.SentAt != b.SentAt || len(a.CacheHints) != len(b.CacheHints) {
+		a.SentAt != b.SentAt || a.Incarnation != b.Incarnation ||
+		len(a.CacheHints) != len(b.CacheHints) {
 		return false
 	}
 	for i := range a.CacheHints {
@@ -205,6 +279,7 @@ func samplesEqual(a, b Sample) bool {
 
 func TestWireRoundTrip(t *testing.T) {
 	s := sample(3, 1.5, 2.25, 0.125, 42.5)
+	s.Incarnation = 0xfedcba9876543211
 	var buf [MaxWireSize]byte
 	n, err := EncodeSample(buf[:], s)
 	if err != nil || n != EncodedSize(s) {
@@ -306,14 +381,15 @@ func TestWireDecodeErrors(t *testing.T) {
 
 // Property: encode/decode round-trips any valid sample.
 func TestWireRoundTripProperty(t *testing.T) {
-	f := func(node uint16, cpu, disk, net uint16, sentAt int32) bool {
+	f := func(node uint16, cpu, disk, net uint16, sentAt int32, inc uint64) bool {
 		s := Sample{
 			Node:         int(node),
 			CPULoad:      float64(cpu) / 16,
 			DiskLoad:     float64(disk) / 16,
 			NetLoad:      float64(net) / 16,
 			CPUOpsPerSec: 40e6, DiskBytesPerSec: 5e6, NetBytesPerSec: 4.5e6,
-			SentAt: float64(sentAt),
+			SentAt:      float64(sentAt),
+			Incarnation: inc,
 		}
 		var buf [MaxWireSize]byte
 		n, err := EncodeSample(buf[:], s)
@@ -345,6 +421,44 @@ func TestCachedAt(t *testing.T) {
 	// Stale digests are ignored.
 	if tb.CachedAt(1, "/hot.dat", 100) {
 		t.Fatal("stale digest honored")
+	}
+}
+
+// TestNonFiniteSamplesRejected: NaN and ±Inf pass every < 0 and <= 0
+// test, and a +Inf rate prices every request at that peer as free. Neither
+// the codec nor the table may accept one.
+func TestNonFiniteSamplesRejected(t *testing.T) {
+	fields := []func(*Sample) *float64{
+		func(s *Sample) *float64 { return &s.CPULoad },
+		func(s *Sample) *float64 { return &s.DiskLoad },
+		func(s *Sample) *float64 { return &s.NetLoad },
+		func(s *Sample) *float64 { return &s.CPUOpsPerSec },
+		func(s *Sample) *float64 { return &s.DiskBytesPerSec },
+		func(s *Sample) *float64 { return &s.NetBytesPerSec },
+		func(s *Sample) *float64 { return &s.SentAt },
+	}
+	for i, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := sample(1, 1, 1, 1, 1)
+			*field(&s) = v
+			if err := s.Validate(); err == nil {
+				t.Errorf("field %d = %v: Validate accepted", i, v)
+			}
+			tb := NewTable(0, 8, 0.3)
+			if err := tb.Update(s, 1); err == nil || tb.Available(1, 1) {
+				t.Errorf("field %d = %v: table accepted", i, v)
+			}
+			// The same value patched into a valid datagram's bytes.
+			var buf [MaxWireSize]byte
+			n, err := EncodeSample(buf[:], sample(1, 1, 1, 1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint64(buf[8+8*i:], math.Float64bits(v))
+			if got, err := DecodeSample(buf[:n]); err == nil {
+				t.Errorf("field %d = %v: decoded %+v", i, v, got)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 	"math"
 )
 
-// Wire format for live-cluster UDP broadcasts: a fixed 64-byte datagram.
+// Wire format for live-cluster UDP broadcasts, version 3: a fixed 72-byte
+// header followed by the cache-hint digest.
 //
 //	offset  field
 //	0       magic "SWLD"
@@ -14,6 +15,8 @@ import (
 //	6       node id (uint16)
 //	8..56   six float64 fields (cpu, disk, net loads; cpu, disk, net rates)
 //	56      sentAt seconds (float64)
+//	64      incarnation (uint64; new in version 3)
+//	72      hint count (uint16), then per hint a uint16 length and its bytes
 //
 // All integers and float bit patterns are big-endian. A fixed binary layout
 // keeps the daemon allocation-free on the receive path and rejects foreign
@@ -21,9 +24,9 @@ import (
 
 const (
 	wireMagic   = "SWLD"
-	wireVersion = 2
+	wireVersion = 3
 	// WireSize is the fixed header length; hint bytes follow it.
-	WireSize = 64
+	WireSize = 72
 	// MaxWireSize bounds a full datagram including the hint digest.
 	MaxWireSize = WireSize + 2 + MaxCacheHints*(2+MaxHintLen)
 )
@@ -56,6 +59,7 @@ func EncodeSample(buf []byte, s Sample) (int, error) {
 	for i, f := range fields {
 		binary.BigEndian.PutUint64(buf[8+8*i:16+8*i], math.Float64bits(f))
 	}
+	binary.BigEndian.PutUint64(buf[64:72], s.Incarnation)
 	// Hint digest: uint16 count, then per hint uint16 length + bytes.
 	off := WireSize
 	need := EncodedSize(s)
@@ -93,6 +97,7 @@ func DecodeSample(buf []byte) (Sample, error) {
 	s.CPULoad, s.DiskLoad, s.NetLoad = fields[0], fields[1], fields[2]
 	s.CPUOpsPerSec, s.DiskBytesPerSec, s.NetBytesPerSec = fields[3], fields[4], fields[5]
 	s.SentAt = fields[6]
+	s.Incarnation = binary.BigEndian.Uint64(buf[64:72])
 	// Hint digest.
 	off := WireSize
 	if len(buf) < off+2 {
