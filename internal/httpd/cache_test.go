@@ -14,8 +14,9 @@ import (
 	"sweb/internal/metrics"
 )
 
-// getWith is get with request headers, returning the full response.
-func getWith(t *testing.T, addr, path string, hdr map[string]string) *httpmsg.Response {
+// getWith is get with request headers, returning the full response. A
+// "?query" suffix on target is sent as the request's query string.
+func getWith(t *testing.T, addr, target string, hdr map[string]string) *httpmsg.Response {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -23,7 +24,8 @@ func getWith(t *testing.T, addr, path string, hdr map[string]string) *httpmsg.Re
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	req := &httpmsg.Request{Method: "GET", Path: path, Header: httpmsg.Header{}}
+	path, query, _ := strings.Cut(target, "?")
+	req := &httpmsg.Request{Method: "GET", Path: path, Query: query, Header: httpmsg.Header{}}
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}

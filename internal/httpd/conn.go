@@ -2,7 +2,9 @@ package httpd
 
 import (
 	"bufio"
+	"io"
 	"net"
+	"os"
 	"time"
 
 	"sweb/internal/flight"
@@ -14,8 +16,8 @@ import (
 // can measure time-to-first-byte and per-response byte counts without the
 // fulfillment paths knowing: the instant the first byte of a response
 // reaches the wire is recorded regardless of which path (simple, stream,
-// chunked) produced it. Only the handler goroutine writes, so the fields
-// need no lock.
+// chunked, sendfile) produced it. Only the handler goroutine writes, so the
+// fields need no lock.
 type writeMeter struct {
 	net.Conn
 	firstWrite time.Time
@@ -29,6 +31,27 @@ func (w *writeMeter) Write(p []byte) (int, error) {
 	n, err := w.Conn.Write(p)
 	w.written += int64(n)
 	return n, err
+}
+
+// sendFile writes the next n bytes of f to the connection, counted and
+// stamped like Write. A socket with its own io.ReaderFrom (*net.TCPConn)
+// takes them by sendfile(2), straight from the page cache with no copy
+// through user space; any other connection gets them through the pooled
+// copy buffer. A file shorter than n is io.EOF, as with CopyBodyN.
+func (w *writeMeter) sendFile(f *os.File, n int64) (int64, error) {
+	rf, ok := w.Conn.(io.ReaderFrom)
+	if !ok {
+		return httpmsg.CopyBodyN(w, f, n)
+	}
+	if w.firstWrite.IsZero() && n > 0 {
+		w.firstWrite = time.Now()
+	}
+	sent, err := rf.ReadFrom(io.LimitReader(f, n))
+	w.written += sent
+	if err == nil && sent < n {
+		err = io.EOF
+	}
+	return sent, err
 }
 
 // reset arms the meter for the next request on the connection.

@@ -278,14 +278,22 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 	// Internal fetches bypass scheduling entirely: we are the NFS server.
 	// When the fetching node sent a trace header, the disk read joins the
 	// originating request's span; otherwise it stays trace-invisible as
-	// the tail of the fetcher's own fetch-nfs phase.
+	// the tail of the fetcher's own fetch-nfs phase. Like an NFS server, a
+	// document bigger than the write buffer is answered from the OS page
+	// cache — sendfile, no hot-cache copy — and leaves the hot cache to
+	// the foreign documents this node's own clients ask for. A smaller one
+	// takes the cache fill, so it still leaves with its header in one write.
 	if internal {
 		s.internalFetch.Add(1)
 		if id := trace.TraceID(req.Header.Get(traceHeader)); id != "" && traced {
 			jid, _ := rec.Begin(id)
 			rec.Record(jid, s.sinceEpoch(time.Now()), trace.EvFetchLocal, s.cfg.ID, "internal=1")
 		}
-		s.serveLocalFile(rc, req, file)
+		if file.Size > int64(rc.bw.Size()) {
+			s.streamLocalFile(rc, req)
+		} else {
+			s.serveLocalFile(rc, req, file)
+		}
 		return false
 	}
 
@@ -611,9 +619,11 @@ func (s *Server) localPath(urlPath string) string {
 // serveLocalFile serves a document this node owns and returns the status
 // written (0 when the write itself failed). Cacheable documents go through
 // the hot-file cache with singleflight fill — one disk read per document
-// no matter how many handlers want it at once, and the owner side of an
-// internal fetch populates the cache too, exactly as the simulator's NFS
-// server inserts on a remote read. The cache lookup here is quiet (no
+// no matter how many handlers want it at once. The owner side of an
+// internal fetch comes here only for a document that fits the write
+// buffer; a larger one streams from the page cache instead (lifecycle),
+// which is where the simulator's NFS server answers from and what its
+// owner-side Insert stands for. The cache lookup here is quiet (no
 // hit/miss accounting): the client-facing counted lookup already ran in
 // handle, and internal fetches mirror the simulator's stat-free Peek.
 func (s *Server) serveLocalFile(rc *reqConn, req *httpmsg.Request, file storage.File) int {
@@ -703,7 +713,8 @@ func (s *Server) writeEntry(rc *reqConn, req *httpmsg.Request, ent cache.Entry) 
 }
 
 // streamLocalFile streams a document from the node's own disk, bypassing
-// the cache (cache off, or the file exceeds the whole cache capacity).
+// the cache (cache off, the file exceeds the whole cache capacity, or a
+// peer's internal fetch of a document larger than the write buffer).
 // diskActive is held for the whole transfer — the disk is read as the body
 // streams, so releasing the counter at open time would hide disk pressure
 // from the scheduler exactly while the disk is busiest.
@@ -739,8 +750,9 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
 		return httpmsg.StatusNotModified
 	}
-	// The body streams straight from the open *os.File through a pooled
-	// copy buffer — the document is never materialized in one allocation.
+	// The body streams straight from the open *os.File (by sendfile when it
+	// outgrows the write buffer) — the document is never materialized in
+	// one allocation.
 	return s.streamResponse(rc, req, fi.Size(), f, fi.ModTime())
 }
 
@@ -874,9 +886,11 @@ func (s *Server) finishResponse(rc *reqConn, req *httpmsg.Request, sent int64) i
 // streamResponse writes the response header and a body that is read as it
 // is sent (an open file, an upstream socket) in the httpd write-loop style,
 // returning the status written (0 when the write failed mid-flight, which
-// also spends the connection). size and modTime are writeHeader's. The
-// body crosses through a pooled copy buffer; a HEAD response skips it
-// entirely and logs zero body bytes.
+// also spends the connection). size and modTime are writeHeader's. An open
+// file of known size that does not fit the connection's buffer is sent by
+// the socket itself (writeMeter.sendFile); any other body crosses through a
+// pooled copy buffer. A HEAD response skips the body entirely and logs zero
+// body bytes.
 func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, body io.Reader, modTime time.Time) int {
 	s.netActive.Add(1)
 	defer s.netActive.Add(-1)
@@ -894,6 +908,15 @@ func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, b
 				err = cw.Close()
 			}
 		case size >= 0:
+			if f, ok := body.(*os.File); ok && size > int64(rc.bw.Available()) {
+				// A file that does not fit the buffer leaves from the page
+				// cache: the header goes first, then the socket reads the
+				// file itself.
+				if err = rc.bw.Flush(); err == nil {
+					sent, err = rc.meter.sendFile(f, size)
+				}
+				break
+			}
 			sent, err = httpmsg.CopyBodyN(rc.bw, body, size)
 		default:
 			sent, err = httpmsg.CopyBody(rc.bw, body)

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"hash/fnv"
+	"math/rand/v2"
 	"net"
 	"os"
 	"path/filepath"
@@ -231,24 +233,49 @@ func TestAcceptLoopBacksOffOnError(t *testing.T) {
 func startPairRR(t *testing.T, mut func(*Config)) (*Server, *Server, string) {
 	t.Helper()
 	const remoteDoc = "/docs/remote.html"
+	a, b := startPair(t, mut,
+		storage.File{Path: "/docs/local.html", Size: 2048, Owner: 0},
+		storage.File{Path: remoteDoc, Size: 2048, Owner: 1})
+	return a, b, remoteDoc
+}
+
+// docBytes is a document's test content: pseudo-random bytes seeded by its
+// name, so a body sent from the wrong file, or from the wrong place in the
+// right one, cannot pass as correct.
+func docBytes(name string, size int64) []byte {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	rng := rand.New(rand.NewPCG(h.Sum64(), uint64(size)))
+	body := make([]byte, size)
+	for i := range body {
+		body[i] = byte(rng.Uint32())
+	}
+	return body
+}
+
+// startPair is startPairRR over the given documents, each written to its
+// owner's docroot as docBytes.
+func startPair(t *testing.T, mut func(*Config), files ...storage.File) (*Server, *Server) {
+	t.Helper()
 	st := storage.NewStore(2)
-	st.MustAdd(storage.File{Path: "/docs/local.html", Size: 2048, Owner: 0})
-	st.MustAdd(storage.File{Path: remoteDoc, Size: 2048, Owner: 1})
+	for _, f := range files {
+		st.MustAdd(f)
+	}
 	var srvs []*Server
 	for i := 0; i < 2; i++ {
 		cfg := Config{ID: i, DocRoot: t.TempDir(), Store: st, Policy: core.RoundRobin{}}
 		if mut != nil {
 			mut(&cfg)
 		}
-		for _, p := range st.Paths() {
-			if o, _ := st.Owner(p); o != i {
+		for _, f := range files {
+			if f.Owner != i {
 				continue
 			}
-			full := filepath.Join(cfg.DocRoot, filepath.FromSlash(strings.TrimPrefix(p, "/")))
+			full := filepath.Join(cfg.DocRoot, filepath.FromSlash(strings.TrimPrefix(f.Path, "/")))
 			if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(full, bytes.Repeat([]byte{'a' + byte(i)}, 2048), 0o644); err != nil {
+			if err := os.WriteFile(full, docBytes(f.Path, f.Size), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -267,7 +294,7 @@ func startPairRR(t *testing.T, mut func(*Config)) (*Server, *Server, string) {
 		srv.SetPeers(peers)
 		srv.Start()
 	}
-	return srvs[0], srvs[1], remoteDoc
+	return srvs[0], srvs[1]
 }
 
 // TestRelayedDocumentCarriesLastModified: a document fetched from its

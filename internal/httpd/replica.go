@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"sweb/internal/httpmsg"
 )
@@ -47,7 +48,7 @@ func (s *Server) MaterializeReplica(path string) error {
 	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	if err := os.WriteFile(full, ent.Body, 0o644); err != nil {
+	if err := writeReplicaFile(full, ent.Body, ent.ModTime); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
 	if err := s.cfg.Store.AddReplica(path, s.cfg.ID); err != nil {
@@ -55,6 +56,39 @@ func (s *Server) MaterializeReplica(path string) error {
 	}
 	s.obs.RebalanceAction("add")
 	return nil
+}
+
+// writeReplicaFile lands a replica's bytes at full: a synced temp file in
+// the same directory, stamped with the source's Last-Modified (zero leaves
+// the copy time), then renamed over the path. The docroot never holds a
+// partial copy, and the replica revalidates — and is relayed to peers, which
+// get docroot files as they are — with the same date as its source.
+func writeReplicaFile(full string, body []byte, modTime time.Time) error {
+	tmp, err := os.CreateTemp(filepath.Dir(full), "."+filepath.Base(full)+".*")
+	if err != nil {
+		return err
+	}
+	name := tmp.Name()
+	_, err = tmp.Write(body)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && !modTime.IsZero() {
+		err = os.Chtimes(name, modTime, modTime)
+	}
+	if err == nil {
+		err = os.Rename(name, full)
+	}
+	if err != nil {
+		_ = os.Remove(name)
+	}
+	return err
 }
 
 // DropReplicaLocal retires this node's replica of path: the store forgets
