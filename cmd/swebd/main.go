@@ -107,18 +107,9 @@ func run() error {
 	}
 
 	params := core.DefaultParams()
-	var pol core.Policy
-	switch *policy {
-	case "sweb":
-		pol = core.NewSWEB(params)
-	case "rr":
-		pol = core.RoundRobin{}
-	case "fl":
-		pol = core.FileLocality{P: params}
-	case "cpu":
-		pol = core.CPUOnly{P: params}
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
+	pol, err := core.NewPolicy(*policy, params)
+	if err != nil {
+		return err
 	}
 
 	cfg := httpd.Config{

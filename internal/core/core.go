@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"sweb/internal/storage"
 )
 
 // NodeLoad is one row of the broker's view of the cluster, assembled by
@@ -96,27 +98,9 @@ func (r Request) cachedAt(node, local int) bool {
 	return r.CachedAt != nil && node >= 0 && node < len(r.CachedAt) && r.CachedAt[node]
 }
 
-// replicaSet returns the document's replica node list: the explicit set
-// when present, else the single owner.
-func (r Request) replicaSet() []int {
-	if len(r.Replicas) > 0 {
-		return r.Replicas
-	}
-	return []int{r.Owner}
-}
-
-// holdsReplica reports whether node has a local copy of the document.
-func (r Request) holdsReplica(node int) bool {
-	if len(r.Replicas) == 0 {
-		return node == r.Owner
-	}
-	for _, rep := range r.Replicas {
-		if rep == node {
-			return true
-		}
-	}
-	return false
-}
+// file is the document's placement in the manifest's terms, whose
+// ReplicaSet and HasReplica the cost model prices.
+func (r Request) file() storage.File { return storage.File{Owner: r.Owner, Replicas: r.Replicas} }
 
 // Params are the scheduler's tunables, with paper defaults from
 // DefaultParams.
@@ -319,13 +303,13 @@ func dataSeconds(req Request, local, target int, loads []NodeLoad,
 		// a memory copy, effectively free next to the disk and
 		// network terms.
 		return 0, target
-	case req.holdsReplica(target):
+	case req.file().HasReplica(target):
 		bd := ld.DiskBytesPerSec / (1 + diskLoad(ld))
 		return req.DiskBytes / bd, target
 	}
 	best, bestRep := math.Inf(1), -1
 	for pass := 0; pass < 2 && bestRep < 0; pass++ {
-		for _, rep := range req.replicaSet() {
+		for _, rep := range req.file().ReplicaSet() {
 			if rep < 0 || rep >= len(loads) || rep == target {
 				continue
 			}
@@ -384,7 +368,7 @@ func RankSources(req Request, local, target int, loads []NodeLoad) []int {
 		up   bool
 		idx  int
 	}
-	reps := req.replicaSet()
+	reps := req.file().ReplicaSet()
 	cands := make([]cand, 0, len(reps))
 	for i, rep := range reps {
 		if rep < 0 || rep >= len(loads) {
@@ -413,16 +397,6 @@ func RankSources(req Request, local, target int, loads []NodeLoad) []int {
 		out[i] = c.node
 	}
 	return out
-}
-
-// PickSource returns RankSources' first choice — the node the document's
-// bytes should come from when req is served at target. Falls back to the
-// primary owner when the replica set is empty or out of range.
-func PickSource(req Request, local, target int, loads []NodeLoad) int {
-	if r := RankSources(req, local, target, loads); len(r) > 0 {
-		return r[0]
-	}
-	return req.Owner
 }
 
 // Choose implements Policy: minimum estimated completion time, with ties
@@ -463,6 +437,30 @@ func (s *SWEB) Choose(req Request, local int, loads []NodeLoad) Decision {
 	d.Target = bestNode
 	d.Estimate = best
 	return d
+}
+
+// Policy names, as configs and command lines spell them.
+const (
+	PolicySWEB         = "sweb"
+	PolicyRoundRobin   = "rr"
+	PolicyFileLocality = "fl"
+	PolicyCPUOnly      = "cpu"
+)
+
+// NewPolicy builds the named policy over p; the empty name is SWEB. The
+// policies hold no per-request state, so one value may serve every node.
+func NewPolicy(name string, p Params) (Policy, error) {
+	switch name {
+	case "", PolicySWEB:
+		return NewSWEB(p), nil
+	case PolicyRoundRobin:
+		return RoundRobin{}, nil
+	case PolicyFileLocality:
+		return FileLocality{P: p}, nil
+	case PolicyCPUOnly:
+		return CPUOnly{P: p}, nil
+	}
+	return nil, fmt.Errorf("unknown policy %q", name)
 }
 
 // RoundRobin is the NCSA baseline: the DNS rotation is the whole policy, so

@@ -205,19 +205,22 @@ func (s *Server) auditDecision(x *exchange, done time.Time) {
 	}
 }
 
-// lifecycle answers the request, timing each phase, emitting the same
-// trace events the simulator does and filling x. It reports false for an
-// internal fetch, which stays invisible to trace and the lifecycle
-// telemetry: it is the tail of another node's fetch-nfs span, not a
-// request of its own.
+// lifecycle answers the request, timing each phase and emitting the same
+// trace events the simulator does while filling x. The decisions are the
+// spine's (core.Analyze, Facts.Fetch); this is their socket executor. It
+// reports false for an internal fetch, which stays invisible to trace and
+// the lifecycle telemetry: it is the tail of another node's fetch-nfs
+// span, not a request of its own.
 func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *exchange) bool {
 	tParsed := time.Now()
-	internal := req.Header.Get(internalHeader) != ""
 	o := &x.o
-
+	if req.Header.Get(internalHeader) != "" {
+		s.serveInternal(rc, req)
+		return false
+	}
 	// Introspection is answered right where it arrived, like internal
 	// fetches: rescheduling /sweb/status would report the wrong node.
-	if !internal && !s.cfg.DisableIntrospection && strings.HasPrefix(req.Path, introspectPrefix) {
+	if !s.cfg.DisableIntrospection && strings.HasPrefix(req.Path, introspectPrefix) {
 		s.introspect.Add(1)
 		o.Status = s.serveIntrospection(rc, req)
 		return true
@@ -230,227 +233,192 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 	rec := s.cfg.Trace
 	traced := rec.Enabled()
 	tid := int64(-1)
-	if !internal {
-		if traced {
-			// Joining an inbound trace context keeps every hop of a
-			// redirected request under one trace id; without one, this
-			// node originates the trace.
-			tid, tctx = rec.Begin(tctx)
-			connDetail := ""
-			if redirects > 0 {
-				connDetail = "hop=" + strconv.Itoa(redirects)
-			}
-			rec.Record(tid, s.sinceEpoch(t0), trace.EvConnected, s.cfg.ID, connDetail)
-			rec.Record(tid, s.sinceEpoch(tParsed), trace.EvParsed, s.cfg.ID, "path="+req.Path)
+	if traced {
+		// Joining an inbound trace context keeps every hop of a redirected
+		// request under one trace id; without one, this node originates it.
+		tid, tctx = rec.Begin(tctx)
+		connDetail := ""
+		if redirects > 0 {
+			connDetail = "hop=" + strconv.Itoa(redirects)
 		}
-		s.obs.Event(trace.EvConnected)
-		s.obs.Event(trace.EvParsed)
-		s.obs.Phase("parse", tParsed.Sub(t0).Seconds())
-		if hopSentMicros > 0 {
-			// The 302 carried its send time: the gap to this connection is
-			// the measured t_redirection of the paper's cost model.
-			hop := float64(t0.UnixMicro()-hopSentMicros) / 1e6
-			if hop < 0 {
-				hop = 0
-			}
-			s.obs.Phase("redirect_hop", hop)
-		}
+		rec.Record(tid, s.sinceEpoch(t0), trace.EvConnected, s.cfg.ID, connDetail)
+		rec.Record(tid, s.sinceEpoch(tParsed), trace.EvParsed, s.cfg.ID, "path="+req.Path)
 	}
-	o.TraceID = string(tctx)
-	o.Redirected = redirects > 0
+	o.TraceID, o.Redirected = string(tctx), redirects > 0
 	o.ParseSeconds = tParsed.Sub(t0).Seconds()
+	s.obs.Event(trace.EvConnected)
+	s.obs.Event(trace.EvParsed)
+	s.obs.Phase("parse", o.ParseSeconds)
+	if hopSentMicros > 0 {
+		// The 302 carried its send time: the gap to this connection is the
+		// measured t_redirection of the paper's cost model.
+		s.obs.Phase("redirect_hop", max(0, float64(t0.UnixMicro()-hopSentMicros)/1e6))
+	}
 
+	// Phase 2: analyze — the spine admits the request and places it. CGI
+	// and POST stay where they arrived (Sec. 3.2 step 2; POST is the
+	// paper's footnote-1 extension), but still get the local estimate.
 	cgiFn, isCGI := s.cgiFor(req.Path)
-	file, found := s.cfg.Store.Lookup(req.Path)
-	if !found && !isCGI {
-		s.errors.Add(1)
-		s.notFound.Add(1)
-		if !internal {
-			s.drop("not_found")
-		}
-		_ = rc.simple(httpmsg.StatusNotFound, nil,
-			httpmsg.ErrorBody(httpmsg.StatusNotFound, "The requested URL was not found on this server."))
-		s.logAccess(rc.c, req, httpmsg.StatusNotFound, -1)
+	f := s.facts(req.Path)
+	f.CGI, f.Pinned = isCGI, req.Method == "POST"
+	// CachedLocal is the hot-file cache's residency, stat-free like the
+	// simulator's Peek; with the cache off every candidate pays its t_data.
+	f.Redirects, f.CachedLocal = redirects, s.cache != nil && s.cache.Peek(req.Path)
+	plan := core.Analyze(s.cfg.Policy, &f, s.cfg.ID, s.snapshotLoads())
+	tAnalyzed := time.Now()
+	o.AnalyzeSeconds = tAnalyzed.Sub(tParsed).Seconds()
+	s.obs.Event(trace.EvAnalyzed)
+	s.obs.Phase("analyze", o.AnalyzeSeconds)
+	if traced {
+		rec.Record(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, s.cfg.ID,
+			"target="+strconv.Itoa(plan.Target))
+	}
+	if plan.Action == core.NotFound {
+		s.drop("not_found")
 		o.Status = httpmsg.StatusNotFound
-		return !internal
+		if s.answer404(rc, req) {
+			s.sent(tid, httpmsg.StatusNotFound)
+		}
+		return true
 	}
-
-	// Internal fetches bypass scheduling entirely: we are the NFS server.
-	// When the fetching node sent a trace header, the disk read joins the
-	// originating request's span; otherwise it stays trace-invisible as
-	// the tail of the fetcher's own fetch-nfs phase. Like an NFS server, a
-	// document bigger than the write buffer is answered from the OS page
-	// cache — sendfile, no hot-cache copy — and leaves the hot cache to
-	// the foreign documents this node's own clients ask for. A smaller one
-	// takes the cache fill, so it still leaves with its header in one write.
-	if internal {
-		s.internalFetch.Add(1)
-		if id := trace.TraceID(req.Header.Get(traceHeader)); id != "" && traced {
-			jid, _ := rec.Begin(id)
-			rec.Record(jid, s.sinceEpoch(time.Now()), trace.EvFetchLocal, s.cfg.ID, "internal=1")
+	x.dec = plan.Decision
+	o.Policy, o.Target, o.Estimate = s.cfg.Policy.Name(), plan.Target, plan.Decision.Estimate
+	if plan.Action == core.Redirect {
+		// Phase 3: redirect via a 302 with the bumped URL, preserving the
+		// client's own query parameters and threading the trace context
+		// (stamped with the send time, so the target measures the hop).
+		// Snapshot rows are configured peers only, so the target has one.
+		peer, _ := s.peerByID(plan.Target)
+		loc := redirectLocation(peer.HTTPAddr, req.Path, req.Query, redirects,
+			formatTraceContext(tctx, time.Now().UnixMicro()))
+		if rc.simple(httpmsg.StatusMovedTemporarily, &httpmsg.ResponseHead{Location: loc},
+			httpmsg.ErrorBody(httpmsg.StatusMovedTemporarily,
+				`The document has moved <A HREF="`+loc+`">here</A>.`)) != nil {
+			// The client never saw the 302, so no request is on its way to
+			// the peer: inflating its load view would only skew later
+			// decisions.
+			s.errors.Add(1)
+			s.drop("write_failed")
+			return true
 		}
-		if file.Size > int64(rc.bw.Size()) {
-			s.streamLocalFile(rc, req)
-		} else {
-			s.serveLocalFile(rc, req, file)
-		}
-		return false
-	}
-
-	// Phase 2: analyze — the broker picks the best node. CGI and POST are
-	// pinned where they arrived (Sec. 3.2 step 2; POST handling is the
-	// paper's footnote-1 extension).
-	if !isCGI && req.Method != "POST" {
-		d := s.cfg.Oracle.Characterize(req.Path)
-		coreReq := core.Request{
-			Path:          req.Path,
-			Size:          file.Size,
-			Owner:         file.Owner,
-			Replicas:      file.Replicas,
-			Ops:           d.Ops(file.Size) + file.CGIOps,
-			DiskBytes:     d.DiskBytes(file.Size),
-			Arrived:       s.cfg.ID,
-			RedirectCount: redirects,
-			CachedLocal:   s.cachedLocally(req.Path),
-		}
-		x.dec = s.cfg.Policy.Choose(coreReq, s.cfg.ID, s.snapshotLoads())
-		target := s.confirmTarget(x.dec)
-		tAnalyzed := time.Now()
-		o.Policy, o.Target, o.Estimate = s.cfg.Policy.Name(), target, x.dec.Estimate
-		o.AnalyzeSeconds = tAnalyzed.Sub(tParsed).Seconds()
-		s.obs.Event(trace.EvAnalyzed)
-		s.obs.Phase("analyze", o.AnalyzeSeconds)
+		tSent := time.Now()
+		s.table.Bump(plan.Target)
+		s.redirected.Add(1)
+		s.obs.Event(trace.EvRedirected)
+		s.obs.Redirect(plan.Target)
+		s.obs.Phase("redirect", tSent.Sub(tAnalyzed).Seconds())
 		if traced {
-			rec.Record(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, s.cfg.ID,
-				"target="+strconv.Itoa(target))
+			rec.Record(tid, s.sinceEpoch(tSent), trace.EvRedirected, s.cfg.ID,
+				"to="+strconv.Itoa(plan.Target))
 		}
-		if target != s.cfg.ID {
-			if peer, ok := s.peerByID(target); ok {
-				// Phase 3: redirect via a 302 with the bumped URL,
-				// preserving the client's own query parameters and
-				// threading the trace context (stamped with the send
-				// time, so the target measures the hop).
-				loc := redirectLocation(peer.HTTPAddr, req.Path, req.Query, redirects,
-					formatTraceContext(tctx, time.Now().UnixMicro()))
-				err := rc.simple(httpmsg.StatusMovedTemporarily, &httpmsg.ResponseHead{Location: loc},
-					httpmsg.ErrorBody(httpmsg.StatusMovedTemporarily,
-						`The document has moved <A HREF="`+loc+`">here</A>.`))
-				if err != nil {
-					// The client never saw the 302, so no request is on
-					// its way to the peer: inflating its load view would
-					// only skew later decisions.
-					s.errors.Add(1)
-					s.drop("write_failed")
-					return true
-				}
-				tSent := time.Now()
-				s.table.Bump(target)
-				s.redirected.Add(1)
-				s.obs.Event(trace.EvRedirected)
-				s.obs.Redirect(target)
-				s.obs.Phase("redirect", tSent.Sub(tAnalyzed).Seconds())
-				if traced {
-					rec.Record(tid, s.sinceEpoch(tSent), trace.EvRedirected, s.cfg.ID,
-						"to="+strconv.Itoa(target))
-				}
-				s.logAccess(rc.c, req, httpmsg.StatusMovedTemporarily, -1)
-				o.Status, o.Redirected = httpmsg.StatusMovedTemporarily, true
-				return true
-			}
-		}
-		o.Target = s.cfg.ID
+		s.logAccess(rc.c, req, httpmsg.StatusMovedTemporarily, -1)
+		o.Status, o.Redirected = httpmsg.StatusMovedTemporarily, true
+		return true
 	}
 
 	// Phase 4: fulfillment. One counted cache lookup per request, exactly
-	// like the simulator's Contains at the top of streamFile: a validated
-	// hit serves from memory regardless of ownership (emitting fetch-local,
-	// as the simulator does for cached remote documents), a miss falls
-	// through to the disk or the owner and fills the cache on the way out.
+	// like the simulator's Contains at the top of streamFile; the spine
+	// then names the source. A validated hit serves from memory regardless
+	// of ownership — no disk read, and for a foreign document no owner
+	// round-trip either, which keeps it serving while its owner is dead. A
+	// miss reads the disk or fetches from a peer and fills the cache on the
+	// way out.
 	tFulfill := time.Now()
 	x.tFulfill = tFulfill
-	var status int
 	var hot cache.Entry
 	cacheHit := false
-	if !isCGI && s.cache != nil {
-		hot, cacheHit = s.cache.Lookup(req.Path, s.entryCheck(req.Path, file))
+	if !f.CGI && s.cache != nil {
+		hot, cacheHit = s.cache.Lookup(req.Path, s.entryCheck(req.Path, f.File))
 	}
-	switch {
-	case isCGI:
-		s.obs.Event(trace.EvCGI)
-		if traced {
-			rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvCGI, s.cfg.ID, "path="+req.Path)
+	fetch := f.Fetch(s.cfg.ID, cacheHit)
+	kind, cell := nodeobs.FetchStep(fetch)
+	s.obs.Event(kind)
+	if traced {
+		detail := ""
+		switch fetch {
+		case core.FetchCache:
+			detail = "cache=hit"
+		case core.FetchPeer:
+			detail = "owner=" + strconv.Itoa(f.Owner)
 		}
+		rec.Record(tid, s.sinceEpoch(tFulfill), kind, s.cfg.ID, detail)
+	}
+	var status int
+	switch fetch {
+	case core.FetchCGI:
 		status = s.serveCGI(rc, req, cgiFn)
-		s.obs.Phase("cgi", time.Since(tFulfill).Seconds())
-	case cacheHit:
-		// Hot-file hit: a memory copy — no disk read, and for a foreign
-		// document no owner round-trip either, which keeps the document
-		// serving even while its owner is dead.
-		s.obs.Event(trace.EvFetchLocal)
-		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchLocal, s.cfg.ID, "cache=hit")
+	case core.FetchCache:
 		status = s.writeEntry(rc, req, hot)
-		s.obs.Phase("fetch_local", time.Since(tFulfill).Seconds())
-	case file.HasReplica(s.cfg.ID):
-		s.obs.Event(trace.EvFetchLocal)
-		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchLocal, s.cfg.ID, "")
-		status = s.serveLocalFile(rc, req, file)
-		s.obs.Phase("fetch_local", time.Since(tFulfill).Seconds())
+	case core.FetchDisk:
+		status = s.serveLocalFile(rc, req, f.File)
 	default:
-		s.obs.Event(trace.EvFetchNFS)
-		if traced {
-			rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchNFS, s.cfg.ID,
-				"owner="+strconv.Itoa(file.Owner))
-		}
-		status = s.serveRemoteFile(rc, req, file, tctx)
-		s.obs.Phase("fetch_nfs", time.Since(tFulfill).Seconds())
+		status = s.serveRemoteFile(rc, req, &f, tctx)
 	}
+	s.obs.Phase(cell, time.Since(tFulfill).Seconds())
 	if status > 0 {
-		s.obs.Event(trace.EvSent)
-		if traced {
-			rec.Record(tid, s.sinceEpoch(time.Now()), trace.EvSent, s.cfg.ID,
-				"status="+strconv.Itoa(status))
-		}
+		s.sent(tid, status)
 	}
 	// Heat counts fulfilled serves only — the same event the simulator's
 	// complete() observes, so both substrates fill identical sketches.
-	o.Status, o.Fulfilled, o.CacheHit = status, true, cacheHit
-	o.Owner = -1
-	if !isCGI {
-		o.Owner = file.Owner
-	}
-	o.Relay = !isCGI && !cacheHit && !file.HasReplica(s.cfg.ID)
-	o.Miss = !isCGI && s.cache != nil && !cacheHit
-	o.Replicas = len(file.ReplicaSet())
+	o.Status = status
+	o.Fulfil(fetch, f.Owner, len(f.ReplicaSet()), s.cache != nil)
 	return true
 }
 
-// confirmTarget re-validates the broker's pick against the freshest peer
-// health: never 302 to a peer whose loadd row has gone stale or whose data
-// path is in a failure streak. When the pick fails the check, the cheapest
-// remaining feasible candidate wins (local service included), so a dead
-// peer degrades the schedule instead of the request.
-func (s *Server) confirmTarget(dec core.Decision) int {
-	target := dec.Target
-	if target == s.cfg.ID {
-		return target
+// sent records that a client response left in full.
+func (s *Server) sent(tid int64, status int) {
+	s.obs.Event(trace.EvSent)
+	if rec := s.cfg.Trace; rec.Enabled() {
+		rec.Record(tid, s.sinceEpoch(time.Now()), trace.EvSent, s.cfg.ID,
+			"status="+strconv.Itoa(status))
 	}
-	now := s.nowSec()
-	if s.table.Available(target, now) {
-		return target
+}
+
+// serveInternal answers a peer's internal fetch: this node is the NFS
+// server, so nothing is scheduled. When the fetching node sent a trace
+// header, the disk read joins the originating request's span; otherwise it
+// stays trace-invisible as the tail of the fetcher's own fetch-nfs phase.
+// Like an NFS server, a document bigger than the write buffer is answered
+// from the OS page cache — sendfile, no hot-cache copy — and leaves the hot
+// cache to the foreign documents this node's own clients ask for. A smaller
+// one takes the cache fill, so it still leaves with its header in one write.
+func (s *Server) serveInternal(rc *reqConn, req *httpmsg.Request) {
+	file, found := s.cfg.Store.Lookup(req.Path)
+	if !found {
+		s.answer404(rc, req)
+		return
 	}
-	best, bestTotal := s.cfg.ID, math.Inf(1)
-	for _, cb := range dec.Candidates {
-		if cb.Infeasible || cb.Node == target {
-			continue
-		}
-		if cb.Node != s.cfg.ID && !s.table.Available(cb.Node, now) {
-			continue
-		}
-		if cb.Total < bestTotal {
-			best, bestTotal = cb.Node, cb.Total
+	s.internalFetch.Add(1)
+	if rec := s.cfg.Trace; rec.Enabled() {
+		if id := trace.TraceID(req.Header.Get(traceHeader)); id != "" {
+			jid, _ := rec.Begin(id)
+			rec.Record(jid, s.sinceEpoch(time.Now()), trace.EvFetchLocal, s.cfg.ID, "internal=1")
 		}
 	}
-	return best
+	if file.Size > int64(rc.bw.Size()) {
+		s.streamLocalFile(rc, req)
+	} else {
+		s.serveLocalFile(rc, req, file)
+	}
+}
+
+// answer404 writes the answer to a document that does not exist and
+// reports whether it left.
+func (s *Server) answer404(rc *reqConn, req *httpmsg.Request) bool {
+	s.errors.Add(1)
+	s.notFound.Add(1)
+	err := rc.simple(httpmsg.StatusNotFound, nil,
+		httpmsg.ErrorBody(httpmsg.StatusNotFound, "The requested URL was not found on this server."))
+	s.logAccess(rc.c, req, httpmsg.StatusNotFound, -1)
+	return err == nil
+}
+
+// facts gathers what the spine knows about path before the request's own
+// markers: its manifest entry and the oracle's estimate.
+func (s *Server) facts(path string) core.Facts {
+	file, found := s.cfg.Store.Lookup(path)
+	file.Path = path
+	return core.Facts{File: file, Found: found, Demand: s.cfg.Oracle.Characterize(path)}
 }
 
 // redirectLocation rebuilds the client's URL pointing at a peer, keeping
@@ -465,15 +433,14 @@ func redirectLocation(httpAddr, path, query string, redirects int, traceCtx stri
 	b.WriteString(httpAddr)
 	b.WriteString(httpmsg.EscapePath(path))
 	sep := byte('?')
-	for _, kv := range strings.Split(query, "&") {
-		if kv == "" || strings.HasPrefix(kv, redirectParam+"=") ||
-			strings.HasPrefix(kv, traceParam+"=") {
-			continue
+	eachParam(query, func(pair string) bool {
+		if !strings.HasPrefix(pair, redirectParam+"=") && !strings.HasPrefix(pair, traceParam+"=") {
+			b.WriteByte(sep)
+			b.WriteString(pair)
+			sep = '&'
 		}
-		b.WriteByte(sep)
-		b.WriteString(kv)
-		sep = '&'
-	}
+		return true
+	})
 	b.WriteByte(sep)
 	fmt.Fprintf(&b, "%s=%d", redirectParam, redirects+1)
 	if traceCtx != "" {
@@ -493,14 +460,25 @@ func formatTraceContext(id trace.TraceID, sentUnixMicros int64) string {
 	return string(id) + ":" + strconv.FormatInt(sentUnixMicros, 10)
 }
 
+// eachParam walks a raw query string pair by pair with strings.Cut, never
+// allocating, and hands fn each non-empty "key=value" segment in order
+// until fn returns false. Every query reader in this package uses it.
+func eachParam(query string, fn func(pair string) bool) {
+	for pair, rest := "", query; rest != ""; {
+		pair, rest, _ = strings.Cut(rest, "&")
+		if pair != "" && !fn(pair) {
+			return
+		}
+	}
+}
+
 // parseTraceContext extracts the swebt trace context from a query string:
 // the first swebt value carrying a trace id, a send time, or both.
 func parseTraceContext(query string) (id trace.TraceID, sentUnixMicros int64, ok bool) {
-	for kv, rest := "", query; rest != ""; {
-		kv, rest, _ = strings.Cut(rest, "&")
-		v, has := strings.CutPrefix(kv, traceParam+"=")
+	eachParam(query, func(pair string) bool {
+		v, has := strings.CutPrefix(pair, traceParam+"=")
 		if !has {
-			continue
+			return true
 		}
 		idPart, tsPart, _ := strings.Cut(v, ":")
 		n, err := strconv.ParseInt(tsPart, 10, 64)
@@ -508,11 +486,12 @@ func parseTraceContext(query string) (id trace.TraceID, sentUnixMicros int64, ok
 			n = 0
 		}
 		if idPart == "" && n == 0 {
-			continue
+			return true
 		}
-		return trace.TraceID(idPart), n, true
-	}
-	return "", 0, false
+		id, sentUnixMicros, ok = trace.TraceID(idPart), n, true
+		return false
+	})
+	return id, sentUnixMicros, ok
 }
 
 // retryAfterSeconds renders the configured Retry-After hint (whole
@@ -523,14 +502,6 @@ func (s *Server) retryAfterSeconds() string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// cachedLocally reports whether the document is resident in this node's
-// hot-file cache — the real cache-residency signal the broker's
-// CachedLocal input carries, stat-free like the simulator's Peek. With the
-// cache off nothing is resident and every candidate pays its full t_data.
-func (s *Server) cachedLocally(path string) bool {
-	return s.cache != nil && s.cache.Peek(path)
 }
 
 // entryCheck picks the staleness validator for a cached document: a file
@@ -566,29 +537,23 @@ func (s *Server) cacheable(file storage.File) bool {
 
 // snapshotLoads builds the broker's view, refreshing the self row from
 // live counters. CPULoad counts requests being processed right now, not
-// open connections — a parked keep-alive connection is not load.
+// open connections — a parked keep-alive connection is not load. Only
+// configured peers are offered, so every target the broker can pick has an
+// address.
 func (s *Server) snapshotLoads() []core.NodeLoad {
 	s.peersMu.RLock()
-	n := 0
+	n := s.cfg.ID + 1
 	for id := range s.peers {
-		if id >= n {
-			n = id + 1
+		n = max(n, id+1)
+	}
+	loads := s.table.Snapshot(n, s.nowSec())
+	for id := range loads {
+		if _, ok := s.peers[id]; !ok {
+			loads[id].Available = false
 		}
 	}
 	s.peersMu.RUnlock()
-	if self := s.cfg.ID; self >= n {
-		n = self + 1
-	}
-	loads := s.table.Snapshot(n, s.nowSec())
-	loads[s.cfg.ID] = core.NodeLoad{
-		Available:       true,
-		CPULoad:         float64(s.reqActive.Load()),
-		DiskLoad:        float64(s.diskActive.Load()),
-		NetLoad:         float64(s.netActive.Load()),
-		CPUOpsPerSec:    s.cfg.CPUOpsPerSec,
-		DiskBytesPerSec: s.cfg.DiskBytesPerSec,
-		NetBytesPerSec:  s.cfg.NetBytesPerSec,
-	}
+	loads[s.cfg.ID] = s.sample().Load()
 	return loads
 }
 
@@ -599,16 +564,19 @@ func (s *Server) peerByID(id int) (Peer, bool) {
 	return p, ok
 }
 
-func parseRedirectCount(query string) int {
-	for kv, rest := "", query; rest != ""; {
-		kv, rest, _ = strings.Cut(rest, "&")
-		if v, ok := strings.CutPrefix(kv, redirectParam+"="); ok {
-			if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-				return n
+// parseRedirectCount reads the swebr hop counter: the first value that is
+// a non-negative integer, else 0.
+func parseRedirectCount(query string) (n int) {
+	eachParam(query, func(pair string) bool {
+		if v, ok := strings.CutPrefix(pair, redirectParam+"="); ok {
+			if c, err := strconv.Atoi(v); err == nil && c >= 0 {
+				n = c
+				return false
 			}
 		}
-	}
-	return 0
+		return true
+	})
+	return n
 }
 
 // localPath maps a URL path into this node's docroot.
@@ -634,16 +602,21 @@ func (s *Server) serveLocalFile(rc *reqConn, req *httpmsg.Request, file storage.
 		return s.readLocalFile(req.Path)
 	})
 	if err != nil {
-		s.errors.Add(1)
-		s.drop("local_io")
-		code := httpmsg.StatusNotFound
-		if os.IsPermission(err) {
-			code = httpmsg.StatusForbidden
-		}
-		_ = rc.simple(code, nil, httpmsg.ErrorBody(code, "Cannot open document."))
-		return code
+		return s.openFailed(rc, err)
 	}
 	return s.writeEntry(rc, req, ent)
+}
+
+// openFailed answers a docroot document that could not be opened or read.
+func (s *Server) openFailed(rc *reqConn, err error) int {
+	s.errors.Add(1)
+	s.drop("local_io")
+	code := httpmsg.StatusNotFound
+	if os.IsPermission(err) {
+		code = httpmsg.StatusForbidden
+	}
+	_ = rc.simple(code, nil, httpmsg.ErrorBody(code, "Cannot open document."))
+	return code
 }
 
 // readLocalFile is the cache's backing read: the whole document in one
@@ -723,14 +696,7 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 	defer s.diskActive.Add(-1)
 	f, err := os.Open(s.localPath(req.Path))
 	if err != nil {
-		s.errors.Add(1)
-		s.drop("local_io")
-		code := httpmsg.StatusNotFound
-		if os.IsPermission(err) {
-			code = httpmsg.StatusForbidden
-		}
-		_ = rc.simple(code, nil, httpmsg.ErrorBody(code, "Cannot open document."))
-		return code
+		return s.openFailed(rc, err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
@@ -769,8 +735,9 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 // Either way the fetch runs under the node's retry budget, and only once
 // the budget is spent across every replica does the client see the
 // degradation ladder's last rung: 503 with a Retry-After hint.
-func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, file storage.File, tctx trace.TraceID) int {
-	sources := s.rankedSources(req.Path, file)
+func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, f *core.Facts, tctx trace.TraceID) int {
+	file := f.File
+	sources := s.rankedSources(f)
 	if len(sources) == 0 {
 		s.errors.Add(1)
 		s.drop("owner_unknown")
@@ -792,24 +759,14 @@ func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, file storage
 	return s.writeEntry(rc, req, ent)
 }
 
-// rankedSources maps core.RankSources' cheapest-first replica order onto
-// the known peers — the failover list the fetch paths walk. Unavailable
+// rankedSources maps the spine's cheapest-first replica order onto the
+// known peers — the failover list the fetch paths walk. Unavailable
 // replicas trail the list rather than vanish: when every replica looks
 // dead the fetch still tries them, because the health view may be stale.
-func (s *Server) rankedSources(path string, file storage.File) []fetchSource {
-	d := s.cfg.Oracle.Characterize(path)
-	coreReq := core.Request{
-		Path:      path,
-		Owner:     file.Owner,
-		Replicas:  file.Replicas,
-		DiskBytes: d.DiskBytes(file.Size),
-	}
-	loads := s.snapshotLoads()
-	out := make([]fetchSource, 0, len(file.ReplicaSet()))
-	for _, rep := range core.RankSources(coreReq, s.cfg.ID, s.cfg.ID, loads) {
-		if rep == s.cfg.ID {
-			continue
-		}
+func (s *Server) rankedSources(f *core.Facts) []fetchSource {
+	ranked := f.Sources(s.cfg.ID, s.snapshotLoads())
+	out := make([]fetchSource, 0, len(ranked))
+	for _, rep := range ranked {
 		if peer, ok := s.peerByID(rep); ok {
 			out = append(out, fetchSource{node: rep, peer: peer})
 		}

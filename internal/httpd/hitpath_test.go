@@ -198,7 +198,7 @@ func TestExpositionSeriesIdentity(t *testing.T) {
 
 	// File locality 302s only to a peer whose load broadcast has arrived.
 	deadline := time.Now().Add(5 * time.Second)
-	for !node.Table().Available(1, node.nowSec()) {
+	for !knows(node, 1) {
 		if time.Now().After(deadline) {
 			t.Fatal("peer broadcast never arrived")
 		}

@@ -201,68 +201,83 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 }
 
-func TestConfirmTargetSkipsDeadPeer(t *testing.T) {
+// analyzeAt runs the spine at srv for path over srv's own load snapshot,
+// the same two calls lifecycle makes.
+func analyzeAt(srv *Server, policy core.Policy, path string) core.Plan {
+	f := srv.facts(path)
+	return core.Analyze(policy, &f, srv.cfg.ID, srv.snapshotLoads())
+}
+
+// TestAnalyzeSkipsFailingPeer: one snapshot, one decision. A peer whose
+// data path is failing is unavailable in the snapshot, so the broker's
+// cost table already routes around it — to the next-best peer, or home
+// when every peer is failing — and recovery restores the pick.
+func TestAnalyzeSkipsFailingPeer(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Store = storage.NewStore(3)
-	storage.UniformSet(cfg.Store, 3, 1024)
+	paths := storage.UniformSet(cfg.Store, 3, 1024)
+	cfg.CPUOpsPerSec = 1e3 // serving here costs minutes; either peer wins
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	smp := func(node int) loadd.Sample {
-		return loadd.Sample{Node: node, CPUOpsPerSec: 1, DiskBytesPerSec: 1,
-			NetBytesPerSec: 1, SentAt: srv.nowSec()}
+	srv.SetPeers([]Peer{{ID: 0}, {ID: 1, HTTPAddr: "h1"}, {ID: 2, HTTPAddr: "h2"}})
+	for _, node := range []int{1, 2} {
+		smp := loadd.Sample{Node: node, CPUOpsPerSec: 1e9, DiskBytesPerSec: 1e9,
+			NetBytesPerSec: 1e9, SentAt: srv.nowSec()}
+		if err := srv.Table().Update(smp, srv.nowSec()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := srv.Table().Update(smp(1), srv.nowSec()); err != nil {
-		t.Fatal(err)
+	sweb := core.NewSWEB(core.DefaultParams())
+	expect := func(step string, action core.Action, target int) {
+		t.Helper()
+		if p := analyzeAt(srv, sweb, paths[0]); p.Action != action || p.Target != target {
+			t.Fatalf("%s: plan %v -> %d, want %v -> %d", step, p.Action, p.Target, action, target)
+		}
 	}
-	if err := srv.Table().Update(smp(2), srv.nowSec()); err != nil {
-		t.Fatal(err)
-	}
-
-	dec := core.Decision{Target: 1, Candidates: []core.CostBreakdown{
-		{Node: 0, Total: 3},
-		{Node: 1, Total: 1},
-		{Node: 2, Total: 2},
-	}}
-	// All peers healthy: the broker's pick stands.
-	if got := srv.confirmTarget(dec); got != 1 {
-		t.Fatalf("healthy pick overridden: %d", got)
-	}
-	// The pick's data path fails past the limit: next-best feasible wins.
+	expect("healthy", core.Redirect, 1)
 	for i := 0; i < loadd.DefaultFailureLimit; i++ {
 		srv.Table().MarkFailure(1)
 	}
-	if got := srv.confirmTarget(dec); got != 2 {
-		t.Fatalf("fallback = %d, want next-best peer 2", got)
-	}
-	// Every peer dead: degrade to local service.
+	expect("pick failing", core.Redirect, 2)
 	for i := 0; i < loadd.DefaultFailureLimit; i++ {
 		srv.Table().MarkFailure(2)
 	}
-	if got := srv.confirmTarget(dec); got != 0 {
-		t.Fatalf("fallback = %d, want local", got)
-	}
-	// Recovery on the data path restores the pick.
+	expect("every peer failing", core.Serve, 0)
 	srv.Table().MarkSuccess(1)
-	if got := srv.confirmTarget(dec); got != 1 {
-		t.Fatalf("recovered pick = %d, want 1", got)
-	}
+	expect("recovered", core.Redirect, 1)
 }
 
-func TestConfirmTargetNoCandidatesFallsBackLocal(t *testing.T) {
-	// Policies like FileLocality return a bare target with no candidate
-	// breakdowns; a dead pick must still degrade to local service.
+// TestAnalyzeNoCandidatesServesLocal: a policy that returns a bare target
+// (file locality) still never sends a client to a peer that has not
+// broadcast, nor to a node outside the configured membership.
+func TestAnalyzeNoCandidatesServesLocal(t *testing.T) {
 	srv, err := New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	dec := core.Decision{Target: 1} // node 1 never broadcast
-	if got := srv.confirmTarget(dec); got != 0 {
-		t.Fatalf("confirmTarget = %d, want local 0", got)
+	fl := core.FileLocality{P: core.DefaultParams()}
+	remote := "/docs/u000001.dat" // owned by node 1
+	if _, ok := srv.cfg.Store.Lookup(remote); !ok {
+		t.Fatalf("fixture lacks %s", remote)
+	}
+	smp := loadd.Sample{Node: 1, CPUOpsPerSec: 1, DiskBytesPerSec: 1, NetBytesPerSec: 1, SentAt: srv.nowSec()}
+	if err := srv.Table().Update(smp, srv.nowSec()); err != nil {
+		t.Fatal(err)
+	}
+	if p := analyzeAt(srv, fl, remote); p.Action != core.Serve || p.Target != 0 {
+		t.Fatalf("unconfigured owner: plan %v -> %d, want serve here", p.Action, p.Target)
+	}
+	srv.SetPeers([]Peer{{ID: 0}, {ID: 1, HTTPAddr: "h1"}})
+	if p := analyzeAt(srv, fl, remote); p.Action != core.Redirect || p.Target != 1 {
+		t.Fatalf("configured owner: plan %v -> %d, want redirect to 1", p.Action, p.Target)
+	}
+	srv.Table().Forget(1)
+	if p := analyzeAt(srv, fl, remote); p.Action != core.Serve || p.Target != 0 {
+		t.Fatalf("silent owner: plan %v -> %d, want serve here", p.Action, p.Target)
 	}
 }
 

@@ -72,7 +72,7 @@ func scrape(t *testing.T, srv *Server) []metrics.Sample {
 
 // knows reports whether srv holds a fresh, usable sample from peer.
 func knows(srv *Server, peer int) bool {
-	return srv.Table().Available(peer, srv.nowSec())
+	return srv.Table().Snapshot(peer+1, srv.nowSec())[peer].Available
 }
 
 // TestJoinReplyOnFirstContact: a node that comes up after its peer's
@@ -278,5 +278,52 @@ func TestUntracedRedirectMeasuresHop(t *testing.T) {
 	}
 	if n, _ := metrics.Value(scrape(t, target), "sweb_phase_seconds_count", metrics.Labels{"phase": "redirect_hop"}); n != 1 {
 		t.Fatalf("target's redirect_hop count = %v, want 1", n)
+	}
+}
+
+// TestUnconfiguredSenderIgnored: gossip from a node outside the configured
+// membership is dropped before the table sees it, so a stray or forged
+// datagram adds no row, no per-peer series and no scheduling target. Node 0
+// knows peers {0, 2}; two samples claiming to be node 1 arrive, then one
+// from node 2, whose landing shows the listener got past node 1's.
+func TestUnconfiguredSenderIgnored(t *testing.T) {
+	sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sock.Close()
+	srvs := gossipNodes(t, 1, func(c *Config) { c.LoaddPeriod = time.Hour })
+	node := srvs[0]
+	node.SetPeers([]Peer{{ID: 2, HTTPAddr: "127.0.0.1:1", UDPAddr: sock.LocalAddr().String()}})
+	node.Start()
+	to, err := net.ResolveUDPAddr("udp", node.UDPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(from int, sentAt float64) {
+		s := loadd.Sample{Node: from, CPUOpsPerSec: 1, DiskBytesPerSec: 1, NetBytesPerSec: 1,
+			SentAt: sentAt, Incarnation: 7}
+		var buf [loadd.MaxWireSize]byte
+		n, err := loadd.EncodeSample(buf[:], s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sock.WriteToUDP(buf[:n], to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1, 1)
+	send(1, 2)
+	send(2, 1)
+	waitFor(t, time.Second, "node 2's sample lands", func() bool { return knows(node, 2) })
+	for _, id := range node.Table().Known() {
+		if id == 1 {
+			t.Fatalf("table rows %v include unconfigured node 1", node.Table().Known())
+		}
+	}
+	for _, s := range scrape(t, node) {
+		if s.Labels["peer"] == "1" {
+			t.Fatalf("exposition carries series %s for unconfigured node 1", s.Key())
+		}
 	}
 }

@@ -2,7 +2,9 @@ package httpd
 
 import (
 	"bufio"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -215,4 +217,33 @@ func checkThreading(t *testing.T, i int, query string, ordinary []string,
 		t.Fatalf("case %d: trace context round-trip got (%q, %d, %v), want (%q, %d)",
 			i, id, micros, ok, wantID, wantMicros)
 	}
+}
+
+// FuzzQueryMarkers: arbitrary paths and queries never panic a query
+// reader, and a 302's Location parses back to redirects+1 and the swebt
+// context while keeping the client's other parameters in order.
+func FuzzQueryMarkers(f *testing.F) {
+	f.Add("/doc", "a=b&swebr=1&swebt=cafe:5", uint8(0), []byte{0xca, 0xfe}, int64(17))
+	f.Add("/a b.html", "", uint8(3), []byte(nil), int64(1))
+	f.Add("/q?.html", "&&x=1&swebr=&swebt=:x&swebr&=&path=%2Fa", uint8(1), []byte{1}, int64(-4))
+	f.Fuzz(func(t *testing.T, path, query string, redirects uint8, id []byte, micros int64) {
+		parseRedirectCount(query)
+		parseTraceContext(query)
+		queryParam(query, "path")
+
+		wantID := trace.TraceID(hex.EncodeToString(id))
+		micros = micros&math.MaxInt64 | 1 // a 302 always stamps a send time
+		loc := redirectLocation("h:1", path, query, int(redirects), formatTraceContext(wantID, micros))
+		rest, ok := strings.CutPrefix(loc, "http://h:1"+httpmsg.EscapePath(path)+"?")
+		if !ok {
+			t.Fatalf("malformed location %q", loc)
+		}
+		var ordinary []string
+		for _, kv := range strings.Split(query, "&") {
+			if kv != "" && !strings.HasPrefix(kv, "swebr=") && !strings.HasPrefix(kv, "swebt=") {
+				ordinary = append(ordinary, kv)
+			}
+		}
+		checkThreading(t, 0, rest, ordinary, int(redirects)+1, wantID, micros)
+	})
 }

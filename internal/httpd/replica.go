@@ -25,21 +25,21 @@ import (
 // docroot, and only then recorded in the store. Idempotent: a node that
 // already holds the replica answers nil without touching the network.
 func (s *Server) MaterializeReplica(path string) error {
-	file, ok := s.cfg.Store.Lookup(path)
-	if !ok {
+	f := s.facts(path)
+	if !f.Found {
 		return fmt.Errorf("replicate: unknown document %q", path)
 	}
-	if file.CGI {
+	if f.CGI {
 		return fmt.Errorf("replicate: %q is a CGI endpoint, not a document", path)
 	}
-	if file.HasReplica(s.cfg.ID) {
+	if f.HasReplica(s.cfg.ID) {
 		return nil
 	}
-	sources := s.rankedSources(path, file)
+	sources := s.rankedSources(&f)
 	if len(sources) == 0 {
 		return fmt.Errorf("replicate: no reachable replica of %q", path)
 	}
-	ent, err := s.fetchWithRetry(sources, path, file.Size, "")
+	ent, err := s.fetchWithRetry(sources, path, f.Size, "")
 	if err != nil {
 		return fmt.Errorf("replicate: fetch %q: %w", path, err)
 	}
@@ -108,15 +108,17 @@ func (s *Server) DropReplicaLocal(path string) error {
 	return nil
 }
 
-// queryParam extracts one key's value from a raw query string ("" when
-// absent), the same hand-rolled parsing the sweb markers use.
-func queryParam(query, key string) string {
-	for _, kv := range strings.Split(query, "&") {
-		if v, ok := strings.CutPrefix(kv, key+"="); ok {
-			return v
+// queryParam extracts one key's first value from a raw query string (""
+// when absent), through the walker the sweb markers use.
+func queryParam(query, key string) (value string) {
+	eachParam(query, func(pair string) bool {
+		v, ok := strings.CutPrefix(pair, key+"=")
+		if ok {
+			value = v
 		}
-	}
-	return ""
+		return !ok
+	})
+	return value
 }
 
 // serveReplicate answers /sweb/replicate?path=P&node=N&action=add|drop —
@@ -167,7 +169,8 @@ func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
 		"action":   action,
 		"replicas": s.cfg.Store.Replicas(path),
 	})
-	if rc.simple(httpmsg.StatusOK, &httpmsg.ResponseHead{ContentType: "application/json"}, append(b, '\n')) != nil {
+	b = append(b, '\n')
+	if rc.simple(httpmsg.StatusOK, &httpmsg.ResponseHead{ContentType: "application/json"}, b) != nil {
 		return 0
 	}
 	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(b)))

@@ -686,8 +686,8 @@ func (s *Server) gossip(smp loadd.Sample, to ...Peer) {
 // contact, silence past the timeout, or a restart — is answered at once
 // with this node's own sample, so the newcomer can schedule onto this node
 // one round trip after it starts instead of one gossip period. Only
-// configured peers get a reply, at their configured address: a forged
-// datagram cannot aim one anywhere else.
+// configured peers are heard, and a reply goes to the configured address: a
+// forged datagram can neither add a table row nor aim a reply anywhere else.
 func (s *Server) listenLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, loadd.MaxWireSize)
@@ -713,8 +713,12 @@ func (s *Server) listenLoop() {
 		if err != nil {
 			continue // drop corrupt datagrams
 		}
-		if smp.Node == s.cfg.ID {
-			continue // ignore echoes
+		p, ok := s.peerByID(smp.Node)
+		if !ok || smp.Node == s.cfg.ID {
+			// Echoes, and nodes outside the configured membership: a stray
+			// or forged datagram must not grow the table, the per-peer
+			// series or the broker's choices.
+			continue
 		}
 		now := s.nowSec()
 		prevAge := s.table.Age(smp.Node, now)
@@ -729,9 +733,7 @@ func (s *Server) listenLoop() {
 			s.gossipInterval(smp.Node, prevAge)
 		}
 		if joined {
-			if p, ok := s.peerByID(smp.Node); ok {
-				s.gossip(s.sample(), p)
-			}
+			s.gossip(s.sample(), p)
 		}
 	}
 }

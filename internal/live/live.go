@@ -143,20 +143,13 @@ func Start(o Options) (*Cluster, error) {
 	if err := Materialize(o.Store, o.BaseDir, o.Seed); err != nil {
 		return nil, err
 	}
-	policies := map[string]func(core.Params) core.Policy{
-		"":     func(p core.Params) core.Policy { return core.NewSWEB(p) },
-		"sweb": func(p core.Params) core.Policy { return core.NewSWEB(p) },
-		"rr":   func(p core.Params) core.Policy { return core.RoundRobin{} },
-		"fl":   func(p core.Params) core.Policy { return core.FileLocality{P: p} },
-		"cpu":  func(p core.Params) core.Policy { return core.CPUOnly{P: p} },
-	}
-	mk, ok := policies[o.Policy]
-	if !ok {
-		return nil, fmt.Errorf("live: unknown policy %q", o.Policy)
-	}
 	params := o.Params
 	if !o.HaveParams {
 		params = core.DefaultParams()
+	}
+	policy, err := core.NewPolicy(o.Policy, params)
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
 
 	cl := &Cluster{store: o.Store, epoch: time.Now(), snapshotDir: o.SnapshotDir}
@@ -169,7 +162,7 @@ func Start(o Options) (*Cluster, error) {
 			ID:             i,
 			DocRoot:        nodeDocRoot(o.BaseDir, i),
 			Store:          o.Store,
-			Policy:         mk(params),
+			Policy:         policy,
 			Params:         params,
 			HaveParams:     true,
 			LoaddPeriod:    o.LoaddPeriod,
@@ -213,7 +206,6 @@ func Start(o Options) (*Cluster, error) {
 		srv.SetPeers(peers)
 		srv.Start()
 	}
-	var err error
 	cl.Resolver, err = dnsrr.New(ids, 0)
 	if err != nil {
 		cl.Close()

@@ -49,6 +49,13 @@ type Sample struct {
 	CacheHints []string
 }
 
+// Load is the broker's row for the node that advertised s. A node builds
+// its own row the same way, from a sample of its live counters.
+func (s Sample) Load() core.NodeLoad {
+	return core.NodeLoad{Available: true, CPULoad: s.CPULoad, DiskLoad: s.DiskLoad, NetLoad: s.NetLoad,
+		CPUOpsPerSec: s.CPUOpsPerSec, DiskBytesPerSec: s.DiskBytesPerSec, NetBytesPerSec: s.NetBytesPerSec}
+}
+
 // Validate reports obviously corrupt samples (non-finite numbers, negative
 // loads or rates), which the live UDP listener drops rather than poisoning
 // the table: one +Inf rate would price every request at that peer as free.
@@ -325,14 +332,12 @@ func (t *Table) Known() []int {
 	return out
 }
 
-// Available reports whether node has broadcast within the timeout as of now
-// and its data path is not in a failure streak at or past the limit.
-func (t *Table) Available(node int, now float64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.entries[node]
-	return e != nil && e.haveSample && now-e.receivedAt <= t.timeout &&
-		e.failures < t.failLimit
+// usable is the one availability rule Snapshot and Health apply: a sample
+// heard within the timeout, and a data path that is not in a failure
+// streak at or past the limit even while broadcasts look fresh. The
+// caller holds t.mu.
+func (t *Table) usable(e *entry, now float64) bool {
+	return e != nil && e.haveSample && now-e.receivedAt <= t.timeout && e.failures < t.failLimit
 }
 
 // PeerHealth is one row of the table's introspection snapshot (served by
@@ -352,7 +357,7 @@ type PeerHealth struct {
 }
 
 // Health snapshots every known entry for introspection, sorted by node id,
-// applying the same freshness and failure-streak rules as Available. Where
+// applying the same freshness and failure-streak rules as Snapshot. Where
 // Snapshot renders the broker's (bump-inflated) view, Health reports the
 // raw samples plus the verdict's inputs, so an operator can see *why* a
 // peer is being scheduled around.
@@ -376,7 +381,7 @@ func (t *Table) Health(now float64) []PeerHealth {
 		}
 		if e.haveSample {
 			h.AgeSeconds = now - e.receivedAt
-			h.Available = h.AgeSeconds <= t.timeout && e.failures < t.failLimit
+			h.Available = t.usable(e, now)
 			h.CPULoad = e.sample.CPULoad
 			h.DiskLoad = e.sample.DiskLoad
 			h.NetLoad = e.sample.NetLoad
@@ -420,16 +425,9 @@ func (t *Table) Snapshot(n int, now float64) []core.NodeLoad {
 	loads := make([]core.NodeLoad, n)
 	for id := 0; id < n; id++ {
 		e := t.entries[id]
-		if e == nil || !e.haveSample {
+		if !t.usable(e, now) {
 			continue
 		}
-		if now-e.receivedAt > t.timeout {
-			continue // silent too long: unavailable
-		}
-		if e.failures >= t.failLimit {
-			continue // data path failing even though broadcasts look fresh
-		}
-		s := e.sample
 		// Each redirect since the last broadcast adds Δ load (relative to
 		// one runnable job), i.e. Δ=0.3 means "assume the request I just
 		// sent adds 30% of a job's worth of extra pressure". The paper
@@ -438,15 +436,11 @@ func (t *Table) Snapshot(n int, now float64) []core.NodeLoad {
 		// vector so the same anti-herd logic protects the disk and
 		// network terms that dominate large-file costs.
 		bump := t.delta * float64(e.bumps)
-		loads[id] = core.NodeLoad{
-			Available:       true,
-			CPULoad:         s.CPULoad + bump*(1+s.CPULoad),
-			DiskLoad:        s.DiskLoad + bump*(1+s.DiskLoad),
-			NetLoad:         s.NetLoad + bump*(1+s.NetLoad),
-			CPUOpsPerSec:    s.CPUOpsPerSec,
-			DiskBytesPerSec: s.DiskBytesPerSec,
-			NetBytesPerSec:  s.NetBytesPerSec,
-		}
+		ld := e.sample.Load()
+		ld.CPULoad += bump * (1 + ld.CPULoad)
+		ld.DiskLoad += bump * (1 + ld.DiskLoad)
+		ld.NetLoad += bump * (1 + ld.NetLoad)
+		loads[id] = ld
 	}
 	return loads
 }

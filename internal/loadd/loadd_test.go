@@ -58,7 +58,7 @@ func TestTableRejectsInvalidSamples(t *testing.T) {
 	if err := tb.Update(Sample{Node: 1}, 0); err == nil {
 		t.Fatal("invalid sample accepted")
 	}
-	if tb.Available(1, 0) {
+	if available(tb, 1, 0) {
 		t.Fatal("table poisoned by invalid sample")
 	}
 }
@@ -66,10 +66,10 @@ func TestTableRejectsInvalidSamples(t *testing.T) {
 func TestTableStalenessTimeout(t *testing.T) {
 	tb := NewTable(0, 8, 0.3)
 	_ = tb.Update(sample(1, 1, 1, 1, 0), 0)
-	if !tb.Available(1, 7.9) {
+	if !available(tb, 1, 7.9) {
 		t.Fatal("node timed out too early")
 	}
-	if tb.Available(1, 8.1) {
+	if available(tb, 1, 8.1) {
 		t.Fatal("silent node not marked unavailable")
 	}
 	if loads := tb.Snapshot(2, 9); loads[1].Available {
@@ -77,7 +77,7 @@ func TestTableStalenessTimeout(t *testing.T) {
 	}
 	// A new broadcast revives it (joining the pool again).
 	_ = tb.Update(sample(1, 1, 1, 1, 9), 9)
-	if !tb.Available(1, 9.5) {
+	if !available(tb, 1, 9.5) {
 		t.Fatal("rejoined node unavailable")
 	}
 }
@@ -110,7 +110,7 @@ func TestTableRestartIsANewIncarnation(t *testing.T) {
 	if got, _ := tb.Advertised(1); got.Incarnation != 9 || got.SentAt != 0.01 {
 		t.Fatalf("restarted sample not recorded: %+v", got)
 	}
-	if !tb.Available(1, 101.5) {
+	if !available(tb, 1, 101.5) {
 		t.Fatal("restarted peer unavailable")
 	}
 	reordered := sample(1, 99, 0, 0, 0.005)
@@ -208,7 +208,7 @@ func TestForget(t *testing.T) {
 	tb := NewTable(0, 8, 0.3)
 	_ = tb.Update(sample(1, 1, 1, 1, 0), 0)
 	tb.Forget(1)
-	if tb.Available(1, 0.1) {
+	if available(tb, 1, 0.1) {
 		t.Fatal("forgotten node still available")
 	}
 	if len(tb.Known()) != 0 {
@@ -254,7 +254,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 				_ = tb.Update(sample(g%4, float64(i), 0, 0, float64(i)), float64(i))
 				tb.Bump(g % 4)
 				tb.Snapshot(4, float64(i))
-				tb.Available(g%4, float64(i))
+				available(tb, g%4, float64(i))
 			}
 		}()
 	}
@@ -445,7 +445,7 @@ func TestNonFiniteSamplesRejected(t *testing.T) {
 				t.Errorf("field %d = %v: Validate accepted", i, v)
 			}
 			tb := NewTable(0, 8, 0.3)
-			if err := tb.Update(s, 1); err == nil || tb.Available(1, 1) {
+			if err := tb.Update(s, 1); err == nil || available(tb, 1, 1) {
 				t.Errorf("field %d = %v: table accepted", i, v)
 			}
 			// The same value patched into a valid datagram's bytes.
@@ -477,7 +477,7 @@ func TestSampleValidateHints(t *testing.T) {
 func TestMarkFailureMakesPeerUnavailable(t *testing.T) {
 	tb := NewTable(0, 8, 0.3)
 	_ = tb.Update(sample(1, 1, 1, 1, 0), 0)
-	if !tb.Available(1, 1) {
+	if !available(tb, 1, 1) {
 		t.Fatal("fresh peer should be available")
 	}
 	// Below the limit the peer stays usable.
@@ -485,12 +485,12 @@ func TestMarkFailureMakesPeerUnavailable(t *testing.T) {
 		if got := tb.MarkFailure(1); got != i {
 			t.Fatalf("failure count = %d want %d", got, i)
 		}
-		if !tb.Available(1, 1) {
+		if !available(tb, 1, 1) {
 			t.Fatalf("peer unavailable after only %d failures", i)
 		}
 	}
 	tb.MarkFailure(1)
-	if tb.Available(1, 1) {
+	if available(tb, 1, 1) {
 		t.Fatal("peer still available at the failure limit")
 	}
 	if loads := tb.Snapshot(2, 1); loads[1].Available {
@@ -504,11 +504,11 @@ func TestMarkSuccessRecoversPeer(t *testing.T) {
 	for i := 0; i < DefaultFailureLimit; i++ {
 		tb.MarkFailure(1)
 	}
-	if tb.Available(1, 1) {
+	if available(tb, 1, 1) {
 		t.Fatal("peer should be down")
 	}
 	tb.MarkSuccess(1)
-	if !tb.Available(1, 1) {
+	if !available(tb, 1, 1) {
 		t.Fatal("MarkSuccess did not recover the peer")
 	}
 	if tb.Failures(1) != 0 {
@@ -524,7 +524,7 @@ func TestBroadcastRecoversFailingPeer(t *testing.T) {
 	}
 	// A fresh broadcast proves the node is back.
 	_ = tb.Update(sample(1, 1, 1, 1, 1), 1)
-	if !tb.Available(1, 2) {
+	if !available(tb, 1, 2) {
 		t.Fatal("fresh broadcast did not recover the peer")
 	}
 	if loads := tb.Snapshot(2, 2); !loads[1].Available {
@@ -537,11 +537,11 @@ func TestSetFailureLimit(t *testing.T) {
 	tb.SetFailureLimit(1)
 	_ = tb.Update(sample(1, 1, 1, 1, 0), 0)
 	tb.MarkFailure(1)
-	if tb.Available(1, 1) {
+	if available(tb, 1, 1) {
 		t.Fatal("limit 1 not honored")
 	}
 	tb.SetFailureLimit(0) // restores the default
-	if !tb.Available(1, 1) {
+	if !available(tb, 1, 1) {
 		t.Fatal("default limit not restored")
 	}
 }
@@ -555,7 +555,7 @@ func TestMarkFailureUnknownPeerTracked(t *testing.T) {
 	if got := tb.Failures(7); got != 2 {
 		t.Fatalf("failures = %d", got)
 	}
-	if tb.Available(7, 0) {
+	if available(tb, 7, 0) {
 		t.Fatal("never-heard peer reported available")
 	}
 }
@@ -596,4 +596,9 @@ func TestHealthSnapshot(t *testing.T) {
 	if h = tb.Health(1); h[0].Available {
 		t.Fatal("failure streak at limit still reported available")
 	}
+}
+
+// available reads node's row of the broker's snapshot as of now.
+func available(tb *Table, node int, now float64) bool {
+	return tb.Snapshot(node+1, now)[node].Available
 }

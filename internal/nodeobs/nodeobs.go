@@ -258,6 +258,50 @@ type Outcome struct {
 	Replicas    int
 }
 
+// FetchStep names the lifecycle event and the sweb_phase_seconds cell of a
+// fulfillment the spine classified as f: a program run is cgi, a peer
+// fetch is the NFS path, and a disk read or cache hit is local.
+func FetchStep(f core.Fetch) (trace.Kind, string) {
+	switch f {
+	case core.FetchCGI:
+		return trace.EvCGI, "cgi"
+	case core.FetchPeer:
+		return trace.EvFetchNFS, "fetch_nfs"
+	}
+	return trace.EvFetchLocal, "fetch_local"
+}
+
+// Steps lists the events and phase cells a client request emits on the
+// node that analyzed it, in order, for the spine's action and — when it is
+// served there — fetch kind. Every request is parsed and analyzed; a 302
+// adds the redirect, a 404 its answer, and a serve its fetch and answer.
+// It is the contract each substrate's executor is tested against.
+func Steps(a core.Action, f core.Fetch) (events []trace.Kind, phases []string) {
+	events = []trace.Kind{trace.EvConnected, trace.EvParsed, trace.EvAnalyzed}
+	phases = []string{"parse", "analyze"}
+	switch a {
+	case core.Redirect:
+		return append(events, trace.EvRedirected), append(phases, "redirect")
+	case core.NotFound:
+		return append(events, trace.EvSent), phases
+	}
+	kind, cell := FetchStep(f)
+	return append(events, kind, trace.EvSent), append(phases, cell)
+}
+
+// Fulfil marks o as fulfilled on this node by a fetch of kind f and fills
+// the heat inputs from it: owner (dropped for generated output) and the
+// replica-set size come from the document; a relay is a peer fetch, and a
+// miss is any read from a disk, which only a node with a cache can count.
+func (o *Outcome) Fulfil(f core.Fetch, owner, replicas int, cache bool) {
+	if f == core.FetchCGI {
+		owner = -1
+	}
+	o.Fulfilled, o.Owner, o.Replicas = true, owner, replicas
+	o.CacheHit, o.Relay = f == core.FetchCache, f == core.FetchPeer
+	o.Miss = cache && (f == core.FetchDisk || f == core.FetchPeer)
+}
+
 // Succeeded reports whether o is a successful serve: the only requests
 // the latency histograms and the heat sketch count. Every other ending
 // pairs with a sweb_drops_total cause (or is a 302), so the SLO engine

@@ -81,9 +81,9 @@ func New(cfg Config) (*Cluster, error) {
 		c.cfg.Params.RemotePenalty = c.net.RemotePenalty()
 	}
 	var err error
-	c.policy, err = buildPolicy(cfg.Policy, c.cfg.Params)
+	c.policy, err = core.NewPolicy(cfg.Policy, c.cfg.Params)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("simsrv: %w", err)
 	}
 	ids := make([]int, n)
 	for i := range ids {
@@ -109,21 +109,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.scheduleLoadd(i, stagger+c.nextPeriod())
 	}
 	return c, nil
-}
-
-func buildPolicy(name string, p core.Params) (core.Policy, error) {
-	switch name {
-	case PolicySWEB:
-		return core.NewSWEB(p), nil
-	case PolicyRoundRobin:
-		return core.RoundRobin{}, nil
-	case PolicyFileLocality:
-		return core.FileLocality{P: p}, nil
-	case PolicyCPUOnly:
-		return core.CPUOnly{P: p}, nil
-	default:
-		return nil, fmt.Errorf("simsrv: unknown policy %q", name)
-	}
 }
 
 // Nodes returns the cluster size.
@@ -176,8 +161,9 @@ func (c *Cluster) netLoadOf(x, nic int) float64 {
 	return load
 }
 
-// sampleOf captures node x's current load vector.
-func (c *Cluster) sampleOf(x int) loadd.Sample {
+// sampleOf captures node x's current load vector, with its hottest
+// cached paths as the digest when hints > 0.
+func (c *Cluster) sampleOf(x, hints int) loadd.Sample {
 	cpu, disk, nic := c.nodes[x].LoadVector()
 	spec := c.cfg.Specs[x]
 	smp := loadd.Sample{
@@ -190,8 +176,8 @@ func (c *Cluster) sampleOf(x int) loadd.Sample {
 		NetBytesPerSec:  c.advertisedNetRate(x),
 		SentAt:          c.nowSec(),
 	}
-	if c.cfg.CacheHints > 0 {
-		smp.CacheHints = c.nodes[x].Cache.Hot(c.cfg.CacheHints)
+	if hints > 0 {
+		smp.CacheHints = c.nodes[x].Cache.Hot(hints)
 	}
 	return smp
 }
@@ -211,7 +197,7 @@ func (c *Cluster) advertisedNetRate(x int) float64 {
 // Datagrams to peers are lossy when LoaddLossRate is set — UDP over a
 // congested segment drops, and the gossip protocol must tolerate it.
 func (c *Cluster) broadcast(x int) {
-	s := c.sampleOf(x)
+	s := c.sampleOf(x, c.cfg.CacheHints)
 	for y := range c.nodes {
 		y := y
 		if y == x {
@@ -242,17 +228,9 @@ func (c *Cluster) Makespan() des.Time { return c.lastDone }
 // liveRow builds the broker's view of its own node from current counters
 // rather than the last broadcast: a node always knows its own load.
 func (c *Cluster) liveRow(x int) core.NodeLoad {
-	cpu, disk, nic := c.nodes[x].LoadVector()
-	spec := c.cfg.Specs[x]
-	return core.NodeLoad{
-		Available:       c.up[x],
-		CPULoad:         float64(cpu),
-		DiskLoad:        float64(disk),
-		NetLoad:         c.netLoadOf(x, nic),
-		CPUOpsPerSec:    spec.CPUOpsPerSec,
-		DiskBytesPerSec: spec.DiskBytesPerSec,
-		NetBytesPerSec:  c.advertisedNetRate(x),
-	}
+	row := c.sampleOf(x, 0).Load()
+	row.Available = c.up[x]
+	return row
 }
 
 // FailNodeAt removes node x from the pool at time t: it stops broadcasting
@@ -291,16 +269,16 @@ func (c *Cluster) Submit(a workload.Arrival) {
 			node = n
 		}
 		c.reqSeq++
-		rs := &request{path: a.Path, domain: a.Domain, issued: c.Sim.Now(), id: c.reqSeq}
+		rs := &request{domain: a.Domain, issued: c.Sim.Now(), id: c.reqSeq}
 		rs.tid = c.cfg.Trace.NewRequest()
 		if c.cfg.Trace.Enabled() {
 			c.trace(rs, trace.EvIssued, -1, "path="+a.Path)
 		}
 		c.trace(rs, trace.EvResolved, node, "")
-		if f, ok := c.cfg.Store.Lookup(a.Path); ok {
-			rs.file = f
-			rs.found = true
-			rs.demand = c.cfg.Oracle.Characterize(a.Path)
+		rs.File, rs.Found = c.cfg.Store.Lookup(a.Path)
+		rs.Path = a.Path
+		if rs.Found {
+			rs.Demand = c.cfg.Oracle.Characterize(a.Path)
 		}
 		// DNS answer in hand, the client opens the TCP connection:
 		// one round trip plus server-side accept processing.

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"sweb/internal/cache"
+	"sweb/internal/core"
 	"sweb/internal/des"
 	"sweb/internal/flight"
 	"sweb/internal/heat"
@@ -53,27 +54,23 @@ func (c *Cluster) observe(rs *request, node, status int, bytes int64, served boo
 	o := nodeobs.Outcome{Record: flight.Record{
 		AtSeconds:      rs.issued.ToSeconds(),
 		ConnID:         rs.id,
-		Path:           rs.path,
+		Path:           rs.Path,
 		Status:         status,
 		Bytes:          bytes,
 		Target:         -1,
-		Redirected:     rs.redirects > 0,
-		CacheHit:       rs.cacheHit,
+		Redirected:     rs.Redirects > 0,
+		CacheHit:       rs.fetch == core.FetchCache,
 		ParseSeconds:   rs.ph.Preprocess,
 		AnalyzeSeconds: rs.ph.Analysis,
 		TTFBSeconds:    -1,
 		TotalSeconds:   (now - rs.issued).ToSeconds(),
 	}, DoneMicros: int64(now.ToSeconds() * 1e6)}
 	if served {
-		cgi := rs.fetchPhase == "cgi"
-		o.Policy, o.Target, o.Estimate = c.policy.Name(), node, rs.predicted
-		o.Fulfilled, o.Owner = true, -1
-		if !cgi {
-			o.Owner = rs.file.Owner
+		o.Policy, o.Target = c.policy.Name(), node
+		if rs.plan.Action == core.Serve {
+			o.Estimate = rs.plan.Decision.Estimate
 		}
-		o.Relay = rs.fetchPhase == "fetch_nfs"
-		o.Miss = !cgi && !rs.cacheHit
-		o.Replicas = len(rs.file.ReplicaSet())
+		o.Fulfil(rs.fetch, rs.Owner, len(rs.ReplicaSet()), true)
 	}
 	if rs.hasTTFB {
 		o.TTFBSeconds = (rs.ttfbAt - rs.issued).ToSeconds()

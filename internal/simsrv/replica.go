@@ -1,34 +1,9 @@
 package simsrv
 
 import (
-	"sweb/internal/core"
 	"sweb/internal/des"
 	"sweb/internal/rebalance"
 )
-
-// pickFetchSource names the replica node x pulls the document's bytes
-// from: core.RankSources' cheapest-first order over the broker's load
-// view, skipping nodes that are out of the pool — ground truth the
-// gossip table may not have learned yet; the collapsed-to-zero-time
-// analogue of the live relay's try-next-source failover — with the
-// primary owner as the last resort.
-func (c *Cluster) pickFetchSource(rs *request, x int) int {
-	f := rs.file
-	req := core.Request{
-		Path:      rs.path,
-		Owner:     f.Owner,
-		Replicas:  f.Replicas,
-		DiskBytes: rs.demand.DiskBytesPerByte * float64(f.Size),
-	}
-	loads := c.tables[x].Snapshot(len(c.nodes), c.nowSec())
-	loads[x] = c.liveRow(x)
-	for _, rep := range core.RankSources(req, x, x, loads) {
-		if rep != x && c.up[rep] {
-			return rep
-		}
-	}
-	return f.Owner
-}
 
 // Replicate materializes a copy of path on node dst at the current
 // simulation time: the cheapest live replica's disk reads the document
@@ -75,11 +50,7 @@ func (c *Cluster) Replicate(path string, dst int, done func(bool)) {
 	}
 	var pump func(off int64)
 	pump = func(off int64) {
-		chunk := c.cfg.ChunkBytes
-		if off+chunk > f.Size {
-			chunk = f.Size - off
-		}
-		last := off+chunk >= f.Size
+		chunk, last := c.chunkAt(off, f.Size)
 		srcNode.DiskReads++
 		srcNode.DiskBytes += chunk
 		srcNode.Disk.Submit(float64(chunk), func() {

@@ -7,39 +7,37 @@ import (
 	"sweb/internal/core"
 	"sweb/internal/des"
 	"sweb/internal/model"
-	"sweb/internal/oracle"
+	"sweb/internal/nodeobs"
 	"sweb/internal/stats"
-	"sweb/internal/storage"
 	"sweb/internal/trace"
 )
 
-// request carries one HTTP request through the four-phase lifecycle.
+// request carries one HTTP request through the four-phase lifecycle. Its
+// Facts are what the broker knows — the manifest entry (Path always set),
+// the oracle's demand, the hop count and, refreshed by each node that
+// analyzes it, the residency signals; the rest is executor state.
 type request struct {
-	path   string
+	core.Facts
 	domain string
-	file   storage.File
-	found  bool
-	demand oracle.Demand
 
-	issued    des.Time
-	mark      des.Time // start of the current phase
-	redirects int
-	servedBy  int
-	tid       int64 // trace request id (-1 when tracing is off)
-	ph        stats.PhaseBreakdown
+	issued   des.Time
+	mark     des.Time // start of the current phase
+	servedBy int
+	tid      int64 // trace request id (-1 when tracing is off)
+	ph       stats.PhaseBreakdown
 
-	fetchPhase string  // phase-histogram cell the fulfill path lands in
-	predicted  float64 // broker's t_s estimate for serving here
-	hasPred    bool
+	// plan is the spine's answer at the node that last analyzed the
+	// request; fetch is how the serving node obtained the bytes.
+	plan  core.Plan
+	fetch core.Fetch
 
 	// Flight-recorder state: the connection id, the node the request last
-	// arrived at (where a refusal is attributed), whether fulfillment hit
-	// the page cache, and when the first response byte left the server.
-	id       int64
-	entry    int
-	cacheHit bool
-	ttfbAt   des.Time
-	hasTTFB  bool
+	// arrived at (where a refusal is attributed), and when the first
+	// response byte left the server.
+	id      int64
+	entry   int
+	ttfbAt  des.Time
+	hasTTFB bool
 }
 
 const errorResponseBytes = 512 // a 404 body plus headers
@@ -88,61 +86,42 @@ func (c *Cluster) analyze(rs *request, x int) {
 	})
 }
 
-// decide consults the policy and either fulfills locally or redirects.
+// decide asks the spine where the request goes and executes the answer:
+// fulfill here, or hand it to the target by 302 (or by proxy).
 func (c *Cluster) decide(rs *request, x int) {
-	req := core.Request{
-		Path:          rs.path,
-		Arrived:       x,
-		RedirectCount: rs.redirects,
-	}
-	if rs.found {
-		req.Size = rs.file.Size
-		req.Owner = rs.file.Owner
-		req.Replicas = rs.file.Replicas
-		req.CachedLocal = c.nodes[x].Cache.Peek(rs.path)
+	if rs.Found {
+		rs.CachedLocal = c.nodes[x].Cache.Peek(rs.Path)
 		if c.cfg.CacheHints > 0 {
 			// Cooperative caching: mark peers whose last digest said they
 			// hold this document in memory.
-			req.CachedAt = make([]bool, len(c.nodes))
-			req.CachedAt[x] = req.CachedLocal
+			rs.CachedAt = make([]bool, len(c.nodes))
+			rs.CachedAt[x] = rs.CachedLocal
 			for y := range c.nodes {
-				if y != x && c.tables[x].CachedAt(y, rs.path, c.nowSec()) {
-					req.CachedAt[y] = true
+				if y != x && c.tables[x].CachedAt(y, rs.Path, c.nowSec()) {
+					rs.CachedAt[y] = true
 				}
 			}
 		}
-		d := rs.demand
-		req.Ops = d.BaseOps + d.OpsPerByte*float64(rs.file.Size) + d.CGIOps + rs.file.CGIOps
-		req.DiskBytes = d.DiskBytesPerByte * float64(rs.file.Size)
-		req.PinnedLocal = rs.file.CGI
-	} else {
-		// Errors are "always completed at x" (Sec. 3.2 step 2).
-		req.PinnedLocal = true
-		req.Owner = x
 	}
 	loads := c.tables[x].Snapshot(len(c.nodes), c.nowSec())
 	loads[x] = c.liveRow(x) // a node knows its own load precisely
-	var target int
-	est := math.NaN()
-	if c.cfg.Dispatcher && x == 0 && rs.redirects == 0 && !req.PinnedLocal {
-		target = c.dispatcherChoose(req, loads)
+	if c.cfg.Dispatcher && x == 0 && rs.Redirects == 0 && rs.Found && !rs.CGI {
+		// The distributor places without predicting: a NaN estimate
+		// records none.
+		rs.plan = core.Plan{Action: core.Redirect, Target: c.dispatcherChoose(rs.Request(x), loads),
+			Decision: core.Decision{Estimate: math.NaN()}}
+		if rs.plan.Target == x {
+			rs.plan.Action = core.Serve
+		}
 	} else {
-		dec := c.policy.Choose(req, x, loads)
-		target = dec.Target
-		est = dec.Estimate
+		rs.plan = core.Analyze(c.policy, &rs.Facts, x, loads)
 	}
-	if target < 0 || target >= len(c.nodes) {
-		target = x
-	}
+	target := rs.plan.Target
 	if c.cfg.Trace.Enabled() {
 		c.trace(rs, trace.EvAnalyzed, x, fmt.Sprintf("target=%d", target))
 	}
 	c.obs[x].Event(trace.EvAnalyzed)
-	if target == x {
-		if !math.IsNaN(est) && !math.IsInf(est, 0) {
-			rs.predicted = est
-			rs.hasPred = true
-		}
+	if rs.plan.Action != core.Redirect {
 		c.fulfill(rs, x)
 		return
 	}
@@ -158,7 +137,7 @@ func (c *Cluster) decide(rs *request, x int) {
 		c.obs[x].Event(trace.EvForwarded)
 		rs.mark = c.Sim.Now()
 		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
-			rs.redirects++
+			rs.Redirects++
 			if !c.up[target] {
 				// Forwarding has no second chance: the relay fails.
 				c.inflight[x]--
@@ -182,7 +161,7 @@ func (c *Cluster) decide(rs *request, x int) {
 	rs.mark = c.Sim.Now()
 	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
 		c.inflight[x]--
-		rs.redirects++
+		rs.Redirects++
 		c.obs[x].Event(trace.EvRedirected)
 		c.obs[x].Redirect(target)
 		c.obs[x].Phase("redirect", (c.Sim.Now() - rs.mark).ToSeconds())
@@ -220,18 +199,11 @@ func (c *Cluster) dispatcherChoose(req core.Request, loads []core.NodeLoad) int 
 		}
 		return 0
 	}
-	best, bestNode := -1.0, -1
+	best, bestNode := 0.0, 0 // no feasible worker: node 0 serves
 	for w := 1; w < len(c.nodes); w++ {
-		cb := sweb.EstimateCost(req, 0, w, loads)
-		if cb.Infeasible {
-			continue
-		}
-		if bestNode < 0 || cb.Total < best {
+		if cb := sweb.EstimateCost(req, 0, w, loads); !cb.Infeasible && (bestNode == 0 || cb.Total < best) {
 			best, bestNode = cb.Total, w
 		}
-	}
-	if bestNode < 0 {
-		return 0
 	}
 	return bestNode
 }
@@ -253,119 +225,89 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 	c.inflight[y]++
 	worker := c.nodes[y]
 	proxy := c.nodes[x]
-	f := rs.file
-	if !rs.found || f.CGI {
-		// Errors and CGI are pinned and never reach here (PinnedLocal).
-		c.inflight[y]--
-		c.fulfill(rs, x)
-		return
-	}
+	f := rs.File
 	rs.mark = c.Sim.Now()
 	releaseY := worker.PinBuffer(f.Size)
 	releaseX := proxy.PinBuffer(f.Size)
+	// The worker reads its own memory or disk: forwarding has no NFS leg.
 	cached := worker.Cache.Contains(f.Path)
-	rs.cacheHit = cached
+	rs.fetch = core.FetchDisk
 	if cached {
+		rs.fetch = core.FetchCache
 		worker.Cache.Touch(f.Path)
 	}
 	const relayOpsPerByte = 0.06 // proxy-side copy between sockets
-	finishWorker := func() {
+	release := func() {
 		releaseY()
 		c.inflight[y]--
+		releaseX()
 	}
 	var pump func(off int64)
 	pump = func(off int64) {
-		chunk := c.cfg.ChunkBytes
-		if off+chunk > f.Size {
-			chunk = f.Size - off
-		}
-		last := off+chunk >= f.Size
-		fetch := func(then func()) {
-			if cached {
-				worker.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*float64(chunk), then)
-				return
-			}
-			work := float64(chunk)
-			if worker.MemoryPressure() {
-				work *= worker.Spec.SwapPenalty
-				worker.SwappedOps++
-			}
-			worker.DiskReads++
-			worker.DiskBytes += chunk
-			worker.Disk.Submit(work, then)
-		}
-		fetch(func() {
+		chunk, last := c.chunkAt(off, f.Size)
+		relay := func() {
 			if last && !cached {
 				worker.Cache.Insert(f.Path, f.Size)
 			}
-			worker.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
+			worker.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(chunk), func() {
 				c.net.InternalTransfer(y, x, chunk, func() {
 					proxy.CPUWork(model.ActFulfill, relayOpsPerByte*float64(chunk), func() {
-						c.bytesOut[x] += chunk
-						if !rs.hasTTFB {
-							rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
-						}
-						c.net.ClientTransfer(x, c.cfg.Client, chunk,
-							func() {
-								if last {
-									finishWorker()
-									c.finishServerSide(rs, x, releaseX)
-								} else {
-									pump(off + chunk)
-								}
-							},
-							func() {
-								if last {
-									c.complete(rs)
-								}
-							})
+						c.send(rs, x, chunk, last, release, pump, off+chunk)
 					})
 				})
 			})
-		})
+		}
+		if cached {
+			worker.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*float64(chunk), relay)
+		} else {
+			readDisk(worker, float64(chunk), chunk, relay)
+		}
 	}
 	if f.Size == 0 {
-		finishWorker()
-		c.finishServerSide(rs, x, releaseX)
+		c.finishServerSide(rs, x, release)
 		c.complete(rs)
 		return
 	}
-	worker.CPUWork(model.ActFulfill, rs.demand.BaseOps, func() { pump(0) })
+	worker.CPUWork(model.ActFulfill, rs.Demand.BaseOps, func() { pump(0) })
 }
 
 // fulfill serves the request at node x "in the normal HTTP server manner".
 func (c *Cluster) fulfill(rs *request, x int) {
 	rs.servedBy = x
 	node := c.nodes[x]
-	if !rs.found {
+	rs.mark = c.Sim.Now()
+	if rs.plan.Action == core.NotFound {
 		// 404: a small generated body, no disk involved.
 		c.obs[x].Drop("not_found")
-		rs.mark = c.Sim.Now()
-		node.CPUWork(model.ActFulfill, rs.demand.BaseOps+float64(errorResponseBytes)*rs.demand.OpsPerByte, func() {
+		node.CPUWork(model.ActFulfill, rs.Demand.BaseOps+float64(errorResponseBytes)*rs.Demand.OpsPerByte, func() {
 			c.sendOnly(rs, x, errorResponseBytes)
 		})
 		return
 	}
-	f := rs.file
-	rs.mark = c.Sim.Now()
-	if f.CGI {
-		c.trace(rs, trace.EvCGI, x, "")
-		c.obs[x].Event(trace.EvCGI)
-		rs.fetchPhase = "cgi"
-		// CGI: fork + compute, then stream the generated result (no
-		// static file fetch).
-		node.CPUWork(model.ActFulfill, rs.demand.BaseOps, func() {
-			node.CPUWork(model.ActCGI, f.CGIOps+rs.demand.CGIOps, func() {
-				c.sendOnly(rs, x, f.Size)
+	if rs.CGI {
+		// CGI: fork + compute, then stream the generated result (no static
+		// file fetch).
+		c.fetchStep(rs, x, rs.Fetch(x, false), "")
+		node.CPUWork(model.ActFulfill, rs.Demand.BaseOps, func() {
+			node.CPUWork(model.ActCGI, rs.CGIOps+rs.Demand.CGIOps, func() {
+				c.sendOnly(rs, x, rs.Size)
 			})
 		})
 		return
 	}
 	// Static fetch: fork + handler setup, then the chunked
 	// read-process-write loop.
-	node.CPUWork(model.ActFulfill, rs.demand.BaseOps, func() {
+	node.CPUWork(model.ActFulfill, rs.Demand.BaseOps, func() {
 		c.streamFile(rs, x)
 	})
+}
+
+// fetchStep records how node x fulfills rs, as the spine classified it.
+func (c *Cluster) fetchStep(rs *request, x int, fetch core.Fetch, detail string) {
+	rs.fetch = fetch
+	kind, _ := nodeobs.FetchStep(fetch)
+	c.trace(rs, kind, x, detail)
+	c.obs[x].Event(kind)
 }
 
 // sendOnly streams size generated bytes (CGI output, error bodies) to the
@@ -375,32 +317,55 @@ func (c *Cluster) sendOnly(rs *request, x int, size int64) {
 	release := node.PinBuffer(size)
 	var sendChunk func(off int64)
 	sendChunk = func(off int64) {
-		chunk := c.cfg.ChunkBytes
-		if off+chunk > size {
-			chunk = size - off
-		}
-		last := off+chunk >= size
-		node.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
-			c.bytesOut[x] += chunk
-			if !rs.hasTTFB {
-				rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
-			}
-			c.net.ClientTransfer(x, c.cfg.Client, chunk,
-				func() {
-					if last {
-						c.finishServerSide(rs, x, release)
-					} else {
-						sendChunk(off + chunk)
-					}
-				},
-				func() {
-					if last {
-						c.complete(rs)
-					}
-				})
+		chunk, last := c.chunkAt(off, size)
+		node.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(chunk), func() {
+			c.send(rs, x, chunk, last, release, sendChunk, off+chunk)
 		})
 	}
 	sendChunk(0)
+}
+
+// chunkAt sizes the chunk of a size-byte body that starts at off and
+// reports whether it is the last.
+func (c *Cluster) chunkAt(off, size int64) (int64, bool) {
+	chunk := min(c.cfg.ChunkBytes, size-off)
+	return chunk, off+chunk >= size
+}
+
+// send hands one processed chunk from x to the client link, counting its
+// bytes and the first-byte instant. After the last chunk the handler slot
+// is freed (release) and the request completes on delivery; before it,
+// next(off) pumps the following chunk.
+func (c *Cluster) send(rs *request, x int, chunk int64, last bool, release func(), next func(int64), off int64) {
+	c.bytesOut[x] += chunk
+	if !rs.hasTTFB {
+		rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
+	}
+	c.net.ClientTransfer(x, c.cfg.Client, chunk,
+		func() {
+			if last {
+				c.finishServerSide(rs, x, release)
+			} else {
+				next(off)
+			}
+		},
+		func() {
+			if last {
+				c.complete(rs)
+			}
+		})
+}
+
+// readDisk charges one chunk's read to node n's disk — work inflated by
+// the swap penalty under memory pressure — and counts it.
+func readDisk(n *model.Node, work float64, chunk int64, then func()) {
+	if n.MemoryPressure() {
+		work *= n.Spec.SwapPenalty
+		n.SwappedOps++
+	}
+	n.DiskReads++
+	n.DiskBytes += chunk
+	n.Disk.Submit(work, then)
 }
 
 // streamFile runs the chunked read → packetize → write loop for a static
@@ -408,69 +373,44 @@ func (c *Cluster) sendOnly(rs *request, x int, size int64) {
 // over the interconnect.
 func (c *Cluster) streamFile(rs *request, x int) {
 	node := c.nodes[x]
-	f := rs.file
+	f := rs.File
 	release := node.PinBuffer(f.Size)
 
 	// One cache decision per file: partial files are not cached.
 	cachedHere := node.Cache.Contains(f.Path)
-	rs.cacheHit = cachedHere
 	if cachedHere {
 		node.Cache.Touch(f.Path)
 	}
-	remote := !f.HasReplica(x)
-	source := x
-	if remote {
-		source = c.pickFetchSource(rs, x)
+	fetch := rs.Fetch(x, cachedHere)
+	source, srcCached, detail := x, false, ""
+	if fetch == core.FetchPeer {
+		source = c.fetchSource(rs, x)
+		srcCached = c.nodes[source].Cache.Peek(f.Path)
+		if c.cfg.Trace.Enabled() {
+			detail = fmt.Sprintf("source=%d", source)
+		}
+		c.obs[x].ReplicaFetch(f.Path, source)
 	}
+	c.fetchStep(rs, x, fetch, detail)
 	srcNode := c.nodes[source]
-	srcCached := false
-	if remote && !cachedHere {
-		srcCached = srcNode.Cache.Peek(f.Path)
-	}
-	diskPerByte := rs.demand.DiskBytesPerByte
+	diskPerByte := rs.Demand.DiskBytesPerByte
 	if diskPerByte <= 0 {
 		diskPerByte = 1
 	}
 
-	if remote && !cachedHere {
-		if c.cfg.Trace.Enabled() {
-			c.trace(rs, trace.EvFetchNFS, x, fmt.Sprintf("source=%d", source))
-		}
-		c.obs[x].Event(trace.EvFetchNFS)
-		c.obs[x].ReplicaFetch(f.Path, source)
-		rs.fetchPhase = "fetch_nfs"
-	} else {
-		c.trace(rs, trace.EvFetchLocal, x, "")
-		c.obs[x].Event(trace.EvFetchLocal)
-		rs.fetchPhase = "fetch_local"
-	}
-	// fetch obtains one chunk into local memory, then calls then().
-	fetch := func(chunk int64, then func()) {
+	// read obtains one chunk into local memory, then calls then().
+	read := func(chunk int64, then func()) {
 		switch {
-		case cachedHere:
+		case fetch == core.FetchCache:
 			// Buffer-cache hit: just the memory copy.
 			node.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*float64(chunk), then)
-		case !remote:
-			work := diskPerByte * float64(chunk)
-			if node.MemoryPressure() {
-				work *= node.Spec.SwapPenalty
-				node.SwappedOps++
-			}
-			node.DiskReads++
-			node.DiskBytes += chunk
-			node.Disk.Submit(work, then)
+		case fetch == core.FetchDisk:
+			readDisk(node, diskPerByte*float64(chunk), chunk, then)
 		case srcCached:
 			// The NFS server answers from its page cache.
 			c.net.InternalTransfer(source, x, chunk, then)
 		default:
-			work := diskPerByte * float64(chunk)
-			if srcNode.MemoryPressure() {
-				work *= srcNode.Spec.SwapPenalty
-				srcNode.SwappedOps++
-			}
-			srcNode.DiskReads++
-			srcNode.DiskBytes += chunk
-			srcNode.Disk.Submit(work, func() {
+			readDisk(srcNode, diskPerByte*float64(chunk), chunk, func() {
 				c.net.InternalTransfer(source, x, chunk, then)
 			})
 		}
@@ -478,39 +418,19 @@ func (c *Cluster) streamFile(rs *request, x int) {
 
 	var pump func(off int64)
 	pump = func(off int64) {
-		chunk := c.cfg.ChunkBytes
-		if off+chunk > f.Size {
-			chunk = f.Size - off
-		}
-		last := off+chunk >= f.Size
-		fetch(chunk, func() {
-			if last && !cachedHere {
+		chunk, last := c.chunkAt(off, f.Size)
+		read(chunk, func() {
+			if last && fetch != core.FetchCache {
 				// The whole file has now passed through memory; it
 				// lands in the serving node's page cache, and on a
 				// remote read the source's NFS server cached it too.
 				node.Cache.Insert(f.Path, f.Size)
-				if remote && !srcCached {
+				if fetch == core.FetchPeer && !srcCached {
 					srcNode.Cache.Insert(f.Path, f.Size)
 				}
 			}
-			node.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
-				c.bytesOut[x] += chunk
-				if !rs.hasTTFB {
-					rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
-				}
-				c.net.ClientTransfer(x, c.cfg.Client, chunk,
-					func() {
-						if last {
-							c.finishServerSide(rs, x, release)
-						} else {
-							pump(off + chunk)
-						}
-					},
-					func() {
-						if last {
-							c.complete(rs)
-						}
-					})
+			node.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(chunk), func() {
+				c.send(rs, x, chunk, last, release, pump, off+chunk)
 			})
 		})
 	}
@@ -522,6 +442,22 @@ func (c *Cluster) streamFile(rs *request, x int) {
 	pump(0)
 }
 
+// fetchSource names the replica node x pulls rs's bytes from: the spine's
+// cheapest-first order over a fetch-time load snapshot, skipping nodes that
+// are out of the pool — ground truth the gossip table may not have learned
+// yet; the collapsed-to-zero-time analogue of the live relay's
+// try-next-source failover — with the primary owner as the last resort.
+func (c *Cluster) fetchSource(rs *request, x int) int {
+	loads := c.tables[x].Snapshot(len(c.nodes), c.nowSec())
+	loads[x] = c.liveRow(x)
+	for _, rep := range rs.Sources(x, loads) {
+		if c.up[rep] {
+			return rep
+		}
+	}
+	return rs.Owner
+}
+
 // finishServerSide releases the handler slot once the last byte has left
 // the server site; the tail of the transfer is pure network drain.
 func (c *Cluster) finishServerSide(rs *request, x int, release func()) {
@@ -530,17 +466,17 @@ func (c *Cluster) finishServerSide(rs *request, x int, release func()) {
 	rs.mark = c.Sim.Now()
 	c.trace(rs, trace.EvSent, x, "")
 	c.obs[x].Event(trace.EvSent)
-	if rs.fetchPhase != "" {
-		c.obs[x].Phase(rs.fetchPhase, served)
-	}
-	if rs.hasPred {
-		// Actual t_s is the server-side portion of the lifecycle; the
-		// client-network drain the broker never modelled stays out. The
-		// simulated broker exposes only its target's total estimate, so
-		// the comparison is whole-t_s — the cells a live node fills when
-		// its policy lacks a full cost table.
+	if rs.plan.Action == core.Serve {
+		// Only a request the spine placed here has a fetch phase and an
+		// estimate to score. Actual t_s is the server-side portion of the
+		// lifecycle; the client-network drain the broker never modelled
+		// stays out. The simulated broker exposes only its target's total
+		// estimate, so the comparison is whole-t_s — the cells a live node
+		// fills when its policy lacks a full cost table.
+		_, cell := nodeobs.FetchStep(rs.fetch)
+		c.obs[x].Phase(cell, served)
 		cpu := rs.ph.Preprocess + rs.ph.Analysis
-		c.obs[x].Prediction(core.Decision{Estimate: rs.predicted}, cpu, rs.ph.Transfer, cpu+rs.ph.Transfer)
+		c.obs[x].Prediction(core.Decision{Estimate: rs.plan.Decision.Estimate}, cpu, rs.ph.Transfer, cpu+rs.ph.Transfer)
 	}
 	release()
 	c.inflight[x]--
@@ -555,15 +491,15 @@ func (c *Cluster) complete(rs *request) {
 	if resp > c.cfg.ClientTimeout.ToSeconds() {
 		c.trace(rs, trace.EvTimedOut, rs.servedBy, "")
 		c.obs[rs.servedBy].Drop("timeout")
-		c.observe(rs, rs.servedBy, 0, rs.file.Size, true)
+		c.observe(rs, rs.servedBy, 0, rs.File.Size, true)
 		c.res.RecordDrop(stats.DropTimeout)
 		return
 	}
 	c.trace(rs, trace.EvDelivered, rs.servedBy, "")
-	status, bytes := 200, rs.file.Size
-	if !rs.found {
+	status, bytes := 200, rs.File.Size
+	if !rs.Found {
 		status, bytes = 404, errorResponseBytes
 	}
 	c.observe(rs, rs.servedBy, status, bytes, true)
-	c.res.RecordSuccess(resp, rs.servedBy, rs.redirects > 0, rs.ph)
+	c.res.RecordSuccess(resp, rs.servedBy, rs.Redirects > 0, rs.ph)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,6 +25,10 @@ import (
 // entries are written back in exactly that form, so a replica-free
 // manifest round-trips byte-identically through a pre-replica reader.
 // Lines are whitespace-separated; '#' starts a comment.
+
+// maxNodes bounds the nodes directive: the store sizes per-node tables
+// from it, so an absurd count must be an error, not an allocation.
+const maxNodes = 1 << 16
 
 // formatReplicas renders the replica column: the bare owner for R=1, the
 // comma-joined set otherwise.
@@ -101,7 +106,7 @@ func ReadManifest(r io.Reader) (*Store, error) {
 				return nil, fmt.Errorf("storage: line %d: nodes needs a count", lineNo)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
+			if err != nil || n <= 0 || n > maxNodes {
 				return nil, fmt.Errorf("storage: line %d: bad node count %q", lineNo, fields[1])
 			}
 			store = NewStore(n)
@@ -127,7 +132,7 @@ func ReadManifest(r io.Reader) (*Store, error) {
 				return nil, fmt.Errorf("storage: line %d: trailing fields must be 'cgi <ops>'", lineNo)
 			}
 			ops, err := strconv.ParseFloat(fields[4], 64)
-			if err != nil || ops < 0 {
+			if err != nil || ops < 0 || math.IsNaN(ops) || math.IsInf(ops, 0) {
 				return nil, fmt.Errorf("storage: line %d: bad cgi ops %q", lineNo, fields[4])
 			}
 			f.CGI = true
