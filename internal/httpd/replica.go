@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"sweb/internal/cache"
 	"sweb/internal/httpmsg"
 )
 
@@ -39,7 +40,9 @@ func (s *Server) MaterializeReplica(path string) error {
 	if len(sources) == 0 {
 		return fmt.Errorf("replicate: no reachable replica of %q", path)
 	}
-	ent, err := s.fetchWithRetry(sources, path, f.Size, "")
+	ent, err := refill(sources, nil, func() (cache.Entry, error) {
+		return s.fill(sources, path, f.Size, "", nil)
+	})
 	if err != nil {
 		return fmt.Errorf("replicate: fetch %q: %w", path, err)
 	}
