@@ -78,8 +78,12 @@ type reqConn struct {
 	keepAlive bool   // whether the connection survives the current response
 	served    int    // requests answered on this connection so far
 	// bw carries every response to c, header and body, for the life of the
-	// connection; it is empty between responses.
+	// connection. The body paths leave a response's last bytes in it; the
+	// serve loop's flush sends them once the response is accounted for.
 	bw *bufio.Writer
+	// broken marks a response that already failed (fail, or simple's
+	// error): its connection closes without flushing what is left.
+	broken bool
 }
 
 // newReqConn wraps an accepted connection: reads are buffered off the raw
@@ -107,15 +111,31 @@ func (rc *reqConn) simple(code int, h *httpmsg.ResponseHead, body []byte) error 
 	}
 	err := head.Write(rc.bw)
 	if err == nil {
-		_, err = rc.bw.Write(body)
-	}
-	if err == nil {
-		err = rc.bw.Flush()
+		_, err = rc.writeLast(body)
 	}
 	if err != nil {
-		rc.keepAlive = false
+		rc.keepAlive, rc.broken = false, true
 	}
 	return err
+}
+
+// holdBack is how many of a body's last bytes the body paths leave in the
+// connection's buffer: enough that no body puts its last byte on the wire
+// before the serve loop's flush, and at most half the buffer, so a body
+// that outgrows it still goes to the socket in large writes.
+func (rc *reqConn) holdBack(n int64) int64 { return min(n, int64(rc.bw.Size()/2)) }
+
+// writeLast hands the final part of a body to the connection's buffer,
+// keeping holdBack of it there for the serve loop's flush.
+func (rc *reqConn) writeLast(p []byte) (int, error) {
+	cut := len(p) - int(rc.holdBack(int64(len(p))))
+	n, err := rc.bw.Write(p[:cut])
+	if err == nil {
+		var m int
+		m, err = rc.bw.Write(p[cut:])
+		n += m
+	}
+	return n, err
 }
 
 // fail records a mid-response write failure. The response framing is now
@@ -123,8 +143,38 @@ func (rc *reqConn) simple(code int, h *httpmsg.ResponseHead, body []byte) error 
 func (rc *reqConn) fail() int {
 	rc.s.errors.Add(1)
 	rc.s.drop("write_failed")
-	rc.keepAlive = false
+	rc.keepAlive, rc.broken = false, true
 	return 0
+}
+
+// pending is how much of the current response waits in the buffer for the
+// serve loop's flush; nothing of a response that already failed.
+func (rc *reqConn) pending() int64 {
+	if rc.broken {
+		return 0
+	}
+	return int64(rc.bw.Buffered())
+}
+
+// flush sends what the current response left in the buffer: the serve
+// loop's one flush per response, made after the response is accounted for
+// (Observe, counters, access log, trace, the load and connection gauges),
+// so a client that has read a response to its end finds the node's books
+// already closed on it. The outcome was fixed when its last byte reached
+// the buffer; a failure here is the connection's, not a second outcome, so
+// it counts an error and the connection closes, as a peer's reset after a
+// successful write(2) would. A response that already failed closes
+// unflushed. flush reports whether the connection is still usable.
+func (rc *reqConn) flush() bool {
+	if rc.broken {
+		return false
+	}
+	if err := rc.bw.Flush(); err != nil {
+		rc.s.errors.Add(1)
+		rc.keepAlive, rc.broken = false, true
+		return false
+	}
+	return true
 }
 
 // isDraining reports whether graceful shutdown has begun; the serve loop
@@ -145,14 +195,12 @@ func (s *Server) isDraining() bool {
 // TCP handshake once, which is exactly the saving the paper's t_redirection
 // term wants after a 302. Deadlines stay on the raw socket; responses go
 // through the write meter so every request leaves a flight record with an
-// honest time-to-first-byte.
-func (s *Server) serveConn(c net.Conn, ci *connInfo) {
-	rc := newReqConn(s, c, ci.id)
-	defer func() {
-		// Requests-per-connection, observed once at connection end: the
-		// keep-alive amortization the PR 6 data plane bought.
-		s.kaServed.Observe(float64(rc.served))
-	}()
+// honest time-to-first-byte. Each response is flushed only after handle has
+// accounted for it and the request has left reqActive; the connection's
+// last response is left buffered for the caller, which closes the
+// connection's own books first (serve).
+func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
+	c := rc.c
 	for {
 		// Idle wait: the peer may keep the connection open up to
 		// IdleTimeout between requests. Pipelined bytes already buffered
@@ -200,8 +248,27 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) {
 		s.handle(rc, req, t0)
 		ci.active.Store(false)
 		s.reqActive.Add(-1)
-		if !rc.keepAlive || s.isDraining() {
+		if !rc.keepAlive || s.isDraining() || !rc.flush() {
 			return
 		}
 	}
+}
+
+// serve runs one accepted connection to its end. Its books close — the
+// requests-per-connection histogram, the conn table, the inflight gauge —
+// before its last response is flushed, so the client reading that response
+// to its end (or to the close) finds them closed. The connection is
+// untracked by then, so the hard-stop Close cannot cut that flush; the
+// write deadline bounds it instead, and Close's wait covers it.
+func (s *Server) serve(conn net.Conn) {
+	ci := s.trackConn(conn)
+	rc := newReqConn(s, conn, ci.id)
+	s.serveConn(rc, ci)
+	// Requests-per-connection, observed once at connection end: the
+	// keep-alive amortization persistent connections buy.
+	s.kaServed.Observe(float64(rc.served))
+	s.untrackConn(conn)
+	s.inflight.Add(-1)
+	rc.flush()
+	conn.Close()
 }

@@ -20,12 +20,19 @@ const flightTraceTail = 4096
 
 // stamp fills the fields every outcome takes from the connection and the
 // clock: arrival and total on the node's epoch, bytes and time to first
-// byte as the write meter saw them.
+// byte as the write meter saw them. The response's bytes still waiting for
+// the serve loop's flush count too; a response that is all still waiting
+// (any that fits the buffer) leaves whole at that flush, right after done,
+// which is therefore its first byte.
 func (s *Server) stamp(rc *reqConn, o *nodeobs.Outcome, t0, done time.Time) {
 	o.AtSeconds, o.ConnID = s.sinceEpoch(t0), rc.id
-	o.Bytes = rc.meter.written
+	o.Bytes = rc.meter.written + rc.pending()
 	o.TTFBSeconds = -1
-	if fb := rc.meter.firstWrite; !fb.IsZero() {
+	fb := rc.meter.firstWrite
+	if fb.IsZero() && o.Bytes > 0 {
+		fb = done
+	}
+	if !fb.IsZero() {
 		o.TTFBSeconds = fb.Sub(t0).Seconds()
 	}
 	o.TotalSeconds, o.DoneMicros = done.Sub(t0).Seconds(), done.UnixMicro()

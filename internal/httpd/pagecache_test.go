@@ -100,13 +100,15 @@ func openDoc(t *testing.T, path string) *os.File {
 }
 
 // fileResponse runs streamResponse for a 200 announcing size bytes of f
-// over conn, as a keep-alive HTTP/1.1 response.
+// over conn, as a keep-alive HTTP/1.1 response, then the serve loop's flush.
 func fileResponse(srv *Server, conn net.Conn, f *os.File, size int64) (*reqConn, int) {
 	rc := newReqConn(srv, conn, 0)
 	rc.proto, rc.keepAlive = "HTTP/1.1", true
 	req := &httpmsg.Request{Method: "GET", Path: "/doc.bin", Proto: "HTTP/1.1", Header: httpmsg.Header{}}
 	mod := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	return rc, srv.streamResponse(rc, req, size, f, mod)
+	status := srv.streamResponse(rc, req, size, f, mod)
+	rc.flush()
+	return rc, status
 }
 
 func unstartedServer(t *testing.T) *Server {
