@@ -6,8 +6,6 @@ import (
 
 	"sweb"
 	"sweb/internal/des"
-	"sweb/internal/metrics"
-	"sweb/internal/nodeobs"
 	"sweb/internal/rebalance"
 	"sweb/internal/simsrv"
 	"sweb/internal/storage"
@@ -363,7 +361,11 @@ func BenchmarkReplicatedHotSet(b *testing.B) {
 			b.Fatal("skewed burst completed nothing")
 		}
 		for i := 0; i < cl.Nodes(); i++ {
-			relays += cl.Registry(i).Counter(nodeobs.HeatRelays, "", metrics.Labels{"path": hot}).Value()
+			for _, e := range cl.HeatDump(i).Entries {
+				if e.Path == hot {
+					relays += float64(e.Relays)
+				}
+			}
 		}
 		return res.MeanResponse(), relays, float64(res.Completed)
 	}

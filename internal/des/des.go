@@ -47,9 +47,22 @@ type Simulator struct {
 	now     Time
 	seq     int64
 	events  []*Event // binary min-heap on (at, seq)
+	feed    feed
 	stopped bool
 	fired   int64
 }
+
+// feed is a sorted run of events that never enter the heap: event i fires
+// fire(i) at ats[i] with sequence number seq+i, reserved when it was fed.
+type feed struct {
+	ats  []Time
+	seq  int64
+	next int
+	fire func(i int)
+}
+
+// left reports how many feed events have not fired yet.
+func (f *feed) left() int { return len(f.ats) - f.next }
 
 // New returns a simulator starting at time zero.
 func New() *Simulator { return &Simulator{} }
@@ -60,8 +73,9 @@ func (s *Simulator) Now() Time { return s.now }
 // EventsFired reports how many events have executed so far.
 func (s *Simulator) EventsFired() int64 { return s.fired }
 
-// Pending reports how many events are scheduled but not yet fired.
-func (s *Simulator) Pending() int { return len(s.events) }
+// Pending reports how many events are scheduled but not yet fired, fed
+// ones included.
+func (s *Simulator) Pending() int { return len(s.events) + s.feed.left() }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a bug in the caller.
@@ -86,6 +100,29 @@ func (s *Simulator) Cancel(e *Event) {
 	e.fn = nil
 }
 
+// Feed schedules fire(i) at ats[i] for every i, in the order len(ats)
+// calls to At would give: each event takes its sequence number now, so
+// same-instant ties against events scheduled before or after the call fall
+// exactly as they would. The events stay out of the heap — a long arrival
+// schedule costs no heap work and no Event each — so they cannot be
+// cancelled. ats must be sorted and not before now. Only one feed runs at
+// a time: feeding while an earlier feed has events left panics.
+func (s *Simulator) Feed(ats []Time, fire func(i int)) {
+	if s.feed.left() > 0 {
+		panic("des: Feed while an earlier feed has events left")
+	}
+	for i, t := range ats {
+		if t < s.now {
+			panic(fmt.Sprintf("des: feeding event at %v before now %v", t, s.now))
+		}
+		if i > 0 && t < ats[i-1] {
+			panic(fmt.Sprintf("des: feed out of order at %d: %v after %v", i, t, ats[i-1]))
+		}
+	}
+	s.feed = feed{ats: ats, seq: s.seq, fire: fire}
+	s.seq += int64(len(ats))
+}
+
 // rearm (re)schedules e to fire fn at t, as if it were cancelled and
 // scheduled afresh with At: it takes the next sequence number, so its tie
 // order against same-instant events is exactly that of a new event. e may
@@ -107,7 +144,18 @@ func (s *Simulator) rearm(e *Event, t Time, fn func()) {
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Step fires the next pending event, if any, and reports whether one fired.
+// The next event is the earlier by (at, seq) of the feed's next event and
+// the heap's root.
 func (s *Simulator) Step() bool {
+	if s.feedFirst() {
+		f := &s.feed
+		i := f.next
+		f.next++
+		s.now = f.ats[i]
+		s.fired++
+		f.fire(i)
+		return true
+	}
 	if len(s.events) == 0 {
 		return false
 	}
@@ -123,19 +171,48 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
+// feedFirst reports whether the feed holds the next event to fire.
+func (s *Simulator) feedFirst() bool {
+	f := &s.feed
+	if f.left() == 0 {
+		return false
+	}
+	if len(s.events) == 0 {
+		return true
+	}
+	at, e := f.ats[f.next], s.events[0]
+	return at < e.at || at == e.at && f.seq+int64(f.next) < e.seq
+}
+
+// nextAt returns the instant of the next pending event; ok is false when
+// nothing is pending.
+func (s *Simulator) nextAt() (at Time, ok bool) {
+	if s.feedFirst() {
+		return s.feed.ats[s.feed.next], true
+	}
+	if len(s.events) == 0 {
+		return 0, false
+	}
+	return s.events[0].at, true
+}
+
 // Run executes events until the queue is empty, the horizon is passed, or
 // Stop is called. Events scheduled exactly at the horizon still fire.
 // It returns the simulated time when execution stopped.
 func (s *Simulator) Run(until Time) Time {
 	s.stopped = false
-	for !s.stopped && len(s.events) > 0 {
-		if s.events[0].at > until {
+	for !s.stopped {
+		at, ok := s.nextAt()
+		if !ok {
+			break
+		}
+		if at > until {
 			s.now = until
 			return s.now
 		}
 		s.Step()
 	}
-	if s.now < until && len(s.events) == 0 {
+	if s.now < until && s.Pending() == 0 {
 		s.now = until
 	}
 	return s.now

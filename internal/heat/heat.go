@@ -49,6 +49,10 @@ type Observation struct {
 	Miss bool
 	// Seconds is the request's total service time.
 	Seconds float64
+	// Replicas is the document's replica-set size at serve time. The
+	// sketch keeps the last one per tracked path (see Each); it is not
+	// part of the Dump.
+	Replicas int
 }
 
 // Entry is one tracked path's accumulated telemetry as exported in a
@@ -83,8 +87,20 @@ type Sketch struct {
 	mu sync.Mutex
 	// total counts every observation, tracked or not — the denominator
 	// for load shares and the N in the N/K guarantee.
-	total   uint64
-	entries map[string]*Entry
+	total uint64
+	slots map[string]*slot
+	// heap is a binary min-heap on (Count, Path) over the tracked slots:
+	// its root is the Space-Saving victim, the smallest count with ties
+	// broken by path, found in O(1) and re-keyed in O(log K).
+	heap []*slot
+}
+
+// slot is one tracked path: its exported entry, the replica-set size its
+// last observation reported, and its position in the heap.
+type slot struct {
+	Entry
+	replicas int
+	index    int
 }
 
 // New returns an empty sketch sized by cfg.
@@ -93,7 +109,7 @@ func New(cfg Config) *Sketch {
 	if k <= 0 {
 		k = DefaultK
 	}
-	return &Sketch{k: k, entries: make(map[string]*Entry, k)}
+	return &Sketch{k: k, slots: make(map[string]*slot, k), heap: make([]*slot, 0, k)}
 }
 
 // Observe folds one served request into the sketch. When the sketch is
@@ -107,23 +123,25 @@ func (s *Sketch) Observe(o Observation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.total++
-	e, ok := s.entries[o.Path]
+	e, ok := s.slots[o.Path]
 	if !ok {
-		if len(s.entries) < s.k {
-			e = &Entry{Path: o.Path, Owner: o.Owner}
-			s.entries[o.Path] = e
+		if len(s.heap) < s.k {
+			e = &slot{Entry: Entry{Path: o.Path, Owner: o.Owner}, index: len(s.heap)}
+			s.heap = append(s.heap, e)
 		} else {
 			// Re-key the victim's slot in place. The newcomer inherits
 			// the victim's count (the overestimate that keeps heavy
 			// hitters from being starved out) but none of its auxiliary
 			// sums — those belong to the evicted path.
-			e = s.minEntry()
-			delete(s.entries, e.Path)
-			*e = Entry{Path: o.Path, Owner: o.Owner, Count: e.Count, ErrBound: e.Count}
-			s.entries[o.Path] = e
+			e = s.heap[0]
+			delete(s.slots, e.Path)
+			e.Entry = Entry{Path: o.Path, Owner: o.Owner, Count: e.Count, ErrBound: e.Count}
 		}
+		s.slots[o.Path] = e
 	}
 	e.Count++
+	s.fix(e.index)
+	e.replicas = o.Replicas
 	e.Owner = o.Owner
 	e.Bytes += o.Bytes
 	if o.Relay {
@@ -137,17 +155,51 @@ func (s *Sketch) Observe(o Observation) {
 	}
 }
 
-// minEntry returns the tracked entry with the smallest count (ties
-// broken by path for determinism). Callers hold s.mu.
-func (s *Sketch) minEntry() *Entry {
-	var min *Entry
-	for _, e := range s.entries {
-		if min == nil || e.Count < min.Count ||
-			(e.Count == min.Count && e.Path < min.Path) {
-			min = e
-		}
+// The heap's order: smaller count first, ties broken by path for
+// determinism. Paths are unique, so the order is total.
+func (s *Sketch) less(i, j int) bool {
+	a, b := s.heap[i], s.heap[j]
+	if a.Count != b.Count {
+		return a.Count < b.Count
 	}
-	return min
+	return a.Path < b.Path
+}
+
+func (s *Sketch) swap(i, j int) {
+	h := s.heap
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+
+// fix restores the heap after the slot at i changed its key. A count only
+// grows, but a slot just appended still has to climb.
+func (s *Sketch) fix(i int) {
+	i0, n := i, len(s.heap)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s.less(r, j) {
+			j = r
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s.swap(i, j)
+		i = j
+	}
+	if i > i0 {
+		return
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s.swap(i, p)
+		i = p
+	}
 }
 
 // Total reports how many observations the sketch has absorbed. Zero on
@@ -168,7 +220,21 @@ func (s *Sketch) Tracked() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return len(s.heap)
+}
+
+// Each calls fn with every tracked entry and the replica-set size the
+// path's last observation reported, in no particular order, holding the
+// sketch's lock: fn must neither keep e nor call back into s. Nil-safe.
+func (s *Sketch) Each(fn func(e *Entry, replicas int)) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.heap {
+		fn(&e.Entry, e.replicas)
+	}
 }
 
 // Dump snapshots the sketch. A nil sketch dumps Enabled:false so a
@@ -179,9 +245,9 @@ func (s *Sketch) Dump() Dump {
 	}
 	s.mu.Lock()
 	d := Dump{Enabled: true, K: s.k, Total: s.total,
-		Entries: make([]Entry, 0, len(s.entries))}
-	for _, e := range s.entries {
-		d.Entries = append(d.Entries, *e)
+		Entries: make([]Entry, 0, len(s.heap))}
+	for _, e := range s.heap {
+		d.Entries = append(d.Entries, e.Entry)
 	}
 	s.mu.Unlock()
 	sortEntries(d.Entries)

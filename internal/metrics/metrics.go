@@ -208,11 +208,19 @@ type family struct {
 	mu              sync.Mutex
 	metrics         map[string]metric
 	order           []string
+	// collect, when set, emits every series of the family at exposition
+	// time, keyed by the values of label; the family then holds no
+	// metrics of its own.
+	collect func(emit func(value string, v float64))
+	label   string
 }
 
 func (f *family) get(sig string, mk func() metric) metric {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.collect != nil {
+		panic("metrics: " + f.name + " is served by a collector; it takes no other series")
+	}
 	m := f.metrics[sig]
 	if m == nil {
 		m = mk()
@@ -272,6 +280,45 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
 	f := r.family(name, help, "counter")
 	f.get(signature(labels), func() metric { return &funcMetric{fn: fn} })
+}
+
+// Collector registers the counter or gauge family name (typ "counter" or
+// "gauge") as one callback's: at exposition time fn calls emit once per
+// series, with that series' value of label, and only those series appear,
+// sorted by label like any other family's. A family whose callback emits
+// nothing is left out of the exposition. The family holds nothing else:
+// registering a collector on a family that has series, or any series on a
+// collector's family, panics, so no series can appear twice. fn runs on the
+// scraping goroutine and must not call back into the registry.
+func (r *Registry) Collector(name, help, typ, label string, fn func(emit func(value string, v float64))) {
+	if typ != "counter" && typ != "gauge" {
+		panic("metrics: collector " + name + " of type " + typ + ", want counter or gauge")
+	}
+	f := r.family(name, help, typ)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.collect != nil || len(f.metrics) > 0 {
+		panic("metrics: collector " + name + " registered on a family that already has series")
+	}
+	f.collect, f.label = fn, label
+}
+
+// collected runs a collector keyed by label and returns its series'
+// signatures and values, sorted by signature.
+func collected(collect func(emit func(string, float64)), label string) (sigs []string, vals []float64) {
+	type series struct {
+		sig string
+		v   float64
+	}
+	var ss []series
+	collect(func(value string, v float64) {
+		ss = append(ss, series{label + `="` + escapeLabel(value) + `"`, v})
+	})
+	sort.Slice(ss, func(i, j int) bool { return ss[i].sig < ss[j].sig })
+	for _, s := range ss {
+		sigs, vals = append(sigs, s.sig), append(vals, s.v)
+	}
+	return sigs, vals
 }
 
 // Histogram returns the histogram name{labels} with the given bucket upper
@@ -334,6 +381,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	for _, f := range fams {
 		f.mu.Lock()
+		collect, label := f.collect, f.label
 		sigs := append([]string(nil), f.order...)
 		sort.Strings(sigs)
 		ms := make([]metric, len(sigs))
@@ -341,6 +389,12 @@ func (r *Registry) WriteText(w io.Writer) error {
 			ms[i] = f.metrics[sig]
 		}
 		f.mu.Unlock()
+		var vals []float64
+		if collect != nil {
+			if sigs, vals = collected(collect, label); len(sigs) == 0 {
+				continue
+			}
+		}
 		if err == nil && f.help != "" {
 			_, err = bw.WriteString("# HELP " + f.name + " " + f.help + "\n")
 		}
@@ -349,6 +403,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 		for i, m := range ms {
 			m.exposeInto(f, sigs[i], emit)
+		}
+		for i, v := range vals {
+			emit(f.name, sigs[i], v, nil)
 		}
 	}
 	if err != nil {

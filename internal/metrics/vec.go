@@ -22,7 +22,6 @@ type Vec[K comparable, M metric] struct {
 // The instantiations the registry hands out.
 type (
 	CounterVec   = Vec[string, *Counter]
-	GaugeVec     = Vec[string, *Gauge]
 	HistogramVec = Vec[string, *Histogram]
 	// CounterVec2 is keyed by the values of two labels, in the order the
 	// label names were given to Registry.CounterVec2.
@@ -68,12 +67,6 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 func (r *Registry) CounterVec2(name, help, labelA, labelB string) *CounterVec2 {
 	return newVec[[2]string, *Counter](r, name, help, "counter",
 		func(v [2]string) Labels { return Labels{labelA: v[0], labelB: v[1]} }, newCounter)
-}
-
-// GaugeVec returns a handle on the gauge family name keyed by label.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return newVec[string, *Gauge](r, name, help, "gauge", oneLabel(label),
-		func() metric { return new(Gauge) })
 }
 
 // HistogramVec returns a handle on the histogram family name keyed by

@@ -113,9 +113,6 @@ type Observer struct {
 	schedPredicted         *metrics.CounterVec   // {phase}
 	schedActual            *metrics.CounterVec   // {phase}
 	rebalance              *metrics.CounterVec   // {action}
-	heatRequests           *metrics.CounterVec   // {path}
-	heatRelays             *metrics.CounterVec   // {path}
-	heatReplicas           *metrics.GaugeVec     // {path}
 	replicaFetches         *metrics.CounterVec2  // {path, source}
 }
 
@@ -149,11 +146,6 @@ func New(cfg Config) *Observer {
 		schedActual: reg.CounterVec(SchedActual, "sum of measured seconds by t_s phase", "phase"),
 		rebalance: reg.CounterVec(Rebalance,
 			"replica-set mutations applied at this node, by action", "action"),
-		heatRequests: reg.CounterVec(HeatRequests, "served requests per document path", "path"),
-		heatRelays: reg.CounterVec(HeatRelays,
-			"requests served by fetching the document from a replica", "path"),
-		heatReplicas: reg.GaugeVec(HeatReplicas,
-			"replica-set size of the document at last serve", "path"),
 		replicaFetches: reg.CounterVec2(ReplicaFetch,
 			"internal document fetches by source replica node", "path", "source"),
 	}
@@ -170,6 +162,21 @@ func New(cfg Config) *Observer {
 		func() float64 { return float64(ob.heat.Total()) })
 	reg.GaugeFunc(HeatTracked, "paths holding a document-heat sketch slot now", nil,
 		func() float64 { return float64(ob.heat.Tracked()) })
+	// The per-path families are read from the sketch's slots at scrape
+	// time: one series per tracked path, so at most K per node, counting
+	// from the path's admission. An evicted path's series disappears, and
+	// a re-admitted one restarts from 1 (a counter reset to its readers).
+	// A path's relay series appears with its first relay, as a counter
+	// created on first use would.
+	ob.heatSeries(HeatRequests, "counter",
+		"served requests per tracked document path, exact since the path last took a heat-sketch slot",
+		func(e *heat.Entry, _ int) (float64, bool) { return float64(e.Count - e.ErrBound), true })
+	ob.heatSeries(HeatRelays, "counter",
+		"requests per tracked document path served by fetching it from a replica, since the path last took a heat-sketch slot",
+		func(e *heat.Entry, _ int) (float64, bool) { return float64(e.Relays), e.Relays > 0 })
+	ob.heatSeries(HeatReplicas, "gauge",
+		"replica-set size of each tracked document path at its last serve",
+		func(_ *heat.Entry, replicas int) (float64, bool) { return float64(replicas), true })
 	if st := cfg.Cache; st != nil {
 		reg.CounterFunc(CacheHits, "hot-file cache lookups served from memory", nil,
 			func() float64 { return float64(st().Hits) })
@@ -185,6 +192,19 @@ func New(cfg Config) *Observer {
 			func() float64 { return float64(st().CapacityBytes) })
 	}
 	return ob
+}
+
+// heatSeries registers the per-path family name, of type typ, as a
+// collector over the heat sketch's tracked slots: each slot for which
+// value reports ok is one series.
+func (ob *Observer) heatSeries(name, typ, help string, value func(e *heat.Entry, replicas int) (float64, bool)) {
+	ob.reg.Collector(name, help, typ, "path", func(emit func(string, float64)) {
+		ob.heat.Each(func(e *heat.Entry, replicas int) {
+			if v, ok := value(e, replicas); ok {
+				emit(e.Path, v)
+			}
+		})
+	})
 }
 
 // Peer registers the gauges over one peer's gossip state: staleness of
@@ -313,8 +333,8 @@ func (o *Outcome) Succeeded() bool {
 // Observe records one finished request: its flight record and, for a
 // success, the response and TTFB histograms (the trace id rides along as
 // the bucket's exemplar, pivoting an SLO breach to this record) and the
-// heat sketch with its per-path counters and replica-set gauge, which the
-// monitor's hot_doc rule divides a path's share by.
+// heat sketch, whose slots also serve the per-path counters and the
+// replica-set gauge the monitor's hot_doc rule divides a path's share by.
 func (ob *Observer) Observe(o Outcome) {
 	rec := o.Record
 	rec.Node, rec.PredictedSeconds = ob.node, -1
@@ -330,12 +350,7 @@ func (ob *Observer) Observe(o Outcome) {
 		ob.ttfb.ObserveExemplar(o.TTFBSeconds, o.TraceID, o.DoneMicros)
 	}
 	ob.heat.Observe(heat.Observation{Path: o.Path, Owner: o.Owner, Bytes: o.Bytes,
-		Relay: o.Relay, Miss: o.Miss, Seconds: o.TotalSeconds})
-	ob.heatRequests.With(o.Path).Inc()
-	if o.Relay {
-		ob.heatRelays.With(o.Path).Inc()
-	}
-	ob.heatReplicas.With(o.Path).Set(float64(o.Replicas))
+		Relay: o.Relay, Miss: o.Miss, Seconds: o.TotalSeconds, Replicas: o.Replicas})
 }
 
 // Prediction compares the broker's decision with the seconds this node

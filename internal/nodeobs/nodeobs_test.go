@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -277,5 +278,62 @@ func TestPrediction(t *testing.T) {
 				t.Errorf("exposition delta = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestHeatSeriesBoundedBySketch feeds 10,000 distinct paths (and one hot
+// path among them) through one observer: each per-path family exposes at
+// most K series, the hot path, never evicted, reports exactly what it
+// served and relayed, and a path evicted early that comes back restarts
+// its count at 1.
+func TestHeatSeriesBoundedBySketch(t *testing.T) {
+	ob := newTestObserver()
+	serve := func(path string, relay bool) {
+		o := Outcome{Record: flight.Record{Path: path, Status: 200, Bytes: 1, TTFBSeconds: -1,
+			TotalSeconds: 0.001}, Fulfilled: true, Owner: 0, Relay: relay, Replicas: 2}
+		ob.Observe(o)
+	}
+	var hotServed, hotRelayed int
+	for i := 0; i < 10000; i++ {
+		if i%4 == 0 {
+			relay := i%8 == 0
+			serve("/hot", relay)
+			hotServed++
+			if relay {
+				hotRelayed++
+			}
+		}
+		serve("/cold/"+strconv.Itoa(i), i%2 == 1)
+	}
+	serve("/cold/1", false) // relayed once before its eviction
+
+	exp := exposition(t, ob)
+	for _, fam := range []string{HeatRequests, HeatRelays, HeatReplicas} {
+		n := 0
+		for k := range exp {
+			if strings.HasPrefix(k, fam+"{") {
+				n++
+			}
+		}
+		if n == 0 || n > heat.DefaultK {
+			t.Errorf("%s: %d series, want 1..%d", fam, n, heat.DefaultK)
+		}
+	}
+	for key, want := range map[string]float64{
+		HeatRequests + `{path="/hot"}`:    float64(hotServed),
+		HeatRelays + `{path="/hot"}`:      float64(hotRelayed),
+		HeatReplicas + `{path="/hot"}`:    2,
+		HeatRequests + `{path="/cold/1"}`: 1,
+		HeatReplicas + `{path="/cold/1"}`: 2,
+	} {
+		if got, ok := exp[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+	if _, ok := exp[HeatRelays+`{path="/cold/1"}`]; ok {
+		t.Errorf("re-admitted /cold/1 kept a relay series from before its eviction")
+	}
+	if _, ok := exp[HeatRequests+`{path="/cold/3"}`]; ok {
+		t.Errorf("evicted /cold/3 still exposes its request series")
 	}
 }

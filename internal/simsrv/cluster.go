@@ -3,6 +3,7 @@ package simsrv
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"sweb/internal/core"
 	"sweb/internal/des"
@@ -42,7 +43,7 @@ type Cluster struct {
 	stopped        bool
 }
 
-// New builds a cluster from cfg. The returned cluster is ready for Submit /
+// New builds a cluster from cfg. The returned cluster is ready for
 // RunSchedule.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.fillDefaults(); err != nil {
@@ -250,44 +251,41 @@ func (c *Cluster) RecoverNodeAt(t des.Time, x int) {
 	})
 }
 
-// Submit schedules one request arrival.
-func (c *Cluster) Submit(a workload.Arrival) {
-	c.res.Offered++
-	c.outstanding++
-	c.Sim.At(a.At, func() {
-		var node int
-		if c.cfg.Dispatcher {
-			// Centralized architecture: every request goes through the
-			// single distributor on node 0.
-			node = 0
-		} else {
-			n, err := c.resolver.Resolve(a.Domain, c.nowSec())
-			if err != nil {
-				c.drop(nil, stats.DropUnavailable)
-				return
-			}
-			node = n
+// issue starts the request for arrival a at its instant: DNS resolution
+// (or the dispatcher), then the client's connection set-up.
+func (c *Cluster) issue(a *workload.Arrival) {
+	var node int
+	if c.cfg.Dispatcher {
+		// Centralized architecture: every request goes through the
+		// single distributor on node 0.
+		node = 0
+	} else {
+		n, err := c.resolver.Resolve(a.Domain, c.nowSec())
+		if err != nil {
+			c.drop(nil, stats.DropUnavailable)
+			return
 		}
-		c.reqSeq++
-		rs := &request{domain: a.Domain, issued: c.Sim.Now(), id: c.reqSeq}
-		rs.tid = c.cfg.Trace.NewRequest()
-		if c.cfg.Trace.Enabled() {
-			c.trace(rs, trace.EvIssued, -1, "path="+a.Path)
-		}
-		c.trace(rs, trace.EvResolved, node, "")
-		rs.File, rs.Found = c.cfg.Store.Lookup(a.Path)
-		rs.Path = a.Path
-		if rs.Found {
-			rs.Demand = c.cfg.Oracle.Characterize(a.Path)
-		}
-		// DNS answer in hand, the client opens the TCP connection:
-		// one round trip plus server-side accept processing.
-		setup := 2*c.cfg.Client.LatencyOneWay + des.Seconds(c.cfg.Params.ConnectSeconds)
-		rs.mark = c.Sim.Now()
-		c.Sim.After(setup, func() {
-			rs.ph.Network += (c.Sim.Now() - rs.mark).ToSeconds()
-			c.arrive(rs, node)
-		})
+		node = n
+	}
+	c.reqSeq++
+	rs := &request{domain: a.Domain, issued: c.Sim.Now(), id: c.reqSeq}
+	rs.tid = c.cfg.Trace.NewRequest()
+	if c.cfg.Trace.Enabled() {
+		c.trace(rs, trace.EvIssued, -1, "path="+a.Path)
+	}
+	c.trace(rs, trace.EvResolved, node, "")
+	rs.File, rs.Found = c.cfg.Store.Lookup(a.Path)
+	rs.Path = a.Path
+	if rs.Found {
+		rs.Demand = c.cfg.Oracle.Characterize(a.Path)
+	}
+	// DNS answer in hand, the client opens the TCP connection:
+	// one round trip plus server-side accept processing.
+	setup := 2*c.cfg.Client.LatencyOneWay + des.Seconds(c.cfg.Params.ConnectSeconds)
+	rs.mark = c.Sim.Now()
+	c.Sim.After(setup, func() {
+		rs.ph.Network += (c.Sim.Now() - rs.mark).ToSeconds()
+		c.arrive(rs, node)
 	})
 }
 
@@ -299,16 +297,27 @@ func (c *Cluster) trace(rs *request, kind trace.Kind, node int, detail string) {
 	c.cfg.Trace.Record(rs.tid, c.nowSec(), kind, node, detail)
 }
 
-// RunSchedule submits every arrival, runs the simulation until all requests
-// have either completed or exceeded the client timeout, and returns the
-// finalized result. It must be called at most once per cluster.
+// RunSchedule feeds every arrival to the simulator, runs the simulation
+// until all requests have either completed or exceeded the client timeout,
+// and returns the finalized result. It must be called at most once per
+// cluster. Arrivals fire in order of At, ties in slice order, exactly as
+// if each had been scheduled with Sim.At in slice order.
 func (c *Cluster) RunSchedule(arrivals []workload.Arrival) *stats.RunResult {
+	byAt := func(i, j int) bool { return arrivals[i].At < arrivals[j].At }
+	if !sort.SliceIsSorted(arrivals, byAt) {
+		arrivals = append([]workload.Arrival(nil), arrivals...)
+		sort.SliceStable(arrivals, byAt)
+	}
+	ats := make([]des.Time, len(arrivals))
+	for i := range arrivals {
+		ats[i] = arrivals[i].At
+	}
+	c.res.Offered += int64(len(arrivals))
+	c.outstanding += int64(len(arrivals))
+	c.Sim.Feed(ats, func(i int) { c.issue(&arrivals[i]) })
 	var last des.Time
-	for _, a := range arrivals {
-		c.Submit(a)
-		if a.At > last {
-			last = a.At
-		}
+	if n := len(ats); n > 0 {
+		last = ats[n-1]
 	}
 	horizon := last + c.cfg.ClientTimeout + 5*des.Second
 	c.Sim.Run(horizon)

@@ -7,7 +7,6 @@ import (
 
 	"sweb/internal/des"
 	"sweb/internal/heat"
-	"sweb/internal/metrics"
 	"sweb/internal/monitor"
 	"sweb/internal/rebalance"
 	"sweb/internal/storage"
@@ -59,12 +58,20 @@ func TestSkewedHotspotRedistribution(t *testing.T) {
 		})
 	}
 
-	sumCounter := func(name string) float64 {
-		var sum float64
+	// hotHeat sums the hotspot's relays and its requests since admission
+	// (Count - ErrBound, what sweb_heat_requests_total reports) over every
+	// node's sketch. Reading the dump, not the registry, makes a path the
+	// sketch lost an error rather than a silent zero.
+	hotHeat := func() (relays, reqs float64) {
 		for i := 0; i < cl.Nodes(); i++ {
-			sum += cl.Registry(i).Counter(name, "", metrics.Labels{"path": hot}).Value()
+			for _, e := range cl.HeatDump(i).Entries {
+				if e.Path == hot {
+					relays += float64(e.Relays)
+					reqs += float64(e.Count - e.ErrBound)
+				}
+			}
 		}
-		return sum
+		return relays, reqs
 	}
 
 	// Per-virtual-second telemetry, recorded before the rebalancer's tick
@@ -90,9 +97,10 @@ func TestSkewedHotspotRedistribution(t *testing.T) {
 				}
 			}
 		}
+		relays, reqs := hotHeat()
 		timeline = append(timeline, tick{
-			relays:   sumCounter("sweb_heat_relays_total"),
-			reqs:     sumCounter("sweb_heat_requests_total"),
+			relays:   relays,
+			reqs:     reqs,
 			replicas: reps,
 			firing:   mon.AlertFiring("hot_doc", hot),
 		})
