@@ -49,7 +49,7 @@ type Record struct {
 	// Phase timings.
 	ParseSeconds   float64 `json:"parse_seconds"`
 	AnalyzeSeconds float64 `json:"analyze_seconds"`
-	TTFBSeconds    float64 `json:"ttfb_seconds"` // -1 when no byte reached the wire
+	TTFBSeconds    float64 `json:"ttfb_seconds"` // -1 when no response head was sent
 	TotalSeconds   float64 `json:"total_seconds"`
 
 	Notable string `json:"notable,omitempty"` // "error", "slow", or ""

@@ -7,44 +7,36 @@ import (
 	"os"
 	"time"
 
+	"sweb/internal/accesslog"
 	"sweb/internal/flight"
 	"sweb/internal/httpmsg"
 	"sweb/internal/nodeobs"
 )
 
-// writeMeter wraps the client socket on the write side so the serve loop
-// can measure time-to-first-byte and per-response byte counts without the
-// fulfillment paths knowing: the instant the first byte of a response
-// reaches the wire is recorded regardless of which path (simple, stream,
-// chunked, sendfile) produced it. Only the handler goroutine writes, so the
-// fields need no lock.
+// writeMeter wraps the client socket on the write side and counts the bytes
+// that reach it, whichever way they leave: the buffered writer's writes or
+// sendFile. Only the goroutine writing the response touches it, so the
+// count needs no lock.
 type writeMeter struct {
 	net.Conn
-	firstWrite time.Time
-	written    int64
+	written int64
 }
 
 func (w *writeMeter) Write(p []byte) (int, error) {
-	if w.firstWrite.IsZero() && len(p) > 0 {
-		w.firstWrite = time.Now()
-	}
 	n, err := w.Conn.Write(p)
 	w.written += int64(n)
 	return n, err
 }
 
-// sendFile writes the next n bytes of f to the connection, counted and
-// stamped like Write. A socket with its own io.ReaderFrom (*net.TCPConn)
-// takes them by sendfile(2), straight from the page cache with no copy
-// through user space; any other connection gets them through the pooled
-// copy buffer. A file shorter than n is io.EOF, as with CopyBodyN.
+// sendFile writes the next n bytes of f to the connection, counted like
+// Write. A socket with its own io.ReaderFrom (*net.TCPConn) takes them by
+// sendfile(2), straight from the page cache with no copy through user
+// space; any other connection gets them through the pooled copy buffer. A
+// file shorter than n is io.EOF, as with CopyBodyN.
 func (w *writeMeter) sendFile(f *os.File, n int64) (int64, error) {
 	rf, ok := w.Conn.(io.ReaderFrom)
 	if !ok {
 		return httpmsg.CopyBodyN(w, f, n)
-	}
-	if w.firstWrite.IsZero() && n > 0 {
-		w.firstWrite = time.Now()
 	}
 	sent, err := rf.ReadFrom(io.LimitReader(f, n))
 	w.written += sent
@@ -54,22 +46,29 @@ func (w *writeMeter) sendFile(f *os.File, n int64) (int64, error) {
 	return sent, err
 }
 
-// reset arms the meter for the next request on the connection.
-func (w *writeMeter) reset() {
-	w.firstWrite = time.Time{}
-	w.written = 0
+// answer is what the sink records about the response in progress: what
+// the accounting step closes its books from.
+type answer struct {
+	status  int       // the code its head carried; 0 until a head is encoded
+	length  int64     // the body length its head announced
+	body    int64     // body bytes handed to the connection so far
+	at      time.Time // when its head was encoded: the response's first byte
+	failed  bool      // a write failed: the connection closes unflushed
+	message bool      // the body is a note (reply), not a document
+	fault   bool      // an error answer (refuse)
+	cause   string    // an error answer's drop cause, "" for none
 }
 
 // reqConn is one client connection's serving state: the buffered reader
 // requests are parsed from, the protocol version the current response must
-// echo, and the keep-alive decision the serve loop made for it. The
-// fulfillment paths write responses through it so every response carries a
-// truthful Connection header.
+// echo, the keep-alive decision the serve loop made for it, and the one
+// sink every response leaves through. The fulfillment paths decide what to
+// send; head, write, copy and reply decide how it leaves and record it in
+// ans for the accounting step.
 type reqConn struct {
 	s     *Server
-	c     net.Conn // the metered connection responses are written to
-	meter *writeMeter
-	id    int64 // tracked connection id, for flight records
+	meter *writeMeter // the client connection, metered
+	id    int64       // tracked connection id, for flight records
 	br    *bufio.Reader
 	// req is the connection's one request value, refilled in place for each
 	// request the loop reads; nothing may hold it past the end of handle.
@@ -77,13 +76,11 @@ type reqConn struct {
 	proto     string // response protocol version, echoing the request
 	keepAlive bool   // whether the connection survives the current response
 	served    int    // requests answered on this connection so far
+	ans       answer // the current response, as the sink saw it
 	// bw carries every response to c, header and body, for the life of the
 	// connection. The body paths leave a response's last bytes in it; the
 	// serve loop's flush sends them once the response is accounted for.
 	bw *bufio.Writer
-	// broken marks a response that already failed (fail, or simple's
-	// error): its connection closes without flushing what is left.
-	broken bool
 }
 
 // newReqConn wraps an accepted connection: reads are buffered off the raw
@@ -91,43 +88,66 @@ type reqConn struct {
 // long as the connection does.
 func newReqConn(s *Server, c net.Conn, id int64) *reqConn {
 	w := &writeMeter{Conn: c}
-	return &reqConn{s: s, c: w, meter: w, id: id, br: bufio.NewReader(c), bw: bufio.NewWriter(w), proto: "HTTP/1.0"}
+	return &reqConn{s: s, meter: w, id: id, br: bufio.NewReader(c), bw: bufio.NewWriter(w), proto: "HTTP/1.0"}
 }
 
-// simple writes a complete small response (errors, redirects, 304s),
-// stamped with the serve loop's keep-alive decision. h carries whichever
-// optional fields the response needs (nil for none); the protocol, status,
-// Connection and Content-Length are filled in here, and Content-Type
-// defaults to text/html. A failed write spends the connection.
-func (rc *reqConn) simple(code int, h *httpmsg.ResponseHead, body []byte) error {
-	var head httpmsg.ResponseHead
-	if h != nil {
-		head = *h
+// head encodes a response head for a body of n bytes, the one place a head
+// is written: it fills in the protocol, keep-alive and Content-Length,
+// records the status, and stamps the first chunk handed to the client, the
+// instant the simulator stamps as TTFB.
+func (rc *reqConn) head(h httpmsg.ResponseHead, n int64) bool {
+	h.Proto, h.KeepAlive, h.ContentLength = rc.proto, rc.keepAlive, n
+	rc.ans.status, rc.ans.length, rc.ans.at = h.Code, n, time.Now()
+	if h.Write(rc.bw) != nil {
+		return rc.fail()
 	}
-	head.Proto, head.Code, head.KeepAlive = rc.proto, code, rc.keepAlive
-	head.ContentLength = int64(len(body))
-	if head.ContentType == "" {
-		head.ContentType = "text/html"
-	}
-	err := head.Write(rc.bw)
-	if err == nil {
-		_, err = rc.writeLast(body)
-	}
-	if err != nil {
-		rc.keepAlive, rc.broken = false, true
-	}
-	return err
+	return true
 }
 
-// holdBack is how many of a body's last bytes the body paths leave in the
-// connection's buffer: enough that no body puts its last byte on the wire
-// before the serve loop's flush, and at most half the buffer, so a body
-// that outgrows it still goes to the socket in large writes.
-func (rc *reqConn) holdBack(n int64) int64 { return min(n, int64(rc.bw.Size()/2)) }
+// document encodes the 200 head of a document of n bytes and reports
+// whether its body follows: not for a HEAD, nor on a failed connection.
+func (rc *reqConn) document(req *httpmsg.Request, n int64, modTime time.Time) bool {
+	h := httpmsg.ResponseHead{Code: httpmsg.StatusOK, ContentType: httpmsg.ContentTypeFor(req.Path), LastModified: modTime}
+	return rc.head(h, n) && req.Method != "HEAD"
+}
 
-// writeLast hands the final part of a body to the connection's buffer,
-// keeping holdBack of it there for the serve loop's flush.
-func (rc *reqConn) writeLast(p []byte) (int, error) {
+// reply writes a whole response whose body is a message, not a document:
+// an error page, a 302's note, a 304, an introspection report. Neither
+// served nor bytes_out counts it, and it goes out whatever the method.
+// Content-Type defaults to text/html.
+func (rc *reqConn) reply(h httpmsg.ResponseHead, body []byte) bool {
+	if h.ContentType == "" {
+		h.ContentType = "text/html"
+	}
+	rc.ans.message = true
+	return rc.head(h, int64(len(body))) && rc.write(body)
+}
+
+// refuse answers an error with its page; the accounting step counts it in
+// errors and drops its cause ("" for none).
+func (rc *reqConn) refuse(h httpmsg.ResponseHead, cause, text string) bool {
+	rc.ans.fault, rc.ans.cause = true, cause
+	return rc.reply(h, httpmsg.ErrorBody(h.Code, text))
+}
+
+// holdBack is how many of an n-byte body write stay buffered for the serve
+// loop's flush: none unless it completes the body, else its last bytes up
+// to half the buffer, so no body's last byte leaves before the flush and a
+// bulk body still leaves in large writes.
+func (rc *reqConn) holdBack(n int64) int64 {
+	if rc.ans.body+n != rc.ans.length {
+		return 0
+	}
+	return min(n, int64(rc.bw.Size()/2))
+}
+
+// write hands p to the connection as the body's next bytes, uncopied past
+// the buffer: a body that fits leaves with its head in one write, a bulk
+// one goes to the socket straight from p.
+func (rc *reqConn) write(p []byte) bool {
+	if rc.ans.failed {
+		return false
+	}
 	cut := len(p) - int(rc.holdBack(int64(len(p))))
 	n, err := rc.bw.Write(p[:cut])
 	if err == nil {
@@ -135,30 +155,71 @@ func (rc *reqConn) writeLast(p []byte) (int, error) {
 		m, err = rc.bw.Write(p[cut:])
 		n += m
 	}
-	return n, err
+	return rc.wrote(int64(n), err)
 }
 
-// fail records a mid-response write failure. The response framing is now
-// indeterminate, so the connection cannot carry another request.
-func (rc *reqConn) fail() int {
+// copy hands the next n body bytes of r to the connection. An open file
+// that does not fit the buffer's free space leaves from the page cache:
+// the buffer goes first, then the socket reads the file itself
+// (writeMeter.sendFile). Anything else crosses the pooled copy buffer. A
+// source shorter than n is io.EOF and a failed response.
+func (rc *reqConn) copy(r io.Reader, n int64) bool {
+	if rc.ans.failed {
+		return false
+	}
+	hold := rc.holdBack(n)
+	var sent int64
+	var err error
+	if f, ok := r.(*os.File); ok && n > int64(rc.bw.Available()) {
+		if err = rc.bw.Flush(); err == nil {
+			sent, err = rc.meter.sendFile(f, n-hold)
+		}
+	} else if n > hold {
+		sent, err = httpmsg.CopyBodyN(rc.bw, r, n-hold)
+	}
+	if err == nil && hold > 0 {
+		var last int64
+		last, err = httpmsg.CopyBodyN(rc.bw, r, hold)
+		sent += last
+	}
+	return rc.wrote(sent, err)
+}
+
+// wrote counts n body bytes handed to the connection, in bytes_out unless
+// they are a message, and turns a write error into fail.
+func (rc *reqConn) wrote(n int64, err error) bool {
+	rc.ans.body += n
+	if !rc.ans.message {
+		rc.s.bytesOut.Add(n)
+	}
+	if err != nil {
+		return rc.fail()
+	}
+	return true
+}
+
+// fail records a mid-response write failure at once, as an error and a
+// write_failed drop. The response framing is now indeterminate, so the
+// connection cannot carry another request and closes unflushed.
+func (rc *reqConn) fail() bool {
 	rc.s.errors.Add(1)
 	rc.s.drop("write_failed")
-	rc.keepAlive, rc.broken = false, true
-	return 0
+	rc.keepAlive, rc.ans.failed = false, true
+	return false
 }
 
-// pending is how much of the current response waits in the buffer for the
-// serve loop's flush; nothing of a response that already failed.
-func (rc *reqConn) pending() int64 {
-	if rc.broken {
+// status is the code of the response written so far: 0 before its head,
+// and 0 once it failed.
+func (rc *reqConn) status() int {
+	if rc.ans.failed {
 		return 0
 	}
-	return int64(rc.bw.Buffered())
+	return rc.ans.status
 }
 
 // flush sends what the current response left in the buffer: the serve
 // loop's one flush per response, made after the response is accounted for
-// (Observe, counters, access log, trace, the load and connection gauges),
+// (Observe, the accounting step, trace, the load and connection gauges),
 // so a client that has read a response to its end finds the node's books
 // already closed on it. The outcome was fixed when its last byte reached
 // the buffer; a failure here is the connection's, not a second outcome, so
@@ -166,15 +227,71 @@ func (rc *reqConn) pending() int64 {
 // successful write(2) would. A response that already failed closes
 // unflushed. flush reports whether the connection is still usable.
 func (rc *reqConn) flush() bool {
-	if rc.broken {
+	if rc.ans.failed {
 		return false
 	}
 	if err := rc.bw.Flush(); err != nil {
 		rc.s.errors.Add(1)
-		rc.keepAlive, rc.broken = false, true
+		rc.keepAlive, rc.ans.failed = false, true
 		return false
 	}
 	return true
+}
+
+// account closes the books on one response, once, after handle and before
+// the serve loop's flush: served for a document that left whole (a 200 that
+// is not a message, or a 304), errors and the cause for an error answer,
+// and the one access-log line. A failed write, counted by fail, still gets
+// its line: the status its head carried and the body bytes handed over.
+// req is nil for a request that did not parse.
+func (s *Server) account(conn net.Conn, req *httpmsg.Request, a *answer) {
+	switch {
+	case a.failed:
+	case a.fault:
+		s.errors.Add(1)
+		if a.cause != "" {
+			s.drop(a.cause)
+		}
+	case a.status == httpmsg.StatusNotModified, a.status == httpmsg.StatusOK && !a.message:
+		s.served.Add(1)
+	}
+	if a.status != 0 {
+		s.logAccess(conn, req, a.status, a.body)
+	}
+}
+
+// logAccess emits one Common Log Format line, when logging is configured.
+// The byte count is a 200's body bytes; every other status logs "-".
+func (s *Server) logAccess(conn net.Conn, req *httpmsg.Request, status int, body int64) {
+	if s.cfg.AccessLog == nil {
+		return
+	}
+	host := "-"
+	if addr := conn.RemoteAddr(); addr != nil {
+		host = addr.String()
+		if h, _, err := net.SplitHostPort(host); err == nil {
+			host = h
+		}
+	}
+	e := accesslog.Entry{
+		Host: host, Time: time.Now(),
+		Method: "-", Path: "-", Proto: "HTTP/1.0",
+		Status: status, Bytes: -1,
+	}
+	if status == httpmsg.StatusOK {
+		e.Bytes = body
+	}
+	if req != nil {
+		e.Method = req.Method
+		e.Path = req.Path
+		if req.Query != "" {
+			e.Path += "?" + req.Query
+		}
+		if req.Proto != "" {
+			e.Proto = req.Proto
+		}
+	}
+	_ = s.cfg.AccessLog.Log(e)
 }
 
 // isDraining reports whether graceful shutdown has begun; the serve loop
@@ -193,14 +310,13 @@ func (s *Server) isDraining() bool {
 // budgets. This replaces the old one-request-per-connection handle with
 // its single whole-connection deadline — a keep-alive client now pays the
 // TCP handshake once, which is exactly the saving the paper's t_redirection
-// term wants after a 302. Deadlines stay on the raw socket; responses go
-// through the write meter so every request leaves a flight record with an
-// honest time-to-first-byte. Each response is flushed only after handle has
-// accounted for it and the request has left reqActive; the connection's
+// term wants after a 302. Deadlines stay on the raw socket. Each response
+// is flushed only after handle has observed it, the accounting step has
+// closed its books and the request has left reqActive; the connection's
 // last response is left buffered for the caller, which closes the
 // connection's own books first (serve).
 func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
-	c := rc.c
+	c := rc.meter
 	for {
 		// Idle wait: the peer may keep the connection open up to
 		// IdleTimeout between requests. Pipelined bytes already buffered
@@ -215,19 +331,16 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 			}
 			return
 		}
-		rc.meter.reset()
+		rc.meter.written, rc.ans = 0, answer{}
 		t0 := time.Now()
 		_ = c.SetReadDeadline(t0.Add(connTimeout))
 		req := &rc.req
 		if err := httpmsg.ReadRequestInto(rc.br, req); err != nil {
 			rc.keepAlive = false
-			s.errors.Add(1)
 			s.badRequests.Add(1)
-			s.drop("bad_request")
 			_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
-			_ = rc.simple(httpmsg.StatusBadRequest, nil,
-				httpmsg.ErrorBody(httpmsg.StatusBadRequest, err.Error()))
-			s.logAccess(c, nil, httpmsg.StatusBadRequest, -1)
+			rc.refuse(httpmsg.ResponseHead{Code: httpmsg.StatusBadRequest}, "bad_request", err.Error())
+			s.account(c, nil, &rc.ans)
 			o := nodeobs.Outcome{Record: flight.Record{Path: "(unparsed)", Status: httpmsg.StatusBadRequest}}
 			s.stamp(rc, &o, t0, time.Now())
 			s.obs.Observe(o)
@@ -246,6 +359,7 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 		s.reqActive.Add(1)
 		ci.active.Store(true)
 		s.handle(rc, req, t0)
+		s.account(c, req, &rc.ans)
 		ci.active.Store(false)
 		s.reqActive.Add(-1)
 		if !rc.keepAlive || s.isDraining() || !rc.flush() {

@@ -19,21 +19,19 @@ import (
 const flightTraceTail = 4096
 
 // stamp fills the fields every outcome takes from the connection and the
-// clock: arrival and total on the node's epoch, bytes and time to first
-// byte as the write meter saw them. The response's bytes still waiting for
-// the serve loop's flush count too; a response that is all still waiting
-// (any that fits the buffer) leaves whole at that flush, right after done,
-// which is therefore its first byte.
+// clock: arrival and total on the node's epoch, the bytes the meter counted
+// plus those still waiting for the serve loop's flush, and time to first
+// byte: the instant the sink encoded the head, the first chunk handed to
+// the client (-1 for a response that never got one).
 func (s *Server) stamp(rc *reqConn, o *nodeobs.Outcome, t0, done time.Time) {
 	o.AtSeconds, o.ConnID = s.sinceEpoch(t0), rc.id
-	o.Bytes = rc.meter.written + rc.pending()
-	o.TTFBSeconds = -1
-	fb := rc.meter.firstWrite
-	if fb.IsZero() && o.Bytes > 0 {
-		fb = done
+	o.Bytes = rc.meter.written
+	if !rc.ans.failed {
+		o.Bytes += int64(rc.bw.Buffered()) // waiting for the serve loop's flush
 	}
-	if !fb.IsZero() {
-		o.TTFBSeconds = fb.Sub(t0).Seconds()
+	o.TTFBSeconds = -1
+	if at := rc.ans.at; !at.IsZero() {
+		o.TTFBSeconds = at.Sub(t0).Seconds()
 	}
 	o.TotalSeconds, o.DoneMicros = done.Sub(t0).Seconds(), done.UnixMicro()
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"sweb/internal/accesslog"
 	"sweb/internal/cache"
 	"sweb/internal/core"
 	"sweb/internal/httpmsg"
@@ -98,7 +97,9 @@ func (s *Server) acceptLoop() {
 				h.Set("Connection", "close")
 				_ = httpmsg.WriteSimpleResponse(c, httpmsg.StatusServiceUnavailable, h,
 					httpmsg.ErrorBody(httpmsg.StatusServiceUnavailable, "Server too busy."))
-				s.logAccess(c, nil, httpmsg.StatusServiceUnavailable, -1)
+				// Written before any reqConn exists; refused and the shed
+				// drop are counted above, so only its log line is left.
+				s.account(c, nil, &answer{status: httpmsg.StatusServiceUnavailable, message: true})
 			}(conn)
 			continue
 		}
@@ -110,36 +111,6 @@ func (s *Server) acceptLoop() {
 			s.serve(conn)
 		}()
 	}
-}
-
-// logAccess emits one Common Log Format line, when logging is configured.
-func (s *Server) logAccess(conn net.Conn, req *httpmsg.Request, status int, bytes int64) {
-	if s.cfg.AccessLog == nil {
-		return
-	}
-	host := "-"
-	if addr := conn.RemoteAddr(); addr != nil {
-		host = addr.String()
-		if h, _, err := net.SplitHostPort(host); err == nil {
-			host = h
-		}
-	}
-	e := accesslog.Entry{
-		Host: host, Time: time.Now(),
-		Method: "-", Path: "-", Proto: "HTTP/1.0",
-		Status: status, Bytes: bytes,
-	}
-	if req != nil {
-		e.Method = req.Method
-		e.Path = req.Path
-		if req.Query != "" {
-			e.Path += "?" + req.Query
-		}
-		if req.Proto != "" {
-			e.Proto = req.Proto
-		}
-	}
-	_ = s.cfg.AccessLog.Log(e)
 }
 
 // exchange is one client request's telemetry as handle's phases fill it
@@ -270,11 +241,10 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 			"target="+strconv.Itoa(plan.Target))
 	}
 	if plan.Action == core.NotFound {
-		s.drop("not_found")
-		o.Status = httpmsg.StatusNotFound
-		if s.answer404(rc, req) {
+		if s.answer404(rc, "not_found") {
 			s.sent(tid, httpmsg.StatusNotFound)
 		}
+		o.Status = rc.status()
 		return true
 	}
 	x.dec = plan.Decision
@@ -287,14 +257,12 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 		peer, _ := s.peerByID(plan.Target)
 		loc := redirectLocation(peer.HTTPAddr, req.Path, req.Query, redirects,
 			formatTraceContext(tctx, time.Now().UnixMicro()))
-		if rc.simple(httpmsg.StatusMovedTemporarily, &httpmsg.ResponseHead{Location: loc},
+		if !rc.reply(httpmsg.ResponseHead{Code: httpmsg.StatusMovedTemporarily, Location: loc},
 			httpmsg.ErrorBody(httpmsg.StatusMovedTemporarily,
-				`The document has moved <A HREF="`+loc+`">here</A>.`)) != nil {
+				`The document has moved <A HREF="`+loc+`">here</A>.`)) {
 			// The client never saw the 302, so no request is on its way to
 			// the peer: inflating its load view would only skew later
 			// decisions.
-			s.errors.Add(1)
-			s.drop("write_failed")
 			return true
 		}
 		tSent := time.Now()
@@ -307,7 +275,6 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 			rec.Record(tid, s.sinceEpoch(tSent), trace.EvRedirected, s.cfg.ID,
 				"to="+strconv.Itoa(plan.Target))
 		}
-		s.logAccess(rc.c, req, httpmsg.StatusMovedTemporarily, -1)
 		o.Status, o.Redirected = httpmsg.StatusMovedTemporarily, true
 		return true
 	}
@@ -381,7 +348,7 @@ func (s *Server) sent(tid int64, status int) {
 func (s *Server) serveInternal(rc *reqConn, req *httpmsg.Request) {
 	file, found := s.cfg.Store.Lookup(req.Path)
 	if !found {
-		s.answer404(rc, req)
+		s.answer404(rc, "")
 		return
 	}
 	s.internalFetch.Add(1)
@@ -398,15 +365,12 @@ func (s *Server) serveInternal(rc *reqConn, req *httpmsg.Request) {
 	}
 }
 
-// answer404 writes the answer to a document that does not exist and
-// reports whether it left.
-func (s *Server) answer404(rc *reqConn, req *httpmsg.Request) bool {
-	s.errors.Add(1)
+// answer404 refuses a document that does not exist, dropping cause ("" for
+// none), and reports whether the answer left.
+func (s *Server) answer404(rc *reqConn, cause string) bool {
 	s.notFound.Add(1)
-	err := rc.simple(httpmsg.StatusNotFound, nil,
-		httpmsg.ErrorBody(httpmsg.StatusNotFound, "The requested URL was not found on this server."))
-	s.logAccess(rc.c, req, httpmsg.StatusNotFound, -1)
-	return err == nil
+	return rc.refuse(httpmsg.ResponseHead{Code: httpmsg.StatusNotFound}, cause,
+		"The requested URL was not found on this server.")
 }
 
 // facts gathers what the spine knows about path before the request's own
@@ -605,14 +569,12 @@ func (s *Server) serveLocalFile(rc *reqConn, req *httpmsg.Request, file storage.
 
 // openFailed answers a docroot document that could not be opened or read.
 func (s *Server) openFailed(rc *reqConn, err error) int {
-	s.errors.Add(1)
-	s.drop("local_io")
 	code := httpmsg.StatusNotFound
 	if os.IsPermission(err) {
 		code = httpmsg.StatusForbidden
 	}
-	_ = rc.simple(code, nil, httpmsg.ErrorBody(code, "Cannot open document."))
-	return code
+	rc.refuse(httpmsg.ResponseHead{Code: code}, "local_io", "Cannot open document.")
+	return rc.status()
 }
 
 // readLocalFile is the cache's backing read: the whole document in one
@@ -652,33 +614,27 @@ func (s *Server) readOpenFile(path string, f *os.File) (cache.Entry, error) {
 // serving path obtains ends here, exactly once. Conditional GETs revalidate
 // against the entry's mtime (local files and relayed bodies alike — the
 // relay path carries the owner's Last-Modified into the entry); a full
-// response hands the cached slice straight to the connection's buffered
-// writer, so a small body leaves with its header in one write and a large
-// one goes to the socket uncopied — no diskActive, the whole point of the
-// hit path.
+// response hands the cached slice straight to the connection (reqConn.write),
+// so a small body leaves with its header in one write and a large one goes
+// to the socket uncopied — no diskActive, the whole point of the hit path.
 func (s *Server) writeEntry(rc *reqConn, req *httpmsg.Request, ent cache.Entry) int {
 	defer s.cache.Release(ent)
 	if !ent.ModTime.IsZero() && httpmsg.NotModified(req.Header.Get("If-Modified-Since"), ent.ModTime) {
-		_ = rc.simple(httpmsg.StatusNotModified, &httpmsg.ResponseHead{LastModified: ent.ModTime}, nil)
-		s.served.Add(1)
-		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
-		return httpmsg.StatusNotModified
+		return notModified(rc, ent.ModTime)
 	}
 	s.netActive.Add(1)
 	defer s.netActive.Add(-1)
-	if _, err := s.writeHeader(rc, req, int64(len(ent.Body)), ent.ModTime); err != nil {
-		return rc.fail()
+	if rc.document(req, int64(len(ent.Body)), ent.ModTime) {
+		rc.write(ent.Body)
 	}
-	var sent int64
-	if req.Method != "HEAD" {
-		n, err := rc.writeLast(ent.Body)
-		sent = int64(n)
-		s.bytesOut.Add(sent)
-		if err != nil {
-			return rc.fail()
-		}
-	}
-	return s.finishResponse(rc, req, sent)
+	return rc.status()
+}
+
+// notModified answers a conditional GET whose copy is current (RFC 1945
+// §10.9): a body-less 304 carrying the document's date.
+func notModified(rc *reqConn, modTime time.Time) int {
+	rc.reply(httpmsg.ResponseHead{Code: httpmsg.StatusNotModified, LastModified: modTime}, nil)
+	return rc.status()
 }
 
 // streamLocalFile streams a document from the node's own disk, bypassing
@@ -697,20 +653,14 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		s.errors.Add(1)
-		s.drop("local_io")
-		_ = rc.simple(httpmsg.StatusInternalServerError, nil,
-			httpmsg.ErrorBody(httpmsg.StatusInternalServerError, "stat failed"))
-		return httpmsg.StatusInternalServerError
+		rc.refuse(httpmsg.ResponseHead{Code: httpmsg.StatusInternalServerError}, "local_io", "stat failed")
+		return rc.status()
 	}
-	// Conditional GET (RFC 1945 §10.9): a browser revalidating its cache
-	// sends If-Modified-Since and gets a body-less 304 if the document is
+	// Conditional GET: a browser revalidating its cache sends
+	// If-Modified-Since and gets a body-less 304 if the document is
 	// unchanged — the cheapest response the 1996 server knows.
 	if httpmsg.NotModified(req.Header.Get("If-Modified-Since"), fi.ModTime()) {
-		_ = rc.simple(httpmsg.StatusNotModified, &httpmsg.ResponseHead{LastModified: fi.ModTime()}, nil)
-		s.served.Add(1)
-		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
-		return httpmsg.StatusNotModified
+		return notModified(rc, fi.ModTime())
 	}
 	// The body streams straight from the open *os.File (by sendfile when it
 	// outgrows the write buffer) — the document is never materialized in
@@ -739,11 +689,8 @@ func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, f *core.Fact
 	file := f.File
 	sources := s.rankedSources(f)
 	if len(sources) == 0 {
-		s.errors.Add(1)
-		s.drop("owner_unknown")
-		_ = rc.simple(httpmsg.StatusInternalServerError, nil,
-			httpmsg.ErrorBody(httpmsg.StatusInternalServerError, "owner unknown"))
-		return httpmsg.StatusInternalServerError
+		rc.refuse(httpmsg.ResponseHead{Code: httpmsg.StatusInternalServerError}, "owner_unknown", "owner unknown")
+		return rc.status()
 	}
 	s.netActive.Add(1)
 	defer s.netActive.Add(-1)
@@ -766,12 +713,12 @@ func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, f *core.Fact
 		if err == nil {
 			cw.publish(len(ent.Body)) // inserted: the last byte may go
 		}
-		status := cw.wait()
+		cw.wait()
 		s.cache.Release(cw.ent)
-		return status
+		return rc.status()
 	}
 	if err != nil {
-		return s.degrade503(rc, req)
+		return s.degrade503(rc)
 	}
 	return s.writeEntry(rc, req, ent)
 }
@@ -793,119 +740,39 @@ func (s *Server) rankedSources(f *core.Facts) []fetchSource {
 
 // degrade503 answers the degradation ladder's last rung: the owner stayed
 // unreachable through the whole retry budget.
-func (s *Server) degrade503(rc *reqConn, req *httpmsg.Request) int {
-	s.errors.Add(1)
+func (s *Server) degrade503(rc *reqConn) int {
 	s.fetchFailed.Add(1)
-	s.drop("owner_unreachable")
-	_ = rc.simple(httpmsg.StatusServiceUnavailable, &httpmsg.ResponseHead{RetryAfter: s.retryAfterSeconds()},
-		httpmsg.ErrorBody(httpmsg.StatusServiceUnavailable, "owner unreachable"))
-	s.logAccess(rc.c, req, httpmsg.StatusServiceUnavailable, -1)
-	return httpmsg.StatusServiceUnavailable
+	rc.refuse(httpmsg.ResponseHead{Code: httpmsg.StatusServiceUnavailable, RetryAfter: s.retryAfterSeconds()},
+		"owner_unreachable", "owner unreachable")
+	return rc.status()
 }
 
 // serveCGI executes a registered dynamic endpoint, returning the status
-// written (0 when the write failed).
+// written (0 when the write failed). Its output is a document of known
+// length, sent whatever the method.
 func (s *Server) serveCGI(rc *reqConn, req *httpmsg.Request, fn CGIFunc) int {
 	body, ctype := fn(req.Query, req.Body)
 	if ctype == "" {
 		ctype = "text/html"
 	}
-	if err := rc.simple(httpmsg.StatusOK, &httpmsg.ResponseHead{ContentType: ctype}, body); err != nil {
-		s.drop("write_failed")
-		return 0
+	if rc.head(httpmsg.ResponseHead{Code: httpmsg.StatusOK, ContentType: ctype}, int64(len(body))) {
+		rc.write(body)
 	}
-	s.served.Add(1)
-	s.bytesOut.Add(int64(len(body)))
-	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(body)))
-	return httpmsg.StatusOK
+	return rc.status()
 }
 
-// writeHeader buffers the 200 header for a body of the given size on the
-// connection's writer. size < 0 means the length is unknown up front:
-// HTTP/1.1 clients get chunked transfer coding (reported back), and
-// HTTP/1.0 clients an EOF-delimited body on a connection marked close. A
-// zero modTime omits Last-Modified.
-func (s *Server) writeHeader(rc *reqConn, req *httpmsg.Request, size int64, modTime time.Time) (chunked bool, err error) {
-	switch {
-	case size >= 0:
-	case rc.proto == "HTTP/1.1":
-		chunked = true
-	default:
-		// Unknown length to a 1.0 client: the body runs to EOF, so this
-		// connection cannot carry another request.
-		rc.keepAlive = false
-	}
-	h := httpmsg.ResponseHead{
-		Proto:         rc.proto,
-		Code:          httpmsg.StatusOK,
-		KeepAlive:     rc.keepAlive,
-		ContentLength: size,
-		ContentType:   httpmsg.ContentTypeFor(req.Path),
-		LastModified:  modTime,
-		Chunked:       chunked,
-	}
-	return chunked, h.Write(rc.bw)
-}
-
-// finishResponse accounts for a 200 whose last bytes are in the
-// connection's buffer; the serve loop flushes them (reqConn.flush).
-func (s *Server) finishResponse(rc *reqConn, req *httpmsg.Request, sent int64) int {
-	s.served.Add(1)
-	s.logAccess(rc.c, req, httpmsg.StatusOK, sent)
-	return httpmsg.StatusOK
-}
-
-// streamResponse writes the response header and a body that is read as it
-// is sent (an open file, an upstream socket) in the httpd write-loop style,
-// returning the status written (0 when the write failed mid-flight, which
-// also spends the connection). size and modTime are writeHeader's. An open
-// file of known size that does not fit the connection's buffer is sent by
-// the socket itself (writeMeter.sendFile); any other body crosses through a
-// pooled copy buffer. Either way the body's last holdBack bytes go to the
-// buffer for the serve loop's flush. A HEAD response skips the body entirely
-// and logs zero body bytes.
+// streamResponse writes the 200 header and a body of size bytes that is
+// read as it is sent (an open file, an upstream socket), returning the
+// status written (0 when the write failed mid-flight, which also spends the
+// connection). A zero modTime omits Last-Modified. The body leaves by
+// reqConn.copy: sendfile for an open file that does not fit the buffer, the
+// pooled copy buffer otherwise. A HEAD response skips the body and logs
+// zero body bytes.
 func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, body io.Reader, modTime time.Time) int {
 	s.netActive.Add(1)
 	defer s.netActive.Add(-1)
-	chunked, err := s.writeHeader(rc, req, size, modTime)
-	if err != nil {
-		return rc.fail()
+	if rc.document(req, size, modTime) {
+		rc.copy(body, size)
 	}
-	var sent int64
-	if req.Method != "HEAD" {
-		switch {
-		case chunked:
-			cw := httpmsg.NewChunkedWriter(rc.bw)
-			sent, err = httpmsg.CopyBody(cw, body)
-			if err == nil {
-				err = cw.Close()
-			}
-		case size >= 0:
-			head := size - rc.holdBack(size)
-			if f, ok := body.(*os.File); ok && size > int64(rc.bw.Available()) {
-				// A file that does not fit the buffer leaves from the page
-				// cache: the header goes first, then the socket reads the
-				// file itself.
-				if err = rc.bw.Flush(); err == nil {
-					sent, err = rc.meter.sendFile(f, head)
-				}
-			} else if head > 0 {
-				sent, err = httpmsg.CopyBodyN(rc.bw, body, head)
-			}
-			if err == nil {
-				var last int64
-				last, err = httpmsg.CopyBodyN(rc.bw, body, size-head)
-				sent += last
-			}
-		default:
-			sent, err = httpmsg.CopyBody(rc.bw, body)
-		}
-		s.bytesOut.Add(sent)
-		if err != nil {
-			// Short or failed body: the client was promised different
-			// framing than it got, so the connection is unusable.
-			return rc.fail()
-		}
-	}
-	return s.finishResponse(rc, req, sent)
+	return rc.status()
 }

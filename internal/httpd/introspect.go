@@ -175,83 +175,45 @@ func (s *Server) TraceDump() TraceDump {
 	}
 }
 
-// serveIntrospection answers /sweb/status and /sweb/metrics on the main
-// listener and returns the status written.
+// serveIntrospection answers an introspection request on the main listener
+// and returns the status written.
 func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
-	var body []byte
-	ctype := metrics.ContentType
+	code, ctype, body := s.introspection(req)
+	rc.reply(httpmsg.ResponseHead{Code: code, ContentType: ctype}, body)
+	return rc.status()
+}
+
+// introspection builds the answer to one /sweb/ endpoint: its status,
+// content type ("" for the default) and body.
+func (s *Server) introspection(req *httpmsg.Request) (code int, ctype string, body []byte) {
+	var v any
+	indent := false
 	switch req.Path {
 	case "/sweb/status":
-		b, err := json.MarshalIndent(s.StatusReport(), "", "  ")
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		v, indent = s.StatusReport(), true
 	case "/sweb/trace":
-		b, err := json.Marshal(s.TraceDump())
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		v = s.TraceDump()
 	case "/sweb/flight":
-		b, err := json.Marshal(s.FlightDump())
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		v = s.FlightDump()
 	case "/sweb/heat":
-		b, err := json.Marshal(s.HeatDump())
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		v = s.HeatDump()
+	case "/sweb/slo":
+		v, indent = s.SLOReport(), true
 	case "/sweb/snapshot":
 		if s.cfg.SnapshotDir == "" {
-			code := httpmsg.StatusServiceUnavailable
-			_ = rc.simple(code, nil,
-				httpmsg.ErrorBody(code, "No snapshot directory configured (-snapshot-dir)."))
-			s.logAccess(rc.c, req, code, -1)
-			return code
+			return errorPage(httpmsg.StatusServiceUnavailable, "No snapshot directory configured (-snapshot-dir).")
 		}
 		bundle, err := s.WriteSnapshot("manual")
 		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
+			return errorPage(httpmsg.StatusInternalServerError, err.Error())
 		}
-		b, _ := json.Marshal(map[string]string{"bundle": bundle})
-		body, ctype = append(b, '\n'), "application/json"
-	case "/sweb/slo":
-		b, err := json.MarshalIndent(s.SLOReport(), "", "  ")
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		v = map[string]string{"bundle": bundle}
 	case "/sweb/replicate":
-		return s.serveReplicate(rc, req)
+		return s.replicate(req)
 	case "/sweb/metrics":
 		var buf bytes.Buffer
 		if err := s.obs.Registry().WriteText(&buf); err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
+			return errorPage(httpmsg.StatusInternalServerError, err.Error())
 		}
 		body = buf.Bytes()
 		// WriteText newline-terminates every line, but guarantee the
@@ -260,16 +222,23 @@ func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
 		if len(body) == 0 || body[len(body)-1] != '\n' {
 			body = append(body, '\n')
 		}
+		return httpmsg.StatusOK, metrics.ContentType, body
 	default:
-		code := httpmsg.StatusNotFound
-		_ = rc.simple(code, nil,
-			httpmsg.ErrorBody(code, "No such introspection endpoint."))
-		s.logAccess(rc.c, req, code, -1)
-		return code
+		return errorPage(httpmsg.StatusNotFound, "No such introspection endpoint.")
 	}
-	if err := rc.simple(httpmsg.StatusOK, &httpmsg.ResponseHead{ContentType: ctype}, body); err != nil {
-		return 0
+	var err error
+	if indent {
+		body, err = json.MarshalIndent(v, "", "  ")
+	} else {
+		body, err = json.Marshal(v)
 	}
-	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(body)))
-	return httpmsg.StatusOK
+	if err != nil {
+		return errorPage(httpmsg.StatusInternalServerError, err.Error())
+	}
+	return httpmsg.StatusOK, "application/json", append(body, '\n')
+}
+
+// errorPage is an introspection error: its status and its page.
+func errorPage(code int, text string) (int, string, []byte) {
+	return code, "", httpmsg.ErrorBody(code, text)
 }

@@ -2,7 +2,6 @@ package httpd
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"hash/fnv"
 	"math/rand/v2"
@@ -454,71 +453,5 @@ func TestRelayMidStreamOwnerDeath(t *testing.T) {
 	// The node survives: a fresh connection serves the local document.
 	if status, body := get(t, srv.Addr(), "/docs/local.html"); status != httpmsg.StatusOK || len(body) != 1024 {
 		t.Fatalf("post-failure fetch = %d len=%d", status, len(body))
-	}
-}
-
-// TestStreamResponseChunked drives the unknown-length HTTP/1.1 path
-// directly: the body must arrive chunked, byte-identical, on a connection
-// still marked keep-alive.
-func TestStreamResponseChunked(t *testing.T) {
-	srv, err := New(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, server := net.Pipe()
-	defer client.Close()
-	body := bytes.Repeat([]byte("chunk-me-"), 12000) // > one 32K copy buffer
-	rc := newReqConn(srv, server, 0)
-	rc.proto, rc.keepAlive = "HTTP/1.1", true
-	req := &httpmsg.Request{Method: "GET", Path: "/stream.bin", Proto: "HTTP/1.1", Header: httpmsg.Header{}}
-	go func() {
-		defer server.Close()
-		srv.streamResponse(rc, req, -1, bytes.NewReader(body), time.Time{})
-		rc.flush()
-	}()
-	resp, err := httpmsg.ReadResponse(bufio.NewReader(client), 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Chunked() {
-		t.Fatalf("unknown-length 1.1 response not chunked: %+v", resp.Header)
-	}
-	if !bytes.Equal(resp.Body, body) {
-		t.Fatalf("chunked body corrupted: %d bytes, want %d", len(resp.Body), len(body))
-	}
-	if !resp.KeepAlive() {
-		t.Fatal("chunked response should preserve keep-alive")
-	}
-}
-
-// TestStreamResponseUnknownLengthHTTP10 falls back to an EOF-delimited
-// body and must mark the connection close.
-func TestStreamResponseUnknownLengthHTTP10(t *testing.T) {
-	srv, err := New(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, server := net.Pipe()
-	defer client.Close()
-	body := []byte("short dynamic body")
-	rc := newReqConn(srv, server, 0)
-	rc.keepAlive = true
-	req := &httpmsg.Request{Method: "GET", Path: "/gen.txt", Header: httpmsg.Header{}}
-	go func() {
-		defer server.Close()
-		srv.streamResponse(rc, req, -1, bytes.NewReader(body), time.Time{})
-		rc.flush()
-	}()
-	resp, err := httpmsg.ReadResponse(bufio.NewReader(client), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.KeepAlive() {
-		t.Fatal("EOF-delimited body cannot keep the connection")
-	}
-	if !bytes.Equal(resp.Body, body) {
-		t.Fatalf("body = %q", resp.Body)
 	}
 }

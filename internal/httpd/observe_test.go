@@ -207,6 +207,28 @@ func TestStatsDropsAndInflight(t *testing.T) {
 	}
 }
 
+// TestTTFBStampedAtHead: a cached 1 KiB hit fits the write buffer whole and
+// reaches the wire only at the serve loop's flush, after its books close.
+// Its time to first byte is still the instant its head was encoded, the
+// first chunk handed to the client as the simulator stamps it: inside the
+// request, not at its end.
+func TestTTFBStampedAtHead(t *testing.T) {
+	srv, doc := startSoloNode(t, nil)
+	for i := 0; i < 2; i++ { // a fill, then the hit
+		if st, body := get(t, srv.Addr(), doc); st != httpmsg.StatusOK || len(body) != 1024 {
+			t.Fatalf("fetch %d = %d, %d bytes", i, st, len(body))
+		}
+	}
+	recs := srv.FlightDump().Records
+	hit := recs[len(recs)-1]
+	if hit.Path != doc || !hit.CacheHit {
+		t.Fatalf("last flight record %+v, want the cached hit of %s", hit, doc)
+	}
+	if !(0 < hit.TTFBSeconds && hit.TTFBSeconds < hit.TotalSeconds) {
+		t.Fatalf("ttfb %g s, total %g s; want 0 < ttfb < total", hit.TTFBSeconds, hit.TotalSeconds)
+	}
+}
+
 func TestAuditRingWraps(t *testing.T) {
 	a := newAuditLog(4)
 	for i := 0; i < 10; i++ {

@@ -149,7 +149,7 @@ func TestStreamResponseSendsFile(t *testing.T) {
 	if rc.meter.written != int64(conn.got.Len()) || rc.meter.written <= int64(len(body)) {
 		t.Errorf("meter counted %d bytes, the socket got %d (body %d)", rc.meter.written, conn.got.Len(), len(body))
 	}
-	if rc.meter.firstWrite.IsZero() {
+	if rc.ans.at.IsZero() {
 		t.Error("first write not stamped")
 	}
 }

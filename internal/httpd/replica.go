@@ -124,29 +124,24 @@ func queryParam(query, key string) (value string) {
 	return value
 }
 
-// serveReplicate answers /sweb/replicate?path=P&node=N&action=add|drop —
-// the control-plane verb the rebalancer speaks. The addressed node
-// materializes or retires its own copy; every other node just updates its
-// ownership map, so a deployment without a shared store converges when
-// the rebalancer broadcasts the same call to each member. The response
-// reports the resulting replica set.
-func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
-	fail := func(code int, msg string) int {
-		_ = rc.simple(code, nil, httpmsg.ErrorBody(code, msg))
-		s.logAccess(rc.c, req, code, -1)
-		return code
-	}
+// replicate answers /sweb/replicate?path=P&node=N&action=add|drop — the
+// control-plane verb the rebalancer speaks. The addressed node materializes
+// or retires its own copy; every other node just updates its ownership map,
+// so a deployment without a shared store converges when the rebalancer
+// broadcasts the same call to each member. The answer reports the resulting
+// replica set.
+func (s *Server) replicate(req *httpmsg.Request) (int, string, []byte) {
 	path, perr := httpmsg.DecodePath(queryParam(req.Query, "path"))
 	if perr != nil {
-		return fail(httpmsg.StatusBadRequest, "bad path parameter")
+		return errorPage(httpmsg.StatusBadRequest, "bad path parameter")
 	}
 	node, err := strconv.Atoi(queryParam(req.Query, "node"))
 	if err != nil {
-		return fail(httpmsg.StatusBadRequest, "bad or missing node parameter")
+		return errorPage(httpmsg.StatusBadRequest, "bad or missing node parameter")
 	}
 	action := queryParam(req.Query, "action")
 	if _, ok := s.cfg.Store.Lookup(path); !ok {
-		return fail(httpmsg.StatusNotFound, "unknown document")
+		return errorPage(httpmsg.StatusNotFound, "unknown document")
 	}
 	switch {
 	case action == "add" && node == s.cfg.ID:
@@ -161,10 +156,10 @@ func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
 	case action == "drop":
 		err = s.cfg.Store.DropReplica(path, node)
 	default:
-		return fail(httpmsg.StatusBadRequest, "action must be add or drop")
+		return errorPage(httpmsg.StatusBadRequest, "action must be add or drop")
 	}
 	if err != nil {
-		return fail(httpmsg.StatusInternalServerError, err.Error())
+		return errorPage(httpmsg.StatusInternalServerError, err.Error())
 	}
 	b, _ := json.Marshal(map[string]any{
 		"path":     path,
@@ -172,10 +167,5 @@ func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
 		"action":   action,
 		"replicas": s.cfg.Store.Replicas(path),
 	})
-	b = append(b, '\n')
-	if rc.simple(httpmsg.StatusOK, &httpmsg.ResponseHead{ContentType: "application/json"}, b) != nil {
-		return 0
-	}
-	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(b)))
-	return httpmsg.StatusOK
+	return httpmsg.StatusOK, "application/json", append(b, '\n')
 }

@@ -124,7 +124,10 @@ type Config struct {
 	NetBytesPerSec  float64
 
 	// AccessLog, when non-nil, receives one NCSA Common Log Format line
-	// per handled request. Flush it before reading.
+	// per response the node writes, internal fetches and shed connections
+	// included. A response whose write failed is logged all the same, with
+	// the status its head carried and the body bytes handed to the
+	// connection. Flush it before reading.
 	AccessLog *accesslog.Logger
 
 	// Trace, when non-nil, receives the same lifecycle events the

@@ -314,8 +314,8 @@ func refill(sources []fetchSource, cw *clientWriter, fetch func() (cache.Entry, 
 type clientWriter struct {
 	rc   *reqConn
 	req  *httpmsg.Request
-	ent  cache.Entry // the fill buffer, from start on
-	done chan int    // the response's status; nil until start
+	ent  cache.Entry   // the fill buffer, from start on
+	done chan struct{} // closed when it returns; nil until start
 
 	mu     sync.Mutex
 	more   sync.Cond // signalled when filled grows or the fill is cut
@@ -327,7 +327,7 @@ type clientWriter struct {
 func (cw *clientWriter) start(ent cache.Entry, filled int) {
 	cw.ent, cw.filled = ent, filled
 	cw.more.L = &cw.mu
-	cw.done = make(chan int, 1)
+	cw.done = make(chan struct{})
 	go cw.run()
 }
 
@@ -363,41 +363,29 @@ func (cw *clientWriter) abort() bool {
 	return true
 }
 
-// wait joins the writer and returns the status it wrote (0 for a spent
-// connection).
-func (cw *clientWriter) wait() int { return <-cw.done }
+// wait joins the writer.
+func (cw *clientWriter) wait() { <-cw.done }
 
 // run writes the 200 header and the body range by range. A cut fill or a
 // failed write spends the connection: the client sees a short body against
 // its Content-Length, exactly like a streamed relay whose source died.
 func (cw *clientWriter) run() {
 	rc, body := cw.rc, cw.ent.Body
-	s := rc.s
-	status := 0
-	defer func() { cw.done <- status }()
-	if _, err := s.writeHeader(rc, cw.req, int64(len(body)), cw.ent.ModTime); err != nil {
-		status = rc.fail()
+	defer close(cw.done)
+	if !rc.document(cw.req, int64(len(body)), cw.ent.ModTime) {
 		return
 	}
 	for sent := 0; sent < len(body); {
 		filled, ok := cw.next(sent)
 		if !ok {
-			status = rc.fail()
+			rc.fail()
 			return
 		}
-		write := rc.bw.Write
-		if filled == len(body) {
-			write = rc.writeLast
-		}
-		n, err := write(body[sent:filled])
-		sent += n
-		s.bytesOut.Add(int64(n))
-		if err != nil {
-			status = rc.fail()
+		if !rc.write(body[sent:filled]) {
 			return
 		}
+		sent = filled
 	}
-	status = s.finishResponse(rc, cw.req, int64(len(body)))
 }
 
 // next blocks until the fill has published past sent and returns how far,
@@ -434,19 +422,13 @@ func (s *Server) relayStream(rc *reqConn, req *httpmsg.Request, sources []fetchS
 	ireq := s.internalRequest(req.Method, req.Path, req.Header.Get("If-Modified-Since"), tctx)
 	u, resp, src, err := s.openSource(sources, ireq, size)
 	if err != nil {
-		return s.degrade503(rc, req)
+		return s.degrade503(rc)
 	}
 	s.credit(src, req.Path)
 
 	if resp.StatusCode == httpmsg.StatusNotModified {
 		s.park(src, u, resp) // a 304 carries no body; the conn is clean
-		h := httpmsg.ResponseHead{LastModified: lastModified(resp.Header)}
-		if rc.simple(httpmsg.StatusNotModified, &h, nil) != nil {
-			return 0
-		}
-		s.served.Add(1)
-		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
-		return httpmsg.StatusNotModified
+		return notModified(rc, lastModified(resp.Header))
 	}
 
 	status := s.streamResponse(rc, req, size, io.LimitReader(u.br, size), lastModified(resp.Header))

@@ -14,18 +14,18 @@ const serverHeader = "SWEB/1.0 (NCSA-derived)"
 // block without building a Header map: every field is a plain value, and
 // Write appends them in the sorted-key order Header serialization uses —
 // Connection, Content-Length, Content-Type, Date, Last-Modified, Location,
-// Retry-After, Server, Transfer-Encoding — so the wire bytes match
-// WriteProtoResponseHeader given the equivalent map.
+// Retry-After, Server — so the wire bytes match WriteProtoResponseHeader
+// given the equivalent map. Every SWEB body has a known length, so every
+// head carries Content-Length.
 type ResponseHead struct {
 	Proto         string // "HTTP/1.1"; anything else answers as HTTP/1.0
 	Code          int
 	KeepAlive     bool      // Connection: keep-alive, else close
-	ContentLength int64     // negative omits the header
+	ContentLength int64     // always sent
 	ContentType   string    // "" omits
 	LastModified  time.Time // zero omits
 	Location      string    // "" omits
 	RetryAfter    string    // "" omits
-	Chunked       bool      // Transfer-Encoding: chunked
 }
 
 // appendStatusLine appends "HTTP/1.x <code> <reason>\r\n".
@@ -55,11 +55,9 @@ func (h *ResponseHead) Append(dst []byte, date string) []byte {
 	} else {
 		dst = append(dst, "Connection: close\r\n"...)
 	}
-	if h.ContentLength >= 0 {
-		dst = append(dst, "Content-Length: "...)
-		dst = strconv.AppendInt(dst, h.ContentLength, 10)
-		dst = append(dst, "\r\n"...)
-	}
+	dst = append(dst, "Content-Length: "...)
+	dst = strconv.AppendInt(dst, h.ContentLength, 10)
+	dst = append(dst, "\r\n"...)
 	if h.ContentType != "" {
 		dst = appendField(dst, "Content-Type", h.ContentType)
 	}
@@ -76,9 +74,6 @@ func (h *ResponseHead) Append(dst []byte, date string) []byte {
 		dst = appendField(dst, "Retry-After", h.RetryAfter)
 	}
 	dst = appendField(dst, "Server", serverHeader)
-	if h.Chunked {
-		dst = append(dst, "Transfer-Encoding: chunked\r\n"...)
-	}
 	return append(dst, "\r\n"...)
 }
 

@@ -4,9 +4,9 @@
 // 403, 404, 500, 503). It is deliberately a from-scratch implementation in
 // the spirit of the 1996 httpd, built directly on bufio over net.Conn, but
 // extended with the two HTTP/1.1 features the redirection architecture
-// leans on: persistent connections (so a 302 hop does not cost a second
-// TCP handshake) and chunked transfer coding for bodies whose length is
-// unknown when the status line goes out.
+// leans on: persistent connections, so a 302 hop does not cost a second
+// TCP handshake, and chunked transfer coding. No SWEB node sends a chunked
+// body: every response it writes carries Content-Length.
 package httpmsg
 
 import (

@@ -131,7 +131,7 @@ func New(cfg Config) *Observer {
 		response: reg.Histogram(Response,
 			"end-to-end service time per successfully served request", nil, nil),
 		ttfb: reg.Histogram(TTFB,
-			"request arrival to first response byte on the wire", nil, nil),
+			"request arrival to the first response chunk handed to the client", nil, nil),
 		absErr: reg.Histogram(SchedAbsError,
 			"absolute error |predicted - actual| of the broker's t_s", nil, nil),
 		compared: reg.Counter(SchedCompared,
