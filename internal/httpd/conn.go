@@ -145,9 +145,6 @@ func (rc *reqConn) holdBack(n int64) int64 {
 // the buffer: a body that fits leaves with its head in one write, a bulk
 // one goes to the socket straight from p.
 func (rc *reqConn) write(p []byte) bool {
-	if rc.ans.failed {
-		return false
-	}
 	cut := len(p) - int(rc.holdBack(int64(len(p))))
 	n, err := rc.bw.Write(p[:cut])
 	if err == nil {
@@ -164,9 +161,6 @@ func (rc *reqConn) write(p []byte) bool {
 // (writeMeter.sendFile). Anything else crosses the pooled copy buffer. A
 // source shorter than n is io.EOF and a failed response.
 func (rc *reqConn) copy(r io.Reader, n int64) bool {
-	if rc.ans.failed {
-		return false
-	}
 	hold := rc.holdBack(n)
 	var sent int64
 	var err error
@@ -255,9 +249,7 @@ func (s *Server) account(conn net.Conn, req *httpmsg.Request, a *answer) {
 	case a.status == httpmsg.StatusNotModified, a.status == httpmsg.StatusOK && !a.message:
 		s.served.Add(1)
 	}
-	if a.status != 0 {
-		s.logAccess(conn, req, a.status, a.body)
-	}
+	s.logAccess(conn, req, a.status, a.body)
 }
 
 // logAccess emits one Common Log Format line, when logging is configured.
