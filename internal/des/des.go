@@ -47,10 +47,17 @@ type Simulator struct {
 	now     Time
 	seq     int64
 	events  []*Event // binary min-heap on (at, seq)
+	slab    []Event  // unused events At hands out, eventSlab at a time
 	feed    feed
 	stopped bool
 	fired   int64
 }
+
+// eventSlab is how many events At allocates at once. A slab is never
+// reused: its events are handed out once each, so a handle kept past its
+// firing still names a spent event and Cancel on it stays a no-op. A slab
+// is freed once every event in it has fired and no handle remains.
+const eventSlab = 64
 
 // feed is a sorted run of events that never enter the heap: event i fires
 // fire(i) at ats[i] with sequence number seq+i, reserved when it was fed.
@@ -80,7 +87,12 @@ func (s *Simulator) Pending() int { return len(s.events) + s.feed.left() }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a bug in the caller.
 func (s *Simulator) At(t Time, fn func()) *Event {
-	e := &Event{index: -1}
+	if len(s.slab) == 0 {
+		s.slab = make([]Event, eventSlab)
+	}
+	e := &s.slab[0]
+	s.slab = s.slab[1:]
+	e.index = -1
 	s.rearm(e, t, fn)
 	return e
 }

@@ -86,6 +86,25 @@ func TestCancelPreventsFiring(t *testing.T) {
 	sim.Cancel(nil)
 }
 
+// TestStaleHandleCancelAfterManyEvents keeps the handle of a fired event
+// while more events than one slab holds are scheduled, then cancels it:
+// the stale handle must not name any of the new events.
+func TestStaleHandleCancelAfterManyEvents(t *testing.T) {
+	sim := New()
+	stale := sim.At(0, func() {})
+	sim.RunAll()
+	const n = 3 * eventSlab
+	fired := 0
+	for i := 0; i < n; i++ {
+		sim.At(Time(i+1), func() { fired++ })
+	}
+	sim.Cancel(stale)
+	sim.RunAll()
+	if fired != n {
+		t.Fatalf("%d of %d events fired after cancelling a stale handle", fired, n)
+	}
+}
+
 func TestCancelOneOfMany(t *testing.T) {
 	sim := New()
 	var got []int

@@ -21,11 +21,12 @@ type psJob struct {
 //
 // The implementation advances all active jobs lazily at each submit/finish
 // event and keeps the next completion event scheduled. Active jobs live in
-// a slice in submission order, so every pass over them (advancing, finding
-// the next completion, collecting finished jobs) is a linear walk in one
-// fixed order, and jobs finishing together complete in the order they were
-// submitted. Cost is O(n) per event, which is ample for the cluster sizes
-// in the paper.
+// a slice in submission order, and each event makes one linear walk over
+// them in that order: a submit advances every job while finding the least
+// remaining work, a completion also collects the finished jobs on the same
+// walk. Jobs finishing together complete in the order they were submitted.
+// Cost is O(n) per event, which is ample for the cluster sizes in the
+// paper.
 type PSResource struct {
 	sim  *Simulator
 	name string
@@ -71,9 +72,9 @@ func (r *PSResource) SetRate(rate float64) {
 	if rate <= 0 {
 		panic("des: SetRate requires positive rate")
 	}
-	r.advance()
+	minRem := r.advance()
 	r.rate = rate
-	r.reschedule()
+	r.reschedule(minRem)
 }
 
 // SetBackground sets the phantom competing load (number of always-active
@@ -82,9 +83,9 @@ func (r *PSResource) SetBackground(n float64) {
 	if n < 0 {
 		panic("des: negative background load")
 	}
-	r.advance()
+	minRem := r.advance()
 	r.background = n
-	r.reschedule()
+	r.reschedule(minRem)
 }
 
 // Load returns the instantaneous number of active jobs, excluding phantom
@@ -120,53 +121,72 @@ func (r *PSResource) perJobRate() float64 {
 	return r.rate / n
 }
 
-// advance applies elapsed service to all active jobs.
-func (r *PSResource) advance() {
+// elapse moves the accounting clock to now and returns the service each
+// active job received since the last advance; moved is false when no time
+// passed or no job was active, and then no job may be touched.
+func (r *PSResource) elapse() (per float64, moved bool) {
 	now := r.sim.Now()
 	if now == r.last {
-		return
+		return 0, false
 	}
 	elapsed := now - r.last
 	r.last = now
 	if len(r.jobs) == 0 {
-		return
+		return 0, false
 	}
 	r.busy += elapsed
-	per := r.perJobRate() * elapsed.ToSeconds()
+	return r.perJobRate() * elapsed.ToSeconds(), true
+}
+
+// serve applies per units of service to job j.
+func (r *PSResource) serve(j *psJob, per float64) {
+	w := per
+	if j.remaining < w {
+		w = j.remaining
+	}
+	j.remaining -= w
+	if j.remaining < 1e-9 {
+		j.remaining = 0
+	}
+	r.served += w
+}
+
+// advance applies elapsed service to all active jobs and returns the least
+// remaining work among them (+Inf when none is active), in one pass.
+func (r *PSResource) advance() float64 {
+	per, moved := r.elapse()
+	minRem := math.Inf(1)
 	for i := range r.jobs {
 		j := &r.jobs[i]
-		w := per
-		if j.remaining < w {
-			w = j.remaining
+		if moved {
+			r.serve(j, per)
 		}
-		j.remaining -= w
-		if j.remaining < 1e-9 {
-			j.remaining = 0
+		if j.remaining < minRem {
+			minRem = j.remaining
 		}
-		r.served += w
 	}
+	return minRem
 }
 
 // Submit enqueues work on the resource; done fires when it completes.
 // Zero or negative work completes after the next event dispatch (still
 // asynchronously, preserving event ordering).
 func (r *PSResource) Submit(work float64, done func()) {
-	r.advance()
-	r.jobs = append(r.jobs, psJob{remaining: math.Max(work, 0), done: done})
-	r.reschedule()
+	minRem := r.advance()
+	j := psJob{remaining: math.Max(work, 0), done: done}
+	r.jobs = append(r.jobs, j)
+	if j.remaining < minRem {
+		minRem = j.remaining
+	}
+	r.reschedule(minRem)
 }
 
-// reschedule recomputes the next completion event.
-func (r *PSResource) reschedule() {
+// reschedule re-arms the next completion for the active job with minRem
+// remaining work, or cancels it when no job is active.
+func (r *PSResource) reschedule(minRem float64) {
 	if len(r.jobs) == 0 {
 		r.sim.Cancel(&r.due)
 		return
-	}
-	minRem := math.Inf(1)
-	for i := range r.jobs {
-		if rem := r.jobs[i].remaining; rem < minRem {
-			minRem = rem
-		}
 	}
 	per := r.perJobRate()
 	var dt Time
@@ -182,23 +202,32 @@ func (r *PSResource) reschedule() {
 	r.sim.rearm(&r.due, r.sim.Now()+dt, r.finish)
 }
 
-// finishDue completes every job whose remaining work has reached zero, in
-// submission order.
+// finishDue advances every job and completes those whose remaining work
+// has reached zero, in submission order, in one pass that also finds the
+// least remaining work among the jobs it keeps.
 func (r *PSResource) finishDue() {
-	r.advance()
+	per, moved := r.elapse()
+	minRem := math.Inf(1)
 	done := r.finished[:0]
 	kept := r.jobs[:0]
-	for _, j := range r.jobs {
+	for i := range r.jobs {
+		j := r.jobs[i]
+		if moved {
+			r.serve(&j, per)
+		}
 		if j.remaining <= 1e-9 {
 			done = append(done, j.done)
 			r.completed++
-		} else {
-			kept = append(kept, j)
+			continue
 		}
+		if j.remaining < minRem {
+			minRem = j.remaining
+		}
+		kept = append(kept, j)
 	}
 	clear(r.jobs[len(kept):])
 	r.jobs = kept
-	r.reschedule()
+	r.reschedule(minRem)
 	for i, fn := range done {
 		done[i] = nil
 		if fn != nil {

@@ -3,6 +3,8 @@ package httpmsg
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,4 +84,56 @@ func encodableDate(h Header) time.Time {
 		return time.Time{}
 	}
 	return t
+}
+
+// FuzzReadRequestInto parses two arbitrary messages from one reader into
+// one reused Request, the way a keep-alive serve loop does, and parses the
+// same bytes again into fresh Requests from ReadRequest. The second message
+// must come out of the reused Request exactly as it comes out fresh —
+// method, path, query, proto, every header and the body, or the same error
+// — so no field of one request is visible in the next.
+//
+//	go test ./internal/httpmsg -run '^$' -fuzz FuzzReadRequestInto -fuzztime 30s
+func FuzzReadRequestInto(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"GET /a.html?x=1 HTTP/1.1\r\nHost: a\r\nCookie: k=v\r\nAccept: */*\r\nAccept: text/html\r\n\r\n",
+			"GET /b.html HTTP/1.1\r\n\r\n"},
+		{"POST /cgi-bin/q.cgi HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello",
+			"HEAD /b.html HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"},
+		{"GET http://peer:8080/docs/a%20b.html?swebr=1&swebt=cafe HTTP/1.1\r\nIf-Modified-Since: Sun, 06 Nov 1994 08:49:37 GMT\r\n\r\n",
+			"GET / HTTP/1.1\r\nHost: b\r\n\r\n"},
+		{"GET /a HTTP/1.1\r\nX: 1\r\n\r\n", "GET relative HTTP/1.1\r\n\r\n"},
+		{"GET /a HTTP/1.1\r\n\r\n", "POST /b HTTP/1.1\r\nContent-Length: 9\r\n\r\nshort"},
+		{"BREW /pot HTTP/1.1\r\n\r\n", "GET /a HTTP/1.1\r\nHost: a\r\n\r\n"},
+	} {
+		f.Add([]byte(seed[0]), []byte(seed[1]))
+	}
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		stream := append(append([]byte(nil), first...), second...)
+		reused := bufio.NewReader(bytes.NewReader(stream))
+		fresh := bufio.NewReader(bytes.NewReader(stream))
+		var req Request
+		err1 := ReadRequestInto(reused, &req)
+		if _, err := ReadRequest(fresh); fmt.Sprint(err) != fmt.Sprint(err1) {
+			t.Fatalf("first message: %v reused, %v fresh", err1, err)
+		}
+		err2 := ReadRequestInto(reused, &req)
+		want, err := ReadRequest(fresh)
+		if fmt.Sprint(err) != fmt.Sprint(err2) {
+			t.Fatalf("second message: %v reused, %v fresh", err2, err)
+		}
+		if err != nil {
+			return
+		}
+		if req.Method != want.Method || req.Path != want.Path || req.Query != want.Query || req.Proto != want.Proto {
+			t.Fatalf("request line %q %q %q %q reused, %q %q %q %q fresh",
+				req.Method, req.Path, req.Query, req.Proto, want.Method, want.Path, want.Query, want.Proto)
+		}
+		if !reflect.DeepEqual(req.Header, want.Header) {
+			t.Fatalf("headers %v reused, %v fresh", req.Header, want.Header)
+		}
+		if !bytes.Equal(req.Body, want.Body) || (req.Body == nil) != (want.Body == nil) {
+			t.Fatalf("body %q reused, %q fresh", req.Body, want.Body)
+		}
+	})
 }

@@ -420,12 +420,23 @@ func (t *Table) CachedAt(node int, path string, now float64) bool {
 // node id 0..n-1, applying staleness and bumps as of time now (seconds).
 // Nodes without a recent sample have Available == false.
 func (t *Table) Snapshot(n int, now float64) []core.NodeLoad {
+	return t.SnapshotInto(nil, n, now)
+}
+
+// SnapshotInto is Snapshot rendered into dst's storage when it has room
+// for n rows, into a new slice otherwise; every row is overwritten. It
+// returns the n rows.
+func (t *Table) SnapshotInto(dst []core.NodeLoad, n int, now float64) []core.NodeLoad {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	loads := make([]core.NodeLoad, n)
+	if cap(dst) < n {
+		dst = make([]core.NodeLoad, n)
+	}
+	loads := dst[:n]
 	for id := 0; id < n; id++ {
 		e := t.entries[id]
 		if !t.usable(e, now) {
+			loads[id] = core.NodeLoad{}
 			continue
 		}
 		// Each redirect since the last broadcast adds Δ load (relative to

@@ -53,6 +53,33 @@ func TestTableUpdateAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotIntoReusesRows renders into a slice that already holds rows:
+// with room for n rows it must reuse the storage, and every row must come
+// out as Snapshot renders it, including a now-stale peer's row reset to
+// unavailable.
+func TestSnapshotIntoReusesRows(t *testing.T) {
+	tb := NewTable(0, 8, 0.3)
+	_ = tb.Update(sample(1, 2, 3, 4, 1), 1)
+	rows := tb.SnapshotInto(nil, 3, 2)
+	if !rows[1].Available || rows[2].Available {
+		t.Fatalf("rows at t=2: %+v", rows)
+	}
+	_ = tb.Update(sample(2, 5, 6, 7, 5), 5)
+	again := tb.SnapshotInto(rows, 3, 10)
+	if &again[0] != &rows[0] {
+		t.Fatal("a slice with room for the rows was not reused")
+	}
+	if want := tb.Snapshot(3, 10); again[0] != want[0] || again[1] != want[1] || again[2] != want[2] {
+		t.Fatalf("SnapshotInto %+v, Snapshot %+v", again, want)
+	}
+	if again[1].Available || again[1].CPULoad != 0 || !again[2].Available {
+		t.Fatalf("rows at t=10: %+v", again)
+	}
+	if grown := tb.SnapshotInto(rows[:1:1], 3, 10); len(grown) != 3 || grown[2] != again[2] {
+		t.Fatalf("short slice: %+v", grown)
+	}
+}
+
 func TestTableRejectsInvalidSamples(t *testing.T) {
 	tb := NewTable(0, 8, 0.3)
 	if err := tb.Update(Sample{Node: 1}, 0); err == nil {

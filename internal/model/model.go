@@ -169,17 +169,24 @@ func (n *Node) CPUByActivity() map[Activity]float64 {
 	return out
 }
 
-// PinBuffer reserves transfer buffer memory for an in-flight request.
-// Call the returned release function exactly once when the transfer ends.
+// Pin reserves transfer buffer memory for an in-flight request until the
+// matching Unpin.
+func (n *Node) Pin(bytes int64) { n.inflightBytes += bytes }
+
+// Unpin returns memory that Pin reserved.
+func (n *Node) Unpin(bytes int64) { n.inflightBytes -= bytes }
+
+// PinBuffer is Pin with the matching Unpin wrapped in a release function;
+// releasing more than once is a no-op.
 func (n *Node) PinBuffer(bytes int64) (release func()) {
-	n.inflightBytes += bytes
+	n.Pin(bytes)
 	released := false
 	return func() {
 		if released {
 			return
 		}
 		released = true
-		n.inflightBytes -= bytes
+		n.Unpin(bytes)
 	}
 }
 

@@ -69,6 +69,79 @@ func after(sim *des.Simulator, d des.Time, fn func()) {
 	sim.After(d, fn)
 }
 
+// wire runs transfers over one network's resources. A transfer passes
+// through one or two processor-sharing stages (a link, then a shared bus),
+// then a propagation delay. Its record is recycled once its last stage
+// fires, and each record's fire is bound once, so a transfer allocates
+// nothing once the network has as many records as it has transfers in
+// flight.
+type wire struct {
+	sim  *des.Simulator
+	free []*transfer
+}
+
+// stage is one resource a transfer occupies and the work it costs there.
+type stage struct {
+	res  *des.PSResource
+	work float64
+}
+
+// transfer is one in-flight transfer. An internal one calls delivered
+// (the caller's done) latency after its last stage; a client one calls
+// sent as its bytes leave the server site and delivered once they have
+// crossed link.
+type transfer struct {
+	stages  [2]stage // the second is unused when its res is nil
+	at      int      // the next stage to enter
+	client  bool
+	link    ClientLink
+	bytes   int64
+	latency des.Time
+
+	sent, delivered func()
+	w               *wire
+	fire            func() // step, bound once per record
+}
+
+// start runs t on a recycled record, or a new one.
+func (w *wire) start(t transfer) {
+	var r *transfer
+	if n := len(w.free); n > 0 {
+		r = w.free[n-1]
+		w.free = w.free[:n-1]
+	} else {
+		r = &transfer{}
+		r.fire = r.step
+	}
+	t.w, t.fire = w, r.fire
+	*r = t
+	r.step()
+}
+
+// step enters the transfer's next stage or, past the last, recycles the
+// record and runs the callbacks it held.
+func (t *transfer) step() {
+	if t.at < len(t.stages) && t.stages[t.at].res != nil {
+		st := t.stages[t.at]
+		t.at++
+		st.res.Submit(st.work, t.fire)
+		return
+	}
+	done := *t
+	w := t.w
+	*t = transfer{fire: t.fire}
+	w.free = append(w.free, t)
+	if !done.client {
+		after(w.sim, done.latency, done.delivered)
+		return
+	}
+	if done.sent != nil {
+		done.sent()
+	}
+	drain := des.Seconds(float64(done.bytes) / done.link.BytesPerSec)
+	after(w.sim, done.link.LatencyOneWay+drain, done.delivered)
+}
+
 // FatTree models the Meiko CS-2 interconnect. The hardware peak is 40 MB/s,
 // but SWEB deliberately runs on Solaris TCP sockets and "were only able to
 // achieve approximately 5-15% of the peak communication performance", so the
@@ -76,7 +149,7 @@ func after(sim *des.Simulator, d des.Time, fn func()) {
 // has full bisection bandwidth, so a transfer contends only on the sender's
 // attachment link.
 type FatTree struct {
-	sim     *des.Simulator
+	wire
 	links   []*des.PSResource // per-node attachment links (the nodes' NICs)
 	latency des.Time
 	penalty float64
@@ -88,7 +161,7 @@ func NewFatTree(sim *des.Simulator, links []*des.PSResource) *FatTree {
 	if len(links) == 0 {
 		panic("netsim: fat tree needs at least one link")
 	}
-	return &FatTree{sim: sim, links: links, latency: 500 * des.Microsecond, penalty: 1.1}
+	return &FatTree{wire: wire{sim: sim}, links: links, latency: 500 * des.Microsecond, penalty: 1.1}
 }
 
 // Name implements Network.
@@ -107,20 +180,20 @@ func (ft *FatTree) InternalTransfer(src, dst int, bytes int64, done func()) {
 		after(ft.sim, 0, done)
 		return
 	}
-	ft.links[src].Submit(float64(bytes)*ft.penalty, func() {
-		after(ft.sim, ft.latency, done)
+	ft.start(transfer{
+		stages:    [2]stage{{ft.links[src], float64(bytes) * ft.penalty}},
+		latency:   ft.latency,
+		delivered: done,
 	})
 }
 
 // ClientTransfer implements Network. The response leaves through the node's
 // attachment link, then drains over the client's dedicated Internet path.
 func (ft *FatTree) ClientTransfer(src int, link ClientLink, bytes int64, sent, delivered func()) {
-	ft.links[src].Submit(float64(bytes), func() {
-		if sent != nil {
-			sent()
-		}
-		drain := des.Seconds(float64(bytes) / link.BytesPerSec)
-		after(ft.sim, link.LatencyOneWay+drain, delivered)
+	ft.start(transfer{
+		stages: [2]stage{{ft.links[src], float64(bytes)}},
+		client: true, link: link, bytes: bytes,
+		sent: sent, delivered: delivered,
 	})
 }
 
@@ -129,7 +202,7 @@ func (ft *FatTree) ClientTransfer(src int, link ClientLink, bytes int64, sent, d
 // additionally carries elastic background traffic from "other UCSB
 // machines". Remote NFS over this bus costs 50-70% more than a local read.
 type EthernetBus struct {
-	sim     *des.Simulator
+	wire
 	nics    []*des.PSResource
 	bus     *des.PSResource
 	latency des.Time
@@ -147,7 +220,7 @@ func NewEthernetBus(sim *des.Simulator, nics []*des.PSResource, busRate, backgro
 	}
 	bus := des.NewPSResource(sim, "ethernet/bus", busRate)
 	bus.SetBackground(background)
-	return &EthernetBus{sim: sim, nics: nics, bus: bus, latency: 1 * des.Millisecond, penalty: 1.6}
+	return &EthernetBus{wire: wire{sim: sim}, nics: nics, bus: bus, latency: 1 * des.Millisecond, penalty: 1.6}
 }
 
 // Name implements Network.
@@ -171,25 +244,21 @@ func (eb *EthernetBus) InternalTransfer(src, dst int, bytes int64, done func()) 
 		after(eb.sim, 0, done)
 		return
 	}
-	eb.nics[src].Submit(float64(bytes), func() {
-		// Remote NFS pays the RPC/retransmission penalty as extra bus
-		// occupancy, reproducing the measured 50-70% cost increase.
-		eb.bus.Submit(float64(bytes)*eb.penalty, func() {
-			after(eb.sim, eb.latency, done)
-		})
+	// Remote NFS pays the RPC/retransmission penalty as extra bus
+	// occupancy, reproducing the measured 50-70% cost increase.
+	eb.start(transfer{
+		stages:    [2]stage{{eb.nics[src], float64(bytes)}, {eb.bus, float64(bytes) * eb.penalty}},
+		latency:   eb.latency,
+		delivered: done,
 	})
 }
 
 // ClientTransfer implements Network.
 func (eb *EthernetBus) ClientTransfer(src int, link ClientLink, bytes int64, sent, delivered func()) {
-	eb.nics[src].Submit(float64(bytes), func() {
-		eb.bus.Submit(float64(bytes), func() {
-			if sent != nil {
-				sent()
-			}
-			drain := des.Seconds(float64(bytes) / link.BytesPerSec)
-			after(eb.sim, link.LatencyOneWay+drain, delivered)
-		})
+	eb.start(transfer{
+		stages: [2]stage{{eb.nics[src], float64(bytes)}, {eb.bus, float64(bytes)}},
+		client: true, link: link, bytes: bytes,
+		sent: sent, delivered: delivered,
 	})
 }
 

@@ -88,6 +88,59 @@ func TestFatTreeClientTransferSentBeforeDelivered(t *testing.T) {
 	}
 }
 
+// TestTransfersChainedFromCallbacks starts each transfer from the
+// previous one's sent (or done) callback, so every transfer reuses the
+// record its predecessor just gave back: each must still run its own
+// callbacks once, at its own times.
+func TestTransfersChainedFromCallbacks(t *testing.T) {
+	link := ClientLink{Name: "c", LatencyOneWay: 10 * des.Millisecond, BytesPerSec: 1e6}
+	for _, tc := range []struct {
+		name string
+		net  func(*des.Simulator) Network
+		// hop is one chunk's time from submission to sent, uncontended.
+		hop des.Time
+	}{
+		{"fat-tree", func(sim *des.Simulator) Network { return NewFatTree(sim, newLinks(sim, 2, 1e6)) }, des.Second / 10},
+		{"ethernet", func(sim *des.Simulator) Network { return NewEthernetBus(sim, newLinks(sim, 2, 1e6), 1e6, 0) }, des.Second / 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := des.New()
+			nw := tc.net(sim)
+			const chunks = 5
+			var sent, delivered []des.Time
+			internal := 0
+			var send func(i int)
+			send = func(i int) {
+				nw.ClientTransfer(0, link, 100_000,
+					func() {
+						sent = append(sent, sim.Now())
+						nw.InternalTransfer(0, 1, 10, func() { internal++ })
+						if i+1 < chunks {
+							send(i + 1)
+						}
+					},
+					func() { delivered = append(delivered, sim.Now()) })
+			}
+			send(0)
+			sim.RunAll()
+			if len(sent) != chunks || len(delivered) != chunks || internal != chunks {
+				t.Fatalf("sent %d, delivered %d, internal %d of %d", len(sent), len(delivered), internal, chunks)
+			}
+			for i := range sent {
+				// Each chunk shares the sender's link with at most one
+				// 10-byte internal transfer, so it leaves about hop after
+				// the previous one and drains 0.1 s plus latency later.
+				if got := (sent[i] - des.Time(i)*tc.hop).ToSeconds(); math.Abs(got-tc.hop.ToSeconds()) > 0.001 {
+					t.Fatalf("chunk %d sent at %v", i, sent[i])
+				}
+				if got := (delivered[i] - sent[i]).ToSeconds(); math.Abs(got-0.11) > 1e-6 {
+					t.Fatalf("chunk %d drained in %v s", i, got)
+				}
+			}
+		})
+	}
+}
+
 func TestFatTreeNilCallbacksAllowed(t *testing.T) {
 	sim := des.New()
 	ft := NewFatTree(sim, newLinks(sim, 1, 1e6))

@@ -34,6 +34,7 @@ type Cluster struct {
 	bytesOut []int64             // response body bytes sent, per node
 	obs      []*nodeobs.Observer // per-node telemetry: registry, flight, heat
 	reqSeq   int64               // sim analogue of the live connection id
+	loads    []core.NodeLoad     // scratch rows for loadsAt
 
 	res            *stats.RunResult
 	outstanding    int64
@@ -268,7 +269,8 @@ func (c *Cluster) issue(a *workload.Arrival) {
 		node = n
 	}
 	c.reqSeq++
-	rs := &request{domain: a.Domain, issued: c.Sim.Now(), id: c.reqSeq}
+	rs := &request{c: c, domain: a.Domain, issued: c.Sim.Now(), id: c.reqSeq, node: node}
+	rs.next = rs.step
 	rs.tid = c.cfg.Trace.NewRequest()
 	if c.cfg.Trace.Enabled() {
 		c.trace(rs, trace.EvIssued, -1, "path="+a.Path)
@@ -279,14 +281,15 @@ func (c *Cluster) issue(a *workload.Arrival) {
 	if rs.Found {
 		rs.Demand = c.cfg.Oracle.Characterize(a.Path)
 	}
-	// DNS answer in hand, the client opens the TCP connection:
-	// one round trip plus server-side accept processing.
-	setup := 2*c.cfg.Client.LatencyOneWay + des.Seconds(c.cfg.Params.ConnectSeconds)
+	// DNS answer in hand, the client opens the TCP connection.
 	rs.mark = c.Sim.Now()
-	c.Sim.After(setup, func() {
-		rs.ph.Network += (c.Sim.Now() - rs.mark).ToSeconds()
-		c.arrive(rs, node)
-	})
+	c.Sim.After(c.connectTime(), rs.arm(stConnected))
+}
+
+// connectTime is how long a client takes to open a connection to a node:
+// one round trip plus server-side accept processing.
+func (c *Cluster) connectTime() des.Time {
+	return 2*c.cfg.Client.LatencyOneWay + des.Seconds(c.cfg.Params.ConnectSeconds)
 }
 
 // trace emits one lifecycle event when recording is on.
@@ -371,6 +374,6 @@ func (c *Cluster) drop(rs *request, cause stats.DropCause) {
 		// Refused and unreachable requests still leave black-box evidence:
 		// a 503 record at the node that turned them away, with no target
 		// (the broker never placed them anywhere).
-		c.observe(rs, rs.entry, 503, 0, false)
+		c.observe(rs, rs.node, 503, 0, false)
 	}
 }

@@ -75,13 +75,15 @@ func TestMeikoDigestGolden(t *testing.T) {
 }
 
 // TestSimAllocsPerRequest pins the simulator's allocation budget: one
-// seeded replication of both sim_meiko legs may allocate at most 40 times
-// per offered request inside RunSchedule (events, their closures, the
-// request state and its telemetry). Arrivals are fed, not scheduled, and
-// the per-path heat series are read from the sketch, so neither costs an
-// allocation per request.
+// seeded replication of both sim_meiko legs may allocate at most 12 times
+// per offered request inside RunSchedule. A request is one step machine
+// bound once when it is issued; events come from slabs, transfers from
+// records their network recycles, and load rows from one scratch slice, so
+// what is left is the request, the broker's decision and its telemetry.
+// Arrivals are fed, not scheduled, and the per-path heat series are read
+// from the sketch, so neither costs an allocation per request.
 func TestSimAllocsPerRequest(t *testing.T) {
-	const budget = 40
+	const budget = 12
 	var mallocs uint64
 	var offered int64
 	for i, l := range meikoLegs {
@@ -96,5 +98,22 @@ func TestSimAllocsPerRequest(t *testing.T) {
 	}
 	if per := float64(mallocs) / float64(offered); per > budget {
 		t.Fatalf("%.1f allocations per offered request, budget %d", per, budget)
+	}
+}
+
+// BenchmarkMeikoLeg times RunSchedule on one seeded replication of each
+// sim_meiko leg, cluster and arrivals built outside the timer, so a change
+// to the DES core can be sized in seconds: go test -bench MeikoLeg.
+func BenchmarkMeikoLeg(b *testing.B) {
+	for i, l := range meikoLegs {
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				cl, arr := l.build(b, 1+int64(i))
+				b.StartTimer()
+				cl.RunSchedule(arr)
+			}
+		})
 	}
 }

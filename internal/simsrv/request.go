@@ -16,9 +16,21 @@ import (
 // Facts are what the broker knows — the manifest entry (Path always set),
 // the oracle's demand, the hop count and, refreshed by each node that
 // analyzes it, the residency signals; the rest is executor state.
+//
+// The executor is a step machine: a request has at most one callback in
+// flight, always next (step, bound once when the request is issued), and
+// stage says where step resumes. Every CPU job, disk job, transfer and
+// delay a request arms calls next, so arming a step allocates nothing.
 type request struct {
 	core.Facts
 	domain string
+
+	c     *Cluster
+	next  func() // step, bound once
+	stage stage  // where next resumes
+	// node is where the request last arrived: where a refusal is
+	// attributed and, once admitted, the node that answers the client.
+	node int
 
 	issued   des.Time
 	mark     des.Time // start of the current phase
@@ -31,22 +43,164 @@ type request struct {
 	plan  core.Plan
 	fetch core.Fetch
 
-	// Flight-recorder state: the connection id, the node the request last
-	// arrived at (where a refusal is attributed), and when the first
+	// The response body, streamed a chunk at a time from off. source is
+	// the node the bytes come from — node itself, the NFS peer, or the
+	// worker a forwarded request is relayed from — and srcCached whether
+	// its page cache holds them. pin bytes of buffer stay pinned at node,
+	// and at the worker when relaying, until the server side finishes.
+	body      bodyKind
+	bodyLen   int64
+	off       int64
+	chunk     int64
+	last      bool
+	source    int
+	srcCached bool
+	pin       int64
+
+	// Flight-recorder state: the connection id and when the first
 	// response byte left the server.
 	id      int64
-	entry   int
 	ttfbAt  des.Time
 	hasTTFB bool
 }
 
+// stage names the step a request's armed callback resumes at.
+type stage uint8
+
+const (
+	stConnected  stage = iota // the client's connection is set up
+	stParsed                  // preprocessing CPU done
+	stAnalyzed                // cost-estimation CPU done
+	stRedirected              // the 302 is generated
+	stHopped                  // the client followed the Location
+	stForwarded               // forwarding CPU done
+	stOpened                  // static handler set up
+	stForked                  // CGI handler set up
+	stGenerated               // CGI output or error page generated
+	stFetched                 // chunk read off the NFS source's disk
+	stInMemory                // chunk in the serving node's memory
+	stWorkerRead              // relayed chunk in the worker's memory
+	stWorkerSent              // relayed chunk processed by the worker
+	stRelayed                 // relayed chunk arrived at the proxy
+	stPump                    // start the chunk at off
+	stPacketized              // chunk processed for the client link
+	stSent                    // chunk left the server site
+	stDelivered               // last byte reached the client
+)
+
+// bodyKind is where a response body's chunks come from.
+type bodyKind uint8
+
+const (
+	bodyGenerated bodyKind = iota // made in memory: CGI output, error pages
+	bodyFile                      // a static file, read at the serving node
+	bodyRelay                     // read at a worker, relayed by the proxy
+)
+
 const errorResponseBytes = 512 // a 404 body plus headers
+
+// noop is the delivery callback of every chunk but a body's last: the
+// client receiving it changes nothing, but the event still fires.
+func noop() {}
+
+// arm records the stage the request resumes at and returns its
+// continuation, for the one callback the request is about to put in
+// flight.
+func (rs *request) arm(s stage) func() {
+	rs.stage = s
+	return rs.next
+}
+
+// step resumes the request when its armed callback fires.
+func (rs *request) step() {
+	c, x := rs.c, rs.node
+	switch rs.stage {
+	case stConnected:
+		rs.ph.Network += (c.Sim.Now() - rs.mark).ToSeconds()
+		c.arrive(rs, x)
+	case stParsed:
+		d := (c.Sim.Now() - rs.mark).ToSeconds()
+		rs.ph.Preprocess += d
+		c.trace(rs, trace.EvParsed, x, "")
+		c.obs[x].Event(trace.EvParsed)
+		c.obs[x].Phase("parse", d)
+		// The broker's cost estimation, then the decision.
+		rs.mark = c.Sim.Now()
+		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.AnalysisOps, rs.arm(stAnalyzed))
+	case stAnalyzed:
+		d := (c.Sim.Now() - rs.mark).ToSeconds()
+		rs.ph.Analysis += d
+		c.obs[x].Phase("analyze", d)
+		c.decide(rs, x)
+	case stRedirected:
+		c.redirected(rs, x)
+	case stHopped:
+		target := rs.plan.Target
+		rs.ph.Redirect += (c.Sim.Now() - rs.mark).ToSeconds()
+		if c.up[target] {
+			// The hop is measured where the redirected connection
+			// lands, matching the live redirect_hop cell.
+			c.obs[target].Phase("redirect_hop", c.connectTime().ToSeconds())
+		}
+		c.arrive(rs, target)
+	case stForwarded:
+		c.forwarded(rs, x)
+	case stOpened:
+		c.streamFile(rs, x)
+	case stForked:
+		c.nodes[x].CPUWork(model.ActCGI, rs.CGIOps+rs.Demand.CGIOps, rs.arm(stGenerated))
+	case stGenerated:
+		// Generated bytes are streamed straight from memory.
+		rs.body, rs.pin = bodyGenerated, rs.bodyLen
+		c.nodes[x].Pin(rs.pin)
+		c.pump(rs)
+	case stFetched:
+		c.net.InternalTransfer(rs.source, x, rs.chunk, rs.arm(stInMemory))
+	case stInMemory:
+		node := c.nodes[x]
+		if rs.last && rs.fetch != core.FetchCache {
+			// The whole file has now passed through memory; it lands
+			// in the serving node's page cache, and on a remote read
+			// the source's NFS server cached it too.
+			node.Cache.Insert(rs.Path, rs.Size)
+			if rs.fetch == core.FetchPeer && !rs.srcCached {
+				c.nodes[rs.source].Cache.Insert(rs.Path, rs.Size)
+			}
+		}
+		node.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(rs.chunk), rs.arm(stPacketized))
+	case stWorkerRead:
+		worker := c.nodes[rs.source]
+		if rs.last && rs.fetch != core.FetchCache {
+			worker.Cache.Insert(rs.Path, rs.Size)
+		}
+		worker.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(rs.chunk), rs.arm(stWorkerSent))
+	case stWorkerSent:
+		c.net.InternalTransfer(rs.source, x, rs.chunk, rs.arm(stRelayed))
+	case stRelayed:
+		const relayOpsPerByte = 0.06 // proxy-side copy between sockets
+		c.nodes[x].CPUWork(model.ActFulfill, relayOpsPerByte*float64(rs.chunk), rs.arm(stPacketized))
+	case stPump:
+		c.pump(rs)
+	case stPacketized:
+		c.send(rs)
+	case stSent:
+		if !rs.last {
+			rs.off += rs.chunk
+			c.pump(rs)
+			return
+		}
+		c.finishServerSide(rs)
+		rs.stage = stDelivered
+	case stDelivered:
+		c.complete(rs)
+	}
+}
 
 // arrive runs the accept path at node x: the connection is refused if the
 // node is down or its accept capacity (process table + listen backlog) is
 // exhausted; otherwise the request enters preprocessing.
 func (c *Cluster) arrive(rs *request, x int) {
-	rs.entry = x
+	rs.node = x
 	if !c.up[x] {
 		c.trace(rs, trace.EvRefused, x, "node down")
 		c.drop(rs, stats.DropUnavailable)
@@ -65,25 +219,17 @@ func (c *Cluster) arrive(rs *request, x int) {
 	rs.mark = c.Sim.Now()
 	// "The server parses the HTTP commands, and completes the pathname
 	// given, determining appropriate permissions along the way."
-	c.nodes[x].CPUWork(model.ActParse, c.cfg.PreprocessOps, func() {
-		d := (c.Sim.Now() - rs.mark).ToSeconds()
-		rs.ph.Preprocess += d
-		c.trace(rs, trace.EvParsed, x, "")
-		c.obs[x].Event(trace.EvParsed)
-		c.obs[x].Phase("parse", d)
-		c.analyze(rs, x)
-	})
+	c.nodes[x].CPUWork(model.ActParse, c.cfg.PreprocessOps, rs.arm(stParsed))
 }
 
-// analyze charges the broker's cost-estimation CPU, then decides.
-func (c *Cluster) analyze(rs *request, x int) {
-	rs.mark = c.Sim.Now()
-	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.AnalysisOps, func() {
-		d := (c.Sim.Now() - rs.mark).ToSeconds()
-		rs.ph.Analysis += d
-		c.obs[x].Phase("analyze", d)
-		c.decide(rs, x)
-	})
+// loadsAt renders node x's view of the cluster's load into the cluster's
+// scratch rows, its own row measured live: a node knows its own load
+// precisely. The rows hold until the next call; the DES is single-threaded
+// and no decision keeps them.
+func (c *Cluster) loadsAt(x int) []core.NodeLoad {
+	c.loads = c.tables[x].SnapshotInto(c.loads, len(c.nodes), c.nowSec())
+	c.loads[x] = c.liveRow(x)
+	return c.loads
 }
 
 // decide asks the spine where the request goes and executes the answer:
@@ -103,8 +249,7 @@ func (c *Cluster) decide(rs *request, x int) {
 			}
 		}
 	}
-	loads := c.tables[x].Snapshot(len(c.nodes), c.nowSec())
-	loads[x] = c.liveRow(x) // a node knows its own load precisely
+	loads := c.loadsAt(x)
 	if c.cfg.Dispatcher && x == 0 && rs.Redirects == 0 && rs.Found && !rs.CGI {
 		// The distributor places without predicting: a NaN estimate
 		// records none.
@@ -136,19 +281,7 @@ func (c *Cluster) decide(rs *request, x int) {
 		}
 		c.obs[x].Event(trace.EvForwarded)
 		rs.mark = c.Sim.Now()
-		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
-			rs.Redirects++
-			if !c.up[target] {
-				// Forwarding has no second chance: the relay fails.
-				c.inflight[x]--
-				c.trace(rs, trace.EvRefused, target, "forward target down")
-				c.obs[x].Drop("unavailable")
-				c.drop(rs, stats.DropUnavailable)
-				return
-			}
-			rs.ph.Redirect += (c.Sim.Now() - rs.mark).ToSeconds()
-			c.fulfillForwarded(rs, x, target)
-		})
+		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, rs.arm(stForwarded))
 		return
 	}
 	// Redirect: bump the local view of the chosen peer so the next stale
@@ -159,27 +292,38 @@ func (c *Cluster) decide(rs *request, x int) {
 		c.trace(rs, trace.EvRedirected, x, fmt.Sprintf("to=%d", target))
 	}
 	rs.mark = c.Sim.Now()
-	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
+	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, rs.arm(stRedirected))
+}
+
+// redirected runs once node x has generated the 302: the handler exits
+// and the client reconnects to the target.
+func (c *Cluster) redirected(rs *request, x int) {
+	target := rs.plan.Target
+	c.inflight[x]--
+	rs.Redirects++
+	c.obs[x].Event(trace.EvRedirected)
+	c.obs[x].Redirect(target)
+	c.obs[x].Phase("redirect", (c.Sim.Now() - rs.mark).ToSeconds())
+	// "Twice the estimated latency of the connection between the server
+	// and the client plus the time for a server to set up a connection."
+	c.Sim.After(c.connectTime(), rs.arm(stHopped))
+}
+
+// forwarded runs once proxy x has set up the forward: the target serves,
+// unless it has left the pool.
+func (c *Cluster) forwarded(rs *request, x int) {
+	target := rs.plan.Target
+	rs.Redirects++
+	if !c.up[target] {
+		// Forwarding has no second chance: the relay fails.
 		c.inflight[x]--
-		rs.Redirects++
-		c.obs[x].Event(trace.EvRedirected)
-		c.obs[x].Redirect(target)
-		c.obs[x].Phase("redirect", (c.Sim.Now() - rs.mark).ToSeconds())
-		// "Twice the estimated latency of the connection between the
-		// server and the client plus the time for a server to set up a
-		// connection."
-		travel := 2*c.cfg.Client.LatencyOneWay + des.Seconds(c.cfg.Params.ConnectSeconds)
-		hopFrom := c.Sim.Now()
-		c.Sim.After(travel, func() {
-			rs.ph.Redirect += (c.Sim.Now() - rs.mark).ToSeconds()
-			if c.up[target] {
-				// The hop is measured where the redirected connection
-				// lands, matching the live redirect_hop cell.
-				c.obs[target].Phase("redirect_hop", (c.Sim.Now() - hopFrom).ToSeconds())
-			}
-			c.arrive(rs, target)
-		})
-	})
+		c.trace(rs, trace.EvRefused, target, "forward target down")
+		c.obs[x].Drop("unavailable")
+		c.drop(rs, stats.DropUnavailable)
+		return
+	}
+	rs.ph.Redirect += (c.Sim.Now() - rs.mark).ToSeconds()
+	c.fulfillForwarded(rs, x, target)
 }
 
 // dispatcherChoose is the centralized assignment: the distributor never
@@ -224,51 +368,23 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 	}
 	c.inflight[y]++
 	worker := c.nodes[y]
-	proxy := c.nodes[x]
 	f := rs.File
 	rs.mark = c.Sim.Now()
-	releaseY := worker.PinBuffer(f.Size)
-	releaseX := proxy.PinBuffer(f.Size)
+	rs.body, rs.bodyLen, rs.source, rs.pin = bodyRelay, f.Size, y, f.Size
+	worker.Pin(rs.pin)
+	c.nodes[x].Pin(rs.pin)
 	// The worker reads its own memory or disk: forwarding has no NFS leg.
-	cached := worker.Cache.Contains(f.Path)
 	rs.fetch = core.FetchDisk
-	if cached {
+	if worker.Cache.Contains(f.Path) {
 		rs.fetch = core.FetchCache
 		worker.Cache.Touch(f.Path)
 	}
-	const relayOpsPerByte = 0.06 // proxy-side copy between sockets
-	release := func() {
-		releaseY()
-		c.inflight[y]--
-		releaseX()
-	}
-	var pump func(off int64)
-	pump = func(off int64) {
-		chunk, last := c.chunkAt(off, f.Size)
-		relay := func() {
-			if last && !cached {
-				worker.Cache.Insert(f.Path, f.Size)
-			}
-			worker.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(chunk), func() {
-				c.net.InternalTransfer(y, x, chunk, func() {
-					proxy.CPUWork(model.ActFulfill, relayOpsPerByte*float64(chunk), func() {
-						c.send(rs, x, chunk, last, release, pump, off+chunk)
-					})
-				})
-			})
-		}
-		if cached {
-			worker.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*float64(chunk), relay)
-		} else {
-			readDisk(worker, float64(chunk), chunk, relay)
-		}
-	}
 	if f.Size == 0 {
-		c.finishServerSide(rs, x, release)
+		c.finishServerSide(rs)
 		c.complete(rs)
 		return
 	}
-	worker.CPUWork(model.ActFulfill, rs.Demand.BaseOps, func() { pump(0) })
+	worker.CPUWork(model.ActFulfill, rs.Demand.BaseOps, rs.arm(stPump))
 }
 
 // fulfill serves the request at node x "in the normal HTTP server manner".
@@ -279,27 +395,21 @@ func (c *Cluster) fulfill(rs *request, x int) {
 	if rs.plan.Action == core.NotFound {
 		// 404: a small generated body, no disk involved.
 		c.obs[x].Drop("not_found")
-		node.CPUWork(model.ActFulfill, rs.Demand.BaseOps+float64(errorResponseBytes)*rs.Demand.OpsPerByte, func() {
-			c.sendOnly(rs, x, errorResponseBytes)
-		})
+		rs.bodyLen = errorResponseBytes
+		node.CPUWork(model.ActFulfill, rs.Demand.BaseOps+float64(errorResponseBytes)*rs.Demand.OpsPerByte, rs.arm(stGenerated))
 		return
 	}
 	if rs.CGI {
 		// CGI: fork + compute, then stream the generated result (no static
 		// file fetch).
 		c.fetchStep(rs, x, rs.Fetch(x, false), "")
-		node.CPUWork(model.ActFulfill, rs.Demand.BaseOps, func() {
-			node.CPUWork(model.ActCGI, rs.CGIOps+rs.Demand.CGIOps, func() {
-				c.sendOnly(rs, x, rs.Size)
-			})
-		})
+		rs.bodyLen = rs.Size
+		node.CPUWork(model.ActFulfill, rs.Demand.BaseOps, rs.arm(stForked))
 		return
 	}
 	// Static fetch: fork + handler setup, then the chunked
 	// read-process-write loop.
-	node.CPUWork(model.ActFulfill, rs.Demand.BaseOps, func() {
-		c.streamFile(rs, x)
-	})
+	node.CPUWork(model.ActFulfill, rs.Demand.BaseOps, rs.arm(stOpened))
 }
 
 // fetchStep records how node x fulfills rs, as the spine classified it.
@@ -310,21 +420,6 @@ func (c *Cluster) fetchStep(rs *request, x int, fetch core.Fetch, detail string)
 	c.obs[x].Event(kind)
 }
 
-// sendOnly streams size generated bytes (CGI output, error bodies) to the
-// client without touching the disk.
-func (c *Cluster) sendOnly(rs *request, x int, size int64) {
-	node := c.nodes[x]
-	release := node.PinBuffer(size)
-	var sendChunk func(off int64)
-	sendChunk = func(off int64) {
-		chunk, last := c.chunkAt(off, size)
-		node.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(chunk), func() {
-			c.send(rs, x, chunk, last, release, sendChunk, off+chunk)
-		})
-	}
-	sendChunk(0)
-}
-
 // chunkAt sizes the chunk of a size-byte body that starts at off and
 // reports whether it is the last.
 func (c *Cluster) chunkAt(off, size int64) (int64, bool) {
@@ -332,28 +427,55 @@ func (c *Cluster) chunkAt(off, size int64) (int64, bool) {
 	return chunk, off+chunk >= size
 }
 
-// send hands one processed chunk from x to the client link, counting its
-// bytes and the first-byte instant. After the last chunk the handler slot
-// is freed (release) and the request completes on delivery; before it,
-// next(off) pumps the following chunk.
-func (c *Cluster) send(rs *request, x int, chunk int64, last bool, release func(), next func(int64), off int64) {
-	c.bytesOut[x] += chunk
+// pump arms the first step of the body's chunk at rs.off: generated bytes
+// are processed at once; a file chunk is read first, from the page cache,
+// the local disk or the NFS source; a relayed chunk is read at the worker.
+func (c *Cluster) pump(rs *request) {
+	rs.chunk, rs.last = c.chunkAt(rs.off, rs.bodyLen)
+	chunk := float64(rs.chunk)
+	node, src := c.nodes[rs.node], c.nodes[rs.source]
+	switch {
+	case rs.body == bodyGenerated:
+		node.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*chunk, rs.arm(stPacketized))
+	case rs.body == bodyRelay && rs.fetch == core.FetchCache:
+		src.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*chunk, rs.arm(stWorkerRead))
+	case rs.body == bodyRelay:
+		readDisk(src, chunk, rs.chunk, rs.arm(stWorkerRead))
+	case rs.fetch == core.FetchCache:
+		// Buffer-cache hit: just the memory copy.
+		node.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*chunk, rs.arm(stInMemory))
+	case rs.fetch == core.FetchDisk:
+		readDisk(node, rs.diskPerByte()*chunk, rs.chunk, rs.arm(stInMemory))
+	case rs.srcCached:
+		// The NFS server answers from its page cache.
+		c.net.InternalTransfer(rs.source, rs.node, rs.chunk, rs.arm(stInMemory))
+	default:
+		readDisk(src, rs.diskPerByte()*chunk, rs.chunk, rs.arm(stFetched))
+	}
+}
+
+// diskPerByte is the disk work one body byte costs.
+func (rs *request) diskPerByte() float64 {
+	if rs.Demand.DiskBytesPerByte <= 0 {
+		return 1
+	}
+	return rs.Demand.DiskBytesPerByte
+}
+
+// send hands one processed chunk to the client link, counting its bytes
+// and the first-byte instant. The request resumes once the chunk has left
+// the server site and, after the last chunk, once the client has it.
+func (c *Cluster) send(rs *request) {
+	x := rs.node
+	c.bytesOut[x] += rs.chunk
 	if !rs.hasTTFB {
 		rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
 	}
-	c.net.ClientTransfer(x, c.cfg.Client, chunk,
-		func() {
-			if last {
-				c.finishServerSide(rs, x, release)
-			} else {
-				next(off)
-			}
-		},
-		func() {
-			if last {
-				c.complete(rs)
-			}
-		})
+	delivered := noop
+	if rs.last {
+		delivered = rs.next
+	}
+	c.net.ClientTransfer(x, c.cfg.Client, rs.chunk, rs.arm(stSent), delivered)
 }
 
 // readDisk charges one chunk's read to node n's disk — work inflated by
@@ -368,13 +490,14 @@ func readDisk(n *model.Node, work float64, chunk int64, then func()) {
 	n.Disk.Submit(work, then)
 }
 
-// streamFile runs the chunked read → packetize → write loop for a static
+// streamFile starts the chunked read → packetize → write loop for a static
 // file, fetching from the local disk, the page cache, or the owning node
 // over the interconnect.
 func (c *Cluster) streamFile(rs *request, x int) {
 	node := c.nodes[x]
 	f := rs.File
-	release := node.PinBuffer(f.Size)
+	rs.body, rs.bodyLen, rs.pin = bodyFile, f.Size, f.Size
+	node.Pin(rs.pin)
 
 	// One cache decision per file: partial files are not cached.
 	cachedHere := node.Cache.Contains(f.Path)
@@ -382,64 +505,23 @@ func (c *Cluster) streamFile(rs *request, x int) {
 		node.Cache.Touch(f.Path)
 	}
 	fetch := rs.Fetch(x, cachedHere)
-	source, srcCached, detail := x, false, ""
+	rs.source, rs.srcCached = x, false
+	detail := ""
 	if fetch == core.FetchPeer {
-		source = c.fetchSource(rs, x)
-		srcCached = c.nodes[source].Cache.Peek(f.Path)
+		rs.source = c.fetchSource(rs, x)
+		rs.srcCached = c.nodes[rs.source].Cache.Peek(f.Path)
 		if c.cfg.Trace.Enabled() {
-			detail = fmt.Sprintf("source=%d", source)
+			detail = fmt.Sprintf("source=%d", rs.source)
 		}
-		c.obs[x].ReplicaFetch(f.Path, source)
+		c.obs[x].ReplicaFetch(f.Path, rs.source)
 	}
 	c.fetchStep(rs, x, fetch, detail)
-	srcNode := c.nodes[source]
-	diskPerByte := rs.Demand.DiskBytesPerByte
-	if diskPerByte <= 0 {
-		diskPerByte = 1
-	}
-
-	// read obtains one chunk into local memory, then calls then().
-	read := func(chunk int64, then func()) {
-		switch {
-		case fetch == core.FetchCache:
-			// Buffer-cache hit: just the memory copy.
-			node.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*float64(chunk), then)
-		case fetch == core.FetchDisk:
-			readDisk(node, diskPerByte*float64(chunk), chunk, then)
-		case srcCached:
-			// The NFS server answers from its page cache.
-			c.net.InternalTransfer(source, x, chunk, then)
-		default:
-			readDisk(srcNode, diskPerByte*float64(chunk), chunk, func() {
-				c.net.InternalTransfer(source, x, chunk, then)
-			})
-		}
-	}
-
-	var pump func(off int64)
-	pump = func(off int64) {
-		chunk, last := c.chunkAt(off, f.Size)
-		read(chunk, func() {
-			if last && fetch != core.FetchCache {
-				// The whole file has now passed through memory; it
-				// lands in the serving node's page cache, and on a
-				// remote read the source's NFS server cached it too.
-				node.Cache.Insert(f.Path, f.Size)
-				if fetch == core.FetchPeer && !srcCached {
-					srcNode.Cache.Insert(f.Path, f.Size)
-				}
-			}
-			node.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(chunk), func() {
-				c.send(rs, x, chunk, last, release, pump, off+chunk)
-			})
-		})
-	}
 	if f.Size == 0 {
-		c.finishServerSide(rs, x, release)
+		c.finishServerSide(rs)
 		c.complete(rs)
 		return
 	}
-	pump(0)
+	c.pump(rs)
 }
 
 // fetchSource names the replica node x pulls rs's bytes from: the spine's
@@ -448,9 +530,7 @@ func (c *Cluster) streamFile(rs *request, x int) {
 // yet; the collapsed-to-zero-time analogue of the live relay's
 // try-next-source failover — with the primary owner as the last resort.
 func (c *Cluster) fetchSource(rs *request, x int) int {
-	loads := c.tables[x].Snapshot(len(c.nodes), c.nowSec())
-	loads[x] = c.liveRow(x)
-	for _, rep := range rs.Sources(x, loads) {
+	for _, rep := range rs.Sources(x, c.loadsAt(x)) {
 		if c.up[rep] {
 			return rep
 		}
@@ -458,9 +538,11 @@ func (c *Cluster) fetchSource(rs *request, x int) int {
 	return rs.Owner
 }
 
-// finishServerSide releases the handler slot once the last byte has left
-// the server site; the tail of the transfer is pure network drain.
-func (c *Cluster) finishServerSide(rs *request, x int, release func()) {
+// finishServerSide releases the handler slot and the pinned buffers — the
+// forwarding worker's too — once the last byte has left the server site;
+// the tail of the transfer is pure network drain.
+func (c *Cluster) finishServerSide(rs *request) {
+	x := rs.node
 	served := (c.Sim.Now() - rs.mark).ToSeconds()
 	rs.ph.Transfer += served
 	rs.mark = c.Sim.Now()
@@ -478,7 +560,11 @@ func (c *Cluster) finishServerSide(rs *request, x int, release func()) {
 		cpu := rs.ph.Preprocess + rs.ph.Analysis
 		c.obs[x].Prediction(core.Decision{Estimate: rs.plan.Decision.Estimate}, cpu, rs.ph.Transfer, cpu+rs.ph.Transfer)
 	}
-	release()
+	if rs.body == bodyRelay {
+		c.nodes[rs.source].Unpin(rs.pin)
+		c.inflight[rs.source]--
+	}
+	c.nodes[x].Unpin(rs.pin)
 	c.inflight[x]--
 }
 
