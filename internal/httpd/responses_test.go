@@ -145,6 +145,41 @@ func goldenKinds() []responseKind {
 // introspection answers masked), each node's Stats delta with its drop
 // causes, and the access-log lines (host and time masked).
 func TestResponseKindsGolden(t *testing.T) {
+	logs := []*syncBuffer{{}, {}}
+	loggers := []*accesslog.Logger{accesslog.NewLogger(logs[0]), accesslog.NewLogger(logs[1])}
+	srvs, masks := goldenCluster(t, func(cfg *Config) { cfg.AccessLog = loggers[cfg.ID] })
+	var out strings.Builder
+	for _, k := range goldenKinds() {
+		before := []Stats{srvs[0].Stats(), srvs[1].Stats()}
+		got := driveKind(t, srvs, k)
+		fmt.Fprintf(&out, "== %s: node%d %s\n", k.name, k.node, strings.SplitN(k.raw, "\r\n", 2)[0])
+		out.WriteString("-- response\n")
+		live := strings.Contains(k.raw, " /sweb/") && !strings.Contains(k.raw, "/sweb/replicate")
+		out.WriteString(masks.Replace(renderResponse(got, live)))
+		out.WriteString("-- stats\n")
+		for i, srv := range srvs {
+			fmt.Fprintf(&out, "node%d: %s\n", i, statsDelta(before[i], srv.Stats()))
+		}
+		out.WriteString("-- access log\n")
+		for i := range srvs {
+			if err := loggers[i].Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(strings.TrimSpace(logs[i].take()), "\n") {
+				if line != "" {
+					fmt.Fprintf(&out, "node%d: %s\n", i, maskCLF(line, live))
+				}
+			}
+		}
+	}
+	checkGoldenText(t, "responses", out.String())
+}
+
+// goldenCluster starts the golden run's two nodes, each Config adjusted by
+// edit, once they know each other. It skips the test where no document
+// can be made unreadable. The replacer masks the node addresses.
+func goldenCluster(t *testing.T, edit func(*Config)) ([]*Server, *strings.Replacer) {
+	t.Helper()
 	if _, err := os.Lstat(lockedTarget); err != nil {
 		t.Skipf("no %s to make a document unreadable: %v", lockedTarget, err)
 	}
@@ -152,15 +187,12 @@ func TestResponseKindsGolden(t *testing.T) {
 	for _, f := range goldenFiles {
 		st.MustAdd(f)
 	}
-	logs := []*syncBuffer{{}, {}}
-	var loggers []*accesslog.Logger
 	var srvs []*Server
 	for i := 0; i < 2; i++ {
-		loggers = append(loggers, accesslog.NewLogger(logs[i]))
 		cfg := Config{ID: i, DocRoot: t.TempDir(), Store: st,
 			Policy:     core.FileLocality{P: core.DefaultParams()},
-			CacheBytes: 32 << 10, FetchAttempts: 1, FetchBackoff: time.Millisecond,
-			AccessLog: loggers[i]}
+			CacheBytes: 32 << 10, FetchAttempts: 1, FetchBackoff: time.Millisecond}
+		edit(&cfg)
 		for _, f := range goldenFiles {
 			if f.Owner != i || f.Path == "/docs/missing.html" {
 				continue
@@ -210,39 +242,19 @@ func TestResponseKindsGolden(t *testing.T) {
 	waitFor(t, 5*time.Second, "the nodes know each other", func() bool {
 		return knows(srvs[0], 1) && knows(srvs[1], 0)
 	})
+	return srvs, strings.NewReplacer(srvs[0].Addr(), "node0", srvs[1].Addr(), "node1", deadAddr, "node2")
+}
 
-	masks := strings.NewReplacer(srvs[0].Addr(), "node0", srvs[1].Addr(), "node1", deadAddr, "node2")
-	var out strings.Builder
-	for _, k := range goldenKinds() {
-		before := []Stats{srvs[0].Stats(), srvs[1].Stats()}
-		var got []byte
-		if k.broken {
-			srvs[k.node].inflight.Add(1) // as the accept loop would
-			srvs[k.node].serve(&brokenConn{r: strings.NewReader(k.raw)})
-		} else {
-			got = exchangeRaw(t, srvs[k.node].Addr(), k.raw)
-		}
-		fmt.Fprintf(&out, "== %s: node%d %s\n", k.name, k.node, strings.SplitN(k.raw, "\r\n", 2)[0])
-		out.WriteString("-- response\n")
-		live := strings.Contains(k.raw, " /sweb/") && !strings.Contains(k.raw, "/sweb/replicate")
-		out.WriteString(masks.Replace(renderResponse(got, live)))
-		out.WriteString("-- stats\n")
-		for i, srv := range srvs {
-			fmt.Fprintf(&out, "node%d: %s\n", i, statsDelta(before[i], srv.Stats()))
-		}
-		out.WriteString("-- access log\n")
-		for i := range srvs {
-			if err := loggers[i].Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for _, line := range strings.Split(strings.TrimSpace(logs[i].take()), "\n") {
-				if line != "" {
-					fmt.Fprintf(&out, "node%d: %s\n", i, maskCLF(line, live))
-				}
-			}
-		}
+// driveKind sends one golden request and returns the bytes the client got
+// (none over a brokenConn).
+func driveKind(t *testing.T, srvs []*Server, k responseKind) []byte {
+	t.Helper()
+	if k.broken {
+		srvs[k.node].inflight.Add(1) // as the accept loop would
+		srvs[k.node].serve(&brokenConn{r: strings.NewReader(k.raw)})
+		return nil
 	}
-	checkGoldenText(t, "responses", out.String())
+	return exchangeRaw(t, srvs[k.node].Addr(), k.raw)
 }
 
 // exchangeRaw sends raw to addr and reads the reply to the server's close.
