@@ -63,6 +63,12 @@ func ParseLine(line string) (Entry, error) {
 	if len(fields) < 4 {
 		return e, fmt.Errorf("accesslog: truncated line %q", line)
 	}
+	// A CLF field is never empty ("-" marks an absent one), so a doubled
+	// space is a malformed line, not an empty ident that would render back
+	// as "-".
+	if fields[1] == "" || fields[2] == "" {
+		return e, fmt.Errorf("accesslog: empty field in %q", line)
+	}
 	e.Host, e.Ident, e.AuthUser = fields[0], fields[1], fields[2]
 	rest := fields[3]
 
@@ -77,6 +83,10 @@ func ParseLine(line string) (Entry, error) {
 	ts, err := time.Parse(clfTime, rest[1:close])
 	if err != nil {
 		return e, fmt.Errorf("accesslog: bad timestamp: %v", err)
+	}
+	// time.Parse takes fractional seconds the layout lacks; CLF has none.
+	if ts.Nanosecond() != 0 {
+		return e, fmt.Errorf("accesslog: fractional seconds in %q", rest[1:close])
 	}
 	e.Time = ts
 	rest = strings.TrimSpace(rest[close+1:])

@@ -83,10 +83,7 @@ func (s *Server) acceptLoop() {
 			// absent reader can never stall the accept loop.
 			s.refused.Add(1)
 			s.drop("shed")
-			s.obs.Event(trace.EvRefused)
-			if rec := s.cfg.Trace; rec.Enabled() {
-				rec.Record(rec.NewRequest(), s.nowSec(), trace.EvRefused, s.cfg.ID, "reason=capacity")
-			}
+			s.obs.Step(s.cfg.Trace.NewRequest(), s.nowSec(), trace.EvRefused, "", 0, nodeobs.Text("reason=capacity"))
 			s.wg.Add(1)
 			go func(c net.Conn) {
 				defer s.wg.Done()
@@ -195,32 +192,23 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 
 	redirects := parseRedirectCount(req.Query)
 	tctx, hopSentMicros, _ := parseTraceContext(req.Query)
-	// Trace details are formatted only under traced: with the recorder off
-	// no request pays for a string nobody will read.
-	rec := s.cfg.Trace
-	traced := rec.Enabled()
-	tid := int64(-1)
-	if traced {
-		// Joining an inbound trace context keeps every hop of a redirected
-		// request under one trace id; without one, this node originates it.
-		tid, tctx = rec.Begin(tctx)
-		connDetail := ""
-		if redirects > 0 {
-			connDetail = "hop=" + strconv.Itoa(redirects)
-		}
-		rec.Record(tid, s.sinceEpoch(t0), trace.EvConnected, s.cfg.ID, connDetail)
-		rec.Record(tid, s.sinceEpoch(tParsed), trace.EvParsed, s.cfg.ID, "path="+req.Path)
-	}
+	// Joining an inbound trace context keeps every hop of a redirected
+	// request under one trace id; without one, this node originates it.
+	tid, tctx := s.cfg.Trace.Begin(tctx)
 	o.TraceID, o.Redirected = string(tctx), redirects > 0
 	o.ParseSeconds = tParsed.Sub(t0).Seconds()
-	s.obs.Event(trace.EvConnected)
-	s.obs.Event(trace.EvParsed)
-	s.obs.Phase("parse", o.ParseSeconds)
+	var hop nodeobs.Detail
+	if redirects > 0 {
+		hop = nodeobs.Int("hop", redirects)
+	}
+	hopCell, hopSeconds := "", 0.0
 	if hopSentMicros > 0 {
 		// The 302 carried its send time: the gap to this connection is the
 		// measured t_redirection of the paper's cost model.
-		s.obs.Phase("redirect_hop", max(0, float64(t0.UnixMicro()-hopSentMicros)/1e6))
+		hopCell, hopSeconds = "redirect_hop", max(0, float64(t0.UnixMicro()-hopSentMicros)/1e6)
 	}
+	s.obs.Step(tid, s.sinceEpoch(t0), trace.EvConnected, hopCell, hopSeconds, hop)
+	s.obs.Step(tid, s.sinceEpoch(tParsed), trace.EvParsed, "parse", o.ParseSeconds, nodeobs.Str("path", req.Path))
 
 	// Phase 2: analyze — the spine admits the request and places it. CGI
 	// and POST stay where they arrived (Sec. 3.2 step 2; POST is the
@@ -234,15 +222,11 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 	plan := core.Analyze(s.cfg.Policy, &f, s.cfg.ID, s.snapshotLoads())
 	tAnalyzed := time.Now()
 	o.AnalyzeSeconds = tAnalyzed.Sub(tParsed).Seconds()
-	s.obs.Event(trace.EvAnalyzed)
-	s.obs.Phase("analyze", o.AnalyzeSeconds)
-	if traced {
-		rec.Record(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, s.cfg.ID,
-			"target="+strconv.Itoa(plan.Target))
-	}
+	s.obs.Step(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, "analyze", o.AnalyzeSeconds,
+		nodeobs.Int("target", plan.Target))
 	if plan.Action == core.NotFound {
 		if s.answer404(rc, "not_found") {
-			s.sent(tid, httpmsg.StatusNotFound)
+			s.obs.Step(tid, s.nowSec(), trace.EvSent, "", 0, nodeobs.Int("status", httpmsg.StatusNotFound))
 		}
 		o.Status = rc.status()
 		return true
@@ -268,13 +252,9 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 		tSent := time.Now()
 		s.table.Bump(plan.Target)
 		s.redirected.Add(1)
-		s.obs.Event(trace.EvRedirected)
 		s.obs.Redirect(plan.Target)
-		s.obs.Phase("redirect", tSent.Sub(tAnalyzed).Seconds())
-		if traced {
-			rec.Record(tid, s.sinceEpoch(tSent), trace.EvRedirected, s.cfg.ID,
-				"to="+strconv.Itoa(plan.Target))
-		}
+		s.obs.Step(tid, s.sinceEpoch(tSent), trace.EvRedirected, "redirect", tSent.Sub(tAnalyzed).Seconds(),
+			nodeobs.Int("to", plan.Target))
 		o.Status, o.Redirected = httpmsg.StatusMovedTemporarily, true
 		return true
 	}
@@ -295,17 +275,14 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 	}
 	fetch := f.Fetch(s.cfg.ID, cacheHit)
 	kind, cell := nodeobs.FetchStep(fetch)
-	s.obs.Event(kind)
-	if traced {
-		detail := ""
-		switch fetch {
-		case core.FetchCache:
-			detail = "cache=hit"
-		case core.FetchPeer:
-			detail = "owner=" + strconv.Itoa(f.Owner)
-		}
-		rec.Record(tid, s.sinceEpoch(tFulfill), kind, s.cfg.ID, detail)
+	var source nodeobs.Detail
+	switch fetch {
+	case core.FetchCache:
+		source = nodeobs.Text("cache=hit")
+	case core.FetchPeer:
+		source = nodeobs.Int("owner", f.Owner)
 	}
+	s.obs.Step(tid, s.sinceEpoch(tFulfill), kind, "", 0, source)
 	var status int
 	switch fetch {
 	case core.FetchCGI:
@@ -317,24 +294,19 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 	default:
 		status = s.serveRemoteFile(rc, req, &f, tctx)
 	}
-	s.obs.Phase(cell, time.Since(tFulfill).Seconds())
-	if status > 0 {
-		s.sent(tid, status)
+	// The fetch phase ends with the response: sent, unless its write
+	// failed, which leaves only the time taken.
+	done := trace.EvSent
+	if status <= 0 {
+		done = ""
 	}
+	tDone := time.Now()
+	s.obs.Step(tid, s.sinceEpoch(tDone), done, cell, tDone.Sub(tFulfill).Seconds(), nodeobs.Int("status", status))
 	// Heat counts fulfilled serves only — the same event the simulator's
 	// complete() observes, so both substrates fill identical sketches.
 	o.Status = status
 	o.Fulfil(fetch, f.Owner, len(f.ReplicaSet()), s.cache != nil)
 	return true
-}
-
-// sent records that a client response left in full.
-func (s *Server) sent(tid int64, status int) {
-	s.obs.Event(trace.EvSent)
-	if rec := s.cfg.Trace; rec.Enabled() {
-		rec.Record(tid, s.sinceEpoch(time.Now()), trace.EvSent, s.cfg.ID,
-			"status="+strconv.Itoa(status))
-	}
 }
 
 // serveInternal answers a peer's internal fetch: this node is the NFS
@@ -352,11 +324,9 @@ func (s *Server) serveInternal(rc *reqConn, req *httpmsg.Request) {
 		return
 	}
 	s.internalFetch.Add(1)
-	if rec := s.cfg.Trace; rec.Enabled() {
-		if id := trace.TraceID(req.Header.Get(traceHeader)); id != "" {
-			jid, _ := rec.Begin(id)
-			rec.Record(jid, s.sinceEpoch(time.Now()), trace.EvFetchLocal, s.cfg.ID, "internal=1")
-		}
+	if id := trace.TraceID(req.Header.Get(traceHeader)); id != "" {
+		jid, _ := s.cfg.Trace.Begin(id)
+		s.obs.Trace(jid, s.nowSec(), trace.EvFetchLocal, nodeobs.Text("internal=1"))
 	}
 	if file.Size > int64(rc.bw.Size()) {
 		s.streamLocalFile(rc, req)

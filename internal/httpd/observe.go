@@ -53,6 +53,7 @@ func newObserver(s *Server) (*nodeobs.Observer, *metrics.Histogram) {
 		DiskActive: func() float64 { return float64(s.diskActive.Load()) },
 		NetActive:  func() float64 { return float64(s.netActive.Load()) },
 		BytesOut:   func() float64 { return float64(s.bytesOut.Load()) },
+		Trace:      s.cfg.Trace,
 	}
 	switch {
 	case s.cfg.SlowThreshold < 0:

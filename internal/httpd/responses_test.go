@@ -151,7 +151,10 @@ func TestResponseKindsGolden(t *testing.T) {
 	var out strings.Builder
 	for _, k := range goldenKinds() {
 		before := []Stats{srvs[0].Stats(), srvs[1].Stats()}
-		got := driveKind(t, srvs, k)
+		got, err := driveKind(srvs, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fmt.Fprintf(&out, "== %s: node%d %s\n", k.name, k.node, strings.SplitN(k.raw, "\r\n", 2)[0])
 		out.WriteString("-- response\n")
 		live := strings.Contains(k.raw, " /sweb/") && !strings.Contains(k.raw, "/sweb/replicate")
@@ -246,29 +249,30 @@ func goldenCluster(t *testing.T, edit func(*Config)) ([]*Server, *strings.Replac
 }
 
 // driveKind sends one golden request and returns the bytes the client got
-// (none over a brokenConn).
-func driveKind(t *testing.T, srvs []*Server, k responseKind) []byte {
-	t.Helper()
+// (none over a brokenConn). It may run off the test goroutine.
+func driveKind(srvs []*Server, k responseKind) ([]byte, error) {
 	if k.broken {
 		srvs[k.node].inflight.Add(1) // as the accept loop would
 		srvs[k.node].serve(&brokenConn{r: strings.NewReader(k.raw)})
-		return nil
+		return nil, nil
 	}
-	return exchangeRaw(t, srvs[k.node].Addr(), k.raw)
+	return sendRaw(srvs[k.node].Addr(), k.raw)
 }
 
-// exchangeRaw sends raw to addr and reads the reply to the server's close.
-func exchangeRaw(t *testing.T, addr, raw string) []byte {
-	t.Helper()
-	conn := dialNode(t, addr)
-	if _, err := io.WriteString(conn, raw); err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(conn)
+// sendRaw sends raw to addr and reads the reply to the server's close.
+func sendRaw(addr, raw string) ([]byte, error) {
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return got
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		return nil, err
+	}
+	if _, err := io.WriteString(conn, raw); err != nil {
+		return nil, err
+	}
+	return io.ReadAll(conn)
 }
 
 var (

@@ -123,6 +123,12 @@ func TestAccessLogRecordsErrorsAndRedirects(t *testing.T) {
 		srv.SetPeers(peers)
 		srv.Start()
 	}
+	// Node 0 redirects only to a peer it has heard; until then it relays.
+	for end := time.Now().Add(5 * time.Second); len(servers[0].Table().Known()) < 2; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("node 0 knows only %v after 5s", servers[0].Table().Known())
+		}
+	}
 	// 404.
 	if status, _, _, err := fetchOnce(servers[0].Addr(), "/nope", 5*time.Second, 1<<20); err != nil || status != 404 {
 		t.Fatalf("status=%d err=%v", status, err)

@@ -158,6 +158,8 @@ func TestSimLiveReplicaParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// Node 2 ranks only the replicas it has heard; wait for both.
+	waitKnown(t, []int{2}, cl, 3, 10*time.Second)
 	client := cl.NewClient()
 	defer client.Close()
 	for i := 0; i < 6; i++ {

@@ -39,3 +39,26 @@ func TestFetchSteps(t *testing.T) {
 		t.Errorf("Steps(Serve, FetchPeer) = %v %v", events, phases)
 	}
 }
+
+// TestStepsEndOnce pins the law the conservation tests of both substrates
+// rest on: whatever the spine decides, a request the node connected takes
+// connected once, first, and ends in exactly one terminal step, sent or
+// redirected, last. So on every node, connected = sent + redirected + the
+// connected requests that ended without a response.
+func TestStepsEndOnce(t *testing.T) {
+	for _, a := range []core.Action{core.Serve, core.Redirect, core.NotFound} {
+		for _, f := range []core.Fetch{core.FetchDisk, core.FetchCache, core.FetchPeer, core.FetchCGI} {
+			events, _ := Steps(a, f)
+			count := map[trace.Kind]int{}
+			for _, e := range events {
+				count[e]++
+			}
+			last := events[len(events)-1]
+			if events[0] != trace.EvConnected || count[trace.EvConnected] != 1 ||
+				count[trace.EvSent]+count[trace.EvRedirected] != 1 ||
+				(last != trace.EvSent && last != trace.EvRedirected) {
+				t.Errorf("Steps(%v, %v) = %v: not connected once and one terminal step last", a, f, events)
+			}
+		}
+	}
+}

@@ -91,6 +91,9 @@ type Config struct {
 	// Cache reads the node's cache counters; nil when the node runs
 	// without one, which leaves the sweb_cache_* families out.
 	Cache func() cache.Stats
+	// Trace is the node's trace recorder, which Step appends each step's
+	// event to; nil or off records nothing.
+	Trace *trace.Recorder
 }
 
 // Observer is one node's telemetry: its registry with every shared family
@@ -103,6 +106,7 @@ type Observer struct {
 	heat   *heat.Sketch
 	table  *loadd.Table
 	now    func() float64
+	rec    *trace.Recorder
 
 	response, ttfb, absErr *metrics.Histogram
 	compared               *metrics.Counter
@@ -127,6 +131,7 @@ func New(cfg Config) *Observer {
 		heat:   heat.New(cfg.Heat),
 		table:  cfg.Table,
 		now:    cfg.Now,
+		rec:    cfg.Trace,
 
 		response: reg.Histogram(Response,
 			"end-to-end service time per successfully served request", nil, nil),
@@ -236,11 +241,58 @@ func (ob *Observer) Peer(peer int) {
 // Registry is the node's metric registry — what /sweb/metrics serves.
 func (ob *Observer) Registry() *metrics.Registry { return ob.reg }
 
-// Event counts one lifecycle event.
-func (ob *Observer) Event(kind trace.Kind) { ob.events.With(string(kind)).Inc() }
+// Step records one lifecycle step of request tid at instant at (the
+// recorder's seconds): it counts kind, observes seconds in the phase cell
+// when cell is not "", and appends kind's trace event, with d rendered as
+// its detail, when the recorder is on and tid is not negative. A step
+// whose kind is "" only took time: it counts and traces nothing.
+func (ob *Observer) Step(tid int64, at float64, kind trace.Kind, cell string, seconds float64, d Detail) {
+	if kind != "" {
+		ob.events.With(string(kind)).Inc()
+		ob.Trace(tid, at, kind, d)
+	}
+	if cell != "" {
+		ob.phases.With(cell).Observe(seconds)
+	}
+}
 
-// Phase observes the seconds one lifecycle phase took.
-func (ob *Observer) Phase(phase string, seconds float64) { ob.phases.With(phase).Observe(seconds) }
+// Trace appends a step's trace event and counts nothing: for an internal
+// fetch that joins a peer's request, and for a step traced at one instant
+// and counted by a later Step with a negative tid.
+func (ob *Observer) Trace(tid int64, at float64, kind trace.Kind, d Detail) {
+	if ob.rec.Enabled() && tid >= 0 {
+		ob.rec.Record(tid, at, kind, ob.node, d.String())
+	}
+}
+
+// Detail is a trace event's detail, rendered only when an event is
+// recorded, so an untraced step formats and allocates nothing for it: a
+// text, or a key with an int or a string value. The zero Detail is "".
+type Detail struct {
+	key, text string
+	n         int
+	isInt     bool
+}
+
+// Text is the detail s.
+func Text(s string) Detail { return Detail{text: s} }
+
+// Int is the detail key=n.
+func Int(key string, n int) Detail { return Detail{key: key, n: n, isInt: true} }
+
+// Str is the detail key=v.
+func Str(key, v string) Detail { return Detail{key: key, text: v} }
+
+// String renders d.
+func (d Detail) String() string {
+	switch {
+	case d.key == "":
+		return d.text
+	case d.isInt:
+		return d.key + "=" + strconv.Itoa(d.n)
+	}
+	return d.key + "=" + d.text
+}
 
 // Drop counts one request not served in full.
 func (ob *Observer) Drop(cause string) { ob.drops.With(cause).Inc() }

@@ -272,10 +272,8 @@ func (c *Cluster) issue(a *workload.Arrival) {
 	rs := &request{c: c, domain: a.Domain, issued: c.Sim.Now(), id: c.reqSeq, node: node}
 	rs.next = rs.step
 	rs.tid = c.cfg.Trace.NewRequest()
-	if c.cfg.Trace.Enabled() {
-		c.trace(rs, trace.EvIssued, -1, "path="+a.Path)
-	}
-	c.trace(rs, trace.EvResolved, node, "")
+	c.trace(rs, trace.EvIssued, -1, nodeobs.Str("path", a.Path))
+	c.trace(rs, trace.EvResolved, node, nodeobs.Detail{})
 	rs.File, rs.Found = c.cfg.Store.Lookup(a.Path)
 	rs.Path = a.Path
 	if rs.Found {
@@ -292,12 +290,13 @@ func (c *Cluster) connectTime() des.Time {
 	return 2*c.cfg.Client.LatencyOneWay + des.Seconds(c.cfg.Params.ConnectSeconds)
 }
 
-// trace emits one lifecycle event when recording is on.
-func (c *Cluster) trace(rs *request, kind trace.Kind, node int, detail string) {
-	if rs == nil || !c.cfg.Trace.Enabled() {
-		return
+// trace records one event that is not a node's lifecycle step when
+// recording is on: the client's own (issued, resolved, delivered, timed
+// out), and a refusal at a node that is down, which counts nothing.
+func (c *Cluster) trace(rs *request, kind trace.Kind, node int, d nodeobs.Detail) {
+	if c.cfg.Trace.Enabled() {
+		c.cfg.Trace.Record(rs.tid, c.nowSec(), kind, node, d.String())
 	}
-	c.cfg.Trace.Record(rs.tid, c.nowSec(), kind, node, detail)
 }
 
 // RunSchedule feeds every arrival to the simulator, runs the simulation

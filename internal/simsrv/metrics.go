@@ -27,6 +27,7 @@ func newObserver(c *Cluster, x int) *nodeobs.Observer {
 		DiskActive: func() float64 { _, disk, _ := node.LoadVector(); return float64(disk) },
 		NetActive:  func() float64 { _, _, nic := node.LoadVector(); return float64(nic) },
 		BytesOut:   func() float64 { return float64(c.bytesOut[x]) },
+		Trace:      c.cfg.Trace,
 		// The DES runs one request at a time, so misses never coalesce and
 		// SingleflightShared stays 0.
 		Cache: func() cache.Stats {

@@ -1,7 +1,6 @@
 package simsrv
 
 import (
-	"fmt"
 	"math"
 
 	"sweb/internal/core"
@@ -121,28 +120,17 @@ func (rs *request) step() {
 	case stParsed:
 		d := (c.Sim.Now() - rs.mark).ToSeconds()
 		rs.ph.Preprocess += d
-		c.trace(rs, trace.EvParsed, x, "")
-		c.obs[x].Event(trace.EvParsed)
-		c.obs[x].Phase("parse", d)
+		c.obs[x].Step(rs.tid, c.nowSec(), trace.EvParsed, "parse", d, nodeobs.Detail{})
 		// The broker's cost estimation, then the decision.
 		rs.mark = c.Sim.Now()
 		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.AnalysisOps, rs.arm(stAnalyzed))
 	case stAnalyzed:
-		d := (c.Sim.Now() - rs.mark).ToSeconds()
-		rs.ph.Analysis += d
-		c.obs[x].Phase("analyze", d)
 		c.decide(rs, x)
 	case stRedirected:
 		c.redirected(rs, x)
 	case stHopped:
-		target := rs.plan.Target
 		rs.ph.Redirect += (c.Sim.Now() - rs.mark).ToSeconds()
-		if c.up[target] {
-			// The hop is measured where the redirected connection
-			// lands, matching the live redirect_hop cell.
-			c.obs[target].Phase("redirect_hop", c.connectTime().ToSeconds())
-		}
-		c.arrive(rs, target)
+		c.arrive(rs, rs.plan.Target)
 	case stForwarded:
 		c.forwarded(rs, x)
 	case stOpened:
@@ -198,24 +186,28 @@ func (rs *request) step() {
 
 // arrive runs the accept path at node x: the connection is refused if the
 // node is down or its accept capacity (process table + listen backlog) is
-// exhausted; otherwise the request enters preprocessing.
+// exhausted; otherwise the request enters preprocessing. A redirected
+// connection that lands on a node in the pool carries its hop, measured
+// where it lands, as the live redirect_hop cell is.
 func (c *Cluster) arrive(rs *request, x int) {
 	rs.node = x
 	if !c.up[x] {
-		c.trace(rs, trace.EvRefused, x, "node down")
+		c.trace(rs, trace.EvRefused, x, nodeobs.Text("node down"))
 		c.drop(rs, stats.DropUnavailable)
 		return
 	}
+	hopCell, hop := "", 0.0
+	if rs.stage == stHopped {
+		hopCell, hop = "redirect_hop", c.connectTime().ToSeconds()
+	}
 	if c.inflight[x] >= c.cfg.Specs[x].AcceptQueue {
-		c.trace(rs, trace.EvRefused, x, "accept capacity")
-		c.obs[x].Event(trace.EvRefused)
+		c.obs[x].Step(rs.tid, c.nowSec(), trace.EvRefused, hopCell, hop, nodeobs.Text("accept capacity"))
 		c.obs[x].Drop("refused")
 		c.drop(rs, stats.DropRefused)
 		return
 	}
 	c.inflight[x]++
-	c.trace(rs, trace.EvConnected, x, "")
-	c.obs[x].Event(trace.EvConnected)
+	c.obs[x].Step(rs.tid, c.nowSec(), trace.EvConnected, hopCell, hop, nodeobs.Detail{})
 	rs.mark = c.Sim.Now()
 	// "The server parses the HTTP commands, and completes the pathname
 	// given, determining appropriate permissions along the way."
@@ -232,9 +224,12 @@ func (c *Cluster) loadsAt(x int) []core.NodeLoad {
 	return c.loads
 }
 
-// decide asks the spine where the request goes and executes the answer:
-// fulfill here, or hand it to the target by 302 (or by proxy).
+// decide asks the spine where the request goes, once node x's cost
+// estimation is done, and executes the answer: fulfill here, or hand it to
+// the target by 302 (or by proxy).
 func (c *Cluster) decide(rs *request, x int) {
+	analyzed := (c.Sim.Now() - rs.mark).ToSeconds()
+	rs.ph.Analysis += analyzed
 	if rs.Found {
 		rs.CachedLocal = c.nodes[x].Cache.Peek(rs.Path)
 		if c.cfg.CacheHints > 0 {
@@ -262,10 +257,7 @@ func (c *Cluster) decide(rs *request, x int) {
 		rs.plan = core.Analyze(c.policy, &rs.Facts, x, loads)
 	}
 	target := rs.plan.Target
-	if c.cfg.Trace.Enabled() {
-		c.trace(rs, trace.EvAnalyzed, x, fmt.Sprintf("target=%d", target))
-	}
-	c.obs[x].Event(trace.EvAnalyzed)
+	c.obs[x].Step(rs.tid, c.nowSec(), trace.EvAnalyzed, "analyze", analyzed, nodeobs.Int("target", target))
 	if rs.plan.Action != core.Redirect {
 		c.fulfill(rs, x)
 		return
@@ -276,34 +268,30 @@ func (c *Cluster) decide(rs *request, x int) {
 		// response. The client keeps one connection; the cluster pays
 		// double handling (the cost the paper avoided with redirection).
 		c.tables[x].Bump(target)
-		if c.cfg.Trace.Enabled() {
-			c.trace(rs, trace.EvForwarded, x, fmt.Sprintf("to=%d", target))
-		}
-		c.obs[x].Event(trace.EvForwarded)
+		c.obs[x].Step(rs.tid, c.nowSec(), trace.EvForwarded, "", 0, nodeobs.Int("to", target))
 		rs.mark = c.Sim.Now()
 		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, rs.arm(stForwarded))
 		return
 	}
 	// Redirect: bump the local view of the chosen peer so the next stale
 	// decision does not dogpile it, charge the 302 generation, then the
-	// client follows the Location header to the new node.
+	// client follows the Location header to the new node. The 302 is
+	// traced as decided and counted once generated (redirected).
 	c.tables[x].Bump(target)
-	if c.cfg.Trace.Enabled() {
-		c.trace(rs, trace.EvRedirected, x, fmt.Sprintf("to=%d", target))
-	}
+	c.obs[x].Trace(rs.tid, c.nowSec(), trace.EvRedirected, nodeobs.Int("to", target))
 	rs.mark = c.Sim.Now()
 	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, rs.arm(stRedirected))
 }
 
 // redirected runs once node x has generated the 302: the handler exits
-// and the client reconnects to the target.
+// and the client reconnects to the target. The 302 was traced when
+// decided, so this step records no trace event (tid -1).
 func (c *Cluster) redirected(rs *request, x int) {
 	target := rs.plan.Target
 	c.inflight[x]--
 	rs.Redirects++
-	c.obs[x].Event(trace.EvRedirected)
+	c.obs[x].Step(-1, c.nowSec(), trace.EvRedirected, "redirect", (c.Sim.Now() - rs.mark).ToSeconds(), nodeobs.Detail{})
 	c.obs[x].Redirect(target)
-	c.obs[x].Phase("redirect", (c.Sim.Now() - rs.mark).ToSeconds())
 	// "Twice the estimated latency of the connection between the server
 	// and the client plus the time for a server to set up a connection."
 	c.Sim.After(c.connectTime(), rs.arm(stHopped))
@@ -317,7 +305,7 @@ func (c *Cluster) forwarded(rs *request, x int) {
 	if !c.up[target] {
 		// Forwarding has no second chance: the relay fails.
 		c.inflight[x]--
-		c.trace(rs, trace.EvRefused, target, "forward target down")
+		c.trace(rs, trace.EvRefused, target, nodeobs.Text("forward target down"))
 		c.obs[x].Drop("unavailable")
 		c.drop(rs, stats.DropUnavailable)
 		return
@@ -360,8 +348,7 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 	rs.servedBy = y
 	if c.inflight[y] >= c.cfg.Specs[y].AcceptQueue {
 		c.inflight[x]--
-		c.trace(rs, trace.EvRefused, y, "forward target full")
-		c.obs[y].Event(trace.EvRefused)
+		c.obs[y].Step(rs.tid, c.nowSec(), trace.EvRefused, "", 0, nodeobs.Text("forward target full"))
 		c.obs[y].Drop("refused")
 		c.drop(rs, stats.DropRefused)
 		return
@@ -402,7 +389,7 @@ func (c *Cluster) fulfill(rs *request, x int) {
 	if rs.CGI {
 		// CGI: fork + compute, then stream the generated result (no static
 		// file fetch).
-		c.fetchStep(rs, x, rs.Fetch(x, false), "")
+		c.fetchStep(rs, x, rs.Fetch(x, false), nodeobs.Detail{})
 		rs.bodyLen = rs.Size
 		node.CPUWork(model.ActFulfill, rs.Demand.BaseOps, rs.arm(stForked))
 		return
@@ -413,11 +400,10 @@ func (c *Cluster) fulfill(rs *request, x int) {
 }
 
 // fetchStep records how node x fulfills rs, as the spine classified it.
-func (c *Cluster) fetchStep(rs *request, x int, fetch core.Fetch, detail string) {
+func (c *Cluster) fetchStep(rs *request, x int, fetch core.Fetch, d nodeobs.Detail) {
 	rs.fetch = fetch
 	kind, _ := nodeobs.FetchStep(fetch)
-	c.trace(rs, kind, x, detail)
-	c.obs[x].Event(kind)
+	c.obs[x].Step(rs.tid, c.nowSec(), kind, "", 0, d)
 }
 
 // chunkAt sizes the chunk of a size-byte body that starts at off and
@@ -506,16 +492,14 @@ func (c *Cluster) streamFile(rs *request, x int) {
 	}
 	fetch := rs.Fetch(x, cachedHere)
 	rs.source, rs.srcCached = x, false
-	detail := ""
+	var source nodeobs.Detail
 	if fetch == core.FetchPeer {
 		rs.source = c.fetchSource(rs, x)
 		rs.srcCached = c.nodes[rs.source].Cache.Peek(f.Path)
-		if c.cfg.Trace.Enabled() {
-			detail = fmt.Sprintf("source=%d", rs.source)
-		}
+		source = nodeobs.Int("source", rs.source)
 		c.obs[x].ReplicaFetch(f.Path, rs.source)
 	}
-	c.fetchStep(rs, x, fetch, detail)
+	c.fetchStep(rs, x, fetch, source)
 	if f.Size == 0 {
 		c.finishServerSide(rs)
 		c.complete(rs)
@@ -546,17 +530,18 @@ func (c *Cluster) finishServerSide(rs *request) {
 	served := (c.Sim.Now() - rs.mark).ToSeconds()
 	rs.ph.Transfer += served
 	rs.mark = c.Sim.Now()
-	c.trace(rs, trace.EvSent, x, "")
-	c.obs[x].Event(trace.EvSent)
+	// Only a request the spine placed here has a fetch phase and an
+	// estimate to score. Actual t_s is the server-side portion of the
+	// lifecycle; the client-network drain the broker never modelled stays
+	// out. The simulated broker exposes only its target's total estimate,
+	// so the comparison is whole-t_s — the cells a live node fills when
+	// its policy lacks a full cost table.
+	cell := ""
 	if rs.plan.Action == core.Serve {
-		// Only a request the spine placed here has a fetch phase and an
-		// estimate to score. Actual t_s is the server-side portion of the
-		// lifecycle; the client-network drain the broker never modelled
-		// stays out. The simulated broker exposes only its target's total
-		// estimate, so the comparison is whole-t_s — the cells a live node
-		// fills when its policy lacks a full cost table.
-		_, cell := nodeobs.FetchStep(rs.fetch)
-		c.obs[x].Phase(cell, served)
+		_, cell = nodeobs.FetchStep(rs.fetch)
+	}
+	c.obs[x].Step(rs.tid, c.nowSec(), trace.EvSent, cell, served, nodeobs.Detail{})
+	if cell != "" {
 		cpu := rs.ph.Preprocess + rs.ph.Analysis
 		c.obs[x].Prediction(core.Decision{Estimate: rs.plan.Decision.Estimate}, cpu, rs.ph.Transfer, cpu+rs.ph.Transfer)
 	}
@@ -575,13 +560,13 @@ func (c *Cluster) complete(rs *request) {
 	c.outstanding--
 	c.lastDone = c.Sim.Now()
 	if resp > c.cfg.ClientTimeout.ToSeconds() {
-		c.trace(rs, trace.EvTimedOut, rs.servedBy, "")
+		c.trace(rs, trace.EvTimedOut, rs.servedBy, nodeobs.Detail{})
 		c.obs[rs.servedBy].Drop("timeout")
 		c.observe(rs, rs.servedBy, 0, rs.File.Size, true)
 		c.res.RecordDrop(stats.DropTimeout)
 		return
 	}
-	c.trace(rs, trace.EvDelivered, rs.servedBy, "")
+	c.trace(rs, trace.EvDelivered, rs.servedBy, nodeobs.Detail{})
 	status, bytes := 200, rs.File.Size
 	if !rs.Found {
 		status, bytes = 404, errorResponseBytes
