@@ -194,11 +194,22 @@ type CostBreakdown struct {
 type Decision struct {
 	// Target is the node that should fulfill the request.
 	Target int
-	// Estimate is the predicted completion time at Target, seconds.
+	// Estimate is the predicted completion time at Target, seconds; a
+	// policy that predicts nothing leaves it 0 (see Predicted).
 	Estimate float64
 	// Candidates holds the per-node breakdowns (index = node id), for
 	// instrumentation and tests.
 	Candidates []CostBreakdown
+}
+
+// Predicted is the decision's t_s estimate, or -1 when the broker
+// predicted nothing: only a finite estimate > 0 is a prediction. It is the
+// one rule the flight record and the scoring of predictions apply.
+func (d Decision) Predicted() float64 {
+	if d.Estimate > 0 && !math.IsInf(d.Estimate, 1) {
+		return d.Estimate
+	}
+	return -1
 }
 
 // Policy decides where a request should be served. local is the node
@@ -464,7 +475,8 @@ func NewPolicy(name string, p Params) (Policy, error) {
 }
 
 // RoundRobin is the NCSA baseline: the DNS rotation is the whole policy, so
-// every request is served where it arrived.
+// every request is served where it arrived. Like every baseline, it
+// predicts nothing.
 type RoundRobin struct{}
 
 // Name implements Policy.
@@ -508,7 +520,8 @@ type CPUOnly struct {
 func (CPUOnly) Name() string { return "CPU Only" }
 
 // Choose implements Policy: pick the available node with the lowest CPU
-// load, preferring local on ties.
+// load, preferring local on ties. A queue length is not a time, so the
+// decision carries no estimate.
 func (c CPUOnly) Choose(req Request, local int, loads []NodeLoad) Decision {
 	if mustServeLocally(req, c.P) {
 		return Decision{Target: local}
@@ -530,5 +543,5 @@ func (c CPUOnly) Choose(req Request, local int, loads []NodeLoad) Decision {
 	if bestNode < 0 {
 		return Decision{Target: local}
 	}
-	return Decision{Target: bestNode, Estimate: best}
+	return Decision{Target: bestNode}
 }

@@ -356,6 +356,29 @@ func TestCPUOnlySkipsDeadNodes(t *testing.T) {
 	}
 }
 
+// TestBaselinesPredictNothing: round robin, file locality and CPU-only
+// place without a cost model, so no decision of theirs is a prediction —
+// CPU-only's lowest queue length included.
+func TestBaselinesPredictNothing(t *testing.T) {
+	loads := evenLoads(3)
+	loads[1].CPULoad = 0.5
+	for _, p := range []Policy{RoundRobin{}, FileLocality{P: DefaultParams()}, CPUOnly{P: DefaultParams()}} {
+		for local := 0; local < 3; local++ {
+			if d := p.Choose(baseRequest(), local, loads); d.Predicted() != -1 {
+				t.Errorf("%s at node %d predicted %v (estimate %v)", p.Name(), local, d.Predicted(), d.Estimate)
+			}
+		}
+	}
+	if got := (Decision{Estimate: 0.25}).Predicted(); got != 0.25 {
+		t.Errorf("a finite estimate > 0 is a prediction: got %v", got)
+	}
+	for _, est := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		if got := (Decision{Estimate: est}).Predicted(); got != -1 {
+			t.Errorf("estimate %v predicted %v, want -1", est, got)
+		}
+	}
+}
+
 func TestFacetTogglesZeroTheirTerms(t *testing.T) {
 	req := baseRequest()
 	loads := evenLoads(2)

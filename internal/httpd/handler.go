@@ -149,7 +149,7 @@ func (s *Server) auditDecision(x *exchange, done time.Time) {
 		Path:             o.Path,
 		Policy:           o.Policy,
 		Target:           o.Target,
-		PredictedSeconds: sanitizeSeconds(x.dec.Estimate),
+		PredictedSeconds: x.dec.Predicted(),
 		ActualSeconds:    -1, // a redirect is fulfilled by the target node
 		ParseSeconds:     o.ParseSeconds,
 		AnalyzeSeconds:   o.AnalyzeSeconds,

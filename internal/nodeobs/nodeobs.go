@@ -314,8 +314,8 @@ func (ob *Observer) RebalanceAction(action string) { ob.rebalance.With(action).I
 // Estimate), plus what the other sinks need.
 type Outcome struct {
 	flight.Record
-	// Estimate is the broker's t_s estimate; only a finite value > 0 is a
-	// prediction, anything else records as -1.
+	// Estimate is the broker's t_s estimate; what core.Decision.Predicted
+	// does not call a prediction records as -1.
 	Estimate   float64
 	DoneMicros int64 // completion instant, the exemplars' timestamp
 
@@ -389,10 +389,7 @@ func (o *Outcome) Succeeded() bool {
 // replica-set gauge the monitor's hot_doc rule divides a path's share by.
 func (ob *Observer) Observe(o Outcome) {
 	rec := o.Record
-	rec.Node, rec.PredictedSeconds = ob.node, -1
-	if o.Estimate > 0 && !math.IsInf(o.Estimate, 1) {
-		rec.PredictedSeconds = o.Estimate
-	}
+	rec.Node, rec.PredictedSeconds = ob.node, core.Decision{Estimate: o.Estimate}.Predicted()
 	ob.flight.Add(rec)
 	if !o.Succeeded() {
 		return
@@ -409,17 +406,17 @@ func (ob *Observer) Observe(o Outcome) {
 // measured serving it: cpu is parse + analyze, data the fulfillment, total
 // the whole t_s. With a feasible cost row for this node the comparison is
 // per t_s phase; a policy that predicts only a scalar (or a decision
-// without candidates) compares totals, and one without a finite
-// non-negative estimate compares nothing.
+// without candidates) compares totals, and a decision that predicted
+// nothing (core.Decision.Predicted) compares nothing.
 func (ob *Observer) Prediction(dec core.Decision, cpu, data, total float64) {
-	est := dec.Estimate
+	est := dec.Predicted()
 	if id := ob.node; id < len(dec.Candidates) && !dec.Candidates[id].Infeasible &&
 		!math.IsInf(dec.Candidates[id].Total, 0) {
 		cb := dec.Candidates[id]
 		ob.predict("cpu", cb.CPU, cpu)
 		ob.predict("data", cb.Data+cb.Net, data)
 		est = cb.Total
-	} else if !(est >= 0) || math.IsInf(est, 0) {
+	} else if est < 0 {
 		return
 	}
 	ob.predict("total", est, total)

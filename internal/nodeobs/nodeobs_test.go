@@ -244,7 +244,7 @@ func TestObserveConcurrent(t *testing.T) {
 
 // TestPrediction pins the three ways a decision is scored: per t_s phase
 // against this node's feasible cost row, whole-t_s from a scalar
-// estimate, and not at all without a finite non-negative one.
+// estimate, and not at all without a finite one > 0.
 func TestPrediction(t *testing.T) {
 	rows := make([]core.CostBreakdown, 4)
 	rows[3] = core.CostBreakdown{Node: 3, CPU: 0.25, Data: 0.5, Net: 0.125, Total: 1}
@@ -263,10 +263,8 @@ func TestPrediction(t *testing.T) {
 			SchedPredicted + `{phase="total"}`: 2, SchedActual + `{phase="total"}`: 1.5,
 			SchedCompared: 1, SchedAbsError + "_count": 1, SchedAbsError + "_sum": 0.5,
 		}},
-		{"zero is compared", core.Decision{Estimate: 0}, map[string]float64{
-			SchedPredicted + `{phase="total"}`: 0, SchedActual + `{phase="total"}`: 1.5,
-			SchedCompared: 1, SchedAbsError + "_count": 1, SchedAbsError + "_sum": 1.5,
-		}},
+		// A baseline policy's decision: no cost table and Estimate 0.
+		{"zero is no prediction", core.Decision{Estimate: 0}, map[string]float64{}},
 		{"infinite", core.Decision{Estimate: math.Inf(1)}, map[string]float64{}},
 		{"negative", core.Decision{Estimate: -1}, map[string]float64{}},
 	} {
