@@ -175,19 +175,19 @@ func (p Params) Validate() error {
 }
 
 // CostBreakdown itemizes one candidate node's estimate, mirroring the
-// paper's formula term by term.
+// paper's formula term by term; a flight record carries one per node.
 type CostBreakdown struct {
-	Node     int
-	Redirect float64 // t_redirection
-	Data     float64 // t_data
-	CPU      float64 // t_CPU
-	Net      float64 // t_net: server-attachment egress share (see EstimateCost)
+	Node     int     `json:"node"`
+	Redirect float64 `json:"redirect_seconds"` // t_redirection
+	Data     float64 `json:"data_seconds"`     // t_data
+	CPU      float64 `json:"cpu_seconds"`      // t_CPU
+	Net      float64 `json:"net_seconds"`      // t_net: server-attachment egress share (see EstimateCost)
 	// Source is the replica node the data term assumed the bytes come
 	// from: the candidate itself when it holds a copy (or a cache hit),
 	// otherwise the cheapest replica of the document's set.
-	Source     int
-	Total      float64
-	Infeasible bool // node unavailable
+	Source     int     `json:"source_node"`
+	Total      float64 `json:"total_seconds"` // +Inf when infeasible
+	Infeasible bool    `json:"infeasible"`    // node unavailable
 }
 
 // Decision is the broker's choice for one request.

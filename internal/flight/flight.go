@@ -2,14 +2,18 @@
 // node handles leaves a compact fixed-size record in a bounded ring, and
 // slow or errored requests are additionally retained in a separate
 // "notable" ring so a burst of healthy traffic cannot evict the evidence
-// of the one that went wrong. The package is dependency-free and shared
-// verbatim by the live server and the simulator, so one renderer and one
-// parity test cover both substrates.
+// of the one that went wrong. A record is also the broker's decision audit:
+// it carries the per-node cost table behind the choice. The package is
+// shared verbatim by the live server and the simulator, so one renderer
+// and one parity test cover both substrates.
 package flight
 
 import (
+	"math"
 	"sort"
 	"sync"
+
+	"sweb/internal/core"
 )
 
 // Defaults for a recorder built from a zero Config.
@@ -45,11 +49,16 @@ type Record struct {
 	Redirected       bool    `json:"redirected"`
 	CacheHit         bool    `json:"cache_hit"`
 	PredictedSeconds float64 `json:"predicted_seconds"` // broker t_s estimate, -1 none
+	// Candidates is the decision's cost table, one row per node, empty
+	// when the policy priced nothing. In a dump every infinite or
+	// undefined figure reads -1.
+	Candidates []core.CostBreakdown `json:"candidates"`
 
 	// Phase timings.
 	ParseSeconds   float64 `json:"parse_seconds"`
 	AnalyzeSeconds float64 `json:"analyze_seconds"`
-	TTFBSeconds    float64 `json:"ttfb_seconds"` // -1 when no response head was sent
+	FulfillSeconds float64 `json:"fulfill_seconds"` // -1 when fulfillment never began
+	TTFBSeconds    float64 `json:"ttfb_seconds"`    // -1 when no response head was sent
 	TotalSeconds   float64 `json:"total_seconds"`
 
 	Notable string `json:"notable,omitempty"` // "error", "slow", or ""
@@ -63,7 +72,10 @@ type Config struct {
 	SlowSeconds float64
 }
 
-// ring is a fixed-size overwrite buffer, oldest-first on snapshot.
+// ring is a fixed-size overwrite buffer, oldest-first on snapshot. Each
+// slot owns its cost table, which add rewrites in place, so a steady
+// stream allocates nothing; the first table carves every slot's out of one
+// slab. snapshot copies the tables out.
 type ring struct {
 	recs []Record
 	next int
@@ -73,7 +85,15 @@ type ring struct {
 func newRing(n int) ring { return ring{recs: make([]Record, n)} }
 
 func (r *ring) add(rec Record) {
-	r.recs[r.next] = rec
+	slot := &r.recs[r.next]
+	if n := len(rec.Candidates); n > 0 && cap(slot.Candidates) == 0 {
+		slab := make([]core.CostBreakdown, n*len(r.recs))
+		for i := range r.recs {
+			r.recs[i].Candidates = slab[i*n : i*n : (i+1)*n]
+		}
+	}
+	rec.Candidates = append(slot.Candidates[:0], rec.Candidates...)
+	*slot = rec
 	r.next++
 	if r.next == len(r.recs) {
 		r.next = 0
@@ -82,12 +102,33 @@ func (r *ring) add(rec Record) {
 }
 
 func (r *ring) snapshot() []Record {
-	if !r.full {
-		return append([]Record(nil), r.recs[:r.next]...)
+	var out []Record
+	if r.full {
+		out = append(out, r.recs[r.next:]...)
 	}
-	out := make([]Record, 0, len(r.recs))
-	out = append(out, r.recs[r.next:]...)
-	return append(out, r.recs[:r.next]...)
+	out = append(out, r.recs[:r.next]...)
+	for i := range out {
+		out[i].Candidates = copyTable(out[i].Candidates)
+	}
+	return out
+}
+
+// copyTable copies a slot's cost table out of the ring with every infinite
+// or undefined figure as -1, which JSON can carry.
+func copyTable(rows []core.CostBreakdown) []core.CostBreakdown {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]core.CostBreakdown, len(rows))
+	for i, cb := range rows {
+		for _, v := range []*float64{&cb.Redirect, &cb.Data, &cb.CPU, &cb.Net, &cb.Total} {
+			if math.IsInf(*v, 0) || math.IsNaN(*v) {
+				*v = -1
+			}
+		}
+		out[i] = cb
+	}
+	return out
 }
 
 // Recorder is the per-node black box. All methods are nil-safe so a
@@ -123,8 +164,9 @@ func New(cfg Config) *Recorder {
 }
 
 // Add classifies rec, assigns its sequence number, and appends it to the
-// recent ring (and the notable ring when it erred or ran slow). Nil-safe:
-// a disabled recorder drops the record.
+// recent ring (and the notable ring when it erred or ran slow), copying its
+// cost table into each slot's own. Nil-safe: a disabled recorder drops the
+// record.
 func (r *Recorder) Add(rec Record) {
 	if r == nil {
 		return

@@ -1,10 +1,13 @@
 package flight
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sweb/internal/core"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -48,6 +51,39 @@ func TestNotableClassification(t *testing.T) {
 		if rec.Seq != int64(i+1) {
 			t.Fatalf("records[%d].Seq = %d, want %d", i, rec.Seq, i+1)
 		}
+	}
+}
+
+// TestAuditRingWraps: every ring slot owns its cost table and rewrites it
+// in place, so a dump already handed out must not see the decisions that
+// follow it, a steady stream of records with tables allocates nothing, and
+// a dump carries an infeasible node's infinite total as -1.
+func TestAuditRingWraps(t *testing.T) {
+	r := New(Config{Cap: 4, NotableCap: 4})
+	rec := func(i int) Record {
+		return Record{Path: "/p", Status: 200, Target: i,
+			Candidates: []core.CostBreakdown{{Node: i, Total: 1}, {Node: 9, Total: math.Inf(1), Infeasible: true}}}
+	}
+	for i := 0; i < 10; i++ {
+		r.Add(rec(i))
+	}
+	got := r.Dump().Records
+	if len(got) != 4 {
+		t.Fatalf("dump holds %d records, want 4", len(got))
+	}
+	for i := 10; i < 14; i++ {
+		r.Add(rec(i))
+	}
+	for i, d := range got {
+		want := []core.CostBreakdown{{Node: 6 + i, Total: 1}, {Node: 9, Total: -1, Infeasible: true}}
+		if d.Target != 6+i || d.Seq != int64(7+i) || len(d.Candidates) != 2 ||
+			d.Candidates[0] != want[0] || d.Candidates[1] != want[1] {
+			t.Fatalf("dump[%d] = %+v, want target %d seq %d and table %+v", i, d, 6+i, 7+i, want)
+		}
+	}
+	steady := rec(0)
+	if n := testing.AllocsPerRun(100, func() { r.Add(steady) }); n != 0 {
+		t.Fatalf("Add with a cost table allocates %v times per record, want 0", n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sweb/internal/core"
+	"sweb/internal/flight"
 	"sweb/internal/httpmsg"
 	"sweb/internal/storage"
 )
@@ -32,32 +33,38 @@ func sign(v float64) string {
 	return "+"
 }
 
-// auditRows renders node srv's decision audit, oldest first, with seq and
-// arrival left out and every time and cost figure masked to its sign. A
-// 302 has no fulfillment here: its target fulfills it.
+// auditRows renders node srv's decision audit from its /sweb/flight
+// records, oldest first: the requests the broker placed that left as a 302
+// or reached fulfillment here. Seq and arrival are left out and every time
+// and cost figure is masked to its sign. A 302 has no measured t_s here:
+// its target fulfills it.
 func auditRows(t *testing.T, srv *Server) string {
 	t.Helper()
-	status, body := get(t, srv.Addr(), "/sweb/status")
+	status, body := get(t, srv.Addr(), "/sweb/flight")
 	if status != httpmsg.StatusOK {
-		t.Fatalf("/sweb/status = %d", status)
+		t.Fatalf("/sweb/flight = %d", status)
 	}
-	var rep StatusReport
-	if err := json.Unmarshal(body, &rep); err != nil {
+	var d flight.Dump
+	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, d := range rep.Decisions {
-		fulfill := d.FulfillSeconds
-		if d.Redirected {
-			fulfill = -1
+	for _, r := range d.Records {
+		redirected := r.Status == httpmsg.StatusMovedTemporarily
+		if r.Policy == "" || !redirected && r.FulfillSeconds < 0 {
+			continue
+		}
+		actual := r.TotalSeconds
+		if redirected {
+			actual = -1
 		}
 		fmt.Fprintf(&b, "%s policy=%q target=%d redirected=%v predicted=%s actual=%s parse=%s analyze=%s fulfill=%s\n",
-			d.Path, d.Policy, d.Target, d.Redirected, sign(d.PredictedSeconds), sign(d.ActualSeconds),
-			sign(d.ParseSeconds), sign(d.AnalyzeSeconds), sign(fulfill))
-		for _, c := range d.Candidates {
+			r.Path, r.Policy, r.Target, redirected, sign(r.PredictedSeconds), sign(actual),
+			sign(r.ParseSeconds), sign(r.AnalyzeSeconds), sign(r.FulfillSeconds))
+		for _, c := range r.Candidates {
 			fmt.Fprintf(&b, "  node=%d source=%d redirect=%s data=%s cpu=%s net=%s total=%s infeasible=%v\n",
-				c.Node, c.SourceNode, sign(c.RedirectSeconds), sign(c.DataSeconds), sign(c.CPUSeconds),
-				sign(c.NetSeconds), sign(c.TotalSeconds), c.Infeasible)
+				c.Node, c.Source, sign(c.Redirect), sign(c.Data), sign(c.CPU),
+				sign(c.Net), sign(c.Total), c.Infeasible)
 		}
 	}
 	return b.String()

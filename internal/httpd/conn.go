@@ -213,9 +213,9 @@ func (rc *reqConn) status() int {
 
 // flush sends what the current response left in the buffer: the serve
 // loop's one flush per response, made after the response is accounted for
-// (Observe, the accounting step, trace, the load and connection gauges),
-// so a client that has read a response to its end finds the node's books
-// already closed on it. The outcome was fixed when its last byte reached
+// (the accounting step with its Observe, trace, the load and connection
+// gauges), so a client that has read a response to its end finds the
+// node's books already closed on it. The outcome was fixed when its last byte reached
 // the buffer; a failure here is the connection's, not a second outcome, so
 // it counts an error and the connection closes, as a peer's reset after a
 // successful write(2) would. A response that already failed closes
@@ -233,12 +233,37 @@ func (rc *reqConn) flush() bool {
 }
 
 // account closes the books on one response, once, after handle and before
-// the serve loop's flush: served for a document that left whole (a 200 that
-// is not a message, or a 304), errors and the cause for an error answer,
-// and the one access-log line. A failed write, counted by fail, still gets
-// its line: the status its head carried and the body bytes handed over.
-// req is nil for a request that did not parse.
-func (s *Server) account(conn net.Conn, req *httpmsg.Request, a *answer) {
+// the serve loop's flush: the one exit every response leaves through. It
+// counts served for a document that left whole (a 200 that is not a
+// message, or a 304), errors and the cause for an error answer, and writes
+// the one access-log line. A failed write, counted by fail, still gets its
+// line: the status its head carried and the body bytes handed over. For a
+// client request, o is its outcome, which account stamps with what the
+// connection and the clock saw since t0, scores against the broker's
+// prediction when served, and records (Observe). req is nil for a request
+// that did not parse; o is nil for an internal fetch and a shed connection.
+func (s *Server) account(rc *reqConn, req *httpmsg.Request, o *nodeobs.Outcome, t0 time.Time) {
+	a := &rc.ans
+	if o != nil {
+		done := time.Now()
+		o.AtSeconds, o.ConnID, o.Status = s.sinceEpoch(t0), rc.id, rc.status()
+		o.Bytes = rc.meter.written
+		if !a.failed {
+			o.Bytes += int64(rc.bw.Buffered()) // waiting for the serve loop's flush
+		}
+		// Time to first byte: the instant the sink encoded the head.
+		o.TTFBSeconds = -1
+		if !a.at.IsZero() {
+			o.TTFBSeconds = a.at.Sub(t0).Seconds()
+		}
+		o.TotalSeconds, o.DoneMicros = done.Sub(t0).Seconds(), done.UnixMicro()
+		// Only a clean serve scores t_s: an error path measures the
+		// failure handling, and a 302 is fulfilled by its target.
+		if o.Succeeded() {
+			s.obs.Prediction(o.Decision, o.ParseSeconds+o.AnalyzeSeconds, o.FulfillSeconds, o.TotalSeconds)
+		}
+		s.obs.Observe(*o)
+	}
 	switch {
 	case a.failed:
 	case a.fault:
@@ -249,7 +274,7 @@ func (s *Server) account(conn net.Conn, req *httpmsg.Request, a *answer) {
 	case a.status == httpmsg.StatusNotModified, a.status == httpmsg.StatusOK && !a.message:
 		s.served.Add(1)
 	}
-	s.logAccess(conn, req, a.status, a.body)
+	s.logAccess(rc.meter.Conn, req, a.status, a.body)
 }
 
 // logAccess emits one Common Log Format line, when logging is configured.
@@ -303,8 +328,8 @@ func (s *Server) isDraining() bool {
 // its single whole-connection deadline — a keep-alive client now pays the
 // TCP handshake once, which is exactly the saving the paper's t_redirection
 // term wants after a 302. Deadlines stay on the raw socket. Each response
-// is flushed only after handle has observed it, the accounting step has
-// closed its books and the request has left reqActive; the connection's
+// is flushed only after the accounting step has closed its books (Observe
+// included) and the request has left reqActive; the connection's
 // last response is left buffered for the caller, which closes the
 // connection's own books first (serve).
 func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
@@ -332,10 +357,7 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 			s.badRequests.Add(1)
 			_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
 			rc.refuse(httpmsg.ResponseHead{Code: httpmsg.StatusBadRequest}, "bad_request", err.Error())
-			s.account(c, nil, &rc.ans)
-			o := nodeobs.Outcome{Record: flight.Record{Path: "(unparsed)", Status: httpmsg.StatusBadRequest}}
-			s.stamp(rc, &o, t0, time.Now())
-			s.obs.Observe(o)
+			s.account(rc, nil, &nodeobs.Outcome{Record: flight.Record{Path: "(unparsed)", Target: -1}}, t0)
 			return
 		}
 		rc.served++
@@ -350,8 +372,11 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 		_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
 		s.reqActive.Add(1)
 		ci.active.Store(true)
-		s.handle(rc, req, t0)
-		s.account(c, req, &rc.ans)
+		o := &nodeobs.Outcome{}
+		if !s.handle(rc, req, t0, o) {
+			o = nil
+		}
+		s.account(rc, req, o, t0)
 		ci.active.Store(false)
 		s.reqActive.Add(-1)
 		if !rc.keepAlive || s.isDraining() || !rc.flush() {

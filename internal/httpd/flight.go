@@ -10,31 +10,12 @@ import (
 
 	"sweb/internal/flight"
 	"sweb/internal/heat"
-	"sweb/internal/nodeobs"
 )
 
 // flightTraceTail bounds the trace dump written into snapshot bundles: the
 // recorder can hold up to a million events, far more than a postmortem
 // needs and enough to dominate the bundle size.
 const flightTraceTail = 4096
-
-// stamp fills the fields every outcome takes from the connection and the
-// clock: arrival and total on the node's epoch, the bytes the meter counted
-// plus those still waiting for the serve loop's flush, and time to first
-// byte: the instant the sink encoded the head, the first chunk handed to
-// the client (-1 for a response that never got one).
-func (s *Server) stamp(rc *reqConn, o *nodeobs.Outcome, t0, done time.Time) {
-	o.AtSeconds, o.ConnID = s.sinceEpoch(t0), rc.id
-	o.Bytes = rc.meter.written
-	if !rc.ans.failed {
-		o.Bytes += int64(rc.bw.Buffered()) // waiting for the serve loop's flush
-	}
-	o.TTFBSeconds = -1
-	if at := rc.ans.at; !at.IsZero() {
-		o.TTFBSeconds = at.Sub(t0).Seconds()
-	}
-	o.TotalSeconds, o.DoneMicros = done.Sub(t0).Seconds(), done.UnixMicro()
-}
 
 // FlightDump snapshots the flight rings with the node identity and epoch
 // filled in — the /sweb/flight payload.

@@ -96,7 +96,8 @@ func (s *Server) acceptLoop() {
 					httpmsg.ErrorBody(httpmsg.StatusServiceUnavailable, "Server too busy."))
 				// Written before any reqConn exists; refused and the shed
 				// drop are counted above, so only its log line is left.
-				s.account(c, nil, &answer{status: httpmsg.StatusServiceUnavailable, message: true})
+				s.account(&reqConn{meter: &writeMeter{Conn: c},
+					ans: answer{status: httpmsg.StatusServiceUnavailable, message: true}}, nil, nil, time.Time{})
 			}(conn)
 			continue
 		}
@@ -110,83 +111,27 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// exchange is one client request's telemetry as handle's phases fill it
-// in: the outcome Observe records, plus what the decision audit needs.
-type exchange struct {
-	o        nodeobs.Outcome
-	dec      core.Decision
-	tFulfill time.Time // phase 4's start; zero when the request never got there
-}
-
-// handle runs the four-phase lifecycle for one parsed request. t0 is the
-// moment the request's first byte arrived (phase 1, preprocess, is the
-// parse the serve loop already ran). Every client request leaves through
-// the one Observe at the bottom: lifecycle fills in the outcome, the
-// epilogue stamps its timing and audits the decision.
-func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
-	var x exchange
-	x.o.Path, x.o.Target = req.Path, -1
-	if !s.lifecycle(rc, req, t0, &x) {
-		return
-	}
-	done := time.Now()
-	s.stamp(rc, &x.o, t0, done)
-	if x.o.Policy != "" {
-		s.auditDecision(&x, done)
-	}
-	s.obs.Observe(x.o)
-}
-
-// auditDecision records a scheduled request's decision next to what the
-// node then measured: a 302 that left (fulfilled by its target), or
-// service here, whose clean completion also scores the broker's
-// prediction — an error path measures the failure handling, not t_s. A 302
-// that never reached the client placed nothing and is not audited.
-func (s *Server) auditDecision(x *exchange, done time.Time) {
-	o := &x.o
-	a := DecisionAudit{
-		AtSeconds:        o.AtSeconds,
-		Path:             o.Path,
-		Policy:           o.Policy,
-		Target:           o.Target,
-		PredictedSeconds: x.dec.Predicted(),
-		ActualSeconds:    -1, // a redirect is fulfilled by the target node
-		ParseSeconds:     o.ParseSeconds,
-		AnalyzeSeconds:   o.AnalyzeSeconds,
-	}
-	switch {
-	case o.Status == httpmsg.StatusMovedTemporarily:
-		a.Redirected = true
-	case x.tFulfill.IsZero():
-		return
-	default:
-		a.ActualSeconds = o.TotalSeconds
-		a.FulfillSeconds = done.Sub(x.tFulfill).Seconds()
-	}
-	s.audit.add(a, x.dec.Candidates)
-	if o.Succeeded() {
-		s.obs.Prediction(x.dec, a.ParseSeconds+a.AnalyzeSeconds, a.FulfillSeconds, a.ActualSeconds)
-	}
-}
-
-// lifecycle answers the request, timing each phase and emitting the same
-// trace events the simulator does while filling x. The decisions are the
-// spine's (core.Analyze, Facts.Fetch); this is their socket executor. It
-// reports false for an internal fetch, which stays invisible to trace and
-// the lifecycle telemetry: it is the tail of another node's fetch-nfs
-// span, not a request of its own.
-func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *exchange) bool {
+// handle runs the four-phase lifecycle for one parsed request, filling in
+// o, its outcome, for the accounting step. t0 is the moment the request's
+// first byte arrived (phase 1, preprocess, is the parse the serve loop
+// already ran). It times each phase and emits the same trace events the
+// simulator does; the decisions are the spine's (core.Analyze,
+// Facts.Fetch), and this is their socket executor. It reports false for
+// an internal fetch, which stays invisible to trace and the lifecycle
+// telemetry: it is the tail of another node's fetch-nfs span, not a
+// request of its own.
+func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time, o *nodeobs.Outcome) bool {
 	tParsed := time.Now()
-	o := &x.o
 	if req.Header.Get(internalHeader) != "" {
 		s.serveInternal(rc, req)
 		return false
 	}
+	o.Path, o.Target = req.Path, -1
 	// Introspection is answered right where it arrived, like internal
 	// fetches: rescheduling /sweb/status would report the wrong node.
 	if !s.cfg.DisableIntrospection && strings.HasPrefix(req.Path, introspectPrefix) {
 		s.introspect.Add(1)
-		o.Status = s.serveIntrospection(rc, req)
+		s.serveIntrospection(rc, req)
 		return true
 	}
 
@@ -228,11 +173,9 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 		if s.answer404(rc, "not_found") {
 			s.obs.Step(tid, s.nowSec(), trace.EvSent, "", 0, nodeobs.Int("status", httpmsg.StatusNotFound))
 		}
-		o.Status = rc.status()
 		return true
 	}
-	x.dec = plan.Decision
-	o.Policy, o.Target, o.Estimate = s.cfg.Policy.Name(), plan.Target, plan.Decision.Estimate
+	o.Policy, o.Target, o.Decision = s.cfg.Policy.Name(), plan.Target, plan.Decision
 	if plan.Action == core.Redirect {
 		// Phase 3: redirect via a 302 with the bumped URL, preserving the
 		// client's own query parameters and threading the trace context
@@ -255,7 +198,7 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 		s.obs.Redirect(plan.Target)
 		s.obs.Step(tid, s.sinceEpoch(tSent), trace.EvRedirected, "redirect", tSent.Sub(tAnalyzed).Seconds(),
 			nodeobs.Int("to", plan.Target))
-		o.Status, o.Redirected = httpmsg.StatusMovedTemporarily, true
+		o.Redirected = true
 		return true
 	}
 
@@ -267,7 +210,6 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 	// miss reads the disk or fetches from a peer and fills the cache on the
 	// way out.
 	tFulfill := time.Now()
-	x.tFulfill = tFulfill
 	var hot cache.Entry
 	cacheHit := false
 	if !f.CGI && s.cache != nil {
@@ -301,10 +243,10 @@ func (s *Server) lifecycle(rc *reqConn, req *httpmsg.Request, t0 time.Time, x *e
 		done = ""
 	}
 	tDone := time.Now()
-	s.obs.Step(tid, s.sinceEpoch(tDone), done, cell, tDone.Sub(tFulfill).Seconds(), nodeobs.Int("status", status))
+	o.FulfillSeconds = tDone.Sub(tFulfill).Seconds()
+	s.obs.Step(tid, s.sinceEpoch(tDone), done, cell, o.FulfillSeconds, nodeobs.Int("status", status))
 	// Heat counts fulfilled serves only — the same event the simulator's
 	// complete() observes, so both substrates fill identical sketches.
-	o.Status = status
 	o.Fulfil(fetch, f.Owner, len(f.ReplicaSet()), s.cache != nil)
 	return true
 }
@@ -519,7 +461,7 @@ func (s *Server) localPath(urlPath string) string {
 // the hot-file cache with singleflight fill — one disk read per document
 // no matter how many handlers want it at once. The owner side of an
 // internal fetch comes here only for a document that fits the write
-// buffer; a larger one streams from the page cache instead (lifecycle),
+// buffer; a larger one streams from the page cache instead (serveInternal),
 // which is where the simulator's NFS server answers from and what its
 // owner-side Insert stands for. The cache lookup here is quiet (no
 // hit/miss accounting): the client-facing counted lookup already ran in

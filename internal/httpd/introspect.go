@@ -59,9 +59,9 @@ type CacheStatus struct {
 }
 
 // StatusReport is the /sweb/status payload: one node's counters, its view
-// of every peer's health, the recent scheduling decisions with their
-// measured outcomes, the gossip time-series behind those decisions, and
-// the config shaping them.
+// of every peer's health, the gossip time-series behind its scheduling
+// decisions, and the config shaping them. The decisions themselves, with
+// their cost tables and measured outcomes, are in /sweb/flight.
 type StatusReport struct {
 	Node          int                 `json:"node"`
 	Addr          string              `json:"addr"`
@@ -73,7 +73,6 @@ type StatusReport struct {
 	Trace         TraceStatus         `json:"trace"`
 	Peers         []loadd.PeerHealth  `json:"peers"`
 	Gossip        []loadd.PeerHistory `json:"gossip,omitempty"`
-	Decisions     []DecisionAudit     `json:"decisions"`
 	Config        StatusConfig        `json:"config"`
 }
 
@@ -115,9 +114,8 @@ func (s *Server) StatusReport() StatusReport {
 			Dropped:   s.cfg.Trace.Dropped(),
 			EpochUnix: float64(s.epoch.UnixNano()) / 1e9,
 		},
-		Peers:     s.table.Health(s.nowSec()),
-		Gossip:    s.table.HistorySnapshot(),
-		Decisions: s.audit.snapshot(),
+		Peers:  s.table.Health(s.nowSec()),
+		Gossip: s.table.HistorySnapshot(),
 		Config: StatusConfig{
 			Policy:              s.cfg.Policy.Name(),
 			MaxConcurrent:       s.cfg.MaxConcurrent,
@@ -175,12 +173,10 @@ func (s *Server) TraceDump() TraceDump {
 	}
 }
 
-// serveIntrospection answers an introspection request on the main listener
-// and returns the status written.
-func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
+// serveIntrospection answers an introspection request on the main listener.
+func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) {
 	code, ctype, body := s.introspection(req)
 	rc.reply(httpmsg.ResponseHead{Code: code, ContentType: ctype}, body)
-	return rc.status()
 }
 
 // introspection builds the answer to one /sweb/ endpoint: its status,

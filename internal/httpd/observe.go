@@ -4,9 +4,7 @@ import (
 	"math"
 	"runtime"
 	"strconv"
-	"sync"
 
-	"sweb/internal/core"
 	"sweb/internal/flight"
 	"sweb/internal/heat"
 	"sweb/internal/metrics"
@@ -112,112 +110,6 @@ func (s *Server) gossipInterval(peer int, seconds float64) {
 func (s *Server) gossipDrift(facet string, delta float64) {
 	s.obs.Registry().Histogram(mGossipDrift, "|load now - load last advertised| at broadcast time, by facet",
 		metrics.Labels{"facet": facet}, gossipDriftBuckets).Observe(math.Abs(delta))
-}
-
-// AuditCandidate is one row of a recorded decision's cost table — a
-// core.CostBreakdown with its +Inf sentinel replaced by -1 so the audit
-// survives encoding/json (which rejects infinities).
-type AuditCandidate struct {
-	Node            int     `json:"node"`
-	SourceNode      int     `json:"source_node"` // replica the data term priced
-	RedirectSeconds float64 `json:"redirect_seconds"`
-	DataSeconds     float64 `json:"data_seconds"`
-	CPUSeconds      float64 `json:"cpu_seconds"`
-	NetSeconds      float64 `json:"net_seconds"`
-	TotalSeconds    float64 `json:"total_seconds"` // -1 when infeasible
-	Infeasible      bool    `json:"infeasible"`
-}
-
-// DecisionAudit records one scheduling decision next to the timings the
-// node then measured — the per-request audit trail behind /sweb/status.
-// ActualSeconds is -1 for redirected requests (fulfilled elsewhere).
-type DecisionAudit struct {
-	Seq              int64            `json:"seq"`
-	AtSeconds        float64          `json:"at_seconds"`
-	Path             string           `json:"path"`
-	Policy           string           `json:"policy"`
-	Target           int              `json:"target"`
-	Redirected       bool             `json:"redirected"`
-	PredictedSeconds float64          `json:"predicted_seconds"` // -1 without a finite estimate
-	ActualSeconds    float64          `json:"actual_seconds"`
-	ParseSeconds     float64          `json:"parse_seconds"`
-	AnalyzeSeconds   float64          `json:"analyze_seconds"`
-	FulfillSeconds   float64          `json:"fulfill_seconds"`
-	Candidates       []AuditCandidate `json:"candidates,omitempty"`
-}
-
-func sanitizeSeconds(v float64) float64 {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return -1
-	}
-	return v
-}
-
-// appendCandidates appends the sanitized cost table to dst.
-func appendCandidates(dst []AuditCandidate, cands []core.CostBreakdown) []AuditCandidate {
-	for _, cb := range cands {
-		dst = append(dst, AuditCandidate{
-			Node:            cb.Node,
-			SourceNode:      cb.Source,
-			RedirectSeconds: sanitizeSeconds(cb.Redirect),
-			DataSeconds:     sanitizeSeconds(cb.Data),
-			CPUSeconds:      sanitizeSeconds(cb.CPU),
-			NetSeconds:      sanitizeSeconds(cb.Net),
-			TotalSeconds:    sanitizeSeconds(cb.Total),
-			Infeasible:      cb.Infeasible,
-		})
-	}
-	return dst
-}
-
-// auditCap bounds the decision audit: enough recent decisions to diagnose
-// a placement anomaly without letting a long run grow the status payload.
-const auditCap = 128
-
-// auditLog is a fixed-size ring of the most recent decisions. Each slot
-// owns its candidate table: add rewrites the slot's table in place, so a
-// steady request stream allocates nothing here, and snapshot copies the
-// tables out.
-type auditLog struct {
-	mu   sync.Mutex
-	seq  int64
-	ring []DecisionAudit
-	next int
-	full bool
-}
-
-func newAuditLog(n int) *auditLog {
-	return &auditLog{ring: make([]DecisionAudit, n)}
-}
-
-// add records d with the decision's cost table (d.Candidates is ignored).
-func (a *auditLog) add(d DecisionAudit, cands []core.CostBreakdown) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.seq++
-	d.Seq = a.seq
-	d.Candidates = appendCandidates(a.ring[a.next].Candidates[:0], cands)
-	a.ring[a.next] = d
-	a.next++
-	if a.next == len(a.ring) {
-		a.next = 0
-		a.full = true
-	}
-}
-
-// snapshot returns the retained decisions, oldest first.
-func (a *auditLog) snapshot() []DecisionAudit {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []DecisionAudit
-	if a.full {
-		out = append(out, a.ring[a.next:]...)
-	}
-	out = append(out, a.ring[:a.next]...)
-	for i := range out {
-		out[i].Candidates = append([]AuditCandidate(nil), out[i].Candidates...)
-	}
-	return out
 }
 
 // drop counts one dropped/degraded request both in the per-cause Stats

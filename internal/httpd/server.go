@@ -322,7 +322,6 @@ type Server struct {
 	// sketch); kaServed is its one live-only request-path histogram.
 	obs      *nodeobs.Observer
 	kaServed *metrics.Histogram
-	audit    *auditLog
 
 	// lastAdvertised is the previous broadcast's sample, for the
 	// advertised-vs-now drift histograms. Touched only by the broadcast
@@ -375,7 +374,6 @@ func New(cfg Config) (*Server, error) {
 		closed:     make(chan struct{}),
 		draining:   make(chan struct{}),
 		dropCounts: make(map[string]int64),
-		audit:      newAuditLog(auditCap),
 		conns:      make(map[net.Conn]*connInfo),
 		ups:        newUpstreamPool(0),
 		// Odd, so never zero: zero is the "unknown" incarnation.

@@ -310,13 +310,13 @@ func (ob *Observer) RebalanceAction(action string) { ob.rebalance.With(action).I
 
 // Outcome is one finished request as the node that answered it saw it:
 // its flight record, filled in the substrate's own units (Seq, Node and
-// Notable are the recorder's to set, PredictedSeconds is derived from
-// Estimate), plus what the other sinks need.
+// Notable are the recorder's to set; PredictedSeconds and Candidates come
+// from Decision, and FulfillSeconds counts only when Fulfilled), plus what
+// the other sinks need.
 type Outcome struct {
 	flight.Record
-	// Estimate is the broker's t_s estimate; what core.Decision.Predicted
-	// does not call a prediction records as -1.
-	Estimate   float64
+	// Decision is the broker's decision; zero when no policy ran.
+	Decision   core.Decision
 	DoneMicros int64 // completion instant, the exemplars' timestamp
 
 	// Fulfilled marks a request that reached fulfillment on this node;
@@ -382,14 +382,18 @@ func (o *Outcome) Succeeded() bool {
 	return o.Fulfilled && (o.Status == 200 || o.Status == 304)
 }
 
-// Observe records one finished request: its flight record and, for a
-// success, the response and TTFB histograms (the trace id rides along as
-// the bucket's exemplar, pivoting an SLO breach to this record) and the
-// heat sketch, whose slots also serve the per-path counters and the
-// replica-set gauge the monitor's hot_doc rule divides a path's share by.
+// Observe records one finished request: its flight record, with the
+// decision's prediction and cost table, and, for a success, the response
+// and TTFB histograms (the trace id rides along as the bucket's exemplar,
+// pivoting an SLO breach to this record) and the heat sketch, whose slots
+// also serve the per-path counters and the replica-set gauge the monitor's
+// hot_doc rule divides a path's share by.
 func (ob *Observer) Observe(o Outcome) {
 	rec := o.Record
-	rec.Node, rec.PredictedSeconds = ob.node, core.Decision{Estimate: o.Estimate}.Predicted()
+	rec.Node, rec.PredictedSeconds, rec.Candidates = ob.node, o.Decision.Predicted(), o.Decision.Candidates
+	if !o.Fulfilled {
+		rec.FulfillSeconds = -1
+	}
 	ob.flight.Add(rec)
 	if !o.Succeeded() {
 		return

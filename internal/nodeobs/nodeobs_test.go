@@ -75,10 +75,11 @@ func TestObserve(t *testing.T) {
 	}
 	record := flight.Record{AtSeconds: 1, ConnID: 7, Path: "/a", Status: 200, Bytes: 1024,
 		Policy: "SWEB", Target: 3, ParseSeconds: 0.125, AnalyzeSeconds: 0.0625,
-		TTFBSeconds: 0.25, TotalSeconds: 0.5}
-	served := Outcome{Record: record, Estimate: 0.75, DoneMicros: 1_500_000,
-		Fulfilled: true, Owner: 3, Miss: true, Replicas: 1}
-	record.Seq, record.Node, record.PredictedSeconds = 1, 3, 0.75
+		FulfillSeconds: 0.25, TTFBSeconds: 0.25, TotalSeconds: 0.5}
+	rows := []core.CostBreakdown{{Node: 3, CPU: 0.25, Data: 0.5, Total: 0.75}}
+	served := Outcome{Record: record, Decision: core.Decision{Target: 3, Estimate: 0.75, Candidates: rows},
+		DoneMicros: 1_500_000, Fulfilled: true, Owner: 3, Miss: true, Replicas: 1}
+	record.Seq, record.Node, record.PredictedSeconds, record.Candidates = 1, 3, 0.75, rows
 	entry := heat.Entry{Path: "/a", Owner: 3, Count: 1, Bytes: 1024, Misses: 1, LatencySum: 0.5}
 
 	for _, tc := range []struct {
@@ -119,25 +120,27 @@ func TestObserve(t *testing.T) {
 			edit: func(o *Outcome) {
 				*o = Outcome{Record: flight.Record{AtSeconds: 1, ConnID: 7, Path: "/a",
 					Status: 404, Bytes: 200, Target: -1, ParseSeconds: 0.125,
-					TTFBSeconds: 0.25, TotalSeconds: 0.5}, Estimate: math.Inf(1)}
+					TTFBSeconds: 0.25, TotalSeconds: 0.5}, Decision: core.Decision{Estimate: math.Inf(1)}}
 			},
 			record: func(r *flight.Record) {
 				*r = flight.Record{Seq: 1, AtSeconds: 1, Node: 3, ConnID: 7, Path: "/a",
 					Status: 404, Bytes: 200, Target: -1, PredictedSeconds: -1,
-					ParseSeconds: 0.125, TTFBSeconds: 0.25, TotalSeconds: 0.5,
+					ParseSeconds: 0.125, FulfillSeconds: -1, TTFBSeconds: 0.25, TotalSeconds: 0.5,
 					Notable: flight.NotableError}
 			},
 			delta: map[string]float64{FlightRecords: 1, FlightNotable: 1},
 		},
 		{
-			// File locality predicts nothing: Estimate 0 is no prediction.
+			// File locality predicts nothing: Estimate 0 is no prediction,
+			// and a 302 never reaches fulfillment.
 			name: "302",
 			edit: func(o *Outcome) {
-				o.Status, o.Bytes, o.Redirected, o.Target, o.Estimate = 302, 300, true, 1, 0
-				o.Fulfilled = false
+				o.Status, o.Bytes, o.Redirected, o.Target = 302, 300, true, 1
+				o.Decision, o.Fulfilled, o.FulfillSeconds = core.Decision{Target: 1}, false, 0.5
 			},
 			record: func(r *flight.Record) {
 				r.Status, r.Bytes, r.Redirected, r.Target, r.PredictedSeconds = 302, 300, true, 1, -1
+				r.Candidates, r.FulfillSeconds = nil, -1
 			},
 			delta: map[string]float64{FlightRecords: 1},
 		},
@@ -152,10 +155,11 @@ func TestObserve(t *testing.T) {
 		{
 			name: "sim timeout",
 			edit: func(o *Outcome) {
-				o.Status, o.Estimate, o.TTFBSeconds, o.TotalSeconds = 0, math.NaN(), 1, 130
+				o.Status, o.Decision, o.TTFBSeconds, o.TotalSeconds = 0, core.Decision{Estimate: math.NaN()}, 1, 130
 			},
 			record: func(r *flight.Record) {
 				r.Status, r.PredictedSeconds, r.TTFBSeconds, r.TotalSeconds = 0, -1, 1, 130
+				r.Candidates = nil
 				r.Notable = flight.NotableError
 			},
 			delta: map[string]float64{FlightRecords: 1, FlightNotable: 1},
@@ -174,7 +178,7 @@ func TestObserve(t *testing.T) {
 			ob.Observe(o)
 
 			d := ob.FlightDump()
-			if len(d.Records) != 1 || d.Records[0] != want {
+			if len(d.Records) != 1 || !reflect.DeepEqual(d.Records[0], want) {
 				t.Errorf("flight records = %+v, want [%+v]", d.Records, want)
 			}
 			if got := delta(before, exposition(t, ob)); !reflect.DeepEqual(got, tc.delta) {

@@ -46,8 +46,9 @@ func newObserver(c *Cluster, x int) *nodeobs.Observer {
 
 // observe records how rs ended at node: status and bytes as the client saw
 // them. served marks requests that reached fulfillment: those carry the
-// policy name and the serving node as the decision target, while refusals
-// and drops record no placement (Target -1). A timeout is status 0 — the
+// policy name, the serving node as the decision target, the decision the
+// node served it under and the fulfillment's seconds, while refusals and
+// drops record no placement (Target -1). A timeout is status 0 — the
 // client gave up before the response was usable — exactly as a live node's
 // failed response write is.
 func (c *Cluster) observe(rs *request, node, status int, bytes int64, served bool) {
@@ -67,9 +68,9 @@ func (c *Cluster) observe(rs *request, node, status int, bytes int64, served boo
 		TotalSeconds:   (now - rs.issued).ToSeconds(),
 	}, DoneMicros: int64(now.ToSeconds() * 1e6)}
 	if served {
-		o.Policy, o.Target = c.policy.Name(), node
+		o.Policy, o.Target, o.FulfillSeconds = c.policy.Name(), node, rs.ph.Transfer
 		if rs.plan.Action == core.Serve {
-			o.Estimate = rs.plan.Decision.Estimate
+			o.Decision = rs.plan.Decision
 		}
 		o.Fulfil(rs.fetch, rs.Owner, len(rs.ReplicaSet()), true)
 	}

@@ -1,8 +1,6 @@
 package simsrv
 
 import (
-	"math"
-
 	"sweb/internal/core"
 	"sweb/internal/des"
 	"sweb/internal/model"
@@ -246,10 +244,8 @@ func (c *Cluster) decide(rs *request, x int) {
 	}
 	loads := c.loadsAt(x)
 	if c.cfg.Dispatcher && x == 0 && rs.Redirects == 0 && rs.Found && !rs.CGI {
-		// The distributor places without predicting: a NaN estimate
-		// records none.
-		rs.plan = core.Plan{Action: core.Redirect, Target: c.dispatcherChoose(rs.Request(x), loads),
-			Decision: core.Decision{Estimate: math.NaN()}}
+		// The distributor places without predicting: its decision is zero.
+		rs.plan = core.Plan{Action: core.Redirect, Target: c.dispatcherChoose(rs.Request(x), loads)}
 		if rs.plan.Target == x {
 			rs.plan.Action = core.Serve
 		}

@@ -439,3 +439,52 @@ func TestRoundRobinRecordsNoPrediction(t *testing.T) {
 		t.Fatal("no served flight records")
 	}
 }
+
+// TestFlightRecordsCarryDecisions: on a seeded three-node Meiko burst under
+// SWEB, every request served whole where the broker placed it on arrival
+// carries the decision's cost table, one row per node, whose own row
+// prices exactly the prediction recorded, and every served record has a
+// fulfillment time. A request that arrived by 302 was placed by the node
+// that sent it.
+func TestFlightRecordsCarryDecisions(t *testing.T) {
+	st := storage.NewStore(3)
+	storage.NonUniformSet(st, 24, 1<<10, 1536<<10, rand.New(rand.NewSource(3)))
+	cfg := MeikoConfig(3, st)
+	cfg.Policy, cfg.Seed = PolicySWEB, 3
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := workload.Burst{RPS: 16, DurationSeconds: 5, Jitter: true}
+	arr, err := burst.Generate(workload.UniformPicker(st.Paths()), nil, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.RunSchedule(arr)
+	scheduled, redirected := 0, 0
+	for x := 0; x < cl.Nodes(); x++ {
+		for _, r := range cl.FlightDump(x).Records {
+			if r.Status != 200 || r.Policy == "" {
+				continue
+			}
+			if r.FulfillSeconds < 0 {
+				t.Errorf("node %d: served %s without a fulfillment time: %+v", x, r.Path, r)
+			}
+			if r.Redirected {
+				redirected++
+				continue
+			}
+			scheduled++
+			if len(r.Candidates) != cl.Nodes() {
+				t.Errorf("node %d: %s carries %d cost rows, want %d", x, r.Path, len(r.Candidates), cl.Nodes())
+				continue
+			}
+			if own := r.Candidates[x]; own.Node != x || own.Total != r.PredictedSeconds {
+				t.Errorf("node %d: %s own row %+v, predicted %v", x, r.Path, own, r.PredictedSeconds)
+			}
+		}
+	}
+	if scheduled == 0 || redirected == 0 {
+		t.Fatalf("the burst served %d requests where they arrived and %d by 302; it needs both", scheduled, redirected)
+	}
+}
