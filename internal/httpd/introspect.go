@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"time"
 
-	"sweb/internal/heat"
 	"sweb/internal/httpmsg"
 	"sweb/internal/loadd"
 	"sweb/internal/metrics"
@@ -69,7 +68,6 @@ type StatusReport struct {
 	UptimeSeconds float64             `json:"uptime_seconds"`
 	Stats         Stats               `json:"stats"`
 	Cache         CacheStatus         `json:"cache"`
-	Heat          heat.Dump           `json:"heat"`
 	Trace         TraceStatus         `json:"trace"`
 	Peers         []loadd.PeerHealth  `json:"peers"`
 	Gossip        []loadd.PeerHistory `json:"gossip,omitempty"`
@@ -107,7 +105,6 @@ func (s *Server) StatusReport() StatusReport {
 		UptimeSeconds: time.Since(s.epoch).Seconds(),
 		Stats:         s.Stats(),
 		Cache:         s.cacheStatus(),
-		Heat:          s.HeatDump(),
 		Trace: TraceStatus{
 			Enabled:   s.cfg.Trace.Enabled(),
 			Events:    s.cfg.Trace.Len(),

@@ -83,6 +83,17 @@ func TestStatusEndpoint(t *testing.T) {
 	if rep.Stats.Served < 1 || rep.Stats.Accepted < 1 {
 		t.Fatalf("stats = %+v", rep.Stats)
 	}
+	// Decisions live in /sweb/flight and heat in /sweb/heat: the status
+	// report keeps no second copy of either.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, dup := range []string{"decisions", "heat"} {
+		if _, ok := keys[dup]; ok {
+			t.Errorf("/sweb/status still carries %q", dup)
+		}
+	}
 	// The decision audit is the flight record: the document fetch, served
 	// here, carries its cost table.
 	recs := srv.FlightDump().Records
