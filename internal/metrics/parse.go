@@ -34,7 +34,7 @@ func (s Sample) Key() string {
 // WriteText emits: comment lines, `name value`, `name{labels} value`).
 func ParseText(r io.Reader) ([]Sample, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 256<<10), 256<<10)
+	sc.Buffer(nil, 256<<10) // grows from 4 KiB as long lines need
 	var out []Sample
 	lineNo := 0
 	for sc.Scan() {
