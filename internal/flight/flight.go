@@ -23,6 +23,13 @@ const (
 	DefaultSlowSeconds = 1.0
 )
 
+// TableDepth is how many of a node's most recent records keep their
+// decision's cost table, the depth of the decision audit the live node
+// kept before the flight record carried it. A table for every record of
+// the recent ring would cost a six-node simulated cluster about a fifth
+// more memory.
+const TableDepth = 128
+
 // Notability classes stamped on records routed to the notable ring.
 const (
 	NotableError = "error"
@@ -50,8 +57,9 @@ type Record struct {
 	CacheHit         bool    `json:"cache_hit"`
 	PredictedSeconds float64 `json:"predicted_seconds"` // broker t_s estimate, -1 none
 	// Candidates is the decision's cost table, one row per node, empty
-	// when the policy priced nothing. In a dump every infinite or
-	// undefined figure reads -1.
+	// when the policy priced nothing. A dump carries it for the node's
+	// TableDepth most recent records, with every infinite or undefined
+	// figure as -1.
 	Candidates []core.CostBreakdown `json:"candidates"`
 
 	// Phase timings.
@@ -72,49 +80,45 @@ type Config struct {
 	SlowSeconds float64
 }
 
-// ring is a fixed-size overwrite buffer, oldest-first on snapshot. Each
-// slot owns its cost table, which add rewrites in place, so a steady
-// stream allocates nothing; the first table carves every slot's out of one
-// slab. snapshot copies the tables out.
+// ring is a fixed-size overwrite buffer, oldest-first on snapshot. It
+// grows to its size as records arrive, so a node holds only the records it
+// has had.
 type ring struct {
 	recs []Record
+	size int
 	next int
 	full bool
 }
 
-func newRing(n int) ring { return ring{recs: make([]Record, n)} }
+func newRing(n int) ring { return ring{size: n} }
 
 func (r *ring) add(rec Record) {
-	slot := &r.recs[r.next]
-	if n := len(rec.Candidates); n > 0 && cap(slot.Candidates) == 0 {
-		slab := make([]core.CostBreakdown, n*len(r.recs))
-		for i := range r.recs {
-			r.recs[i].Candidates = slab[i*n : i*n : (i+1)*n]
+	if len(r.recs) < r.size {
+		if len(r.recs) == cap(r.recs) {
+			r.recs = append(make([]Record, 0, min(r.size, max(64, 2*cap(r.recs)))), r.recs...)
 		}
+		r.recs = append(r.recs, rec)
+	} else {
+		r.recs[r.next] = rec
 	}
-	rec.Candidates = append(slot.Candidates[:0], rec.Candidates...)
-	*slot = rec
 	r.next++
-	if r.next == len(r.recs) {
+	if r.next == r.size {
 		r.next = 0
 		r.full = true
 	}
 }
 
 func (r *ring) snapshot() []Record {
-	var out []Record
-	if r.full {
-		out = append(out, r.recs[r.next:]...)
+	if !r.full {
+		return append([]Record(nil), r.recs[:r.next]...)
 	}
-	out = append(out, r.recs[:r.next]...)
-	for i := range out {
-		out[i].Candidates = copyTable(out[i].Candidates)
-	}
-	return out
+	out := make([]Record, 0, len(r.recs))
+	out = append(out, r.recs[r.next:]...)
+	return append(out, r.recs[:r.next]...)
 }
 
-// copyTable copies a slot's cost table out of the ring with every infinite
-// or undefined figure as -1, which JSON can carry.
+// copyTable copies a stored cost table out with every infinite or
+// undefined figure as -1, which JSON can carry.
 func copyTable(rows []core.CostBreakdown) []core.CostBreakdown {
 	if len(rows) == 0 {
 		return nil
@@ -142,6 +146,11 @@ type Recorder struct {
 	notableTotal int64
 	recent       ring
 	notable      ring
+	// tables holds record seq's cost table at seq % TableDepth. Each slot
+	// owns its table and Add rewrites it in place, so a steady stream
+	// allocates nothing; the first table carves every slot's out of one
+	// slab.
+	tables [TableDepth][]core.CostBreakdown
 }
 
 // New builds a Recorder from cfg.
@@ -163,10 +172,10 @@ func New(cfg Config) *Recorder {
 	}
 }
 
-// Add classifies rec, assigns its sequence number, and appends it to the
-// recent ring (and the notable ring when it erred or ran slow), copying its
-// cost table into each slot's own. Nil-safe: a disabled recorder drops the
-// record.
+// Add classifies rec, assigns its sequence number, copies its cost table
+// into the recorder's own, and appends it to the recent ring (and the
+// notable ring when it erred or ran slow). Nil-safe: a disabled recorder
+// drops the record.
 func (r *Recorder) Add(rec Record) {
 	if r == nil {
 		return
@@ -180,6 +189,15 @@ func (r *Recorder) Add(rec Record) {
 	r.mu.Lock()
 	r.seq++
 	rec.Seq = r.seq
+	t := &r.tables[r.seq%TableDepth]
+	if n := len(rec.Candidates); n > 0 && cap(*t) == 0 {
+		slab := make([]core.CostBreakdown, n*TableDepth)
+		for i := range r.tables {
+			r.tables[i] = slab[i*n : i*n : (i+1)*n]
+		}
+	}
+	*t = append((*t)[:0], rec.Candidates...)
+	rec.Candidates = nil
 	r.total++
 	r.recent.add(rec)
 	if rec.Notable != "" {
@@ -235,9 +253,20 @@ func (r *Recorder) Dump() Dump {
 		SlowSeconds:  r.slow,
 		Total:        r.total,
 		NotableTotal: r.notableTotal,
-		Records:      r.recent.snapshot(),
-		Notable:      r.notable.snapshot(),
+		Records:      r.withTables(r.recent.snapshot()),
+		Notable:      r.withTables(r.notable.snapshot()),
 	}
+}
+
+// withTables gives each of recs still within TableDepth of the newest
+// record a copy of its cost table.
+func (r *Recorder) withTables(recs []Record) []Record {
+	for i := range recs {
+		if seq := recs[i].Seq; seq > r.seq-TableDepth {
+			recs[i].Candidates = copyTable(r.tables[seq%TableDepth])
+		}
+	}
+	return recs
 }
 
 // Merge interleaves per-node dumps into one cluster-wide timeline,

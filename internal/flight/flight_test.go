@@ -54,10 +54,11 @@ func TestNotableClassification(t *testing.T) {
 	}
 }
 
-// TestAuditRingWraps: every ring slot owns its cost table and rewrites it
-// in place, so a dump already handed out must not see the decisions that
-// follow it, a steady stream of records with tables allocates nothing, and
-// a dump carries an infeasible node's infinite total as -1.
+// TestAuditRingWraps: the recorder's cost tables are rewritten in place, so
+// a dump already handed out must not see the decisions that follow it, a
+// steady stream of records with tables allocates nothing, and a dump
+// carries an infeasible node's infinite total as -1. Only the TableDepth
+// most recent records keep their table.
 func TestAuditRingWraps(t *testing.T) {
 	r := New(Config{Cap: 4, NotableCap: 4})
 	rec := func(i int) Record {
@@ -71,7 +72,7 @@ func TestAuditRingWraps(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("dump holds %d records, want 4", len(got))
 	}
-	for i := 10; i < 14; i++ {
+	for i := 10; i < 10+TableDepth; i++ {
 		r.Add(rec(i))
 	}
 	for i, d := range got {
@@ -84,6 +85,26 @@ func TestAuditRingWraps(t *testing.T) {
 	steady := rec(0)
 	if n := testing.AllocsPerRun(100, func() { r.Add(steady) }); n != 0 {
 		t.Fatalf("Add with a cost table allocates %v times per record, want 0", n)
+	}
+
+	r = New(Config{Cap: TableDepth + 1})
+	for i := 0; i <= TableDepth; i++ {
+		r.Add(rec(i))
+	}
+	recs := r.Dump().Records
+	if len(recs) != TableDepth+1 || recs[0].Candidates != nil || recs[1].Candidates[0].Node != 1 {
+		t.Fatalf("%d records, oldest table %+v, next %+v; want %d with only the oldest bare",
+			len(recs), recs[0].Candidates, recs[1].Candidates, TableDepth+1)
+	}
+	// The ring, grown to its size as records came, wraps oldest-first.
+	for i := 0; i < TableDepth+5; i++ {
+		r.Add(rec(i))
+	}
+	recs = r.Dump().Records
+	for i, d := range recs {
+		if want := int64(TableDepth + 6 + i); d.Seq != want {
+			t.Fatalf("records[%d].Seq = %d after the wrap, want %d", i, d.Seq, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"sweb/internal/core"
 	"sweb/internal/des"
+	"sweb/internal/flight"
 	"sweb/internal/stats"
 	"sweb/internal/storage"
 	"sweb/internal/workload"
@@ -441,11 +442,12 @@ func TestRoundRobinRecordsNoPrediction(t *testing.T) {
 }
 
 // TestFlightRecordsCarryDecisions: on a seeded three-node Meiko burst under
-// SWEB, every request served whole where the broker placed it on arrival
-// carries the decision's cost table, one row per node, whose own row
-// prices exactly the prediction recorded, and every served record has a
-// fulfillment time. A request that arrived by 302 was placed by the node
-// that sent it.
+// SWEB, short enough that each node's records all keep their table
+// (flight.TableDepth), every request served whole where the broker placed
+// it on arrival carries the decision's cost table, one row per node, whose
+// own row prices exactly the prediction recorded, and every served record
+// has a fulfillment time. A request that arrived by 302 was placed by the
+// node that sent it.
 func TestFlightRecordsCarryDecisions(t *testing.T) {
 	st := storage.NewStore(3)
 	storage.NonUniformSet(st, 24, 1<<10, 1536<<10, rand.New(rand.NewSource(3)))
@@ -463,7 +465,11 @@ func TestFlightRecordsCarryDecisions(t *testing.T) {
 	cl.RunSchedule(arr)
 	scheduled, redirected := 0, 0
 	for x := 0; x < cl.Nodes(); x++ {
-		for _, r := range cl.FlightDump(x).Records {
+		d := cl.FlightDump(x)
+		if d.Total > flight.TableDepth {
+			t.Fatalf("node %d recorded %d requests, more than keep their tables", x, d.Total)
+		}
+		for _, r := range d.Records {
 			if r.Status != 200 || r.Policy == "" {
 				continue
 			}
