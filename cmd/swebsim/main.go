@@ -92,36 +92,9 @@ func main() {
 	}
 
 	o := experiments.Options{Quick: *quick, Seed: *seed}
-	runners := map[string]func(experiments.Options) *stats.Table{
-		"1":        func(o experiments.Options) *stats.Table { _, t := experiments.Table1(o); return t },
-		"2":        func(o experiments.Options) *stats.Table { _, t := experiments.Table2(o); return t },
-		"3":        func(o experiments.Options) *stats.Table { _, t := experiments.Table3(o); return t },
-		"4":        func(o experiments.Options) *stats.Table { _, t := experiments.Table4(o); return t },
-		"5":        func(o experiments.Options) *stats.Table { _, t := experiments.Table5(o); return t },
-		"skew":     func(o experiments.Options) *stats.Table { _, t := experiments.Skewed(o); return t },
-		"overhead": func(o experiments.Options) *stats.Table { _, t := experiments.Overhead(o); return t },
-		"analytic": func(o experiments.Options) *stats.Table { _, t := experiments.Analytic(o); return t },
-		"a1":       func(o experiments.Options) *stats.Table { _, t := experiments.AblationDelta(o); return t },
-		"a2":       func(o experiments.Options) *stats.Table { _, t := experiments.AblationDNSCache(o); return t },
-		"a3":       func(o experiments.Options) *stats.Table { _, t := experiments.AblationFacets(o); return t },
-		"a4":       func(o experiments.Options) *stats.Table { _, t := experiments.AblationPingPong(o); return t },
-		"hetero":   func(o experiments.Options) *stats.Table { _, t := experiments.Heterogeneous(o); return t },
-		"forward":  func(o experiments.Options) *stats.Table { _, t := experiments.Forwarding(o); return t },
-		"central":  func(o experiments.Options) *stats.Table { _, t := experiments.Centralized(o); return t },
-		"spof":     func(o experiments.Options) *stats.Table { _, t := experiments.CentralSPOF(o); return t },
-		"loss":     func(o experiments.Options) *stats.Table { _, t := experiments.GossipLoss(o); return t },
-		"curve":    func(o experiments.Options) *stats.Table { _, t := experiments.ScalabilityCurve(o); return t },
-		"tput":     func(o experiments.Options) *stats.Table { _, t := experiments.Throughput(o); return t },
-		"coop":     func(o experiments.Options) *stats.Table { _, t := experiments.CoopCache(o); return t },
-		"east":     func(o experiments.Options) *stats.Table { _, t := experiments.EastCoast(o); return t },
-	}
-	order := []string{"1", "2", "3", "4", "5", "skew", "overhead", "analytic",
-		"a1", "a2", "a3", "a4", "hetero", "forward", "central", "spof", "loss",
-		"curve", "tput", "coop", "east"}
-
 	which := strings.Split(*table, ",")
 	if *table == "all" {
-		which = order
+		which = tableOrder
 	}
 	if *table == "" {
 		which = nil
@@ -138,14 +111,45 @@ func main() {
 		os.Exit(2)
 	}
 	for _, w := range which {
-		run, ok := runners[w]
+		run, ok := tables[w]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "swebsim: unknown table %q (want one of %s)\n", w, strings.Join(order, ","))
+			fmt.Fprintf(os.Stderr, "swebsim: unknown table %q (want one of %s)\n", w, strings.Join(tableOrder, ","))
 			os.Exit(2)
 		}
 		fmt.Println(render(run(o)))
 	}
 }
+
+// tables maps each -table name to the experiment that renders it.
+var tables = map[string]func(experiments.Options) *stats.Table{
+	"1":        func(o experiments.Options) *stats.Table { _, t := experiments.Table1(o); return t },
+	"2":        func(o experiments.Options) *stats.Table { _, t := experiments.Table2(o); return t },
+	"3":        func(o experiments.Options) *stats.Table { _, t := experiments.Table3(o); return t },
+	"4":        func(o experiments.Options) *stats.Table { _, t := experiments.Table4(o); return t },
+	"5":        func(o experiments.Options) *stats.Table { _, t := experiments.Table5(o); return t },
+	"skew":     func(o experiments.Options) *stats.Table { _, t := experiments.Skewed(o); return t },
+	"overhead": func(o experiments.Options) *stats.Table { _, t := experiments.Overhead(o); return t },
+	"analytic": func(o experiments.Options) *stats.Table { _, t := experiments.Analytic(o); return t },
+	"a1":       func(o experiments.Options) *stats.Table { _, t := experiments.AblationDelta(o); return t },
+	"a2":       func(o experiments.Options) *stats.Table { _, t := experiments.AblationDNSCache(o); return t },
+	"a3":       func(o experiments.Options) *stats.Table { _, t := experiments.AblationFacets(o); return t },
+	"a4":       func(o experiments.Options) *stats.Table { _, t := experiments.AblationPingPong(o); return t },
+	"hetero":   func(o experiments.Options) *stats.Table { _, t := experiments.Heterogeneous(o); return t },
+	"forward":  func(o experiments.Options) *stats.Table { _, t := experiments.Forwarding(o); return t },
+	"central":  func(o experiments.Options) *stats.Table { _, t := experiments.Centralized(o); return t },
+	"spof":     func(o experiments.Options) *stats.Table { _, t := experiments.CentralSPOF(o); return t },
+	"loss":     func(o experiments.Options) *stats.Table { _, t := experiments.GossipLoss(o); return t },
+	"curve":    func(o experiments.Options) *stats.Table { _, t := experiments.ScalabilityCurve(o); return t },
+	"tput":     func(o experiments.Options) *stats.Table { _, t := experiments.Throughput(o); return t },
+	"coop":     func(o experiments.Options) *stats.Table { _, t := experiments.CoopCache(o); return t },
+	"east":     func(o experiments.Options) *stats.Table { _, t := experiments.EastCoast(o); return t },
+}
+
+// tableOrder is the order -table all runs the experiments in, which is the
+// order of EXPERIMENTS.md's appendix.
+var tableOrder = []string{"1", "2", "3", "4", "5", "skew", "overhead", "analytic",
+	"a1", "a2", "a3", "a4", "hetero", "forward", "central", "spof", "loss",
+	"curve", "tput", "coop", "east"}
 
 // demoReplicas is the -replicas setting for the demo runs; applyReplicas
 // folds it into each demo's document set.
