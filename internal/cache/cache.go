@@ -1,32 +1,17 @@
-// Package cache is the live substrate's hot-file memory cache: a
-// byte-capacity-bounded LRU of whole response bodies with singleflight
-// miss coalescing, standing in for the Unix buffer cache the paper credits
-// for SWEB's superlinear multi-node speedup. Its replacement semantics —
-// whole files only, refuse anything larger than the capacity, evict from
-// the LRU tail until the newcomer fits — deliberately mirror
-// internal/model.FileCache byte for byte, so a differential test can drive
-// both caches with one request sequence and demand identical hit, miss,
-// insert, and eviction streams. Unlike the simulator's size-only model,
-// entries here hold real bytes and carry a validator hook: a lookup
-// re-checks the entry against the backing truth (a stat for local files,
-// the manifest size for relayed ones) and treats a stale entry as a miss,
-// so a mutated document is never served from memory.
+// Package cache is the page cache of both substrates. Index is the one
+// replacement policy — a byte-capacity LRU of whole files standing in for
+// the Unix buffer cache the paper credits for SWEB's superlinear
+// multi-node speedup — and the simulator's nodes hold it directly, with no
+// payload. Cache wraps the same Index for the live server: bodies of real
+// bytes, a lock, singleflight miss coalescing and recycled fill buffers.
+// A live lookup also re-checks its entry against the backing truth (a stat
+// for local files, the manifest size for relayed ones) and treats a stale
+// entry as a miss, so a mutated document is never served from memory.
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"time"
-)
-
-// Event kinds emitted to the OnEvent hook; the same vocabulary the
-// simulator's model.FileCache emits, so differential tests compare streams
-// verbatim.
-const (
-	EvHit    = "hit"
-	EvMiss   = "miss"
-	EvInsert = "insert"
-	EvEvict  = "evict"
 )
 
 // Entry is one cached document: the full response body plus the
@@ -88,11 +73,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-type entry struct {
-	Entry
-	size int64
-}
-
 // flight is one in-progress fill; latecomers for the same path wait on
 // done instead of issuing their own backing read.
 type flight struct {
@@ -102,24 +82,15 @@ type flight struct {
 	waiters int // latecomers blocked on done, each owed a pin on ent
 }
 
-// Cache is the hot-file LRU. All methods are safe for concurrent use.
+// Cache is the live hot-file cache: an Index of entries under one lock.
+// All methods are safe for concurrent use.
 type Cache struct {
-	// OnEvent, when non-nil, observes every transition ("hit", "miss",
-	// "insert", "evict" with the affected path) under the cache lock, in
-	// the order they happen — the differential-test tap. Set it before
-	// the cache is shared; keep the callback cheap.
-	OnEvent func(kind, path string)
-
 	mu       sync.Mutex
-	capacity int64
-	used     int64
-	order    *list.List // front = most recently used
-	entries  map[string]*list.Element
+	idx      *Index[Entry]
 	flights  map[string]*flight
 	free     []*buffer // evicted, unpinned buffers awaiting reuse
 	freeSize int64     // sum of cap(data) over free
-
-	hits, misses, evictions, shared int64
+	shared   int64
 }
 
 // New returns an LRU cache holding at most capacity bytes. A zero or
@@ -127,52 +98,26 @@ type Cache struct {
 // lookup misses, every insert is refused) — the -cache-off behaviour with
 // the wiring still in place.
 func New(capacity int64) *Cache {
-	return &Cache{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-		flights:  make(map[string]*flight),
-	}
+	c := &Cache{flights: make(map[string]*flight)}
+	c.idx = NewIndex(capacity, c.dropLocked)
+	return c
 }
 
-// Capacity returns the configured byte capacity.
-func (c *Cache) Capacity() int64 { return c.capacity }
+// Admits reports whether a document of size bytes can go through the
+// cache at all (the Index's refusal rule); a nil cache admits nothing.
+// Anything else streams straight from its source.
+func (c *Cache) Admits(size int64) bool { return c != nil && c.idx.Admits(size) }
 
-func (c *Cache) emit(kind, path string) {
-	if c.OnEvent != nil {
-		c.OnEvent(kind, path)
-	}
-}
-
-// lookupLocked finds path, validates it, and moves it to the MRU position
-// on a valid hit. A stale entry is removed and reported as absent. counted
-// selects whether the hit/miss statistics (and OnEvent) see this lookup:
-// the client-facing serving path counts one lookup per request, exactly as
-// the simulator's Contains does, while internal probes stay quiet like the
-// simulator's Peek.
+// lookupLocked is the Index lookup plus a pin on a hit. counted selects
+// whether the hit and miss counters see it: the client-facing serving path
+// counts one lookup per request, exactly as the simulator does, while
+// internal probes stay quiet like the simulator's Peek.
 func (c *Cache) lookupLocked(path string, check func(Entry) bool, counted bool) (Entry, bool) {
-	el, ok := c.entries[path]
-	if ok && check != nil && !check(el.Value.(*entry).Entry) {
-		c.removeLocked(el)
-		ok = false
-	}
-	if !ok {
-		if counted {
-			c.misses++
-			c.emit(EvMiss, path)
-		}
-		return Entry{}, false
-	}
-	if counted {
-		c.hits++
-		c.emit(EvHit, path)
-	}
-	c.order.MoveToFront(el)
-	ent := el.Value.(*entry).Entry
-	if ent.buf != nil {
+	ent, ok := c.idx.lookup(path, check, counted)
+	if ok && ent.buf != nil {
 		ent.buf.pins++
 	}
-	return ent, true
+	return ent, ok
 }
 
 // Lookup is the counted, validated lookup the serving path runs once per
@@ -188,13 +133,11 @@ func (c *Cache) Lookup(path string, check func(Entry) bool) (Entry, bool) {
 }
 
 // Peek reports whether path is resident without touching statistics, LRU
-// order, or validation — the broker's stat-free cache-residency signal,
-// mirroring model.FileCache.Peek.
+// order, or validation — the broker's stat-free cache-residency signal.
 func (c *Cache) Peek(path string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[path]
-	return ok
+	return c.idx.Peek(path)
 }
 
 // Fetch returns the cached entry for path or, on a miss, fills it with one
@@ -303,13 +246,14 @@ func (c *Cache) recycleLocked(b *buffer) {
 	if b.pins > 0 || b.slots > 0 {
 		return
 	}
-	if k := int64(cap(b.data)); len(c.free) < freeMax && c.freeSize+k <= c.capacity/2 {
+	if k := int64(cap(b.data)); len(c.free) < freeMax && c.freeSize+k <= c.idx.capacity/2 {
 		c.free = append(c.free, b)
 		c.freeSize += k
 	}
 }
 
-// dropLocked takes a cache slot's claim off its entry's buffer.
+// dropLocked takes a cache slot's claim off its entry's buffer; the Index
+// calls it for every entry it lets go of.
 func (c *Cache) dropLocked(ent Entry) {
 	if b := ent.buf; b != nil {
 		b.slots--
@@ -317,9 +261,8 @@ func (c *Cache) dropLocked(ent Entry) {
 	}
 }
 
-// Insert adds an entry, evicting least-recently-used entries to fit,
-// with model.FileCache's exact refusal rules: empty bodies and bodies
-// larger than the whole capacity are not cached at all.
+// Insert adds an entry, evicting least-recently-used entries to fit; the
+// Index refuses empty bodies and bodies larger than the whole capacity.
 func (c *Cache) Insert(ent Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -328,61 +271,15 @@ func (c *Cache) Insert(ent Entry) {
 
 func (c *Cache) insertLocked(ent Entry) {
 	size := int64(len(ent.Body))
-	if size <= 0 || size > c.capacity {
+	if !c.idx.Admits(size) {
 		return
 	}
 	if ent.buf != nil {
-		// The slot's claim, taken before anything below is dropped, so
+		// The slot's claim, taken before the Index drops anything, so
 		// refreshing a path with the buffer it already holds never frees it.
 		ent.buf.slots++
 	}
-	if el, ok := c.entries[ent.Path]; ok {
-		// Refresh in place (a concurrent fill raced a revalidation):
-		// replace the bytes, keep the LRU/accounting behaviour identical
-		// to the model's existing-key Insert — move to front, no event.
-		old := el.Value.(*entry)
-		c.used += size - old.size
-		c.dropLocked(old.Entry)
-		old.Entry, old.size = ent, size
-		c.order.MoveToFront(el)
-		c.evictOverflowLocked()
-		return
-	}
-	for c.used+size > c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions++
-		c.emit(EvEvict, back.Value.(*entry).Path)
-	}
-	el := c.order.PushFront(&entry{Entry: ent, size: size})
-	c.entries[ent.Path] = el
-	c.used += size
-	c.emit(EvInsert, ent.Path)
-}
-
-// evictOverflowLocked trims the tail after an in-place refresh grew an
-// entry past the capacity.
-func (c *Cache) evictOverflowLocked() {
-	for c.used > c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions++
-		c.emit(EvEvict, back.Value.(*entry).Path)
-	}
-}
-
-func (c *Cache) removeLocked(el *list.Element) {
-	ent := el.Value.(*entry)
-	c.order.Remove(el)
-	delete(c.entries, ent.Path)
-	c.used -= ent.size
-	c.dropLocked(ent.Entry)
+	c.idx.Insert(ent.Path, size, ent)
 }
 
 // Invalidate removes path if present (a write-path hook; the read path
@@ -390,37 +287,21 @@ func (c *Cache) removeLocked(el *list.Element) {
 func (c *Cache) Invalidate(path string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[path]; ok {
-		c.removeLocked(el)
-	}
+	c.idx.Invalidate(path)
 }
 
-// Hot returns up to n most-recently-used cached paths, hottest first —
-// the residency digest /sweb/status shows.
+// Hot returns up to n most-recently-used cached paths, hottest first.
 func (c *Cache) Hot(n int) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for el := c.order.Front(); el != nil && len(out) < n; el = el.Next() {
-		out = append(out, el.Value.(*entry).Path)
-	}
-	return out
+	return c.idx.Hot(n)
 }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
-		Hits:               c.hits,
-		Misses:             c.misses,
-		Evictions:          c.evictions,
-		SingleflightShared: c.shared,
-		UsedBytes:          c.used,
-		CapacityBytes:      c.capacity,
-		Files:              c.order.Len(),
-	}
+	st := c.idx.Stats()
+	st.SingleflightShared = c.shared
+	return st
 }

@@ -2,14 +2,11 @@ package cache_test
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"sweb/internal/cache"
-	"sweb/internal/model"
 )
 
 // TestSingleflightStampede aims N concurrent misses for one path at the
@@ -121,9 +118,10 @@ func TestStaleEntryInvalidated(t *testing.T) {
 	}
 }
 
-// TestRefusalRules checks the model-mirrored insert refusals: empty bodies
-// and bodies larger than the capacity are never cached, and a zero-capacity
-// cache stores nothing.
+// TestRefusalRules checks the Index's insert refusals through the live
+// wrapper: empty bodies and bodies larger than the capacity are never
+// cached, a zero-capacity cache stores nothing, and Admits (nil-safe)
+// states the same rule.
 func TestRefusalRules(t *testing.T) {
 	c := cache.New(10)
 	c.Insert(cache.Entry{Path: "/empty"})
@@ -144,79 +142,20 @@ func TestRefusalRules(t *testing.T) {
 	if off.Peek("/x") {
 		t.Fatal("zero-capacity cache stored a fill")
 	}
-}
-
-// TestLRUPropertyAgainstModel is the randomized invariant check: a long
-// random mix of lookups, fills, inserts, and invalidations, applied in
-// lockstep to internal/cache and to the model.FileCache oracle. After
-// every operation the capacity bound must hold and residency, accounting,
-// and LRU order must match the oracle exactly.
-func TestLRUPropertyAgainstModel(t *testing.T) {
-	const capacity = 8 << 10
-	rng := rand.New(rand.NewSource(7))
-	c := cache.New(capacity)
-	oracle := model.NewFileCache(capacity)
-
-	size := func(i int) int64 { return int64(1+(i*13)%30) * 256 }
-	paths := make([]string, 24)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/p%02d", i)
-	}
-
-	for op := 0; op < 5000; op++ {
-		i := rng.Intn(len(paths))
-		p, body := paths[i], make([]byte, size(i))
-		switch rng.Intn(4) {
-		case 0: // counted lookup = Contains (+Touch on hit, as the serving path does)
-			_, hit := c.Lookup(p, nil)
-			if oracle.Contains(p) != hit {
-				t.Fatalf("op %d: Lookup(%s) hit=%v diverges from oracle", op, p, hit)
-			}
-			oracle.Touch(p)
-		case 1: // fill-through
-			if _, err := c.Fetch(p, nil, func() (cache.Entry, error) {
-				return cache.Entry{Path: p, Body: body}, nil
-			}); err != nil {
-				t.Fatalf("op %d: Fetch(%s): %v", op, p, err)
-			}
-			if oracle.Peek(p) {
-				oracle.Touch(p)
-			} else {
-				oracle.Insert(p, size(i))
-			}
-		case 2: // direct insert
-			c.Insert(cache.Entry{Path: p, Body: body})
-			if oracle.Peek(p) {
-				oracle.Touch(p)
-			} else {
-				oracle.Insert(p, size(i))
-			}
-		case 3:
-			c.Invalidate(p)
-			oracle.Invalidate(p)
-		}
-
-		st := c.Stats()
-		if st.UsedBytes > capacity {
-			t.Fatalf("op %d: used %d exceeds capacity %d", op, st.UsedBytes, capacity)
-		}
-		if st.UsedBytes != oracle.Used() || st.Files != oracle.Len() {
-			t.Fatalf("op %d: accounting diverges: used=%d files=%d, oracle used=%d files=%d",
-				op, st.UsedBytes, st.Files, oracle.Used(), oracle.Len())
-		}
-		for _, q := range paths {
-			if c.Peek(q) != oracle.Peek(q) {
-				t.Fatalf("op %d: residency of %s diverges", op, q)
-			}
-		}
-		ch, oh := c.Hot(len(paths)), oracle.Hot(len(paths))
-		if len(ch) != len(oh) {
-			t.Fatalf("op %d: LRU order length diverges: %v vs %v", op, ch, oh)
-		}
-		for k := range ch {
-			if ch[k] != oh[k] {
-				t.Fatalf("op %d: LRU order diverges at %d: %v vs %v", op, k, ch, oh)
-			}
+	for _, a := range []struct {
+		name string
+		c    *cache.Cache
+		size int64
+		want bool
+	}{
+		{"empty", c, 0, false},
+		{"exact fit", c, 10, true},
+		{"over capacity", c, 11, false},
+		{"zero capacity", off, 1, false},
+		{"nil cache", nil, 1, false},
+	} {
+		if got := a.c.Admits(a.size); got != a.want {
+			t.Errorf("%s: Admits(%d) = %v, want %v", a.name, a.size, got, a.want)
 		}
 	}
 }

@@ -39,13 +39,13 @@ func transcriptSize(i int) int64 {
 // rest is public state.
 type pageCache struct {
 	serve func(path string, size int64) bool
-	stats func() (hits, misses, evictions, used int64, files int)
+	stats func() cache.Stats
 	hot   func(n int) []string
 }
 
 // desPageCache drives a simulated node's page cache the way
-// internal/simsrv/request.go does: one counted Contains per request; a
-// hit is touched, a miss is inserted once the read completes.
+// internal/simsrv/request.go does: one counted Lookup per request, which
+// touches a hit; a miss is inserted once the read completes.
 func desPageCache(t *testing.T) pageCache {
 	spec := model.MeikoNodeSpec("transcript")
 	spec.FileCacheBytes = transcriptCapacity
@@ -56,18 +56,14 @@ func desPageCache(t *testing.T) pageCache {
 	c := n.Cache
 	return pageCache{
 		serve: func(path string, size int64) bool {
-			if c.Contains(path) {
-				c.Touch(path)
+			if _, hit := c.Lookup(path, nil); hit {
 				return true
 			}
-			c.Insert(path, size)
+			c.Insert(path, size, struct{}{})
 			return false
 		},
-		stats: func() (int64, int64, int64, int64, int) {
-			h, m := c.Stats()
-			return h, m, c.Evictions(), c.Used(), c.Len()
-		},
-		hot: c.Hot,
+		stats: c.Stats,
+		hot:   c.Hot,
 	}
 }
 
@@ -88,11 +84,8 @@ func livePageCache(t *testing.T) pageCache {
 			}
 			return false
 		},
-		stats: func() (int64, int64, int64, int64, int) {
-			st := c.Stats()
-			return st.Hits, st.Misses, st.Evictions, st.UsedBytes, st.Files
-		},
-		hot: c.Hot,
+		stats: c.Stats,
+		hot:   c.Hot,
 	}
 }
 
@@ -109,9 +102,9 @@ func transcript(pc pageCache) []string {
 		if pc.serve(path, transcriptSize(i)) {
 			outcome = "hit"
 		}
-		hits, misses, evictions, used, files := pc.stats()
+		st := pc.stats()
 		lines = append(lines, fmt.Sprintf("%04d %s %s h=%d m=%d e=%d used=%d files=%d hot=%s",
-			op, path, outcome, hits, misses, evictions, used, files, strings.Join(pc.hot(64), ",")))
+			op, path, outcome, st.Hits, st.Misses, st.Evictions, st.UsedBytes, st.Files, strings.Join(pc.hot(64), ",")))
 	}
 	return lines
 }

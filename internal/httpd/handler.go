@@ -400,13 +400,6 @@ func (s *Server) localCheck(path string) func(cache.Entry) bool {
 	}
 }
 
-// cacheable reports whether the document can go through the hot-file
-// cache; oversized files stream straight from their source, mirroring the
-// model cache's refusal to hold a file bigger than its whole capacity.
-func (s *Server) cacheable(file storage.File) bool {
-	return s.cache != nil && file.Size > 0 && file.Size <= s.cache.Capacity()
-}
-
 // snapshotLoads builds the broker's view, refreshing the self row from
 // live counters. CPULoad counts requests being processed right now, not
 // open connections — a parked keep-alive connection is not load. Only
@@ -467,7 +460,7 @@ func (s *Server) localPath(urlPath string) string {
 // hit/miss accounting): the client-facing counted lookup already ran in
 // handle, and internal fetches mirror the simulator's stat-free Peek.
 func (s *Server) serveLocalFile(rc *reqConn, req *httpmsg.Request, file storage.File) int {
-	if !s.cacheable(file) {
+	if !s.cache.Admits(file.Size) {
 		return s.streamLocalFile(rc, req)
 	}
 	ent, err := s.cache.Fetch(req.Path, s.localCheck(req.Path), func() (cache.Entry, error) {
@@ -606,7 +599,7 @@ func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, f *core.Fact
 	}
 	s.netActive.Add(1)
 	defer s.netActive.Add(-1)
-	if !s.cacheable(file) {
+	if !s.cache.Admits(file.Size) {
 		return s.relayStream(rc, req, sources, file.Size, tctx)
 	}
 	var cw *clientWriter

@@ -1,14 +1,16 @@
 // Package model provides the simulated node hardware that SWEB runs on in
 // the discrete-event substrate: a time-shared CPU with per-activity
-// accounting, a disk channel, a main-memory file cache with a thrashing
-// penalty (the source of the paper's observed superlinear speedup), and the
-// per-node specification types used to describe the Meiko CS-2 and the
+// accounting, a disk channel with a thrashing penalty, the page cache (the
+// source of the paper's observed superlinear speedup; its policy is
+// internal/cache's Index, the one the live server runs), and the per-node
+// specification types used to describe the Meiko CS-2 and the
 // SparcStation NOW testbeds.
 package model
 
 import (
 	"fmt"
 
+	"sweb/internal/cache"
 	"sweb/internal/des"
 )
 
@@ -123,17 +125,17 @@ type Node struct {
 	// interconnect may impose additional shared stages (Ethernet bus).
 	NIC *des.PSResource
 
-	Cache *FileCache
+	// Cache is the node's page cache: residency and LRU order only, since
+	// the simulator moves no bytes.
+	Cache *cache.Index[struct{}]
 
 	cpuByActivity map[Activity]float64 // ops submitted per activity
 	inflightBytes int64                // buffer memory currently pinned by active transfers
 
 	// Counters.
-	DiskReads   int64
-	DiskBytes   int64
-	CacheHits   int64
-	CacheMisses int64
-	SwappedOps  int64 // disk jobs that paid the swap penalty
+	DiskReads  int64
+	DiskBytes  int64
+	SwappedOps int64 // disk jobs that paid the swap penalty
 }
 
 // NewNode builds a node's resources on the given simulator.
@@ -148,7 +150,7 @@ func NewNode(sim *des.Simulator, id int, spec Spec) (*Node, error) {
 		CPU:           des.NewPSResource(sim, spec.Name+"/cpu", spec.CPUOpsPerSec),
 		Disk:          des.NewPSResource(sim, spec.Name+"/disk", spec.DiskBytesPerSec),
 		NIC:           des.NewPSResource(sim, spec.Name+"/nic", spec.NICBytesPerSec),
-		Cache:         NewFileCache(spec.FileCacheBytes),
+		Cache:         cache.NewIndex[struct{}](spec.FileCacheBytes, nil),
 		cpuByActivity: make(map[Activity]float64),
 	}
 	return n, nil
@@ -176,50 +178,23 @@ func (n *Node) Pin(bytes int64) { n.inflightBytes += bytes }
 // Unpin returns memory that Pin reserved.
 func (n *Node) Unpin(bytes int64) { n.inflightBytes -= bytes }
 
-// PinBuffer is Pin with the matching Unpin wrapped in a release function;
-// releasing more than once is a no-op.
-func (n *Node) PinBuffer(bytes int64) (release func()) {
-	n.Pin(bytes)
-	released := false
-	return func() {
-		if released {
-			return
-		}
-		released = true
-		n.Unpin(bytes)
-	}
-}
-
 // MemoryPressure reports whether pinned transfer buffers exceed the RAM not
 // reserved for the page cache, i.e. the node is paging.
 func (n *Node) MemoryPressure() bool {
 	return n.inflightBytes > n.Spec.RAMBytes-n.Spec.FileCacheBytes
 }
 
-// ReadFile submits the disk work to fetch a file, consulting the page cache.
-// A cache hit completes after a memory-copy charge on the CPU instead of the
-// disk. The file is inserted into the cache after a miss (files larger than
-// the cache are never cached). done fires when the bytes are available in
-// memory.
-func (n *Node) ReadFile(path string, size int64, copyOpsPerByte float64, done func()) {
-	if n.Cache.Contains(path) {
-		n.CacheHits++
-		n.Cache.Touch(path)
-		n.CPUWork(ActFulfill, copyOpsPerByte*float64(size), done)
-		return
-	}
-	n.CacheMisses++
-	work := float64(size)
+// ReadDisk is the node's one disk-read charge: it counts a read of bytes
+// and submits work to the disk, inflated by the swap penalty while the
+// node is paging. then runs once the disk has done the work.
+func (n *Node) ReadDisk(work float64, bytes int64, then func()) {
 	if n.MemoryPressure() {
 		work *= n.Spec.SwapPenalty
 		n.SwappedOps++
 	}
 	n.DiskReads++
-	n.DiskBytes += size
-	n.Disk.Submit(work, func() {
-		n.Cache.Insert(path, size)
-		done()
-	})
+	n.DiskBytes += bytes
+	n.Disk.Submit(work, then)
 }
 
 // LoadVector samples the node's instantaneous resource loads, in the units

@@ -95,35 +95,48 @@ func TestPinBufferAndMemoryPressure(t *testing.T) {
 	if n.MemoryPressure() {
 		t.Fatal("fresh node under pressure")
 	}
-	rel1 := n.PinBuffer(free)
+	n.Pin(free)
 	if n.MemoryPressure() {
 		t.Fatal("exactly-full is not pressure")
 	}
-	rel2 := n.PinBuffer(1)
+	n.Pin(1)
 	if !n.MemoryPressure() {
 		t.Fatal("over-full must be pressure")
 	}
-	rel2()
-	rel2() // double release is a no-op
+	n.Unpin(1)
 	if n.MemoryPressure() {
 		t.Fatal("pressure after release")
 	}
-	rel1()
+	n.Unpin(free)
 	if n.MemoryPressure() {
 		t.Fatal("pressure after all released")
 	}
+}
+
+// readFile is the simulator's read of a whole file at n: one counted page
+// cache lookup; a hit costs a memory copy on the CPU, a miss a disk read
+// whose bytes are then cached. done fires when the bytes are in memory.
+func readFile(n *Node, path string, size int64, copyOpsPerByte float64, done func()) {
+	if _, hit := n.Cache.Lookup(path, nil); hit {
+		n.CPUWork(ActFulfill, copyOpsPerByte*float64(size), done)
+		return
+	}
+	n.ReadDisk(float64(size), size, func() {
+		n.Cache.Insert(path, size, struct{}{})
+		done()
+	})
 }
 
 func TestReadFileMissThenHit(t *testing.T) {
 	sim := des.New()
 	n, _ := NewNode(sim, 0, validSpec())
 	var missDone, hitDone des.Time
-	n.ReadFile("/a", 5_000_000, 0.5, func() { missDone = sim.Now() })
+	readFile(n, "/a", 5_000_000, 0.5, func() { missDone = sim.Now() })
 	sim.RunAll()
-	n.ReadFile("/a", 5_000_000, 0.5, func() { hitDone = sim.Now() - missDone })
+	readFile(n, "/a", 5_000_000, 0.5, func() { hitDone = sim.Now() - missDone })
 	sim.RunAll()
-	if n.CacheMisses != 1 || n.CacheHits != 1 {
-		t.Fatalf("hits=%d misses=%d", n.CacheHits, n.CacheMisses)
+	if st := n.Cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("hits=%d misses=%d", st.Hits, st.Misses)
 	}
 	// Miss: 5 MB over 5 MB/s disk = 1s. Hit: CPU copy 2.5e6 ops / 40e6 ≈ 62ms.
 	if got := missDone.ToSeconds(); math.Abs(got-1.0) > 0.01 {
@@ -141,10 +154,10 @@ func TestReadFileSwapPenaltyUnderPressure(t *testing.T) {
 	sim := des.New()
 	spec := validSpec()
 	n, _ := NewNode(sim, 0, spec)
-	release := n.PinBuffer(spec.RAMBytes) // force pressure
-	defer release()
+	n.Pin(spec.RAMBytes) // force pressure
+	defer n.Unpin(spec.RAMBytes)
 	var done des.Time
-	n.ReadFile("/big", 5_000_000, 0.5, func() { done = sim.Now() })
+	n.ReadDisk(5_000_000, 5_000_000, func() { done = sim.Now() })
 	sim.RunAll()
 	want := 1.0 * spec.SwapPenalty
 	if got := done.ToSeconds(); math.Abs(got-want) > 0.01 {
@@ -160,12 +173,12 @@ func TestFilesBiggerThanCacheAreNeverCached(t *testing.T) {
 	spec := validSpec()
 	n, _ := NewNode(sim, 0, spec)
 	big := spec.FileCacheBytes + 1
-	n.ReadFile("/huge", big, 0.5, func() {})
+	readFile(n, "/huge", big, 0.5, func() {})
 	sim.RunAll()
-	n.ReadFile("/huge", big, 0.5, func() {})
+	readFile(n, "/huge", big, 0.5, func() {})
 	sim.RunAll()
-	if n.CacheHits != 0 || n.CacheMisses != 2 {
-		t.Fatalf("hits=%d misses=%d", n.CacheHits, n.CacheMisses)
+	if st := n.Cache.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }
 

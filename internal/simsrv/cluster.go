@@ -356,9 +356,9 @@ func (c *Cluster) finalize() {
 	}
 	var hits, misses int64
 	for _, node := range c.nodes {
-		h, m := node.Cache.Stats()
-		hits += h
-		misses += m
+		st := node.Cache.Stats()
+		hits += st.Hits
+		misses += st.Misses
 	}
 	if hits+misses > 0 {
 		c.res.CacheHitRate = float64(hits) / float64(hits+misses)

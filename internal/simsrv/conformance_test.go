@@ -43,7 +43,7 @@ func TestExecutorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if c.warm {
-			cl.nodes[0].Cache.Insert(c.path, 4096)
+			cl.nodes[0].Cache.Insert(c.path, 4096, struct{}{})
 		}
 		res := cl.RunSchedule([]workload.Arrival{{At: 0, Path: c.path}})
 		if res.Completed != 1 {

@@ -3,7 +3,6 @@ package simsrv
 import (
 	"strconv"
 
-	"sweb/internal/cache"
 	"sweb/internal/core"
 	"sweb/internal/des"
 	"sweb/internal/flight"
@@ -30,11 +29,7 @@ func newObserver(c *Cluster, x int) *nodeobs.Observer {
 		Trace:      c.cfg.Trace,
 		// The DES runs one request at a time, so misses never coalesce and
 		// SingleflightShared stays 0.
-		Cache: func() cache.Stats {
-			h, m := node.Cache.Stats()
-			return cache.Stats{Hits: h, Misses: m, Evictions: node.Cache.Evictions(),
-				UsedBytes: node.Cache.Used(), CapacityBytes: node.Cache.Capacity()}
-		},
+		Cache: node.Cache.Stats,
 	})
 	for peer := range c.cfg.Specs {
 		if peer != x {

@@ -34,12 +34,12 @@ func (c *Cluster) Replicate(path string, dst int, done func(bool)) {
 		return
 	}
 	srcNode, dstNode := c.nodes[src], c.nodes[dst]
-	release := dstNode.PinBuffer(f.Size)
+	dstNode.Pin(f.Size)
 	commit := func() {
-		release()
+		dstNode.Unpin(f.Size)
 		err := c.cfg.Store.AddReplica(path, dst)
 		if err == nil {
-			dstNode.Cache.Insert(f.Path, f.Size)
+			dstNode.Cache.Insert(f.Path, f.Size, struct{}{})
 			c.obs[dst].RebalanceAction("add")
 		}
 		finish(err == nil)

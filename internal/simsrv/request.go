@@ -148,16 +148,16 @@ func (rs *request) step() {
 			// The whole file has now passed through memory; it lands
 			// in the serving node's page cache, and on a remote read
 			// the source's NFS server cached it too.
-			node.Cache.Insert(rs.Path, rs.Size)
+			node.Cache.Insert(rs.Path, rs.Size, struct{}{})
 			if rs.fetch == core.FetchPeer && !rs.srcCached {
-				c.nodes[rs.source].Cache.Insert(rs.Path, rs.Size)
+				c.nodes[rs.source].Cache.Insert(rs.Path, rs.Size, struct{}{})
 			}
 		}
 		node.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(rs.chunk), rs.arm(stPacketized))
 	case stWorkerRead:
 		worker := c.nodes[rs.source]
 		if rs.last && rs.fetch != core.FetchCache {
-			worker.Cache.Insert(rs.Path, rs.Size)
+			worker.Cache.Insert(rs.Path, rs.Size, struct{}{})
 		}
 		worker.CPUWork(model.ActFulfill, rs.Demand.OpsPerByte*float64(rs.chunk), rs.arm(stWorkerSent))
 	case stWorkerSent:
@@ -358,9 +358,8 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 	c.nodes[x].Pin(rs.pin)
 	// The worker reads its own memory or disk: forwarding has no NFS leg.
 	rs.fetch = core.FetchDisk
-	if worker.Cache.Contains(f.Path) {
+	if _, hit := worker.Cache.Lookup(f.Path, nil); hit {
 		rs.fetch = core.FetchCache
-		worker.Cache.Touch(f.Path)
 	}
 	if f.Size == 0 {
 		c.finishServerSide(rs)
@@ -422,17 +421,17 @@ func (c *Cluster) pump(rs *request) {
 	case rs.body == bodyRelay && rs.fetch == core.FetchCache:
 		src.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*chunk, rs.arm(stWorkerRead))
 	case rs.body == bodyRelay:
-		readDisk(src, chunk, rs.chunk, rs.arm(stWorkerRead))
+		src.ReadDisk(chunk, rs.chunk, rs.arm(stWorkerRead))
 	case rs.fetch == core.FetchCache:
 		// Buffer-cache hit: just the memory copy.
 		node.CPUWork(model.ActFulfill, c.cfg.CopyOpsPerByte*chunk, rs.arm(stInMemory))
 	case rs.fetch == core.FetchDisk:
-		readDisk(node, rs.diskPerByte()*chunk, rs.chunk, rs.arm(stInMemory))
+		node.ReadDisk(rs.diskPerByte()*chunk, rs.chunk, rs.arm(stInMemory))
 	case rs.srcCached:
 		// The NFS server answers from its page cache.
 		c.net.InternalTransfer(rs.source, rs.node, rs.chunk, rs.arm(stInMemory))
 	default:
-		readDisk(src, rs.diskPerByte()*chunk, rs.chunk, rs.arm(stFetched))
+		src.ReadDisk(rs.diskPerByte()*chunk, rs.chunk, rs.arm(stFetched))
 	}
 }
 
@@ -460,18 +459,6 @@ func (c *Cluster) send(rs *request) {
 	c.net.ClientTransfer(x, c.cfg.Client, rs.chunk, rs.arm(stSent), delivered)
 }
 
-// readDisk charges one chunk's read to node n's disk — work inflated by
-// the swap penalty under memory pressure — and counts it.
-func readDisk(n *model.Node, work float64, chunk int64, then func()) {
-	if n.MemoryPressure() {
-		work *= n.Spec.SwapPenalty
-		n.SwappedOps++
-	}
-	n.DiskReads++
-	n.DiskBytes += chunk
-	n.Disk.Submit(work, then)
-}
-
 // streamFile starts the chunked read → packetize → write loop for a static
 // file, fetching from the local disk, the page cache, or the owning node
 // over the interconnect.
@@ -482,10 +469,7 @@ func (c *Cluster) streamFile(rs *request, x int) {
 	node.Pin(rs.pin)
 
 	// One cache decision per file: partial files are not cached.
-	cachedHere := node.Cache.Contains(f.Path)
-	if cachedHere {
-		node.Cache.Touch(f.Path)
-	}
+	_, cachedHere := node.Cache.Lookup(f.Path, nil)
 	fetch := rs.Fetch(x, cachedHere)
 	rs.source, rs.srcCached = x, false
 	var source nodeobs.Detail

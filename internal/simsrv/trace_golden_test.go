@@ -117,8 +117,7 @@ func TestSimTraceGolden(t *testing.T) {
 		}
 		cl.RunSchedule(sc.arrivals)
 		for _, n := range cl.nodes {
-			h, _ := n.Cache.Stats()
-			hits += h
+			hits += n.Cache.Stats().Hits
 		}
 		fmt.Fprintf(&out, "== %s\n", sc.name)
 		for _, e := range rec.Events() {
