@@ -16,7 +16,9 @@ import (
 
 // Entry is one cached document: the full response body plus the
 // modification time it was read at (zero when a remote owner sent no
-// Last-Modified).
+// Last-Modified) and, for a document read from a local disk, the
+// NUL-terminated file path its staleness check stats, resolved once at
+// fill time (nil for a relayed document).
 //
 // An entry whose Body came from Alloc also carries a pin on that buffer:
 // Alloc, Lookup and Fetch each hand out one pin per returned entry, and
@@ -27,6 +29,7 @@ type Entry struct {
 	Path    string
 	Body    []byte
 	ModTime time.Time
+	Disk    []byte
 
 	buf *buffer
 }

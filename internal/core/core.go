@@ -414,10 +414,22 @@ func RankSources(req Request, local, target int, loads []NodeLoad) []int {
 // broken in favor of the local node (avoiding a pointless redirection) and
 // then the lowest node id.
 func (s *SWEB) Choose(req Request, local int, loads []NodeLoad) Decision {
+	return s.ChooseInto(req, local, loads, nil)
+}
+
+// ChooseInto is Choose with the decision's cost table written into cands
+// when it has room for one row per node (every row overwritten), into a
+// new table otherwise — a serve loop's per-connection scratch, so placing
+// a request allocates nothing. The table is the caller's until it reuses
+// cands.
+func (s *SWEB) ChooseInto(req Request, local int, loads []NodeLoad, cands []CostBreakdown) Decision {
 	if mustServeLocally(req, s.P) {
 		return Decision{Target: local, Estimate: s.EstimateCost(req, local, local, loads).Total}
 	}
-	d := Decision{Target: local, Estimate: math.Inf(1), Candidates: make([]CostBreakdown, len(loads))}
+	if cap(cands) < len(loads) {
+		cands = make([]CostBreakdown, len(loads))
+	}
+	d := Decision{Target: local, Estimate: math.Inf(1), Candidates: cands[:len(loads)]}
 	best := math.Inf(1)
 	bestNode := local
 	for i := range loads {

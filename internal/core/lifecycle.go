@@ -79,10 +79,22 @@ type Plan struct {
 // other answer is served here. There is no second look at the table: the
 // snapshot already applied the staleness and failure rules.
 func Analyze(p Policy, f *Facts, self int, loads []NodeLoad) Plan {
+	return AnalyzeInto(p, f, self, loads, nil)
+}
+
+// AnalyzeInto is Analyze with cands as the cost-table scratch of a policy
+// that builds one (SWEB.ChooseInto); the plan's Decision.Candidates may
+// then alias cands.
+func AnalyzeInto(p Policy, f *Facts, self int, loads []NodeLoad, cands []CostBreakdown) Plan {
 	if !f.Found && !f.CGI {
 		return Plan{Action: NotFound, Target: self}
 	}
-	d := p.Choose(f.Request(self), self, loads)
+	var d Decision
+	if s, ok := p.(*SWEB); ok {
+		d = s.ChooseInto(f.Request(self), self, loads, cands)
+	} else {
+		d = p.Choose(f.Request(self), self, loads)
+	}
 	t := d.Target
 	if t == self || t < 0 || t >= len(loads) || !loads[t].Available {
 		return Plan{Action: Serve, Target: self, Decision: d}

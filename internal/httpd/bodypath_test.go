@@ -111,7 +111,9 @@ func TestReadOpenFileUsesDescriptor(t *testing.T) {
 	if !ent.ModTime.Equal(oldMod) {
 		t.Fatalf("ModTime = %v, want the opened file's %v", ent.ModTime, oldMod)
 	}
-	if srv.localCheck(doc)(ent) {
+	rc := newReqConn(srv, nil, 0)
+	rc.checked = storage.File{Path: doc}
+	if rc.ownedFresh(ent) {
 		t.Fatal("entry read from the replaced file validates against its replacement")
 	}
 }

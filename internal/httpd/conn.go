@@ -2,15 +2,19 @@ package httpd
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"net"
 	"os"
 	"time"
 
 	"sweb/internal/accesslog"
+	"sweb/internal/cache"
+	"sweb/internal/core"
 	"sweb/internal/flight"
 	"sweb/internal/httpmsg"
 	"sweb/internal/nodeobs"
+	"sweb/internal/storage"
 )
 
 // writeMeter wraps the client socket on the write side and counts the bytes
@@ -53,6 +57,7 @@ type answer struct {
 	length  int64     // the body length its head announced
 	body    int64     // body bytes handed to the connection so far
 	at      time.Time // when its head was encoded: the response's first byte
+	done    time.Time // when it was complete; zero until stamped
 	failed  bool      // a write failed: the connection closes unflushed
 	message bool      // the body is a note (reply), not a document
 	fault   bool      // an error answer (refuse)
@@ -81,6 +86,23 @@ type reqConn struct {
 	// connection. The body paths leave a response's last bytes in it; the
 	// serve loop's flush sends them once the response is accounted for.
 	bw *bufio.Writer
+
+	// now is the connection's latest clock reading: its accept, then each
+	// response's done instant, which the next idle wait is armed from.
+	now time.Time
+	// rdl and wdl are the read and write deadlines armed on the socket,
+	// zero before the first (armRead, armWrite).
+	rdl, wdl time.Time
+	// loads and cands are the broker's scratch, rewritten for each
+	// request: the load snapshot and the decision's cost table. A flight
+	// record copies the table, so nothing kept outlives the request.
+	loads []core.NodeLoad
+	cands []core.CostBreakdown
+	// checked is the document the request in hand validates a cached copy
+	// against; ownedCheck and relayedCheck are its two validators, bound
+	// once per connection (check).
+	checked                  storage.File
+	ownedCheck, relayedCheck func(cache.Entry) bool
 }
 
 // newReqConn wraps an accepted connection: reads are buffered off the raw
@@ -88,17 +110,106 @@ type reqConn struct {
 // long as the connection does.
 func newReqConn(s *Server, c net.Conn, id int64) *reqConn {
 	w := &writeMeter{Conn: c}
-	return &reqConn{s: s, meter: w, id: id, br: bufio.NewReader(c), bw: bufio.NewWriter(w), proto: "HTTP/1.0"}
+	rc := &reqConn{s: s, meter: w, id: id, br: bufio.NewReader(c), bw: bufio.NewWriter(w), proto: "HTTP/1.0"}
+	rc.ownedCheck, rc.relayedCheck = rc.ownedFresh, rc.relayedFresh
+	return rc
 }
+
+// deadlineSlack bounds how much later than its span a deadline may fire:
+// one span/deadlineSlack. Within that slack an armed deadline stands, so a
+// keep-alive stream re-arms a socket deadline once per span/8 of wall
+// time, not once per request.
+const deadlineSlack = 8
+
+// rearm decides whether the deadline *armed must move for a wait of span
+// from now: it stands while it fires no earlier than now+span and no
+// later than 9/8 of span after now; otherwise it becomes now+9/8·span and
+// rearm reports true. A deadline armed later than the window, say for a
+// longer wait that ended early, is pulled in the same way.
+func rearm(armed *time.Time, now time.Time, span time.Duration) bool {
+	lo := now.Add(span)
+	hi := lo.Add(span / deadlineSlack)
+	if armed.Before(lo) || armed.After(hi) {
+		*armed = hi
+		return true
+	}
+	return false
+}
+
+// armRead bounds the next read wait to span from now (rearm).
+func (rc *reqConn) armRead(now time.Time, span time.Duration) {
+	if rearm(&rc.rdl, now, span) {
+		_ = rc.meter.SetReadDeadline(rc.rdl)
+	}
+}
+
+// armWrite bounds the response's writes to span from now (rearm).
+func (rc *reqConn) armWrite(now time.Time, span time.Duration) {
+	if rearm(&rc.wdl, now, span) {
+		_ = rc.meter.SetWriteDeadline(rc.wdl)
+	}
+}
+
+// headBuffered reports whether br already holds the whole head of the
+// next request and that request reads no body: the blank line ending the
+// head is buffered, and no "POST" precedes it. Parsing such a request
+// never waits on the socket, so it needs no read deadline of its own.
+func headBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	end := bytes.Index(b, []byte("\n\r\n"))
+	if i := bytes.Index(b, []byte("\n\n")); i >= 0 && (end < 0 || i < end) {
+		end = i
+	}
+	return end >= 0 && !bytes.Contains(b[:end], []byte("POST"))
+}
+
+// check returns the staleness validator for a cached copy of file: a file
+// this node holds revalidates against the docroot (ownedFresh), a relayed
+// foreign file against the manifest size (relayedFresh) — the strongest
+// truth each side has. A failed check invalidates the entry atomically,
+// so the cache never serves bytes older than what the validator can see.
+func (rc *reqConn) check(file storage.File) func(cache.Entry) bool {
+	rc.checked = file
+	if file.HasReplica(rc.s.cfg.ID) {
+		return rc.ownedCheck
+	}
+	return rc.relayedCheck
+}
+
+// ownedFresh validates a cached entry against the docroot file it came
+// from: size and mtime must still match a stat of the path. It runs under
+// the cache lock — cheap, and it makes validate-and-invalidate atomic with
+// respect to concurrent fills. An entry read from this disk carries its
+// resolved path, so the stat allocates nothing; one filled otherwise (a
+// relay before this node held a replica) resolves the path first.
+func (rc *reqConn) ownedFresh(ent cache.Entry) bool {
+	disk := ent.Disk
+	if disk == nil {
+		disk = diskPath(rc.s.localPath(rc.checked.Path))
+	}
+	size, mod, ok := statDisk(disk)
+	return ok && size == int64(len(ent.Body)) && mod.Equal(ent.ModTime)
+}
+
+// relayedFresh validates a relayed entry against the manifest size.
+func (rc *reqConn) relayedFresh(ent cache.Entry) bool {
+	return int64(len(ent.Body)) == rc.checked.Size
+}
+
+// diskPath is the NUL-terminated form of a docroot path that statDisk
+// takes.
+func diskPath(full string) []byte { return append([]byte(full), 0) }
 
 // head encodes a response head for a body of n bytes, the one place a head
 // is written: it fills in the protocol, keep-alive and Content-Length,
 // records the status, and stamps the first chunk handed to the client, the
-// instant the simulator stamps as TTFB.
+// instant the simulator stamps as TTFB. The one clock reading also dates
+// the head.
 func (rc *reqConn) head(h httpmsg.ResponseHead, n int64) bool {
 	h.Proto, h.KeepAlive, h.ContentLength = rc.proto, rc.keepAlive, n
-	rc.ans.status, rc.ans.length, rc.ans.at = h.Code, n, time.Now()
-	if h.Write(rc.bw) != nil {
+	at := time.Now()
+	rc.ans.status, rc.ans.length, rc.ans.at = h.Code, n, at
+	if h.Write(rc.bw, at) != nil {
 		return rc.fail()
 	}
 	return true
@@ -242,10 +353,16 @@ func (rc *reqConn) flush() bool {
 // connection and the clock saw since t0, scores against the broker's
 // prediction when served, and records (Observe). req is nil for a request
 // that did not parse; o is nil for an internal fetch and a shed connection.
+// The response ends at its done stamp, read here when the path that wrote
+// it left none, and that instant becomes the connection's clock.
 func (s *Server) account(rc *reqConn, req *httpmsg.Request, o *nodeobs.Outcome, t0 time.Time) {
 	a := &rc.ans
+	if a.done.IsZero() {
+		a.done = time.Now()
+	}
+	done := a.done
+	rc.now = done
 	if o != nil {
-		done := time.Now()
 		o.AtSeconds, o.ConnID, o.Status = s.sinceEpoch(t0), rc.id, rc.status()
 		o.Bytes = rc.meter.written
 		if !a.failed {
@@ -274,12 +391,13 @@ func (s *Server) account(rc *reqConn, req *httpmsg.Request, o *nodeobs.Outcome, 
 	case a.status == httpmsg.StatusNotModified, a.status == httpmsg.StatusOK && !a.message:
 		s.served.Add(1)
 	}
-	s.logAccess(rc.meter.Conn, req, a.status, a.body)
+	s.logAccess(rc.meter.Conn, req, a.status, a.body, done)
 }
 
-// logAccess emits one Common Log Format line, when logging is configured.
-// The byte count is a 200's body bytes; every other status logs "-".
-func (s *Server) logAccess(conn net.Conn, req *httpmsg.Request, status int, body int64) {
+// logAccess emits one Common Log Format line stamped at, when logging is
+// configured. The byte count is a 200's body bytes; every other status
+// logs "-".
+func (s *Server) logAccess(conn net.Conn, req *httpmsg.Request, status int, body int64, at time.Time) {
 	if s.cfg.AccessLog == nil {
 		return
 	}
@@ -291,7 +409,7 @@ func (s *Server) logAccess(conn net.Conn, req *httpmsg.Request, status int, body
 		}
 	}
 	e := accesslog.Entry{
-		Host: host, Time: time.Now(),
+		Host: host, Time: at,
 		Method: "-", Path: "-", Proto: "HTTP/1.0",
 		Status: status, Bytes: -1,
 	}
@@ -327,18 +445,20 @@ func (s *Server) isDraining() bool {
 // budgets. This replaces the old one-request-per-connection handle with
 // its single whole-connection deadline — a keep-alive client now pays the
 // TCP handshake once, which is exactly the saving the paper's t_redirection
-// term wants after a 302. Deadlines stay on the raw socket. Each response
-// is flushed only after the accounting step has closed its books (Observe
-// included) and the request has left reqActive; the connection's
+// term wants after a 302. Deadlines stay on the raw socket, armed from the
+// clock readings the request takes anyway and re-armed only when they
+// drift out of their window (rearm), so a keep-alive hit arms none. Each
+// response is flushed only after the accounting step has closed its books
+// (Observe included) and the request has left reqActive; the connection's
 // last response is left buffered for the caller, which closes the
 // connection's own books first (serve).
 func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
-	c := rc.meter
 	for {
 		// Idle wait: the peer may keep the connection open up to
-		// IdleTimeout between requests. Pipelined bytes already buffered
-		// make the peek free.
-		_ = c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		// IdleTimeout between requests, counted from the end of the last
+		// response (or the accept). Pipelined bytes already buffered make
+		// the peek free.
+		rc.armRead(rc.now, s.cfg.IdleTimeout)
 		if _, err := rc.br.Peek(1); err != nil {
 			// Clean close, idle timeout, or reset between requests:
 			// nothing was promised, nothing to answer. A timeout on a
@@ -350,16 +470,19 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 		}
 		rc.meter.written, rc.ans = 0, answer{}
 		t0 := time.Now()
-		_ = c.SetReadDeadline(t0.Add(connTimeout))
+		if !headBuffered(rc.br) {
+			rc.armRead(t0, connTimeout)
+		}
 		req := &rc.req
-		if err := httpmsg.ReadRequestInto(rc.br, req); err != nil {
+		if err := httpmsg.ReadRequestInto(rc.br, req, s.knownPath); err != nil {
 			rc.keepAlive = false
 			s.badRequests.Add(1)
-			_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
+			rc.armWrite(time.Now(), connTimeout)
 			rc.refuse(httpmsg.ResponseHead{Code: httpmsg.StatusBadRequest}, "bad_request", err.Error())
 			s.account(rc, nil, &nodeobs.Outcome{Record: flight.Record{Path: "(unparsed)", Target: -1}}, t0)
 			return
 		}
+		tParsed := time.Now()
 		rc.served++
 		ci.served.Add(1)
 		rc.proto = "HTTP/1.0"
@@ -369,11 +492,11 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 		rc.keepAlive = !s.cfg.KeepAliveOff && req.KeepAlive() &&
 			(s.cfg.KeepAliveMax <= 0 || rc.served < s.cfg.KeepAliveMax) &&
 			!s.isDraining()
-		_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
+		rc.armWrite(tParsed, connTimeout)
 		s.reqActive.Add(1)
 		ci.active.Store(true)
 		o := &nodeobs.Outcome{}
-		if !s.handle(rc, req, t0, o) {
+		if !s.handle(rc, req, t0, tParsed, o) {
 			o = nil
 		}
 		s.account(rc, req, o, t0)
@@ -394,6 +517,7 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 func (s *Server) serve(conn net.Conn) {
 	ci := s.trackConn(conn)
 	rc := newReqConn(s, conn, ci.id)
+	rc.now = ci.opened
 	s.serveConn(rc, ci)
 	// Requests-per-connection, observed once at connection end: the
 	// keep-alive amortization persistent connections buy.

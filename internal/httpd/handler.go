@@ -83,7 +83,7 @@ func (s *Server) acceptLoop() {
 			// absent reader can never stall the accept loop.
 			s.refused.Add(1)
 			s.drop("shed")
-			s.obs.Step(s.cfg.Trace.NewRequest(), s.nowSec(), trace.EvRefused, "", 0, nodeobs.Text("reason=capacity"))
+			s.obs.Step(s.cfg.Trace.NewRequest(), s.nowSec(), trace.EvRefused, nodeobs.NoCell, 0, nodeobs.Text("reason=capacity"))
 			s.wg.Add(1)
 			go func(c net.Conn) {
 				defer s.wg.Done()
@@ -113,15 +113,16 @@ func (s *Server) acceptLoop() {
 
 // handle runs the four-phase lifecycle for one parsed request, filling in
 // o, its outcome, for the accounting step. t0 is the moment the request's
-// first byte arrived (phase 1, preprocess, is the parse the serve loop
-// already ran). It times each phase and emits the same trace events the
-// simulator does; the decisions are the spine's (core.Analyze,
-// Facts.Fetch), and this is their socket executor. It reports false for
-// an internal fetch, which stays invisible to trace and the lifecycle
-// telemetry: it is the tail of another node's fetch-nfs span, not a
-// request of its own.
-func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time, o *nodeobs.Outcome) bool {
-	tParsed := time.Now()
+// first byte arrived and tParsed the end of phase 1, preprocess, the parse
+// the serve loop already ran. It times each phase and emits the same trace
+// events the simulator does; the decisions are the spine's (core.Analyze,
+// Facts.Fetch), and this is their socket executor. A served request reads
+// the clock at the end of analysis, at its head (reqConn.head) and when it
+// is done; every stamp, deadline and load reading comes from those and the
+// serve loop's two. It reports false for an internal fetch, which stays
+// invisible to trace and the lifecycle telemetry: it is the tail of
+// another node's fetch-nfs span, not a request of its own.
+func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0, tParsed time.Time, o *nodeobs.Outcome) bool {
 	if req.Header.Get(internalHeader) != "" {
 		s.serveInternal(rc, req)
 		return false
@@ -146,14 +147,14 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time, o *node
 	if redirects > 0 {
 		hop = nodeobs.Int("hop", redirects)
 	}
-	hopCell, hopSeconds := "", 0.0
+	hopCell, hopSeconds := nodeobs.NoCell, 0.0
 	if hopSentMicros > 0 {
 		// The 302 carried its send time: the gap to this connection is the
 		// measured t_redirection of the paper's cost model.
-		hopCell, hopSeconds = "redirect_hop", max(0, float64(t0.UnixMicro()-hopSentMicros)/1e6)
+		hopCell, hopSeconds = nodeobs.CellRedirectHop, max(0, float64(t0.UnixMicro()-hopSentMicros)/1e6)
 	}
 	s.obs.Step(tid, s.sinceEpoch(t0), trace.EvConnected, hopCell, hopSeconds, hop)
-	s.obs.Step(tid, s.sinceEpoch(tParsed), trace.EvParsed, "parse", o.ParseSeconds, nodeobs.Str("path", req.Path))
+	s.obs.Step(tid, s.sinceEpoch(tParsed), trace.EvParsed, nodeobs.CellParse, o.ParseSeconds, nodeobs.Str("path", req.Path))
 
 	// Phase 2: analyze — the spine admits the request and places it. CGI
 	// and POST stay where they arrived (Sec. 3.2 step 2; POST is the
@@ -164,14 +165,19 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time, o *node
 	// CachedLocal is the hot-file cache's residency, stat-free like the
 	// simulator's Peek; with the cache off every candidate pays its t_data.
 	f.Redirects, f.CachedLocal = redirects, s.cache != nil && s.cache.Peek(req.Path)
-	plan := core.Analyze(s.cfg.Policy, &f, s.cfg.ID, s.snapshotLoads())
+	rc.loads = s.snapshotLoads(rc.loads, tParsed)
+	plan := core.AnalyzeInto(s.cfg.Policy, &f, s.cfg.ID, rc.loads, rc.cands)
+	if c := plan.Decision.Candidates; cap(c) > cap(rc.cands) {
+		rc.cands = c // the first table this connection needed: keep it as scratch
+	}
 	tAnalyzed := time.Now()
 	o.AnalyzeSeconds = tAnalyzed.Sub(tParsed).Seconds()
-	s.obs.Step(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, "analyze", o.AnalyzeSeconds,
+	s.obs.Step(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, nodeobs.CellAnalyze, o.AnalyzeSeconds,
 		nodeobs.Int("target", plan.Target))
 	if plan.Action == core.NotFound {
 		if s.answer404(rc, "not_found") {
-			s.obs.Step(tid, s.nowSec(), trace.EvSent, "", 0, nodeobs.Int("status", httpmsg.StatusNotFound))
+			rc.ans.done = time.Now()
+			s.obs.Step(tid, s.sinceEpoch(rc.ans.done), trace.EvSent, nodeobs.NoCell, 0, nodeobs.Int("status", httpmsg.StatusNotFound))
 		}
 		return true
 	}
@@ -193,10 +199,11 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time, o *node
 			return true
 		}
 		tSent := time.Now()
+		rc.ans.done = tSent
 		s.table.Bump(plan.Target)
 		s.redirected.Add(1)
 		s.obs.Redirect(plan.Target)
-		s.obs.Step(tid, s.sinceEpoch(tSent), trace.EvRedirected, "redirect", tSent.Sub(tAnalyzed).Seconds(),
+		s.obs.Step(tid, s.sinceEpoch(tSent), trace.EvRedirected, nodeobs.CellRedirect, tSent.Sub(tAnalyzed).Seconds(),
 			nodeobs.Int("to", plan.Target))
 		o.Redirected = true
 		return true
@@ -208,12 +215,12 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time, o *node
 	// of ownership — no disk read, and for a foreign document no owner
 	// round-trip either, which keeps it serving while its owner is dead. A
 	// miss reads the disk or fetches from a peer and fills the cache on the
-	// way out.
-	tFulfill := time.Now()
+	// way out. Fulfillment starts where analysis ended.
+	tFulfill := tAnalyzed
 	var hot cache.Entry
 	cacheHit := false
 	if !f.CGI && s.cache != nil {
-		hot, cacheHit = s.cache.Lookup(req.Path, s.entryCheck(req.Path, f.File))
+		hot, cacheHit = s.cache.Lookup(req.Path, rc.check(f.File))
 	}
 	fetch := f.Fetch(s.cfg.ID, cacheHit)
 	kind, cell := nodeobs.FetchStep(fetch)
@@ -224,7 +231,7 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time, o *node
 	case core.FetchPeer:
 		source = nodeobs.Int("owner", f.Owner)
 	}
-	s.obs.Step(tid, s.sinceEpoch(tFulfill), kind, "", 0, source)
+	s.obs.Step(tid, s.sinceEpoch(tFulfill), kind, nodeobs.NoCell, 0, source)
 	var status int
 	switch fetch {
 	case core.FetchCGI:
@@ -243,6 +250,7 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time, o *node
 		done = ""
 	}
 	tDone := time.Now()
+	rc.ans.done = tDone
 	o.FulfillSeconds = tDone.Sub(tFulfill).Seconds()
 	s.obs.Step(tid, s.sinceEpoch(tDone), done, cell, o.FulfillSeconds, nodeobs.Int("status", status))
 	// Heat counts fulfilled serves only — the same event the simulator's
@@ -376,49 +384,22 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
-// entryCheck picks the staleness validator for a cached document: a file
-// this node owns revalidates against the docroot (mtime and size must
-// still match the stat), a relayed foreign file against the manifest size
-// — the strongest truth each side has. A failed check invalidates the
-// entry atomically, so the cache never serves bytes older than what the
-// validator can see.
-func (s *Server) entryCheck(path string, file storage.File) func(cache.Entry) bool {
-	if file.HasReplica(s.cfg.ID) {
-		return s.localCheck(path)
-	}
-	return func(ent cache.Entry) bool { return int64(len(ent.Body)) == file.Size }
-}
-
-// localCheck validates a cached entry against the docroot file it came
-// from. It runs a stat under the cache lock — cheap, and it makes
-// validate-and-invalidate atomic with respect to concurrent fills.
-func (s *Server) localCheck(path string) func(cache.Entry) bool {
-	full := s.localPath(path)
-	return func(ent cache.Entry) bool {
-		fi, err := os.Stat(full)
-		return err == nil && fi.Size() == int64(len(ent.Body)) && fi.ModTime().Equal(ent.ModTime)
-	}
-}
-
-// snapshotLoads builds the broker's view, refreshing the self row from
-// live counters. CPULoad counts requests being processed right now, not
-// open connections — a parked keep-alive connection is not load. Only
-// configured peers are offered, so every target the broker can pick has an
-// address.
-func (s *Server) snapshotLoads() []core.NodeLoad {
+// snapshotLoads builds the broker's view as of now, into dst's storage
+// when it has room (loadd.Table.SnapshotInto), refreshing the self row
+// from live counters. CPULoad counts requests being processed right now,
+// not open connections — a parked keep-alive connection is not load. Only
+// configured peers are offered, so every target the broker can pick has
+// an address.
+func (s *Server) snapshotLoads(dst []core.NodeLoad, now time.Time) []core.NodeLoad {
 	s.peersMu.RLock()
-	n := s.cfg.ID + 1
-	for id := range s.peers {
-		n = max(n, id+1)
-	}
-	loads := s.table.Snapshot(n, s.nowSec())
-	for id := range loads {
-		if _, ok := s.peers[id]; !ok {
+	loads := s.table.SnapshotInto(dst, len(s.configured), s.sinceEpoch(now))
+	for id, ok := range s.configured {
+		if !ok {
 			loads[id].Available = false
 		}
 	}
 	s.peersMu.RUnlock()
-	loads[s.cfg.ID] = s.sample().Load()
+	loads[s.cfg.ID] = s.sampleAt(now).Load()
 	return loads
 }
 
@@ -463,7 +444,8 @@ func (s *Server) serveLocalFile(rc *reqConn, req *httpmsg.Request, file storage.
 	if !s.cache.Admits(file.Size) {
 		return s.streamLocalFile(rc, req)
 	}
-	ent, err := s.cache.Fetch(req.Path, s.localCheck(req.Path), func() (cache.Entry, error) {
+	rc.checked = file
+	ent, err := s.cache.Fetch(req.Path, rc.ownedCheck, func() (cache.Entry, error) {
 		return s.readLocalFile(req.Path)
 	})
 	if err != nil {
@@ -497,9 +479,10 @@ func (s *Server) readLocalFile(path string) (cache.Entry, error) {
 }
 
 // readOpenFile fills a cache-owned buffer of exactly the file's size from
-// an open document. Size, mtime and bytes all come from the one descriptor,
+// an open document, recording the path it was opened by for the entry's
+// staleness check. Size, mtime and bytes all come from the one descriptor,
 // so a file replaced under the path mid-fill can never be cached as
-// old-mtime/new-bytes — which localCheck would then accept as fresh.
+// old-mtime/new-bytes — which ownedFresh would then accept as fresh.
 func (s *Server) readOpenFile(path string, f *os.File) (cache.Entry, error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -510,7 +493,7 @@ func (s *Server) readOpenFile(path string, f *os.File) (cache.Entry, error) {
 		s.cache.Release(ent)
 		return cache.Entry{}, fmt.Errorf("read %s: %w", path, err)
 	}
-	ent.Path, ent.ModTime = path, fi.ModTime()
+	ent.Path, ent.ModTime, ent.Disk = path, fi.ModTime(), diskPath(f.Name())
 	return ent, nil
 }
 
@@ -592,7 +575,7 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 // ladder's last rung: 503 with a Retry-After hint.
 func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, f *core.Facts, tctx trace.TraceID) int {
 	file := f.File
-	sources := s.rankedSources(f)
+	sources := s.rankedSources(f, rc.loads)
 	if len(sources) == 0 {
 		rc.refuse(httpmsg.ResponseHead{Code: httpmsg.StatusInternalServerError}, "owner_unknown", "owner unknown")
 		return rc.status()
@@ -606,7 +589,7 @@ func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, f *core.Fact
 	if req.Method == "GET" && req.Header.Get("If-Modified-Since") == "" {
 		cw = &clientWriter{rc: rc, req: req}
 	}
-	check := s.entryCheck(req.Path, file)
+	check := rc.check(file)
 	ent, err := refill(sources, cw, func() (cache.Entry, error) {
 		return s.cache.Fetch(req.Path, check, func() (cache.Entry, error) {
 			return s.fill(sources, req.Path, file.Size, tctx, cw)
@@ -632,8 +615,9 @@ func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, f *core.Fact
 // known peers — the failover list the fetch paths walk. Unavailable
 // replicas trail the list rather than vanish: when every replica looks
 // dead the fetch still tries them, because the health view may be stale.
-func (s *Server) rankedSources(f *core.Facts) []fetchSource {
-	ranked := f.Sources(s.cfg.ID, s.snapshotLoads())
+// scratch is storage the load snapshot may take.
+func (s *Server) rankedSources(f *core.Facts, scratch []core.NodeLoad) []fetchSource {
+	ranked := f.Sources(s.cfg.ID, s.snapshotLoads(scratch, time.Now()))
 	out := make([]fetchSource, 0, len(ranked))
 	for _, rep := range ranked {
 		if peer, ok := s.peerByID(rep); ok {

@@ -113,7 +113,7 @@ func TestSnapshotLoadsSelfRowIsLive(t *testing.T) {
 	defer srv.Close()
 	srv.SetPeers([]Peer{{ID: 0, HTTPAddr: srv.Addr(), UDPAddr: srv.UDPAddr()}, {ID: 1, HTTPAddr: "x", UDPAddr: "y"}})
 	srv.reqActive.Store(5)
-	loads := srv.snapshotLoads()
+	loads := srv.snapshotLoads(nil, time.Now())
 	if len(loads) != 2 {
 		t.Fatalf("len = %d", len(loads))
 	}
@@ -205,7 +205,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // the same two calls lifecycle makes.
 func analyzeAt(srv *Server, policy core.Policy, path string) core.Plan {
 	f := srv.facts(path)
-	return core.Analyze(policy, &f, srv.cfg.ID, srv.snapshotLoads())
+	return core.Analyze(policy, &f, srv.cfg.ID, srv.snapshotLoads(nil, time.Now()))
 }
 
 // TestAnalyzeSkipsFailingPeer: one snapshot, one decision. A peer whose

@@ -19,8 +19,17 @@ import (
 // startSoloNode runs a single-node cluster with one 1 KiB document on disk.
 func startSoloNode(t *testing.T, mut func(*Config)) (*Server, string) {
 	t.Helper()
+	srv, paths := newSoloNode(t, 2, mut)
+	srv.Start()
+	return srv, paths[0]
+}
+
+// newSoloNode builds, but does not start, a one-node cluster holding docs
+// 1 KiB documents, and returns it with their paths.
+func newSoloNode(t *testing.T, docs int, mut func(*Config)) (*Server, []string) {
+	t.Helper()
 	st := storage.NewStore(1)
-	paths := storage.UniformSet(st, 2, 1024)
+	paths := storage.UniformSet(st, docs, 1024)
 	cfg := Config{ID: 0, DocRoot: t.TempDir(), Store: st}
 	if mut != nil {
 		mut(&cfg)
@@ -40,8 +49,7 @@ func startSoloNode(t *testing.T, mut func(*Config)) (*Server, string) {
 	}
 	t.Cleanup(srv.Close)
 	srv.SetPeers([]Peer{{ID: 0, HTTPAddr: srv.Addr(), UDPAddr: srv.UDPAddr()}})
-	srv.Start()
-	return srv, paths[0]
+	return srv, paths
 }
 
 // get performs one raw HTTP/1.0 GET against addr.

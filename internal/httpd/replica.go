@@ -36,7 +36,7 @@ func (s *Server) MaterializeReplica(path string) error {
 	if f.HasReplica(s.cfg.ID) {
 		return nil
 	}
-	sources := s.rankedSources(&f)
+	sources := s.rankedSources(&f, nil)
 	if len(sources) == 0 {
 		return fmt.Errorf("replicate: no reachable replica of %q", path)
 	}

@@ -286,6 +286,13 @@ type Server struct {
 
 	peersMu sync.RWMutex
 	peers   map[int]Peer
+	// configured marks, by node id, the rows of the broker's load view a
+	// configured peer (or this node) fills; its length is the view's.
+	configured []bool
+
+	// knownPath interns a parsed request path as the manifest's own
+	// string (storage.Store.Intern), bound once.
+	knownPath func([]byte) (string, bool)
 
 	// inflight counts open client connections (the shed signal);
 	// reqActive counts requests mid-lifecycle (the load signal). Under
@@ -382,6 +389,8 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.CacheOff {
 		s.cache = cache.New(cfg.CacheBytes)
 	}
+	s.configured = make([]bool, cfg.ID+1)
+	s.knownPath = cfg.Store.Intern
 	s.obs, s.kaServed = newObserver(s)
 	return s, nil
 }
@@ -419,6 +428,14 @@ func (s *Server) SetPeers(peers []Peer) {
 	s.peersMu.Lock()
 	for _, p := range peers {
 		s.peers[p.ID] = p
+	}
+	n := s.cfg.ID + 1
+	for id := range s.peers {
+		n = max(n, id+1)
+	}
+	s.configured = make([]bool, n)
+	for id := range s.peers {
+		s.configured[id] = true
 	}
 	s.peersMu.Unlock()
 	for _, p := range peers {
@@ -601,7 +618,10 @@ func (s *Server) sinceEpoch(t time.Time) float64 { return t.Sub(s.epoch).Seconds
 // sample builds this node's load broadcast. CPULoad advertises requests
 // being processed, not open connections — peers should not schedule around
 // a node whose keep-alive connections are all idle.
-func (s *Server) sample() loadd.Sample {
+func (s *Server) sample() loadd.Sample { return s.sampleAt(time.Now()) }
+
+// sampleAt is sample as of the clock reading now.
+func (s *Server) sampleAt(now time.Time) loadd.Sample {
 	return loadd.Sample{
 		Node:            s.cfg.ID,
 		CPULoad:         float64(s.reqActive.Load()),
@@ -610,7 +630,7 @@ func (s *Server) sample() loadd.Sample {
 		CPUOpsPerSec:    s.cfg.CPUOpsPerSec,
 		DiskBytesPerSec: s.cfg.DiskBytesPerSec,
 		NetBytesPerSec:  s.cfg.NetBytesPerSec,
-		SentAt:          s.nowSec(),
+		SentAt:          s.sinceEpoch(now),
 		Incarnation:     s.incarnation,
 	}
 }

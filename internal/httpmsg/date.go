@@ -19,9 +19,28 @@ var httpDateLayouts = []string{
 const httpDateLayout = "Mon, 02 Jan 2006 15:04:05 GMT"
 
 // appendHTTPDate is the one place an HTTP date is rendered: FormatHTTPDate
-// and the response-head encoder both go through it.
+// and the response-head encoder both go through it. It writes the fixed
+// layout field by field, as net/http's appendTime does, rather than
+// interpreting httpDateLayout per call; a year outside 0..9999, which the
+// layout renders wider than four digits, takes time's own formatter.
 func appendHTTPDate(dst []byte, t time.Time) []byte {
-	return t.UTC().AppendFormat(dst, httpDateLayout)
+	const days = "SunMonTueWedThuFriSat"
+	const months = "JanFebMarAprMayJunJulAugSepOctNovDec"
+	t = t.UTC()
+	yy, mm, dd := t.Date()
+	if yy < 0 || yy > 9999 {
+		return t.AppendFormat(dst, httpDateLayout)
+	}
+	hh, mn, ss := t.Clock()
+	day, mon := days[3*t.Weekday():], months[3*(mm-1):]
+	return append(dst,
+		day[0], day[1], day[2], ',', ' ',
+		byte('0'+dd/10), byte('0'+dd%10), ' ',
+		mon[0], mon[1], mon[2], ' ',
+		byte('0'+yy/1000), byte('0'+yy/100%10), byte('0'+yy/10%10), byte('0'+yy%10), ' ',
+		byte('0'+hh/10), byte('0'+hh%10), ':',
+		byte('0'+mn/10), byte('0'+mn%10), ':',
+		byte('0'+ss/10), byte('0'+ss%10), ' ', 'G', 'M', 'T')
 }
 
 // FormatHTTPDate renders t in the preferred RFC 1123 GMT form.

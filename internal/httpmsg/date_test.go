@@ -1,6 +1,7 @@
 package httpmsg
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -95,6 +96,44 @@ func TestHTTPDateRoundTrip(t *testing.T) {
 		}
 		if !back.Equal(in.Truncate(time.Second)) {
 			t.Errorf("round trip %v -> %q -> %v", in, s, back)
+		}
+	}
+}
+
+// TestAppendHTTPDateMatchesFormat holds the field-by-field date renderer
+// to time's own formatter over random instants, byte for byte: any second
+// of years 0..9999 in any zone, plus years before 0 and after 9999, which
+// the layout renders wider than four digits.
+func TestAppendHTTPDateMatchesFormat(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	zones := []*time.Location{time.UTC, time.FixedZone("EST", -5*3600), time.FixedZone("IST", 5*3600+1800)}
+	const secsPerYear = 365.2425 * 86400
+	yearSeconds := func(y int) int64 { return int64((float64(y) - 1970) * secsPerYear) }
+	for i := 0; i < 100000; i++ {
+		var sec int64
+		switch i % 4 {
+		case 0: // anywhere in the four-digit years
+			sec = yearSeconds(0) + rng.Int64N(yearSeconds(10000)-yearSeconds(0))
+		case 1: // before year 1000
+			sec = yearSeconds(0) + rng.Int64N(yearSeconds(1000)-yearSeconds(0))
+		case 2: // outside 0..9999 on either side
+			sec = yearSeconds(10000) + rng.Int64N(yearSeconds(20000)-yearSeconds(10000))
+			if rng.IntN(2) == 0 {
+				sec = yearSeconds(-10000) + rng.Int64N(yearSeconds(0)-yearSeconds(-10000))
+			}
+		default: // around now
+			sec = time.Now().Unix() + rng.Int64N(400*86400) - 200*86400
+		}
+		in := time.Unix(sec, rng.Int64N(1e9)).In(zones[rng.IntN(len(zones))])
+		want := in.UTC().Format(httpDateLayout)
+		if got := string(appendHTTPDate(nil, in)); got != want {
+			t.Fatalf("appendHTTPDate(%v) = %q, want %q", in, got, want)
+		}
+	}
+	for _, y := range []int{-1, 0, 1, 999, 1000, 9999, 10000} {
+		in := time.Date(y, time.December, 31, 23, 59, 59, 0, time.UTC)
+		if got, want := string(appendHTTPDate(nil, in)), in.Format(httpDateLayout); got != want {
+			t.Errorf("year %d: %q, want %q", y, got, want)
 		}
 	}
 }

@@ -113,11 +113,11 @@ func FuzzReadRequestInto(f *testing.F) {
 		reused := bufio.NewReader(bytes.NewReader(stream))
 		fresh := bufio.NewReader(bytes.NewReader(stream))
 		var req Request
-		err1 := ReadRequestInto(reused, &req)
+		err1 := ReadRequestInto(reused, &req, nil)
 		if _, err := ReadRequest(fresh); fmt.Sprint(err) != fmt.Sprint(err1) {
 			t.Fatalf("first message: %v reused, %v fresh", err1, err)
 		}
-		err2 := ReadRequestInto(reused, &req)
+		err2 := ReadRequestInto(reused, &req, nil)
 		want, err := ReadRequest(fresh)
 		if fmt.Sprint(err) != fmt.Sprint(err2) {
 			t.Fatalf("second message: %v reused, %v fresh", err2, err)

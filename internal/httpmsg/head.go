@@ -77,10 +77,11 @@ func (h *ResponseHead) Append(dst []byte, date string) []byte {
 	return append(dst, "\r\n"...)
 }
 
-// Write encodes the head straight into w's free buffer space, stamped with
-// the current (per-second cached) Date. A head that fits — every head but
-// one with a very long Location — is never copied or allocated for.
-func (h *ResponseHead) Write(w *bufio.Writer) error {
-	_, err := w.Write(h.Append(w.AvailableBuffer(), dateHeader(time.Now())))
+// Write encodes the head straight into w's free buffer space, its Date
+// (cached per second) taken from now, a clock reading the caller already
+// holds. A head that fits — every head but one with a very long Location
+// — is never copied or allocated for.
+func (h *ResponseHead) Write(w *bufio.Writer, now time.Time) error {
+	_, err := w.Write(h.Append(w.AvailableBuffer(), dateHeader(now)))
 	return err
 }

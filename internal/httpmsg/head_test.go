@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 const fixedDate = "Sat, 26 Sep 2026 06:00:00 GMT"
@@ -72,7 +73,7 @@ func TestResponseHeadMatchesMapWriter(t *testing.T) {
 					}
 					var out bytes.Buffer
 					bw := bufio.NewWriter(&out)
-					if err := h.Write(bw); err != nil {
+					if err := h.Write(bw, time.Now()); err != nil {
 						t.Fatal(err)
 					}
 					bw.Flush()
@@ -113,7 +114,7 @@ func TestResponseHeadLongLocation(t *testing.T) {
 		ContentType: "text/html", Location: "http://host/" + strings.Repeat("x", 6000)}
 	var out bytes.Buffer
 	bw := bufio.NewWriterSize(&out, 64)
-	if err := h.Write(bw); err != nil {
+	if err := h.Write(bw, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()
@@ -130,9 +131,9 @@ func TestResponseHeadWriteAllocatesNothing(t *testing.T) {
 	bw := bufio.NewWriter(discard{})
 	h := ResponseHead{Proto: "HTTP/1.1", Code: StatusOK, KeepAlive: true, ContentLength: 1024,
 		ContentType: "text/html", LastModified: refTime}
-	_ = h.Write(bw) // prime the Date cache for this second
+	_ = h.Write(bw, time.Now()) // prime the Date cache for this second
 	if n := testing.AllocsPerRun(1000, func() {
-		_ = h.Write(bw)
+		_ = h.Write(bw, time.Now())
 		_ = bw.Flush()
 	}); n != 0 {
 		t.Fatalf("%v allocations per encoded head, want 0", n)
@@ -166,7 +167,7 @@ func TestReadRequestIntoReuse(t *testing.T) {
 	// A reader barely larger than a line, so every line overwrites the last.
 	br := bufio.NewReaderSize(strings.NewReader(wire), 64)
 	var req Request
-	if err := ReadRequestInto(br, &req); err != nil {
+	if err := ReadRequestInto(br, &req, nil); err != nil {
 		t.Fatal(err)
 	}
 	if req.Method != "GET" || req.Path != "/a.html" || req.Query != "x=1" || req.Proto != "HTTP/1.1" ||
@@ -177,7 +178,7 @@ func TestReadRequestIntoReuse(t *testing.T) {
 	path, host, trace := req.Path, req.Header.Get("Host"), req.Header.Get("X-Sweb-Trace")
 	hdr := req.Header
 
-	if err := ReadRequestInto(br, &req); err != nil {
+	if err := ReadRequestInto(br, &req, nil); err != nil {
 		t.Fatal(err)
 	}
 	if req.Method != "HEAD" || req.Path != "/b.html" || req.Query != "" || req.Proto != "HTTP/1.0" ||
@@ -195,7 +196,7 @@ func TestReadRequestIntoReuse(t *testing.T) {
 		t.Fatal("the header map was replaced, not reused")
 	}
 
-	if err := ReadRequestInto(br, &req); err != nil {
+	if err := ReadRequestInto(br, &req, nil); err != nil {
 		t.Fatal(err)
 	}
 	if req.Method != "POST" || string(req.Body) != "abc" || len(req.Header) != 1 {
@@ -258,5 +259,63 @@ func TestCanonicalKeyNoCopyWhenCanonical(t *testing.T) {
 		if got := CanonicalKey(in); got != want {
 			t.Errorf("CanonicalKey(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestReadRequestIntoInternsPath: a clean, unescaped target the interner
+// knows becomes the interner's own string; any other target is decoded
+// into a fresh string, and one with escapes or dot segments is decoded
+// without asking. A request repeating its predecessor parses with no
+// allocation at all.
+func TestReadRequestIntoInternsPath(t *testing.T) {
+	manifest := strings.Clone("/docs/a.html")
+	var asked []string
+	known := func(p []byte) (string, bool) {
+		asked = append(asked, string(p))
+		if string(p) == manifest {
+			return manifest, true
+		}
+		return "", false
+	}
+	for _, c := range []struct {
+		target, path  string
+		ask, interned bool
+	}{
+		{"/docs/a.html", manifest, true, true},
+		{"http://peer/docs/a.html?x=1", manifest, true, true},
+		{"/docs/b.html", "/docs/b.html", true, false},
+		{"/docs/%61.html", manifest, false, false},
+		{"/docs/./a.html", manifest, false, false},
+	} {
+		asked = nil
+		var req Request
+		br := bufio.NewReader(strings.NewReader("GET " + c.target + " HTTP/1.1\r\n\r\n"))
+		if err := ReadRequestInto(br, &req, known); err != nil {
+			t.Fatalf("%s: %v", c.target, err)
+		}
+		interned := unsafe.StringData(req.Path) == unsafe.StringData(manifest)
+		if req.Path != c.path || (len(asked) > 0) != c.ask || interned != c.interned {
+			t.Errorf("%s: path %q, asked %q, interned %v", c.target, req.Path, asked, interned)
+		}
+	}
+
+	wire := "GET /docs/a.html HTTP/1.1\r\nHost: x\r\nIf-Modified-Since: " + fixedDate + "\r\n\r\n"
+	sr := strings.NewReader(wire)
+	br := bufio.NewReader(sr)
+	var req Request
+	intern := func(p []byte) (string, bool) { return manifest, string(p) == manifest }
+	parse := func() {
+		sr.Reset(wire)
+		br.Reset(sr)
+		if err := ReadRequestInto(br, &req, intern); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse()
+	if n := testing.AllocsPerRun(100, parse); n != 0 {
+		t.Fatalf("a repeated request allocates %v times per parse, want 0", n)
+	}
+	if req.Path != manifest || req.Header.Get("Host") != "x" || req.Header.Get("If-Modified-Since") != fixedDate {
+		t.Fatalf("repeated parse: %+v", req)
 	}
 }

@@ -199,27 +199,47 @@ func parseErrf(format string, args ...any) error {
 // ReadRequest parses one request from br into a fresh Request.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
 	req := new(Request)
-	if err := ReadRequestInto(br, req); err != nil {
+	if err := ReadRequestInto(br, req, nil); err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
 // ReadRequestInto parses one request from br into req, overwriting every
-// field: req.Header is cleared and refilled (allocated when nil), so a
+// field: req.Header is emptied and refilled (allocated when nil), so a
 // serve loop can hand the same Request to each request on a connection
 // and no header of one is visible to the next. The line reader's view of
 // br's buffer never outlives this call — everything stored in req is a
-// constant or a fresh copy.
-func ReadRequestInto(br *bufio.Reader, req *Request) error {
+// constant, a fresh copy, or a string the previous request on req already
+// held: a header repeating its last value keeps that value's string and
+// slot instead of copying it again. When the request target is already a
+// clean path with no escapes — what decoding would hand back unchanged —
+// known, when not nil, is asked for it first, and a path it knows becomes
+// req.Path as the string known returns (a manifest's own, say), so a known
+// path costs no copy; any other path is decoded into a fresh string. known
+// must not retain its argument, a view of br's buffer.
+func ReadRequestInto(br *bufio.Reader, req *Request, known func(path []byte) (string, bool)) error {
 	hdr := req.Header
 	if hdr == nil {
 		hdr = Header{}
-	} else {
-		clear(hdr)
+	}
+	// Empty every slot but keep its backing array: readHeaders reuses a
+	// value the previous request sent in the same place. Slots this
+	// request leaves empty go once it is parsed, as if cleared.
+	for k, vs := range hdr {
+		hdr[k] = vs[:0]
 	}
 	*req = Request{Header: hdr}
+	err := readRequest(br, req, known)
+	for k, vs := range hdr {
+		if len(vs) == 0 {
+			delete(hdr, k)
+		}
+	}
+	return err
+}
 
+func readRequest(br *bufio.Reader, req *Request, known func([]byte) (string, bool)) error {
 	line, err := readLine(br, MaxRequestLine)
 	if err != nil {
 		return err
@@ -249,8 +269,9 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 		req.Query = string(target[q+1:])
 		target = target[:q]
 	}
-	req.Path, err = decodePath(string(target))
-	if err != nil {
+	if p, ok := knownPath(target, known); ok {
+		req.Path = p
+	} else if req.Path, err = decodePath(string(target)); err != nil {
 		return err
 	}
 	if err := readHeaders(br, req.Header); err != nil {
@@ -615,7 +636,12 @@ func readHeaders(br *bufio.Reader, h Header) error {
 			return parseErrf("malformed header name %q", key)
 		}
 		ck := headerName(key)
-		h[ck] = append(h[ck], string(bytes.TrimSpace(line[colon+1:])))
+		val := bytes.TrimSpace(line[colon+1:])
+		if vs := h[ck]; len(vs) < cap(vs) && vs[:len(vs)+1][len(vs)] == string(val) {
+			h[ck] = vs[:len(vs)+1] // the previous request's value in this slot
+		} else {
+			h[ck] = append(vs, string(val))
+		}
 	}
 }
 

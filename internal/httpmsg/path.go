@@ -1,8 +1,22 @@
 package httpmsg
 
 import (
+	"bytes"
 	"strings"
+	"unsafe"
 )
+
+// knownPath asks known for a request target that decodePath would return
+// unchanged — no escapes, already normal — and reports the string known
+// gave for it. The view known and isNormal see aliases target and lives
+// only for this call.
+func knownPath(target []byte, known func([]byte) (string, bool)) (string, bool) {
+	if known == nil || len(target) == 0 || bytes.IndexByte(target, '%') >= 0 ||
+		!isNormal(unsafe.String(&target[0], len(target))) {
+		return "", false
+	}
+	return known(target)
+}
 
 // DecodePath percent-decodes a wire-form path (e.g. one lifted from a 302
 // Location) and normalizes it, exactly as the server-side parser would.

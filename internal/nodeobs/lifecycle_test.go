@@ -23,7 +23,7 @@ func TestFetchSteps(t *testing.T) {
 		{core.FetchPeer, trace.EvFetchNFS, "fetch_nfs", 3, false, true, true, false},
 		{core.FetchCGI, trace.EvCGI, "cgi", -1, false, false, false, false},
 	} {
-		if kind, cell := FetchStep(c.fetch); kind != c.kind || cell != c.cell {
+		if kind, cell := FetchStep(c.fetch); kind != c.kind || cell.String() != c.cell {
 			t.Errorf("FetchStep(%v) = %s, %s; want %s, %s", c.fetch, kind, cell, c.kind, c.cell)
 		}
 		var o, off Outcome
@@ -60,5 +60,27 @@ func TestStepsEndOnce(t *testing.T) {
 				t.Errorf("Steps(%v, %v) = %v: not connected once and one terminal step last", a, f, events)
 			}
 		}
+	}
+}
+
+// TestHandleEnums pins the enums behind the handle tables to their
+// vocabularies: every step kind indexes its own event series, and every
+// cell names its own phase.
+func TestHandleEnums(t *testing.T) {
+	for i, k := range stepKinds {
+		if got := eventIndex(k); got != i {
+			t.Errorf("eventIndex(%s) = %d, want %d", k, got, i)
+		}
+	}
+	if got := eventIndex(trace.EvDelivered); got != -1 {
+		t.Errorf("eventIndex(%s) = %d, want -1", trace.EvDelivered, got)
+	}
+	for i, p := range Phases {
+		if c := Cell(i + 1); c.String() != p {
+			t.Errorf("Cell(%d) = %q, want %q", c, c.String(), p)
+		}
+	}
+	if NoCell.String() != "" || CellCGI.String() != "cgi" {
+		t.Errorf("NoCell %q, CellCGI %q", NoCell.String(), CellCGI.String())
 	}
 }

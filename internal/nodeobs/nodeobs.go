@@ -15,6 +15,7 @@ package nodeobs
 import (
 	"math"
 	"strconv"
+	"sync/atomic"
 
 	"sweb/internal/cache"
 	"sweb/internal/core"
@@ -75,6 +76,79 @@ const (
 // leaving one node and the redirected connection arriving at the target.
 var Phases = []string{"parse", "analyze", "redirect", "redirect_hop", "fetch_local", "fetch_nfs", "cgi"}
 
+// Cell names one sweb_phase_seconds cell, Phases[c-1]; NoCell is a step
+// that observes no phase.
+type Cell uint8
+
+const (
+	NoCell Cell = iota
+	CellParse
+	CellAnalyze
+	CellRedirect
+	CellRedirectHop
+	CellFetchLocal
+	CellFetchNFS
+	CellCGI
+)
+
+// String is the cell's phase label ("" for NoCell).
+func (c Cell) String() string {
+	if c == NoCell || int(c) > len(Phases) {
+		return ""
+	}
+	return Phases[c-1]
+}
+
+// stepKinds are the sweb_events_total cells Step counts, the lifecycle
+// kinds both substrates emit.
+var stepKinds = []trace.Kind{trace.EvConnected, trace.EvRefused, trace.EvParsed, trace.EvAnalyzed,
+	trace.EvRedirected, trace.EvForwarded, trace.EvFetchLocal, trace.EvFetchNFS, trace.EvCGI, trace.EvSent}
+
+// eventIndex is kind's index in stepKinds, -1 for a kind outside them.
+func eventIndex(kind trace.Kind) int {
+	for i, k := range stepKinds {
+		if k == kind {
+			return i
+		}
+	}
+	return -1
+}
+
+// schedPhases are the sweb_sched_*{phase} cells Prediction fills.
+const (
+	schedCPU = iota
+	schedData
+	schedTotal
+)
+
+var schedPhases = []string{"cpu", "data", "total"}
+
+// handles is one closed-vocabulary family's series as a table indexed by
+// a small enum. A handle resolves through its Vec the first time it is
+// used, so a series still enters the exposition when it first fires,
+// never at start-up; after that it is one atomic load, with no label
+// lookup and no lock.
+type handles[T any] struct {
+	with  func(string) *T
+	names []string
+	h     []atomic.Pointer[T]
+}
+
+func newHandles[T any](with func(string) *T, names []string) *handles[T] {
+	return &handles[T]{with: with, names: names, h: make([]atomic.Pointer[T], len(names))}
+}
+
+// at returns the series of names[i].
+func (hs *handles[T]) at(i int) *T {
+	if m := hs.h[i].Load(); m != nil {
+		return m
+	}
+	// Racing first uses both resolve through the Vec, which dedups.
+	m := hs.with(hs.names[i])
+	hs.h[i].Store(m)
+	return m
+}
+
 // Config is one node's identity, sinks and readings. The reading funcs
 // are evaluated at scrape time and must be safe to call from the
 // scraping goroutine.
@@ -110,20 +184,29 @@ type Observer struct {
 
 	response, ttfb, absErr *metrics.Histogram
 	compared               *metrics.Counter
-	phases                 *metrics.HistogramVec // {phase}
-	events                 *metrics.CounterVec   // {event}
-	drops                  *metrics.CounterVec   // {cause}
-	redirects              *metrics.CounterVec   // {target}
-	schedPredicted         *metrics.CounterVec   // {phase}
-	schedActual            *metrics.CounterVec   // {phase}
-	rebalance              *metrics.CounterVec   // {action}
-	replicaFetches         *metrics.CounterVec2  // {path, source}
+	// The closed-vocabulary families a request touches, by enum: phases
+	// by Cell-1, events by eventIndex, the sched pair by sched*.
+	phases                      *handles[metrics.Histogram] // {phase}
+	events                      *handles[metrics.Counter]   // {event}
+	schedPredicted, schedActual *handles[metrics.Counter]   // {phase}
+	eventVec                    *metrics.CounterVec         // {event}, for a kind outside stepKinds
+	drops                       *metrics.CounterVec         // {cause}
+	redirects                   *metrics.CounterVec         // {target}
+	rebalance                   *metrics.CounterVec         // {action}
+	replicaFetches              *metrics.CounterVec2        // {path, source}
 }
 
-// New builds node cfg.Node's observer on a fresh registry. Labelled
-// series appear in the exposition on first use, not here.
+// New builds node cfg.Node's observer on a fresh registry, with the
+// per-request families' handle tables. Labelled series appear in the
+// exposition on first use, not here.
 func New(cfg Config) *Observer {
 	reg := metrics.NewRegistry()
+	phases := reg.HistogramVec(Phase, "time spent per lifecycle phase", "phase", nil)
+	events := reg.CounterVec(Events, "request lifecycle events by trace kind", "event")
+	kinds := make([]string, len(stepKinds))
+	for i, k := range stepKinds {
+		kinds[i] = string(k)
+	}
 	ob := &Observer{
 		node:   cfg.Node,
 		reg:    reg,
@@ -142,13 +225,15 @@ func New(cfg Config) *Observer {
 		compared: reg.Counter(SchedCompared,
 			"requests with both a finite prediction and a measured total", nil),
 
-		phases:    reg.HistogramVec(Phase, "time spent per lifecycle phase", "phase", nil),
-		events:    reg.CounterVec(Events, "request lifecycle events by trace kind", "event"),
+		phases:   newHandles(phases.With, Phases),
+		events:   newHandles(events.With, kinds),
+		eventVec: events,
+		schedPredicted: newHandles(reg.CounterVec(SchedPredicted,
+			"sum of broker-predicted seconds by t_s phase", "phase").With, schedPhases),
+		schedActual: newHandles(reg.CounterVec(SchedActual,
+			"sum of measured seconds by t_s phase", "phase").With, schedPhases),
 		drops:     reg.CounterVec(Drops, "requests not served in full, by cause", "cause"),
 		redirects: reg.CounterVec(RedirectTargets, "302s issued, by target node", "target"),
-		schedPredicted: reg.CounterVec(SchedPredicted,
-			"sum of broker-predicted seconds by t_s phase", "phase"),
-		schedActual: reg.CounterVec(SchedActual, "sum of measured seconds by t_s phase", "phase"),
 		rebalance: reg.CounterVec(Rebalance,
 			"replica-set mutations applied at this node, by action", "action"),
 		replicaFetches: reg.CounterVec2(ReplicaFetch,
@@ -243,16 +328,21 @@ func (ob *Observer) Registry() *metrics.Registry { return ob.reg }
 
 // Step records one lifecycle step of request tid at instant at (the
 // recorder's seconds): it counts kind, observes seconds in the phase cell
-// when cell is not "", and appends kind's trace event, with d rendered as
-// its detail, when the recorder is on and tid is not negative. A step
-// whose kind is "" only took time: it counts and traces nothing.
-func (ob *Observer) Step(tid int64, at float64, kind trace.Kind, cell string, seconds float64, d Detail) {
+// when cell is not NoCell, and appends kind's trace event, with d
+// rendered as its detail, when the recorder is on and tid is not
+// negative. A step whose kind is "" only took time: it counts and traces
+// nothing.
+func (ob *Observer) Step(tid int64, at float64, kind trace.Kind, cell Cell, seconds float64, d Detail) {
 	if kind != "" {
-		ob.events.With(string(kind)).Inc()
+		if i := eventIndex(kind); i >= 0 {
+			ob.events.at(i).Inc()
+		} else {
+			ob.eventVec.With(string(kind)).Inc()
+		}
 		ob.Trace(tid, at, kind, d)
 	}
-	if cell != "" {
-		ob.phases.With(cell).Observe(seconds)
+	if cell != NoCell {
+		ob.phases.at(int(cell) - 1).Observe(seconds)
 	}
 }
 
@@ -333,14 +423,14 @@ type Outcome struct {
 // FetchStep names the lifecycle event and the sweb_phase_seconds cell of a
 // fulfillment the spine classified as f: a program run is cgi, a peer
 // fetch is the NFS path, and a disk read or cache hit is local.
-func FetchStep(f core.Fetch) (trace.Kind, string) {
+func FetchStep(f core.Fetch) (trace.Kind, Cell) {
 	switch f {
 	case core.FetchCGI:
-		return trace.EvCGI, "cgi"
+		return trace.EvCGI, CellCGI
 	case core.FetchPeer:
-		return trace.EvFetchNFS, "fetch_nfs"
+		return trace.EvFetchNFS, CellFetchNFS
 	}
-	return trace.EvFetchLocal, "fetch_local"
+	return trace.EvFetchLocal, CellFetchLocal
 }
 
 // Steps lists the events and phase cells a client request emits on the
@@ -358,7 +448,7 @@ func Steps(a core.Action, f core.Fetch) (events []trace.Kind, phases []string) {
 		return append(events, trace.EvSent), phases
 	}
 	kind, cell := FetchStep(f)
-	return append(events, kind, trace.EvSent), append(phases, cell)
+	return append(events, kind, trace.EvSent), append(phases, cell.String())
 }
 
 // Fulfil marks o as fulfilled on this node by a fetch of kind f and fills
@@ -417,20 +507,20 @@ func (ob *Observer) Prediction(dec core.Decision, cpu, data, total float64) {
 	if id := ob.node; id < len(dec.Candidates) && !dec.Candidates[id].Infeasible &&
 		!math.IsInf(dec.Candidates[id].Total, 0) {
 		cb := dec.Candidates[id]
-		ob.predict("cpu", cb.CPU, cpu)
-		ob.predict("data", cb.Data+cb.Net, data)
+		ob.predict(schedCPU, cb.CPU, cpu)
+		ob.predict(schedData, cb.Data+cb.Net, data)
 		est = cb.Total
 	} else if est < 0 {
 		return
 	}
-	ob.predict("total", est, total)
+	ob.predict(schedTotal, est, total)
 	ob.compared.Inc()
 	ob.absErr.Observe(math.Abs(est - total))
 }
 
-func (ob *Observer) predict(phase string, predicted, actual float64) {
-	ob.schedPredicted.With(phase).Add(predicted)
-	ob.schedActual.With(phase).Add(actual)
+func (ob *Observer) predict(phase int, predicted, actual float64) {
+	ob.schedPredicted.at(phase).Add(predicted)
+	ob.schedActual.at(phase).Add(actual)
 }
 
 // FlightDump snapshots the flight rings with the node filled in; the

@@ -223,7 +223,7 @@ func TestObserveConcurrent(t *testing.T) {
 				TotalSeconds: 0.001}, Fulfilled: true, Replicas: 1}
 			for i := 0; i < each; i++ {
 				ob.Observe(o)
-				ob.Step(-1, 0, "sent", "", 0, Detail{})
+				ob.Step(-1, 0, "sent", NoCell, 0, Detail{})
 				ob.Prediction(core.Decision{Estimate: 0.001}, 0, 0, 0.001)
 			}
 		}(w)

@@ -118,7 +118,7 @@ func (rs *request) step() {
 	case stParsed:
 		d := (c.Sim.Now() - rs.mark).ToSeconds()
 		rs.ph.Preprocess += d
-		c.obs[x].Step(rs.tid, c.nowSec(), trace.EvParsed, "parse", d, nodeobs.Detail{})
+		c.obs[x].Step(rs.tid, c.nowSec(), trace.EvParsed, nodeobs.CellParse, d, nodeobs.Detail{})
 		// The broker's cost estimation, then the decision.
 		rs.mark = c.Sim.Now()
 		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.AnalysisOps, rs.arm(stAnalyzed))
@@ -194,9 +194,9 @@ func (c *Cluster) arrive(rs *request, x int) {
 		c.drop(rs, stats.DropUnavailable)
 		return
 	}
-	hopCell, hop := "", 0.0
+	hopCell, hop := nodeobs.NoCell, 0.0
 	if rs.stage == stHopped {
-		hopCell, hop = "redirect_hop", c.connectTime().ToSeconds()
+		hopCell, hop = nodeobs.CellRedirectHop, c.connectTime().ToSeconds()
 	}
 	if c.inflight[x] >= c.cfg.Specs[x].AcceptQueue {
 		c.obs[x].Step(rs.tid, c.nowSec(), trace.EvRefused, hopCell, hop, nodeobs.Text("accept capacity"))
@@ -253,7 +253,7 @@ func (c *Cluster) decide(rs *request, x int) {
 		rs.plan = core.Analyze(c.policy, &rs.Facts, x, loads)
 	}
 	target := rs.plan.Target
-	c.obs[x].Step(rs.tid, c.nowSec(), trace.EvAnalyzed, "analyze", analyzed, nodeobs.Int("target", target))
+	c.obs[x].Step(rs.tid, c.nowSec(), trace.EvAnalyzed, nodeobs.CellAnalyze, analyzed, nodeobs.Int("target", target))
 	if rs.plan.Action != core.Redirect {
 		c.fulfill(rs, x)
 		return
@@ -264,7 +264,7 @@ func (c *Cluster) decide(rs *request, x int) {
 		// response. The client keeps one connection; the cluster pays
 		// double handling (the cost the paper avoided with redirection).
 		c.tables[x].Bump(target)
-		c.obs[x].Step(rs.tid, c.nowSec(), trace.EvForwarded, "", 0, nodeobs.Int("to", target))
+		c.obs[x].Step(rs.tid, c.nowSec(), trace.EvForwarded, nodeobs.NoCell, 0, nodeobs.Int("to", target))
 		rs.mark = c.Sim.Now()
 		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, rs.arm(stForwarded))
 		return
@@ -286,7 +286,7 @@ func (c *Cluster) redirected(rs *request, x int) {
 	target := rs.plan.Target
 	c.inflight[x]--
 	rs.Redirects++
-	c.obs[x].Step(-1, c.nowSec(), trace.EvRedirected, "redirect", (c.Sim.Now() - rs.mark).ToSeconds(), nodeobs.Detail{})
+	c.obs[x].Step(-1, c.nowSec(), trace.EvRedirected, nodeobs.CellRedirect, (c.Sim.Now() - rs.mark).ToSeconds(), nodeobs.Detail{})
 	c.obs[x].Redirect(target)
 	// "Twice the estimated latency of the connection between the server
 	// and the client plus the time for a server to set up a connection."
@@ -344,7 +344,7 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 	rs.servedBy = y
 	if c.inflight[y] >= c.cfg.Specs[y].AcceptQueue {
 		c.inflight[x]--
-		c.obs[y].Step(rs.tid, c.nowSec(), trace.EvRefused, "", 0, nodeobs.Text("forward target full"))
+		c.obs[y].Step(rs.tid, c.nowSec(), trace.EvRefused, nodeobs.NoCell, 0, nodeobs.Text("forward target full"))
 		c.obs[y].Drop("refused")
 		c.drop(rs, stats.DropRefused)
 		return
@@ -398,7 +398,7 @@ func (c *Cluster) fulfill(rs *request, x int) {
 func (c *Cluster) fetchStep(rs *request, x int, fetch core.Fetch, d nodeobs.Detail) {
 	rs.fetch = fetch
 	kind, _ := nodeobs.FetchStep(fetch)
-	c.obs[x].Step(rs.tid, c.nowSec(), kind, "", 0, d)
+	c.obs[x].Step(rs.tid, c.nowSec(), kind, nodeobs.NoCell, 0, d)
 }
 
 // chunkAt sizes the chunk of a size-byte body that starts at off and
@@ -516,12 +516,12 @@ func (c *Cluster) finishServerSide(rs *request) {
 	// out. The simulated broker exposes only its target's total estimate,
 	// so the comparison is whole-t_s — the cells a live node fills when
 	// its policy lacks a full cost table.
-	cell := ""
+	cell := nodeobs.NoCell
 	if rs.plan.Action == core.Serve {
 		_, cell = nodeobs.FetchStep(rs.fetch)
 	}
 	c.obs[x].Step(rs.tid, c.nowSec(), trace.EvSent, cell, served, nodeobs.Detail{})
-	if cell != "" {
+	if cell != nodeobs.NoCell {
 		cpu := rs.ph.Preprocess + rs.ph.Analysis
 		c.obs[x].Prediction(core.Decision{Estimate: rs.plan.Decision.Estimate}, cpu, rs.ph.Transfer, cpu+rs.ph.Transfer)
 	}

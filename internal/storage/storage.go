@@ -224,6 +224,20 @@ func (s *Store) Lookup(path string) (File, bool) {
 	return *f, true
 }
 
+// Intern returns the manifest's own string for the path spelled by p, if
+// the manifest lists it: a request parser keeps that string instead of
+// copying p, so nothing kept from the request aliases its read buffer. p
+// is not retained.
+func (s *Store) Intern(p []byte) (string, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	f, ok := s.files[string(p)]
+	if !ok {
+		return "", false
+	}
+	return f.Path, true
+}
+
 // Owner returns the primary owning node for path.
 func (s *Store) Owner(path string) (int, bool) {
 	s.mu.RLock()
