@@ -69,12 +69,17 @@ type answer struct {
 // echo, the keep-alive decision the serve loop made for it, and the one
 // sink every response leaves through. The fulfillment paths decide what to
 // send; head, write, copy and reply decide how it leaves and record it in
-// ans for the accounting step.
+// ans for the accounting step. A serve goroutine owns one for its whole
+// life and rebinds it to each connection it is handed (reset); what is
+// not per connection — the buffers, the request's header map, the broker's
+// scratch and the bound validators — carries over.
 type reqConn struct {
 	s     *Server
 	meter *writeMeter // the client connection, metered
-	id    int64       // tracked connection id, for flight records
-	br    *bufio.Reader
+	// info is the connection's row in the conn table: its id (for flight
+	// records), when it opened, and the counters the table reads.
+	info connInfo
+	br   *bufio.Reader
 	// req is the connection's one request value, refilled in place for each
 	// request the loop reads; nothing may hold it past the end of handle.
 	req       httpmsg.Request
@@ -100,19 +105,37 @@ type reqConn struct {
 	cands []core.CostBreakdown
 	// checked is the document the request in hand validates a cached copy
 	// against; ownedCheck and relayedCheck are its two validators, bound
-	// once per connection (check).
+	// once (check).
 	checked                  storage.File
 	ownedCheck, relayedCheck func(cache.Entry) bool
 }
 
-// newReqConn wraps an accepted connection: reads are buffered off the raw
-// socket, writes go through the meter and one buffered writer that lives as
-// long as the connection does.
+// newReqConn makes a connection's serving state, bound to c under id
+// (reset): reads are buffered off the raw socket, writes go through the
+// meter and one buffered writer.
 func newReqConn(s *Server, c net.Conn, id int64) *reqConn {
-	w := &writeMeter{Conn: c}
-	rc := &reqConn{s: s, meter: w, id: id, br: bufio.NewReader(c), bw: bufio.NewWriter(w), proto: "HTTP/1.0"}
+	rc := &reqConn{s: s, meter: &writeMeter{}, br: bufio.NewReader(nil)}
+	rc.bw = bufio.NewWriter(rc.meter)
 	rc.ownedCheck, rc.relayedCheck = rc.ownedFresh, rc.relayedFresh
+	rc.reset(c, id)
 	return rc
+}
+
+// reset binds rc to the connection c, tracked under id and opened now,
+// as if rc were new: the buffers drop whatever the last connection left
+// in them, and every per-connection field starts over. The armed
+// deadlines must too: a deadline rc believed armed on the last socket is
+// not armed on this one, and rearm would never arm it.
+func (rc *reqConn) reset(c net.Conn, id int64) {
+	rc.meter.Conn, rc.meter.written = c, 0
+	rc.br.Reset(c)
+	rc.bw.Reset(rc.meter)
+	rc.info.id, rc.info.opened = id, time.Now()
+	rc.info.served.Store(0)
+	rc.info.active.Store(false)
+	rc.proto, rc.keepAlive, rc.served, rc.ans = "HTTP/1.0", false, 0, answer{}
+	rc.now, rc.rdl, rc.wdl = rc.info.opened, time.Time{}, time.Time{}
+	rc.checked = storage.File{}
 }
 
 // deadlineSlack bounds how much later than its span a deadline may fire:
@@ -363,7 +386,7 @@ func (s *Server) account(rc *reqConn, req *httpmsg.Request, o *nodeobs.Outcome, 
 	done := a.done
 	rc.now = done
 	if o != nil {
-		o.AtSeconds, o.ConnID, o.Status = s.sinceEpoch(t0), rc.id, rc.status()
+		o.AtSeconds, o.ConnID, o.Status = s.sinceEpoch(t0), rc.info.id, rc.status()
 		o.Bytes = rc.meter.written
 		if !a.failed {
 			o.Bytes += int64(rc.bw.Buffered()) // waiting for the serve loop's flush
@@ -452,7 +475,7 @@ func (s *Server) isDraining() bool {
 // (Observe included) and the request has left reqActive; the connection's
 // last response is left buffered for the caller, which closes the
 // connection's own books first (serve).
-func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
+func (s *Server) serveConn(rc *reqConn) {
 	for {
 		// Idle wait: the peer may keep the connection open up to
 		// IdleTimeout between requests, counted from the end of the last
@@ -484,7 +507,7 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 		}
 		tParsed := time.Now()
 		rc.served++
-		ci.served.Add(1)
+		rc.info.served.Add(1)
 		rc.proto = "HTTP/1.0"
 		if req.Proto == "HTTP/1.1" {
 			rc.proto = "HTTP/1.1"
@@ -494,13 +517,13 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 			!s.isDraining()
 		rc.armWrite(tParsed, connTimeout)
 		s.reqActive.Add(1)
-		ci.active.Store(true)
+		rc.info.active.Store(true)
 		o := &nodeobs.Outcome{}
 		if !s.handle(rc, req, t0, tParsed, o) {
 			o = nil
 		}
 		s.account(rc, req, o, t0)
-		ci.active.Store(false)
+		rc.info.active.Store(false)
 		s.reqActive.Add(-1)
 		if !rc.keepAlive || s.isDraining() || !rc.flush() {
 			return
@@ -508,21 +531,62 @@ func (s *Server) serveConn(rc *reqConn, ci *connInfo) {
 	}
 }
 
-// serve runs one accepted connection to its end. Its books close — the
-// requests-per-connection histogram, the conn table, the inflight gauge —
-// before its last response is flushed, so the client reading that response
-// to its end (or to the close) finds them closed. The connection is
-// untracked by then, so the hard-stop Close cannot cut that flush; the
-// write deadline bounds it instead, and Close's wait covers it.
-func (s *Server) serve(conn net.Conn) {
-	ci := s.trackConn(conn)
-	rc := newReqConn(s, conn, ci.id)
-	rc.now = ci.opened
-	s.serveConn(rc, ci)
-	// Requests-per-connection, observed once at connection end: the
-	// keep-alive amortization persistent connections buy.
-	s.kaServed.Observe(float64(rc.served))
-	s.untrackConn(conn)
+// serveConns is one serve goroutine: it serves conn, then parks for the
+// next connection the accept loop hands over (awaitConn) and serves that on
+// the same reqConn, until it waits IdleTimeout for none or the server
+// stops. A connection thus costs its syscalls, not a goroutine, two
+// buffers and the rest of a reqConn; the goroutine stands in for an NCSA
+// child process that lives on to serve connection after connection.
+func (s *Server) serveConns(conn net.Conn) {
+	defer s.wg.Done()
+	rc := newReqConn(s, nil, 0)
+	idle := time.NewTimer(s.cfg.IdleTimeout)
+	defer idle.Stop()
+	for conn != nil {
+		s.serve(rc, conn)
+		rc.reset(nil, 0) // hold no closed socket while parked
+		conn = s.awaitConn(idle)
+	}
+}
+
+// awaitConn parks the calling serve goroutine until the accept loop hands
+// it a connection, for at most IdleTimeout on idle, and reports nil when
+// none came or the server is shutting down.
+func (s *Server) awaitConn(idle *time.Timer) net.Conn {
+	if !idle.Stop() {
+		select {
+		case <-idle.C: // fired while the last connection was served
+		default:
+		}
+	}
+	idle.Reset(s.cfg.IdleTimeout)
+	select {
+	case c := <-s.handoff:
+		return c
+	case <-idle.C:
+	case <-s.draining:
+	case <-s.closed:
+	}
+	return nil
+}
+
+// serve runs one accepted connection to its end on rc. Its books close —
+// the requests-per-connection histogram, the conn table, the inflight
+// gauge — before its last response is flushed, so the client reading that
+// response to its end (or to the close) finds them closed. The connection
+// is untracked by then, so the hard-stop Close cannot cut that flush; the
+// write deadline bounds it instead, and Close's wait covers it. A
+// connection handed over after Close has closed the tracked ones is
+// closed unserved.
+func (s *Server) serve(rc *reqConn, conn net.Conn) {
+	rc.reset(conn, s.connSeq.Add(1))
+	if s.trackConn(conn, &rc.info) {
+		s.serveConn(rc)
+		// Requests-per-connection, observed once at connection end: the
+		// keep-alive amortization persistent connections buy.
+		s.kaServed.Observe(float64(rc.served))
+		s.untrackConn(conn)
+	}
 	s.inflight.Add(-1)
 	rc.flush()
 	conn.Close()

@@ -13,9 +13,12 @@ import (
 // maxBytesPerConn pins the server-side heap bytes one one-request
 // connection costs in steady state: its accept, its serve goroutine's
 // state and its one cached hit. With a goroutine, two 4 KiB buffers and
-// the rest of a reqConn made new for every connection it reads 9488 bytes
-// in 22 allocations on go1.24.
-const maxBytesPerConn = 10 << 10
+// the rest of a reqConn made new for every connection it read 9488 bytes
+// in 22 allocations on go1.24. A parked serve goroutine now keeps its
+// reqConn from one connection to the next, and it reads 296 bytes in 6,
+// all of them accept's: the socket's netFD and TCPConn and its two
+// addresses. The bound is under a quarter of the old figure.
+const maxBytesPerConn = 1 << 10
 
 // TestOneRequestConnectionAllocations opens 200 connections in turn at a
 // solo node, each carrying one HTTP/1.0 GET of a cached document, and

@@ -39,15 +39,20 @@ type ConnState struct {
 }
 
 // ConnTable snapshots every open client connection, ordered by id — the
-// "which conn wedged" view a snapshot bundle preserves.
+// "which conn wedged" view a snapshot bundle preserves. Remote addresses
+// are formatted here, not at accept.
 func (s *Server) ConnTable() []ConnState {
 	now := time.Now()
 	s.connMu.Lock()
 	out := make([]ConnState, 0, len(s.conns))
-	for _, ci := range s.conns {
+	for c, ci := range s.conns {
+		remote := ""
+		if addr := c.RemoteAddr(); addr != nil {
+			remote = addr.String()
+		}
 		out = append(out, ConnState{
 			ID:         ci.id,
-			Remote:     ci.remote,
+			Remote:     remote,
 			AgeSeconds: now.Sub(ci.opened).Seconds(),
 			Served:     ci.served.Load(),
 			Active:     ci.active.Load(),

@@ -48,8 +48,9 @@ const (
 	shedWriteTimeout = 2 * time.Second
 )
 
-// acceptLoop is the NCSA-style accept loop; each connection gets its own
-// serve-loop goroutine (Go's stand-in for fork-per-request).
+// acceptLoop is the NCSA-style accept loop. It hands each connection to a
+// serve goroutine parked between connections, and starts a new one only
+// when none is waiting (serveConns).
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	errStreak := 0
@@ -103,11 +104,12 @@ func (s *Server) acceptLoop() {
 		}
 		s.accepted.Add(1)
 		s.inflight.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serve(conn)
-		}()
+		select {
+		case s.handoff <- conn:
+		default:
+			s.wg.Add(1)
+			go s.serveConns(conn)
+		}
 	}
 }
 
@@ -187,8 +189,7 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0, tParsed time.Time
 		// client's own query parameters and threading the trace context
 		// (stamped with the send time, so the target measures the hop).
 		// Snapshot rows are configured peers only, so the target has one.
-		peer, _ := s.peerByID(plan.Target)
-		loc := redirectLocation(peer.HTTPAddr, req.Path, req.Query, redirects,
+		loc := locationAt(s.locationBase(plan.Target), req.Path, req.Query, redirects,
 			formatTraceContext(tctx, time.Now().UnixMicro()))
 		if !rc.reply(httpmsg.ResponseHead{Code: httpmsg.StatusMovedTemporarily, Location: loc},
 			httpmsg.ErrorBody(httpmsg.StatusMovedTemporarily,
@@ -308,9 +309,19 @@ func (s *Server) facts(path string) core.Facts {
 // document name with a space or '%' must not produce a malformed Location.
 // traceCtx is the rendered swebt value ("" omits the parameter).
 func redirectLocation(httpAddr, path, query string, redirects int, traceCtx string) string {
+	return locationAt(peerBase(httpAddr), path, query, redirects, traceCtx)
+}
+
+// peerBase is the "http://<addr>" every Location pointing at a peer
+// listening on httpAddr starts with.
+func peerBase(httpAddr string) string { return "http://" + httpAddr }
+
+// locationAt is redirectLocation from a peer's precomputed base
+// (Server.configured), its buffer sized once.
+func locationAt(base, path, query string, redirects int, traceCtx string) string {
 	var b strings.Builder
-	b.WriteString("http://")
-	b.WriteString(httpAddr)
+	b.Grow(len(base) + len(path) + len(query) + len(traceCtx) + 32)
+	b.WriteString(base)
 	b.WriteString(httpmsg.EscapePath(path))
 	sep := byte('?')
 	eachParam(query, func(pair string) bool {
@@ -322,9 +333,11 @@ func redirectLocation(httpAddr, path, query string, redirects int, traceCtx stri
 		return true
 	})
 	b.WriteByte(sep)
-	fmt.Fprintf(&b, "%s=%d", redirectParam, redirects+1)
+	b.WriteString(redirectParam + "=")
+	b.WriteString(strconv.Itoa(redirects + 1))
 	if traceCtx != "" {
-		fmt.Fprintf(&b, "&%s=%s", traceParam, traceCtx)
+		b.WriteString("&" + traceParam + "=")
+		b.WriteString(traceCtx)
 	}
 	return b.String()
 }
@@ -393,14 +406,22 @@ func (s *Server) retryAfterSeconds() string {
 func (s *Server) snapshotLoads(dst []core.NodeLoad, now time.Time) []core.NodeLoad {
 	s.peersMu.RLock()
 	loads := s.table.SnapshotInto(dst, len(s.configured), s.sinceEpoch(now))
-	for id, ok := range s.configured {
-		if !ok {
+	for id, base := range s.configured {
+		if base == "" {
 			loads[id].Available = false
 		}
 	}
 	s.peersMu.RUnlock()
 	loads[s.cfg.ID] = s.sampleAt(now).Load()
 	return loads
+}
+
+// locationBase is the Location base of a configured node id
+// (Server.configured).
+func (s *Server) locationBase(id int) string {
+	s.peersMu.RLock()
+	defer s.peersMu.RUnlock()
+	return s.configured[id]
 }
 
 func (s *Server) peerByID(id int) (Peer, bool) {

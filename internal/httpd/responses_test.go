@@ -253,7 +253,7 @@ func goldenCluster(t *testing.T, edit func(*Config)) ([]*Server, *strings.Replac
 func driveKind(srvs []*Server, k responseKind) ([]byte, error) {
 	if k.broken {
 		srvs[k.node].inflight.Add(1) // as the accept loop would
-		srvs[k.node].serve(&brokenConn{r: strings.NewReader(k.raw)})
+		srvs[k.node].serve(newReqConn(srvs[k.node], nil, 0), &brokenConn{r: strings.NewReader(k.raw)})
 		return nil, nil
 	}
 	return sendRaw(srvs[k.node].Addr(), k.raw)

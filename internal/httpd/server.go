@@ -10,6 +10,7 @@
 package httpd
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -286,9 +287,11 @@ type Server struct {
 
 	peersMu sync.RWMutex
 	peers   map[int]Peer
-	// configured marks, by node id, the rows of the broker's load view a
-	// configured peer (or this node) fills; its length is the view's.
-	configured []bool
+	// configured holds, by node id, the "http://<addr>" a 302 to a
+	// configured peer (or this node) starts with, and "" for a row of the
+	// broker's load view that no configured peer fills; its length is the
+	// view's.
+	configured []string
 
 	// knownPath interns a parsed request path as the manifest's own
 	// string (storage.Store.Intern), bound once.
@@ -305,10 +308,16 @@ type Server struct {
 
 	// conns tracks open client connections so drain and close can wake
 	// ones parked in idle keep-alive reads, and carries the per-connection
-	// state the flight recorder and the conn-table snapshot read.
-	connMu  sync.Mutex
-	conns   map[net.Conn]*connInfo
-	connSeq atomic.Int64 // connection ids, monotone per node
+	// state the flight recorder and the conn-table snapshot read. Once
+	// connsClosed, Close has closed them all and tracks no more.
+	connMu      sync.Mutex
+	conns       map[net.Conn]*connInfo
+	connsClosed bool
+	connSeq     atomic.Int64 // connection ids, monotone per node
+	// handoff carries an accepted connection to a serve goroutine parked
+	// between connections (serveConns); unbuffered, so a send succeeds
+	// only when one is waiting.
+	handoff chan net.Conn
 
 	idleReaped atomic.Int64
 
@@ -352,7 +361,11 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	// No TCP keep-alive probes: IdleTimeout reaps a parked connection and
+	// the write deadline a stalled one, so the probes' four setsockopt
+	// calls per accepted connection would buy nothing.
+	lc := net.ListenConfig{KeepAlive: -1}
+	ln, err := lc.Listen(context.Background(), "tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("httpd: listen %s: %w", cfg.Addr, err)
 	}
@@ -382,6 +395,7 @@ func New(cfg Config) (*Server, error) {
 		draining:   make(chan struct{}),
 		dropCounts: make(map[string]int64),
 		conns:      make(map[net.Conn]*connInfo),
+		handoff:    make(chan net.Conn),
 		ups:        newUpstreamPool(0),
 		// Odd, so never zero: zero is the "unknown" incarnation.
 		incarnation: rand.Uint64() | 1,
@@ -389,7 +403,7 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.CacheOff {
 		s.cache = cache.New(cfg.CacheBytes)
 	}
-	s.configured = make([]bool, cfg.ID+1)
+	s.configured = make([]string, cfg.ID+1)
 	s.knownPath = cfg.Store.Intern
 	s.obs, s.kaServed = newObserver(s)
 	return s, nil
@@ -433,9 +447,9 @@ func (s *Server) SetPeers(peers []Peer) {
 	for id := range s.peers {
 		n = max(n, id+1)
 	}
-	s.configured = make([]bool, n)
-	for id := range s.peers {
-		s.configured[id] = true
+	s.configured = make([]string, n)
+	for id, p := range s.peers {
+		s.configured[id] = peerBase(p.HTTPAddr)
 	}
 	s.peersMu.Unlock()
 	for _, p := range peers {
@@ -470,26 +484,26 @@ func (s *Server) Start() {
 }
 
 // connInfo is the tracked state of one open client connection, shared by
-// its serve loop and the conn-table snapshot.
+// its serve loop and the conn-table snapshot. Its reqConn rewrites id and
+// opened only while the connection is untracked (reqConn.reset).
 type connInfo struct {
 	id     int64
 	opened time.Time
-	remote string
 	served atomic.Int64
 	active atomic.Bool // a request is mid-lifecycle right now
 }
 
 // trackConn registers an open client connection for drain/close wakeups
-// and assigns its node-unique id.
-func (s *Server) trackConn(c net.Conn) *connInfo {
-	ci := &connInfo{id: s.connSeq.Add(1), opened: time.Now()}
-	if addr := c.RemoteAddr(); addr != nil {
-		ci.remote = addr.String()
-	}
+// and the conn table, and reports false, tracking nothing, once Close
+// has closed the tracked connections.
+func (s *Server) trackConn(c net.Conn, ci *connInfo) bool {
 	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.connsClosed {
+		return false
+	}
 	s.conns[c] = ci
-	s.connMu.Unlock()
-	return ci
+	return true
 }
 
 func (s *Server) untrackConn(c net.Conn) {
@@ -509,9 +523,12 @@ func (s *Server) nudgeConns() {
 	s.connMu.Unlock()
 }
 
-// closeConns force-closes every tracked connection (the hard-stop path).
+// closeConns force-closes every tracked connection (the hard-stop path)
+// and stops trackConn from tracking more: a connection handed to a serve
+// goroutine after this is closed unserved (serve).
 func (s *Server) closeConns() {
 	s.connMu.Lock()
+	s.connsClosed = true
 	for c := range s.conns {
 		_ = c.Close()
 	}
