@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 
 # Packages with concurrent live-cluster paths; kept race-clean.
-RACE_PKGS = ./internal/httpd/... ./internal/httpmsg/... ./internal/loadd/... ./internal/live/... ./internal/retry/... ./internal/metrics/... ./internal/monitor/... ./internal/cache/... ./internal/flight/... ./internal/slo/... ./internal/heat/... ./internal/rebalance/... ./internal/nodeobs/...
+RACE_PKGS = ./internal/httpd/... ./internal/httpmsg/... ./internal/loadd/... ./internal/live/... ./internal/retry/... ./internal/metrics/... ./internal/cache/... ./internal/flight/... ./internal/slo/... ./internal/heat/... ./internal/rebalance/... ./internal/nodeobs/...
 
 .PHONY: build test vet race fmt-check bench-check check bench bench-compare
 

@@ -8,10 +8,6 @@
 //	                              # overhead, analytic, a1..a4, hetero
 //	swebsim -table 2 -quick       # shortened durations and search limits
 //	swebsim -seed 7               # change the randomness seed
-//	swebsim -monitor-csv out.csv  # monitored demo burst → timeline CSV
-//
-//	swebsim -slo "avail=99.9,p99=250ms" -table ""
-//	                              # monitored demo burst → SLO budget panel
 package main
 
 import (
@@ -21,12 +17,9 @@ import (
 	"os"
 	"strings"
 
-	"sweb/internal/des"
 	"sweb/internal/experiments"
 	"sweb/internal/heat"
-	"sweb/internal/monitor"
 	"sweb/internal/simsrv"
-	"sweb/internal/slo"
 	"sweb/internal/stats"
 	"sweb/internal/storage"
 	"sweb/internal/trace"
@@ -39,12 +32,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	format := flag.String("format", "text", "output format: text, md, csv")
 	traceOut := flag.String("trace-out", "", "also run a small traced Meiko burst and write its Chrome trace-event (Perfetto) JSON here")
-	monitorCSV := flag.String("monitor-csv", "", "run a monitored Meiko burst and write its load-over-time timeline CSV here")
 	cacheBytes := flag.Int64("cache-bytes", 0, "override every node's page-cache capacity in bytes for the demo runs (0: the spec default; matches swebd -cache-bytes)")
 	cacheOff := flag.Bool("cache-off", false, "zero every node's page cache for the demo runs (matches swebd -cache-off)")
-	sloFlag := flag.String("slo", "", `run a monitored demo burst and print its SLO budget report, e.g. "avail=99.9,p99=250ms" (matches swebd -slo)`)
 	heatFlag := flag.Bool("heat", false, "run a skewed demo burst and print the document-heat panel and placement advisor report")
-	sloScale := flag.Float64("slo-scale", 0.001, "compress the SRE burn-rate alert windows by this factor for the virtual clock (with -slo)")
 	replicasFlag := flag.Int("replicas", 1, "replicate every demo-run document R ways across the simulated nodes (matches swebd -replicas)")
 	flag.Parse()
 	demoReplicas = *replicasFlag
@@ -55,27 +45,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote simulated trace to %s; load it at ui.perfetto.dev\n", *traceOut)
-		if *table == "" && *monitorCSV == "" {
-			return
-		}
-	}
-
-	if *monitorCSV != "" {
-		if err := exportMonitorCSV(*monitorCSV, *seed, *cacheBytes, *cacheOff); err != nil {
-			fmt.Fprintln(os.Stderr, "swebsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote simulated monitor timeline to %s\n", *monitorCSV)
-		if *table == "" {
-			return
-		}
-	}
-
-	if *sloFlag != "" {
-		if err := runSLOReport(*sloFlag, *sloScale, *seed, *cacheBytes, *cacheOff); err != nil {
-			fmt.Fprintln(os.Stderr, "swebsim:", err)
-			os.Exit(1)
-		}
 		if *table == "" {
 			return
 		}
@@ -198,61 +167,10 @@ func exportDemoTrace(path string, seed, cacheBytes int64, cacheOff bool) error {
 	return trace.ExportChrome(f, col.Spans())
 }
 
-// runSLOReport drives the demo-sized Meiko burst with the burn-rate alert
-// rules attached to the monitor — windows compressed by scale for the
-// virtual clock — then prints the error-budget panel and any alerts the
-// run left firing: the simulated twin of `swebtop`'s SLO panel.
-func runSLOReport(objSpec string, scale float64, seed, cacheBytes int64, cacheOff bool) error {
-	objs, err := slo.ParseObjectives(objSpec)
-	if err != nil {
-		return err
-	}
-	const nodes = 4
-	st := storage.NewStore(nodes)
-	paths := storage.UniformSet(st, 16, 64<<10)
-	applyReplicas(st)
-	cfg := simsrv.MeikoConfig(nodes, st)
-	cfg.Seed = seed
-	cfg.CacheBytes = cacheBytes
-	cfg.CacheOff = cacheOff
-	cl, err := simsrv.New(cfg)
-	if err != nil {
-		return err
-	}
-	mon := monitor.New(monitor.Config{
-		Window:     5,
-		ExtraRules: slo.Rules(objs, slo.DefaultWindows(scale)),
-	})
-	names := make([]string, cl.Nodes())
-	for i := 0; i < cl.Nodes(); i++ {
-		i := i
-		names[i] = fmt.Sprintf("%d", i)
-		mon.AddSource(&monitor.RegistrySource{
-			Name:     names[i],
-			Registry: cl.Registry(i),
-			Up:       func() bool { return cl.NodeUp(i) },
-		})
-	}
-	cl.Every(des.Second, func() { mon.Collect(cl.Sim.Now().ToSeconds()) })
-	burst := workload.Burst{RPS: 8, DurationSeconds: 5, Jitter: true}
-	rng := rand.New(rand.NewSource(seed))
-	arrivals, err := burst.Generate(workload.UniformPicker(paths), nil, rng)
-	if err != nil {
-		return err
-	}
-	cl.RunSchedule(arrivals)
-	now := cl.Sim.Now().ToSeconds()
-	fmt.Print(slo.Render(slo.Evaluate(mon.Store(), names, objs, now, now)))
-	if alerts := mon.Alerts(); len(alerts) > 0 {
-		fmt.Printf("firing alerts: %s\n", strings.Join(monitor.SortedAlertKeys(alerts), " "))
-	}
-	return nil
-}
-
 // runHeatReport drives a skewed demo burst — the paper's Section 4.2
 // hotspot pathology, most requests hammering one file owned by node 0 —
 // then prints the cluster-wide document-heat panel and the placement
-// advisor's report: the simulated twin of `swebtop -heat`.
+// advisor's report.
 func runHeatReport(seed, cacheBytes int64, cacheOff bool) error {
 	const nodes = 4
 	st := storage.NewStore(nodes)
@@ -282,45 +200,4 @@ func runHeatReport(seed, cacheBytes int64, cacheOff bool) error {
 	fmt.Print(heat.Render("hottest documents, cluster-wide (simulated)", m, 8))
 	fmt.Print(heat.RenderAdvice("placement advisor (report-only)", heat.Advise(m), 8))
 	return nil
-}
-
-// exportMonitorCSV runs the same demo-sized Meiko burst with a cluster
-// monitor collecting once per simulated second, then writes the
-// load-over-time timeline CSV — the simulated twin of `swebtop -csv`.
-func exportMonitorCSV(path string, seed, cacheBytes int64, cacheOff bool) error {
-	const nodes = 4
-	st := storage.NewStore(nodes)
-	paths := storage.UniformSet(st, 16, 64<<10)
-	applyReplicas(st)
-	cfg := simsrv.MeikoConfig(nodes, st)
-	cfg.Seed = seed
-	cfg.CacheBytes = cacheBytes
-	cfg.CacheOff = cacheOff
-	cl, err := simsrv.New(cfg)
-	if err != nil {
-		return err
-	}
-	mon := monitor.New(monitor.Config{Window: 5})
-	for i := 0; i < cl.Nodes(); i++ {
-		i := i
-		mon.AddSource(&monitor.RegistrySource{
-			Name:     fmt.Sprintf("%d", i),
-			Registry: cl.Registry(i),
-			Up:       func() bool { return cl.NodeUp(i) },
-		})
-	}
-	cl.Every(des.Second, func() { mon.Collect(cl.Sim.Now().ToSeconds()) })
-	burst := workload.Burst{RPS: 8, DurationSeconds: 5, Jitter: true}
-	rng := rand.New(rand.NewSource(seed))
-	arrivals, err := burst.Generate(workload.UniformPicker(paths), nil, rng)
-	if err != nil {
-		return err
-	}
-	cl.RunSchedule(arrivals)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return mon.WriteTimelineCSV(f)
 }

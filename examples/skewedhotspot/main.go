@@ -60,8 +60,8 @@ func main() {
 }
 
 // liveHeat replays the hotspot on a real 4-node cluster and renders the
-// document-heat panel and placement advisor — the same two tables
-// `swebtop -nodes ...` refreshes live from every node's /sweb/heat.
+// document-heat panel and placement advisor, merged from every node's
+// /sweb/heat.
 func liveHeat() {
 	fmt.Println()
 	fmt.Println("Live replay: the same hotspot on a 4-node live cluster. The heat")

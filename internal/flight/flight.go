@@ -271,7 +271,7 @@ func (r *Recorder) withTables(recs []Record) []Record {
 
 // Merge interleaves per-node dumps into one cluster-wide timeline,
 // ordered by arrival time then node then sequence. With notableOnly set
-// only the notable rings contribute — the view swebtop renders.
+// only the notable rings contribute.
 func Merge(dumps []Dump, notableOnly bool) []Record {
 	var out []Record
 	for _, d := range dumps {

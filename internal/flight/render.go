@@ -6,8 +6,8 @@ import (
 	"sweb/internal/stats"
 )
 
-// RenderRecords renders a merged record slice as the aligned table both
-// swebtop and the parity tests use — one renderer for both substrates.
+// RenderRecords renders a merged record slice as an aligned table, one
+// renderer for both substrates.
 func RenderRecords(title string, recs []Record) string {
 	tbl := stats.Table{
 		Title: title,

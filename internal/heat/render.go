@@ -6,9 +6,8 @@ import (
 	"sweb/internal/stats"
 )
 
-// Render draws the merged heat ranking as the aligned table both
-// swebtop's heat panel and the parity tests use — one renderer for both
-// substrates. limit bounds the rows (<= 0: all).
+// Render draws the merged heat ranking as an aligned table, one renderer
+// for both substrates. limit bounds the rows (<= 0: all).
 func Render(title string, m Merged, limit int) string {
 	tbl := stats.Table{
 		Title: title,

@@ -13,6 +13,7 @@ import (
 
 	"sweb/internal/cache"
 	"sweb/internal/httpmsg"
+	"sweb/internal/leakcheck"
 	"sweb/internal/storage"
 )
 
@@ -154,7 +155,7 @@ func fakePeer(t *testing.T, head string, body []byte) (addr string, hits *atomic
 // tells the truth. With only the liar to ask, the client gets the 503. The
 // cache fill and the uncached stream open their source the same way.
 func TestPeerContentLengthMustMatchManifest(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc = "/docs/remote.bin"
 	const size = 100000
 	good := bytes.Repeat([]byte{'g'}, size)

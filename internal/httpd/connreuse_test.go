@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sweb/internal/httpmsg"
+	"sweb/internal/leakcheck"
 )
 
 // serveGoroutines counts the serve goroutines alive and, of those, the
@@ -126,7 +127,7 @@ func TestReusedConnStartsClean(t *testing.T) {
 // shuts the node down. Shutdown must not wait out IdleTimeout for them,
 // and once Close returns no goroutine or descriptor may be left.
 func TestShutdownEndsParkedServeGoroutines(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	srv, doc := startSoloNode(t, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

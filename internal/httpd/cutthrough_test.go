@@ -15,6 +15,7 @@ import (
 
 	"sweb/internal/core"
 	"sweb/internal/httpmsg"
+	"sweb/internal/leakcheck"
 	"sweb/internal/storage"
 )
 
@@ -164,7 +165,7 @@ func startFill(t *testing.T, relay *Server, doc string, want []byte, n int) (net
 // owner lets go, the client gets the whole body, the entry is inserted
 // before its last byte, and the connection serves the next request.
 func TestCutThroughFirstChunkBeforeFill(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc, first = "/docs/remote.bin", 16 << 10
 	body := docBytes(doc, 256<<10)
 	owner, release, _ := stallPeer(t, body, first, false)
@@ -196,7 +197,7 @@ func TestCutThroughFirstChunkBeforeFill(t *testing.T) {
 // same document, waiting on that fill, is still served in full and the
 // entry inserted while the first response is unfinished.
 func TestCutThroughStalledClientDelaysNobody(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc = "/docs/big.bin"
 	body := docBytes(doc, 8<<20) // well past both sockets' buffers
 	owner, release, hits := stallPeer(t, body, 64<<10, false)
@@ -233,7 +234,7 @@ func TestCutThroughStalledClientDelaysNobody(t *testing.T) {
 // connection closed, the failure is counted against the client and the
 // source, nothing is cached and the dead connection is not pooled.
 func TestCutThroughSourceDeathMidBody(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc, first = "/docs/remote.bin", 16 << 10
 	body := docBytes(doc, 256<<10)
 	owner, release, _ := stallPeer(t, body, first, true)
@@ -268,7 +269,7 @@ func TestCutThroughSourceDeathMidBody(t *testing.T) {
 // client's response is cut short; the waiter, whose bytes were not on the
 // wire, fetches again and is served in full by the surviving replica.
 func TestCutThroughWaiterSurvivesSourceDeath(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc, first = "/docs/remote.bin", 16 << 10
 	body := docBytes(doc, 256<<10)
 	dying, release, _ := stallPeer(t, body, first, true)
@@ -298,7 +299,7 @@ func TestCutThroughWaiterSurvivesSourceDeath(t *testing.T) {
 // entry: the HEAD carries the length and no body, the conditional GET earns
 // its 304, and both leave the document cached.
 func TestCutThroughConditionalAndHEADMisses(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc = "/docs/big.bin"
 	relay, owner := startPair(t, nil, storage.File{Path: doc, Size: 256 << 10, Owner: 1})
 	body := docBytes(doc, 256<<10)
@@ -339,7 +340,7 @@ func TestCutThroughConditionalAndHEADMisses(t *testing.T) {
 // with its source's header, so it needs no writer and leaves, header and
 // body, in a single write, like a hit.
 func TestCutThroughSmallRelayOneWrite(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc = "/docs/small.html"
 	relay, _ := startPair(t, nil, storage.File{Path: doc, Size: 1 << 10, Owner: 1})
 	conn := &countingConn{}

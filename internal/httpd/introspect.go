@@ -129,9 +129,7 @@ func (s *Server) StatusReport() StatusReport {
 func (s *Server) Registry() *metrics.Registry { return s.obs.Registry() }
 
 // SLOReport evaluates the node's configured objectives against its own
-// cumulative registry — the lifetime-window accounting a single node can
-// answer for, since time-series history lives in the cluster monitor
-// (which serves the rolling windows and burn-rate alerts).
+// cumulative registry: the budget spent since the node started.
 func (s *Server) SLOReport() slo.Report {
 	var buf bytes.Buffer
 	_ = s.obs.Registry().WriteText(&buf)

@@ -16,6 +16,7 @@ import (
 
 	"sweb/internal/core"
 	"sweb/internal/httpmsg"
+	"sweb/internal/leakcheck"
 	"sweb/internal/storage"
 )
 
@@ -302,7 +303,7 @@ func startPair(t *testing.T, mut func(*Config), files ...storage.File) (*Server,
 // must earn a 304. The old relay dropped the header, leaving zero-ModTime
 // cache entries that could never revalidate.
 func TestRelayedDocumentCarriesLastModified(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	relay, _, doc := startPairRR(t, nil)
 
 	resp := getWith(t, relay.Addr(), doc, nil)
@@ -326,7 +327,7 @@ func TestRelayedDocumentCarriesLastModified(t *testing.T) {
 // (cache off) must also preserve Last-Modified and pass an
 // If-Modified-Since through to the owner for a relayed 304.
 func TestRelayStreamLastModifiedAnd304(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	relay, owner, doc := startPairRR(t, func(c *Config) { c.CacheOff = true })
 
 	resp := getWith(t, relay.Addr(), doc, nil)
@@ -349,7 +350,7 @@ func TestRelayStreamLastModifiedAnd304(t *testing.T) {
 // TestUpstreamPoolReusesConnections: back-to-back relays to the same owner
 // must ride one upstream connection — one dial, the rest reused.
 func TestUpstreamPoolReusesConnections(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	relay, _, doc := startPairRR(t, func(c *Config) { c.CacheOff = true })
 	for i := 0; i < 3; i++ {
 		resp := getWith(t, relay.Addr(), doc, nil)
@@ -411,7 +412,7 @@ func TestHEADAccountsZeroBodyBytes(t *testing.T) {
 // complete), the relay must count the failed write, and the node must keep
 // serving fresh connections.
 func TestRelayMidStreamOwnerDeath(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc = "/docs/remote.html"
 	st := storage.NewStore(2)
 	st.MustAdd(storage.File{Path: "/docs/local.html", Size: 1024, Owner: 0})

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sweb/internal/httpmsg"
+	"sweb/internal/leakcheck"
 	"sweb/internal/storage"
 )
 
@@ -23,7 +24,7 @@ import (
 // the relay waits for, so reading that cache after the client's response
 // is race-free.
 func TestInternalFetchSendsFromPageCache(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const big, small = "/docs/big.bin", "/docs/small.html"
 	relay, owner := startPair(t, nil,
 		storage.File{Path: big, Size: 256 << 10, Owner: 1},
@@ -127,7 +128,7 @@ func unstartedServer(t *testing.T) *Server {
 // re-wrap it — and the meter still counts header plus body and stamps the
 // first write.
 func TestStreamResponseSendsFile(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	srv := unstartedServer(t)
 	path, body := docOnDisk(t, 64<<10)
 	conn := &readerFromConn{}
@@ -158,7 +159,7 @@ func TestStreamResponseSendsFile(t *testing.T) {
 // (net.Pipe) the same file body goes through the copy buffer and the
 // client gets the same response.
 func TestStreamResponseFileFallback(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	srv := unstartedServer(t)
 	path, body := docOnDisk(t, 64<<10)
 	sent := &readerFromConn{}
@@ -198,7 +199,7 @@ func TestStreamResponseFileFallback(t *testing.T) {
 // announced sends what it has, counts exactly that, reports io.EOF and
 // spends the connection — the contract every streamed body keeps.
 func TestStreamResponseTruncatedFile(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	srv := unstartedServer(t)
 	const announced, kept = 64 << 10, 10 << 10
 	path, body := docOnDisk(t, announced)

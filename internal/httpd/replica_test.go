@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sweb/internal/httpmsg"
+	"sweb/internal/leakcheck"
 	"sweb/internal/storage"
 )
 
@@ -17,7 +18,7 @@ import (
 // again, and peers relaying from either copy cache the same date. The copy
 // lands whole under its own name, leaving nothing else in the directory.
 func TestReplicaKeepsSourceLastModified(t *testing.T) {
-	checkNoLeaks(t)
+	leakcheck.Check(t)
 	const doc = "/docs/rep.bin"
 	replica, primary := startPair(t, nil, storage.File{Path: doc, Size: 8 << 10, Owner: 1})
 	src := docFile(primary, doc)

@@ -158,13 +158,12 @@ type Config struct {
 	// tracked per node (default heat.DefaultK).
 	HeatK int
 	// SnapshotDir, when set, enables diagnostic snapshot bundles: the
-	// /sweb/snapshot endpoint and alert-triggered captures write
-	// timestamped bundle directories under it.
+	// /sweb/snapshot endpoint writes timestamped bundle directories under
+	// it.
 	SnapshotDir string
 	// SLO is the node's service-level objectives, reported on /sweb/slo
 	// against the registry's lifetime counters (slo.DefaultObjectives when
-	// empty). Rolling-window budgets and burn-rate alerts are the cluster
-	// monitor's job; this is the per-node accounting view.
+	// empty).
 	SLO []slo.Objective
 }
 

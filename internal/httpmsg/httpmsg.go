@@ -538,7 +538,7 @@ func WriteProtoResponseHeader(w *bufio.Writer, proto string, code int, h Header)
 }
 
 // WriteResponseHeader is WriteProtoResponseHeader pinned to HTTP/1.0, kept
-// for the callers that never negotiate keep-alive (monitor, DNS admin).
+// for the callers that never negotiate keep-alive.
 func WriteResponseHeader(w *bufio.Writer, code int, h Header) error {
 	return WriteProtoResponseHeader(w, "HTTP/1.0", code, h)
 }

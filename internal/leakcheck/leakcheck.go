@@ -1,4 +1,6 @@
-package httpd
+// Package leakcheck fails a test that leaves goroutines or open
+// descriptors behind. It is imported by tests only.
+package leakcheck
 
 import (
 	"net"
@@ -8,14 +10,13 @@ import (
 	"time"
 )
 
-// checkNoLeaks fails t if the test leaves goroutines or open descriptors
-// behind. Call it first thing: its check is then the test's last cleanup,
-// running after every Server the test started has been Closed — Close
-// returns only once the server's goroutines are done. Descriptors are
-// counted in /proc/self/fd, and not at all where that does not exist. The
-// counts are process-wide, so a test that uses this must not run in
-// parallel.
-func checkNoLeaks(t *testing.T) {
+// Check fails t if the test leaves goroutines or open descriptors behind.
+// Call it first thing: its check is then the test's last cleanup, running
+// after every deferred Close — a Server's or a Cluster's Close returns
+// only once its goroutines are done. Descriptors are counted in
+// /proc/self/fd, and not at all where that does not exist. The counts are
+// process-wide, so a test that uses this must not run in parallel.
+func Check(t testing.TB) {
 	t.Helper()
 	// The network poller's own descriptors live as long as the process:
 	// start it before taking the baseline.

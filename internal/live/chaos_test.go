@@ -1,13 +1,16 @@
 package live
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"sweb/internal/httpd"
+	"sweb/internal/leakcheck"
 	"sweb/internal/metrics"
-	"sweb/internal/monitor"
+	"sweb/internal/nodeobs"
 	"sweb/internal/storage"
 )
 
@@ -202,18 +205,60 @@ func waitFor(t *testing.T, what string, deadline time.Duration, cond func() bool
 	t.Fatalf("timed out waiting for %s (%v)", what, deadline)
 }
 
-// TestMonitorAlertsOnKillAndRestart proves the alerting loop end to end:
-// a healthy cluster fires nothing, killing a node fires node_down (the
-// scrape is the health check) and gossip_stale (the survivors' view of its
-// last broadcast ages past the loadd timeout), and Restart clears both.
+// peerAvailable reports whether srv's loadd table offers peer to the
+// broker: the availability verdict /sweb/status publishes per peer.
+func peerAvailable(srv *httpd.Server, peer int) bool {
+	for _, h := range srv.StatusReport().Peers {
+		if h.Node == peer {
+			return h.Available
+		}
+	}
+	return false
+}
+
+// waitAvailable waits until every listed server's table reads peer as
+// available (or, with want false, as unavailable).
+func waitAvailable(t *testing.T, cl *Cluster, servers []int, peer int, want bool) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("node %d to read available=%v on %v", peer, want, servers), 10*time.Second, func() bool {
+		for _, i := range servers {
+			if peerAvailable(cl.Servers[i], peer) != want {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// gossipAge scrapes addr's /sweb/metrics for the age of peer's last load
+// broadcast.
+func gossipAge(t *testing.T, addr string, peer int) float64 {
+	t.Helper()
+	samples, err := Metrics(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	age, ok := metrics.Value(samples, nodeobs.GossipAge, metrics.Labels{"peer": strconv.Itoa(peer)})
+	if !ok {
+		t.Fatalf("%s publishes no %s for peer %d", addr, nodeobs.GossipAge, peer)
+	}
+	return age
+}
+
+// TestMonitorAlertsOnKillAndRestart checks that a killed node shows up in
+// everything the survivors publish, and that Restart clears it: the
+// corpse stops answering scrapes, every survivor's loadd table stops
+// offering it, and each survivor's /sweb/metrics shows its last broadcast
+// aging past the loadd timeout.
 func TestMonitorAlertsOnKillAndRestart(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		nodes        = 3
 		dead         = 2
 		loaddPeriod  = 50 * time.Millisecond
 		loaddTimeout = 400 * time.Millisecond
-		collect      = 60 * time.Millisecond
 	)
+	survivors := []int{0, 1}
 	st := storage.NewStore(nodes)
 	storage.UniformSet(st, 6, 2048)
 	cl, err := Start(Options{
@@ -228,59 +273,41 @@ func TestMonitorAlertsOnKillAndRestart(t *testing.T) {
 	defer cl.Close()
 	waitKnown(t, []int{0, 1, 2}, cl, nodes, 10*time.Second)
 
-	mon := cl.StartMonitor(monitor.Config{
-		Window: 2,
-		Rules: monitor.RuleConfig{
-			StalenessSeconds: loaddTimeout.Seconds(),
-			ForSamples:       2,
-		},
-	}, collect)
-	if cl.Monitor() != mon {
-		t.Fatal("Monitor() does not return the attached monitor")
+	// A healthy cluster: every node answers, every peer row is fresh.
+	waitAvailable(t, cl, survivors, dead, true)
+	if _, up := cl.ScrapeMetrics(); up != nodes {
+		t.Fatalf("healthy scrape reached %d nodes, want %d", up, nodes)
 	}
-
-	waitFor(t, "first collection rounds", 5*time.Second, func() bool { return mon.Rounds() >= 3 })
-	if alerts := mon.Alerts(); len(alerts) != 0 {
-		t.Fatalf("healthy cluster has firing alerts: %v", monitor.SortedAlertKeys(alerts))
+	for _, i := range survivors {
+		if age := gossipAge(t, cl.Servers[i].Addr(), dead); age < 0 || age > loaddTimeout.Seconds() {
+			t.Fatalf("healthy node %d reads node %d's broadcast age %v", i, dead, age)
+		}
 	}
 
 	if err := cl.Kill(dead); err != nil {
 		t.Fatal(err)
 	}
-	deadName := strconv.Itoa(dead)
-	waitFor(t, "node_down to fire", 10*time.Second, func() bool {
-		return mon.AlertFiring("node_down", deadName)
-	})
-	waitFor(t, "gossip_stale to fire", 10*time.Second, func() bool {
-		return mon.AlertFiring("gossip_stale", deadName)
-	})
-	// The firing state is exported back into the store as a metric.
-	if p, ok := monitor.Latest(mon.Store().Points("sweb_monitor_alert",
-		metrics.Labels{"rule": "node_down", "node": deadName})); !ok || p.V != 1 {
-		t.Fatalf("sweb_monitor_alert{rule=node_down,node=%s} = %+v ok=%v, want 1", deadName, p, ok)
+	if _, up := cl.ScrapeMetrics(); up != nodes-1 {
+		t.Fatalf("scrape after the kill reached %d nodes, want %d survivors", up, nodes-1)
+	}
+	waitAvailable(t, cl, survivors, dead, false)
+	for _, i := range survivors {
+		if age := gossipAge(t, cl.Servers[i].Addr(), dead); age <= loaddTimeout.Seconds() {
+			t.Fatalf("node %d reads the corpse's broadcast age %v, want past the %v timeout", i, age, loaddTimeout)
+		}
 	}
 
 	if err := cl.Restart(dead); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "node_down to clear", 10*time.Second, func() bool {
-		return !mon.AlertFiring("node_down", deadName)
-	})
-	waitFor(t, "gossip_stale to clear", 10*time.Second, func() bool {
-		return !mon.AlertFiring("gossip_stale", deadName)
-	})
-
-	snap := mon.Snapshot()
-	if len(snap.Nodes) != nodes {
-		t.Fatalf("snapshot has %d node rows, want %d", len(snap.Nodes), nodes)
-	}
-	for _, row := range snap.Nodes {
-		if !row.Up {
-			t.Fatalf("node %s still down in snapshot after restart", row.Node)
+	waitAvailable(t, cl, survivors, dead, true)
+	for _, i := range survivors {
+		if age := gossipAge(t, cl.Servers[i].Addr(), dead); age < 0 || age > loaddTimeout.Seconds() {
+			t.Fatalf("node %d reads the restarted node's broadcast age %v", i, age)
 		}
 	}
-	if out := monitor.RenderSnapshot(snap); !strings.Contains(out, "alerts: none") {
-		t.Fatalf("rendered snapshot still shows alerts:\n%s", out)
+	if _, up := cl.ScrapeMetrics(); up != nodes {
+		t.Fatalf("scrape after the restart reached %d nodes, want %d", up, nodes)
 	}
 }
 
@@ -288,6 +315,7 @@ func TestMonitorAlertsOnKillAndRestart(t *testing.T) {
 // tables still converge: the paper's 2-3s broadcast cadence is itself the
 // retransmission mechanism.
 func TestGossipConvergesUnderLoss(t *testing.T) {
+	leakcheck.Check(t)
 	st := storage.NewStore(3)
 	storage.UniformSet(st, 3, 1024)
 	cl, err := Start(Options{

@@ -12,20 +12,38 @@ import (
 	"time"
 
 	"sweb/internal/heat"
-	"sweb/internal/monitor"
+	"sweb/internal/leakcheck"
+	"sweb/internal/metrics"
+	"sweb/internal/nodeobs"
 	"sweb/internal/storage"
 )
 
+// hotShare is path's share of the requests the cluster's heat sketches
+// absorbed between two scrapes, from the per-path sweb_heat_requests_total
+// counters against the sweb_heat_observations_total denominator. ok is
+// false until at least minObs requests fell between the scrapes.
+func hotShare(from, to []metrics.Sample, path string, minObs float64) (share float64, ok bool) {
+	obs := MetricValue(to, nodeobs.HeatObservations, nil) - MetricValue(from, nodeobs.HeatObservations, nil)
+	if obs < minObs {
+		return 0, false
+	}
+	lbl := metrics.Labels{"path": path}
+	return (MetricValue(to, nodeobs.HeatRequests, lbl) - MetricValue(from, nodeobs.HeatRequests, lbl)) / obs, true
+}
+
 // TestHeatHotDocChaos is the document-heat acceptance scenario: a
-// Zipf-skewed burst hammers one injected hotspot, the placement advisor
-// ranks it #1, the hot_doc rule fires and writes a diagnostic bundle
-// whose per-node state now includes heat.json, and the alert clears
-// again once the workload flattens out.
+// Zipf-skewed burst hammers one injected hotspot, the scraped heat
+// counters show it drawing over half the cluster's requests, the
+// placement advisor ranks it #1, a diagnostic bundle written then carries
+// each node's heat.json, and the hotspot's share falls back under half
+// once the workload flattens out.
 func TestHeatHotDocChaos(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		nodes       = 3
 		loaddPeriod = 50 * time.Millisecond
-		collect     = 60 * time.Millisecond
+		hotDocShare = 0.5
+		minObs      = 20
 	)
 	snapDir := t.TempDir()
 	st := storage.NewStore(nodes)
@@ -43,17 +61,7 @@ func TestHeatHotDocChaos(t *testing.T) {
 	defer cl.Close()
 	waitKnown(t, []int{0, 1, 2}, cl, nodes, 10*time.Second)
 
-	// The other rules are parked far out of reach so the one bundle this
-	// run writes is attributable to hot_doc alone.
-	mon := cl.StartMonitor(monitor.Config{
-		Window: 2,
-		Rules: monitor.RuleConfig{
-			RedirectRatio:   2,
-			ImbalanceCoV:    100,
-			CacheMinLookups: 1e9,
-			ForSamples:      2,
-		},
-	}, collect)
+	base, _ := cl.ScrapeMetrics()
 
 	// Zipf-skewed traffic: ~80% of requests hit the injected hotspot
 	// until hotOn is flipped off, then the background set takes over.
@@ -64,6 +72,7 @@ func TestHeatHotDocChaos(t *testing.T) {
 	go func() {
 		defer close(done)
 		client := cl.NewClient()
+		defer client.Close()
 		rng := rand.New(rand.NewSource(99))
 		for {
 			select {
@@ -81,8 +90,10 @@ func TestHeatHotDocChaos(t *testing.T) {
 	}()
 	defer func() { close(stop); <-done }()
 
-	waitFor(t, "hot_doc to fire", 20*time.Second, func() bool {
-		return mon.AlertFiring("hot_doc", hot)
+	waitFor(t, "the hotspot to draw over half the requests", 20*time.Second, func() bool {
+		now, _ := cl.ScrapeMetrics()
+		share, ok := hotShare(base, now, hot, minObs)
+		return ok && share > hotDocShare
 	})
 
 	// The advisor's #1 recommendation is the injected hotspot — via the
@@ -110,13 +121,12 @@ func TestHeatHotDocChaos(t *testing.T) {
 		t.Fatalf("scraped advisor top pick = %+v, want %s", scraped, hot)
 	}
 
-	// The hotspot alert wrote a bundle, and each node's contribution now
-	// carries its heat sketch.
-	waitFor(t, "alert-triggered bundle", 10*time.Second, func() bool {
-		return len(cl.Bundles()) >= 1
-	})
-	bundle := cl.Bundles()[0]
-	if !strings.Contains(filepath.Base(bundle), "alert-hot_doc") {
+	// A bundle written now carries each node's heat sketch.
+	bundle, err := cl.WriteSnapshot("hot_doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(filepath.Base(bundle), "hot_doc") {
 		t.Fatalf("bundle %s not named after hot_doc", bundle)
 	}
 	sawHot := false
@@ -142,10 +152,13 @@ func TestHeatHotDocChaos(t *testing.T) {
 		t.Fatalf("no bundled sketch tracks the hotspot %s", hot)
 	}
 
-	// Flatten the workload: the hotspot's windowed share decays and the
-	// alert must clear through the standard hysteresis.
+	// Flatten the workload: the hotspot's share of the requests since
+	// then falls under half.
 	hotOn.Store(false)
-	waitFor(t, "hot_doc to clear", 30*time.Second, func() bool {
-		return !mon.AlertFiring("hot_doc", hot)
+	flat, _ := cl.ScrapeMetrics()
+	waitFor(t, "the hotspot's share to fall under half", 30*time.Second, func() bool {
+		now, _ := cl.ScrapeMetrics()
+		share, ok := hotShare(flat, now, hot, minObs)
+		return ok && share < hotDocShare
 	})
 }

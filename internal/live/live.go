@@ -83,9 +83,9 @@ type Options struct {
 	// FlightRing sizes every node's recent flight ring (zero: flight
 	// default).
 	FlightRing int
-	// SnapshotDir, when set, enables diagnostic bundles: alerts from the
-	// cluster monitor and WriteSnapshot calls write cross-node bundle
-	// directories under it.
+	// SnapshotDir, when set, enables diagnostic bundles: WriteSnapshot
+	// writes cross-node bundle directories under it, and each node's
+	// /sweb/snapshot writes its own.
 	SnapshotDir string
 	// SLO sets every node's /sweb/slo objectives (empty: slo defaults).
 	SLO []slo.Objective
@@ -109,16 +109,13 @@ type Cluster struct {
 	// killed node can be restarted in place; nil for Assemble clusters.
 	cfgs  []httpd.Config
 	peers []httpd.Peer
-	// ms is the attached cluster monitor, nil until StartMonitor.
-	ms *monitorState
 	// rb is the attached replica rebalancer, nil until StartRebalancer.
 	rb *rebalancerState
 
 	// snapshotDir is the bundle destination; snapMu serializes writes and
-	// guards the cooldown clock and the written-bundle list.
+	// guards the written-bundle list.
 	snapshotDir string
 	snapMu      sync.Mutex
-	lastSnap    time.Time
 	bundles     []string
 }
 
@@ -239,7 +236,6 @@ func (c *Cluster) Epoch() time.Time { return c.epoch }
 // Close stops every node.
 func (c *Cluster) Close() {
 	c.StopRebalancer()
-	c.StopMonitor()
 	for _, srv := range c.Servers {
 		if srv != nil {
 			srv.Close()

@@ -14,6 +14,7 @@ import (
 	"sweb/internal/httpmsg"
 	"sweb/internal/metrics"
 	"sweb/internal/nodeobs"
+	"sweb/internal/slo"
 	"sweb/internal/stats"
 	"sweb/internal/trace"
 )
@@ -48,6 +49,11 @@ func Status(addr string) (*httpd.StatusReport, error) {
 // Flight fetches and decodes one node's /sweb/flight black-box dump.
 func Flight(addr string) (*flight.Dump, error) {
 	return fetchJSON[flight.Dump](addr, "/sweb/flight", 16<<20)
+}
+
+// SLO fetches and decodes one node's /sweb/slo lifetime-budget report.
+func SLO(addr string) (*slo.Report, error) {
+	return fetchJSON[slo.Report](addr, "/sweb/slo", 1<<20)
 }
 
 // MergedHeat folds every live node's document-heat sketch into the

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"sweb/internal/leakcheck"
 	"sweb/internal/metrics"
-	"sweb/internal/monitor"
 	"sweb/internal/storage"
 )
 
@@ -14,16 +14,16 @@ import (
 // with R=2 every document survives any single node's death. Each node is
 // killed in turn under request load, and every document must keep serving
 // 200 — zero 503s — because the internal fetch rotation falls through to
-// the surviving replica. The monitor notices the corpse (node_down), the
+// the surviving replica. The corpse stops answering scrapes, the
 // scraped sweb_replica_fetch_total counters prove failover traffic moved
 // to the survivor (and none kept crediting the dead source), the victim
 // node's flight recorder on a forced-relay survivor shows the successful
 // serves, and Restart heals the cluster for the next round.
 func TestReplicaSurvivesOwnerKill(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		nodes       = 3
 		loaddPeriod = 50 * time.Millisecond
-		collect     = 60 * time.Millisecond
 	)
 	st := storage.NewStore(nodes)
 	paths := storage.UniformSet(st, 9, 4096)
@@ -52,19 +52,8 @@ func TestReplicaSurvivesOwnerKill(t *testing.T) {
 
 	waitKnown(t, []int{0, 1, 2}, cl, nodes, 10*time.Second)
 
-	// Only node_down (and gossip staleness) are in play; the traffic-shape
-	// rules are parked out of reach.
-	mon := cl.StartMonitor(monitor.Config{
-		Window: 2,
-		Rules: monitor.RuleConfig{
-			RedirectRatio:   2,
-			ImbalanceCoV:    100,
-			CacheMinLookups: 1e9,
-			ForSamples:      2,
-		},
-	}, collect)
-
 	client := cl.NewClient()
+	defer client.Close()
 
 	for dead := 0; dead < nodes; dead++ {
 		deadName := strconv.Itoa(dead)
@@ -73,9 +62,12 @@ func TestReplicaSurvivesOwnerKill(t *testing.T) {
 		if err := cl.Kill(dead); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "node_down("+deadName+") to fire", 10*time.Second, func() bool {
-			return mon.AlertFiring("node_down", deadName)
-		})
+		// The corpse stops answering at once, while the survivors' tables
+		// still offer it: the load below meets the dead replica on the
+		// data path, not only in the broker's view.
+		if _, up := cl.ScrapeMetrics(); up != nodes-1 {
+			t.Fatalf("kill %d: scrape reached %d nodes, want %d survivors", dead, up, nodes-1)
+		}
 
 		// The load: every document via every surviving entry node, twice.
 		// All of them are 2-way replicated, so not one response may be 503.
@@ -143,14 +135,14 @@ func TestReplicaSurvivesOwnerKill(t *testing.T) {
 			t.Fatalf("kill %d: node %d's flight records show no 200 for %s", dead, forced, deadPath)
 		}
 
-		// Restart heals: the alert clears, gossip reconverges, and the
-		// reborn node serves again.
+		// Restart heals: the node answers scrapes again, gossip
+		// reconverges, and the reborn node serves again.
 		if err := cl.Restart(dead); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "node_down("+deadName+") to clear", 10*time.Second, func() bool {
-			return !mon.AlertFiring("node_down", deadName)
-		})
+		if _, up := cl.ScrapeMetrics(); up != nodes {
+			t.Fatalf("restart %d: scrape reached %d nodes, want %d", dead, up, nodes)
+		}
 		waitKnown(t, []int{0, 1, 2}, cl, nodes, 10*time.Second)
 		waitFor(t, "restarted node to serve", 10*time.Second, func() bool {
 			res, err := client.GetVia(dead, paths[0])

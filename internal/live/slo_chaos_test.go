@@ -10,30 +10,56 @@ import (
 	"time"
 
 	"sweb/internal/flight"
+	"sweb/internal/leakcheck"
 	"sweb/internal/metrics"
-	"sweb/internal/monitor"
 	"sweb/internal/nodeobs"
 	"sweb/internal/slo"
 	"sweb/internal/storage"
 	"sweb/internal/trace"
 )
 
+// fastBurn is the SRE workbook's fast-burn threshold: 2% of a 30-day
+// error budget spent in one hour.
+const fastBurn = 14.4
+
+// availStatus fetches addr's /sweb/slo report and returns its "avail"
+// objective.
+func availStatus(t *testing.T, addr string) slo.Status {
+	t.Helper()
+	rep, err := SLO(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range rep.Objectives {
+		if s.Objective.Name == "avail" {
+			return s
+		}
+	}
+	t.Fatalf("%s reports no avail objective: %+v", addr, rep.Objectives)
+	return slo.Status{}
+}
+
 // TestSLOBreachFiresFastBurnAndSnapshot is the SLO engine's acceptance
 // scenario: traced traffic fills the exemplar slots and flight rings, a
-// node is killed under load, the injected owner-dead 503s burn the
-// availability budget past the fast pair's threshold, slo_fast_avail
-// fires through the monitor's ExtraRules hook, and the OnFire snapshot
-// writes a bundle named after the SLO alert. The consumed budget must
-// match the injected error count exactly, and a response-histogram
-// exemplar scraped out of the bundle must resolve to a flight record in
-// the same bundle — the breach → exemplar → flight pivot end to end.
+// node is killed, and owner-dead 503s injected at node 0 burn its
+// availability budget faster than the fast-burn threshold. Each node's
+// /sweb/slo lifetime report must charge exactly the errors it served —
+// the injected count at node 0, none at node 1 — and a response-histogram
+// exemplar scraped out of a bundle written at the breach must resolve to
+// a flight record in the same bundle: the breach → exemplar → flight
+// pivot end to end.
 func TestSLOBreachFiresFastBurnAndSnapshot(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		nodes       = 3
 		dead        = 2
 		loaddPeriod = 50 * time.Millisecond
-		collect     = 60 * time.Millisecond
+		rounds      = 3
 	)
+	objs, err := slo.ParseObjectives("avail=99")
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := storage.NewStore(nodes)
 	paths := storage.UniformSet(st, 9, 2048)
 	rec := trace.NewRecorder(1 << 14)
@@ -47,6 +73,7 @@ func TestSLOBreachFiresFastBurnAndSnapshot(t *testing.T) {
 		SnapshotDir:   t.TempDir(),
 		Trace:         rec,
 		FlightRing:    4096,
+		SLO:           objs,
 		Seed:          37,
 	})
 	if err != nil {
@@ -55,24 +82,10 @@ func TestSLOBreachFiresFastBurnAndSnapshot(t *testing.T) {
 	defer cl.Close()
 	waitKnown(t, []int{0, 1, 2}, cl, nodes, 10*time.Second)
 
-	objs, err := slo.ParseObjectives("avail=99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := cl.StartMonitor(monitor.Config{
-		Window: 2,
-		// Push the built-in rules past the test's horizon so the only
-		// alert that can fire — and trigger the snapshot — is the SLO
-		// burn-rate pair under test.
-		Rules: monitor.RuleConfig{ForSamples: 100000, StalenessSeconds: 1e9},
-		ExtraRules: slo.Rules(objs, slo.Windows{
-			FastLong: 3, FastShort: 1, SlowLong: 6, SlowShort: 2,
-		}),
-	}, collect)
-
 	// Healthy traced traffic: fills every node's response exemplars and
 	// flight rings with resolvable trace ids, burns no budget.
 	client := cl.NewClient()
+	defer client.Close()
 	client.SetTrace(rec)
 	for round := 0; round < 2; round++ {
 		for _, p := range paths {
@@ -81,9 +94,10 @@ func TestSLOBreachFiresFastBurnAndSnapshot(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, "first collection rounds", 5*time.Second, func() bool { return mon.Rounds() >= 3 })
-	if alerts := mon.Alerts(); len(alerts) != 0 {
-		t.Fatalf("healthy traffic fired alerts: %v", monitor.SortedAlertKeys(alerts))
+	for i, srv := range cl.Servers {
+		if s := availStatus(t, srv.Addr()); s.Errors != 0 || !s.Met {
+			t.Fatalf("healthy traffic charged node %d: %+v", i, s)
+		}
 	}
 	if got := cl.Bundles(); len(got) != 0 {
 		t.Fatalf("healthy cluster already wrote bundles: %v", got)
@@ -102,16 +116,11 @@ func TestSLOBreachFiresFastBurnAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Inject failures until the fast pair fires: each owner-dead fetch
-	// (swebr marks it re-scheduled, so the survivor must serve, not 302)
-	// is exactly one 503 and one owner_unreachable drop.
+	// Inject failures: each owner-dead fetch (swebr marks it re-scheduled,
+	// so the survivor must serve, not 302) is exactly one 503 and one
+	// owner_unreachable drop.
 	injected := 0
-	breachDeadline := time.Now().Add(20 * time.Second)
-	for !mon.AlertFiring("slo_fast_avail", "cluster") {
-		if time.Now().After(breachDeadline) {
-			t.Fatalf("slo_fast_avail never fired after %d injected errors; alerts: %v",
-				injected, monitor.SortedAlertKeys(mon.Alerts()))
-		}
+	for round := 0; round < rounds; round++ {
 		for _, p := range deadPaths {
 			status, _, _ := directGet(t, cl.Servers[0].Addr(), p+"?swebr=1")
 			if status != 503 {
@@ -119,42 +128,31 @@ func TestSLOBreachFiresFastBurnAndSnapshot(t *testing.T) {
 			}
 			injected++
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 
-	// The firing SLO alert wrote the diagnostic bundle via OnFire.
-	waitFor(t, "alert-triggered bundle", 10*time.Second, func() bool {
-		return len(cl.Bundles()) >= 1
-	})
-	bundle := cl.Bundles()[0]
-	if !strings.Contains(filepath.Base(bundle), "alert-slo_") {
-		t.Fatalf("bundle %s not named after the SLO alert", bundle)
-	}
-
-	// Budget accounting: once the collect loop has scraped the final
-	// counters, the cluster-wide error count equals the injected 503s —
-	// nothing else in this run consumes budget.
-	var rep slo.Report
+	// Budget accounting: node 0 charges exactly the injected 503s, the
+	// untouched survivor charges nothing.
+	var got slo.Status
 	waitFor(t, "budget accounting to settle", 5*time.Second, func() bool {
-		r, err := cl.SLOReport(objs, 0)
-		if err != nil {
-			return false
-		}
-		rep = r
-		return len(r.Objectives) == 1 && r.Objectives[0].Errors >= float64(injected)
+		got = availStatus(t, cl.Servers[0].Addr())
+		return got.Errors >= float64(injected)
 	})
-	got := rep.Objectives[0]
 	if got.Errors != float64(injected) {
-		t.Fatalf("budget charged %v errors, injected %d", got.Errors, injected)
+		t.Fatalf("node 0 charged %v errors, injected %d", got.Errors, injected)
 	}
-	if !rep.Breached() || got.Met || got.BurnRate <= 1 {
-		t.Fatalf("report does not show the breach: %+v", got)
+	if got.Met || got.BurnRate <= fastBurn {
+		t.Fatalf("node 0's report does not show a fast burn: %+v", got)
 	}
-	// The untouched survivor never dropped anything.
-	for _, s := range rep.Nodes["1"] {
-		if s.Errors != 0 {
-			t.Fatalf("node 1 charged %v errors without serving any failure", s.Errors)
-		}
+	if s := availStatus(t, cl.Servers[1].Addr()); s.Errors != 0 {
+		t.Fatalf("node 1 charged %v errors without serving any failure", s.Errors)
+	}
+
+	bundle, err := cl.WriteSnapshot("slo_fast_avail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(filepath.Base(bundle), "slo_fast_avail") {
+		t.Fatalf("bundle %s not named after the SLO breach", bundle)
 	}
 
 	// The pivot: a response-histogram exemplar in the bundle's metrics

@@ -3,16 +3,9 @@ package live
 import (
 	"errors"
 	"strconv"
-	"time"
 
 	"sweb/internal/flight"
-	"sweb/internal/monitor"
 )
-
-// snapshotCooldown bounds alert-triggered bundle writes: a storm of
-// related alerts (node_down plus gossip_stale for the same peer) produces
-// one bundle, not one per rule.
-const snapshotCooldown = 5 * time.Second
 
 // WriteSnapshot captures a cross-node diagnostic bundle: every live
 // node's metrics, status, trace tail, flight rings, and conn table,
@@ -39,7 +32,6 @@ func (c *Cluster) WriteSnapshot(reason string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.lastSnap = time.Now()
 	c.bundles = append(c.bundles, dir)
 	return dir, nil
 }
@@ -49,21 +41,4 @@ func (c *Cluster) Bundles() []string {
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 	return append([]string(nil), c.bundles...)
-}
-
-// maybeSnapshot is the alert-triggered capture path: any newly fired
-// alert produces a bundle named after the first rule, rate-limited by the
-// cooldown. Runs synchronously on the monitor's collect goroutine — the
-// cluster's state is captured as close to the firing instant as possible.
-func (c *Cluster) maybeSnapshot(alerts []monitor.Alert) {
-	if c.snapshotDir == "" || len(alerts) == 0 {
-		return
-	}
-	c.snapMu.Lock()
-	tooSoon := !c.lastSnap.IsZero() && time.Since(c.lastSnap) < snapshotCooldown
-	c.snapMu.Unlock()
-	if tooSoon {
-		return
-	}
-	_, _ = c.WriteSnapshot("alert-" + alerts[0].Rule)
 }

@@ -29,8 +29,8 @@ import (
 // Family names. The event counter mirrors the trace.Kind vocabulary, the
 // phase histograms are the analogue of Table 5's per-phase costs, and the
 // sched_* families compare the broker's predicted t_s terms with what the
-// node then measured. Readers (monitor, slo, live reports) use these
-// names, so renaming a family is a compile error, not an empty panel.
+// node then measured. Readers (slo, live reports, bench) use these names,
+// so renaming a family is a compile error, not an empty report.
 const (
 	Events           = "sweb_events_total"
 	Phase            = "sweb_phase_seconds"
@@ -66,7 +66,7 @@ const (
 	CacheCapacity    = "sweb_cache_capacity_bytes"
 
 	// Published by the live node only (declared in internal/httpd); named
-	// here because the monitor's node table reads them.
+	// here with every other family.
 	Goroutines     = "sweb_goroutines"
 	HeapAllocBytes = "sweb_heap_alloc_bytes"
 )
@@ -476,8 +476,7 @@ func (o *Outcome) Succeeded() bool {
 // decision's prediction and cost table, and, for a success, the response
 // and TTFB histograms (the trace id rides along as the bucket's exemplar,
 // pivoting an SLO breach to this record) and the heat sketch, whose slots
-// also serve the per-path counters and the replica-set gauge the monitor's
-// hot_doc rule divides a path's share by.
+// also serve the per-path counters and the replica-set gauge.
 func (ob *Observer) Observe(o Outcome) {
 	rec := o.Record
 	rec.Node, rec.PredictedSeconds, rec.Candidates = ob.node, o.Decision.Predicted(), o.Decision.Candidates

@@ -43,9 +43,9 @@ type Config struct {
 	CooldownTicks int
 }
 
-// Defaults mirror the monitor's hot_doc posture: act on a document
-// drawing over half the cluster's requests, drain when it falls under a
-// fifth, two confirming ticks each way, one replication per tick.
+// Defaults act on a document drawing over half the cluster's requests,
+// drain when it falls under a fifth, two confirming ticks each way, one
+// replication per tick.
 func Defaults() Config {
 	return Config{
 		MaxReplicas:   2,

@@ -12,7 +12,7 @@ import (
 )
 
 // newObserver builds node x's telemetry: the same sweb_* families, flight
-// recorder and heat sketch a live node serves, so the monitor renders
+// recorder and heat sketch a live node serves, so one reader renders
 // identical reports from either substrate. Everything here runs on the
 // single simulation goroutine; timestamps are virtual seconds.
 func newObserver(c *Cluster, x int) *nodeobs.Observer {
@@ -79,7 +79,7 @@ func (c *Cluster) observe(rs *request, node, status int, bytes int64, served boo
 }
 
 // Registry exposes node x's metrics registry — the simulator analogue of
-// scraping /sweb/metrics, meant to feed a monitor.RegistrySource.
+// scraping /sweb/metrics.
 func (c *Cluster) Registry(x int) *metrics.Registry { return c.obs[x].Registry() }
 
 // FlightDump snapshots node x's black box — the simulator analogue of
@@ -101,12 +101,8 @@ func (c *Cluster) MergedHeat() heat.Merged {
 	return heat.Merge(dumps)
 }
 
-// NodeUp reports whether node x is in the resource pool — the simulated
-// scrape-reachability signal.
-func (c *Cluster) NodeUp(x int) bool { return c.up[x] }
-
 // Every arms fn on the simulation clock each period until the run
-// finalizes — the virtual-time cadence a monitor's Collect loop rides.
+// finalizes — the virtual-time cadence the rebalancer ticks on.
 func (c *Cluster) Every(period des.Time, fn func()) {
 	if period <= 0 {
 		return

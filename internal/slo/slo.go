@@ -1,10 +1,9 @@
 // Package slo evaluates service-level objectives over the cluster's
 // metrics: availability (the fraction of requests answered without a
 // server-fault drop) and latency (the fraction of requests served under a
-// threshold), with error-budget accounting per node and cluster-wide and
-// Google-SRE-style multi-window multi-burn-rate alerting that plugs into
-// the monitor's alert/hysteresis/OnFire machinery — so an SLO breach
-// triggers the same snapshot bundles a node-down alert does.
+// threshold), with error-budget accounting over one cumulative scrape:
+// the lifetime budget a node reports on /sweb/slo and swebload -slo
+// prints.
 //
 // Counting semantics, identical on both substrates: the response-time
 // histogram records only successfully served requests, and server-fault
@@ -18,13 +17,11 @@ package slo
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"sweb/internal/metrics"
-	"sweb/internal/monitor"
 	"sweb/internal/nodeobs"
 )
 
@@ -135,83 +132,6 @@ func (c Counts) ErrorRatio() float64 {
 	return (c.Total - c.Good) / c.Total
 }
 
-// increase is monitor.Delta plus birth accounting: counters are born at
-// zero, so when a series' first retained point falls inside the window,
-// that value is growth the window must be charged for. Families created
-// lazily — a drop cause first seen mid-window — and counts accrued before
-// the monitor's first scrape would otherwise vanish from the budget.
-func increase(pts []monitor.Point, from, to float64) float64 {
-	d := monitor.Delta(pts, from, to)
-	if len(pts) > 0 && pts[0].T >= from && pts[0].T <= to {
-		d += pts[0].V
-	}
-	return d
-}
-
-// FromStore tallies objective o over [from,to] against the monitor's
-// time-series store. node == "" aggregates the whole cluster; otherwise
-// only series labelled with that node count. Deltas are reset-aware, so a
-// node restart mid-window contributes its post-restart counts instead of
-// a negative spike.
-func FromStore(st *monitor.Store, o Objective, node string, from, to float64) Counts {
-	sel := metrics.Labels{}
-	if node != "" {
-		sel["node"] = node
-	}
-	var drops, resp float64
-	for _, s := range st.Select(nodeobs.Drops, sel) {
-		if clientCauses[s.Labels["cause"]] {
-			continue
-		}
-		drops += increase(s.Points, from, to)
-	}
-	for _, s := range st.Select(nodeobs.Response+"_count", sel) {
-		resp += increase(s.Points, from, to)
-	}
-	total := resp + drops
-	if !o.IsLatency() {
-		return Counts{Good: resp, Total: total}
-	}
-	good := storeCountAtOrBelow(st, nodeobs.Response, sel, o.Threshold, from, to)
-	if good > total {
-		good = total
-	}
-	return Counts{Good: good, Total: total}
-}
-
-// storeCountAtOrBelow sums, across every matching histogram instance, the
-// windowed delta of the largest cumulative bucket whose upper bound is at
-// or below the threshold. A threshold between bucket edges thus rounds
-// DOWN to the nearest edge — the conservative direction: a request is only
-// counted good when the histogram proves it was under the threshold. A
-// threshold below the smallest edge counts nothing as good.
-func storeCountAtOrBelow(st *monitor.Store, name string, sel metrics.Labels, threshold, from, to float64) float64 {
-	type pick struct {
-		le  float64
-		pts []monitor.Point
-	}
-	best := make(map[string]pick)
-	for _, s := range st.Select(name+"_bucket", sel) {
-		leStr, ok := s.Labels["le"]
-		if !ok || leStr == "+Inf" {
-			continue
-		}
-		le, err := strconv.ParseFloat(leStr, 64)
-		if err != nil || le > threshold {
-			continue
-		}
-		key := bucketGroupKey(name, s.Labels)
-		if cur, seen := best[key]; !seen || le > cur.le {
-			best[key] = pick{le: le, pts: s.Points}
-		}
-	}
-	var sum float64
-	for _, p := range best {
-		sum += increase(p.pts, from, to)
-	}
-	return sum
-}
-
 // bucketGroupKey identifies one histogram instance: its labels minus le.
 func bucketGroupKey(name string, labels metrics.Labels) string {
 	rest := make(metrics.Labels, len(labels))
@@ -225,7 +145,10 @@ func bucketGroupKey(name string, labels metrics.Labels) string {
 
 // FromSamples tallies objective o against one cumulative scrape (a node's
 // registry since process start — the "lifetime window" a node reports on
-// /sweb/slo, where no time-series history exists).
+// /sweb/slo). A latency threshold between histogram bucket edges rounds
+// DOWN to the nearest edge — the conservative direction: a request counts
+// good only when the histogram proves it was under the threshold. A
+// threshold below the smallest edge counts nothing as good.
 func FromSamples(samples []metrics.Sample, o Objective) Counts {
 	var drops, resp float64
 	type pick struct {
@@ -313,14 +236,13 @@ func NewStatus(o Objective, c Counts, windowSeconds float64) Status {
 	}
 }
 
-// Report is an SLO evaluation at one instant for one scope (a node or the
-// cluster), optionally broken down per node.
+// Report is an SLO evaluation at one instant for one scope (a node or a
+// load generator's run).
 type Report struct {
-	AtSeconds     float64             `json:"at_seconds"`
-	WindowSeconds float64             `json:"window_seconds"`
-	Scope         string              `json:"scope"`
-	Objectives    []Status            `json:"objectives"`
-	Nodes         map[string][]Status `json:"nodes,omitempty"`
+	AtSeconds     float64  `json:"at_seconds"`
+	WindowSeconds float64  `json:"window_seconds"`
+	Scope         string   `json:"scope"`
+	Objectives    []Status `json:"objectives"`
 }
 
 // Breached reports whether any objective in the report's scope is unmet.
@@ -333,26 +255,6 @@ func (r Report) Breached() bool {
 	return false
 }
 
-// Evaluate computes the budget report over the trailing window
-// [now-window, now]: cluster-wide statuses plus a per-node breakdown.
-func Evaluate(st *monitor.Store, nodes []string, objs []Objective, window, now float64) Report {
-	r := Report{
-		AtSeconds:     now,
-		WindowSeconds: window,
-		Scope:         "cluster",
-		Nodes:         make(map[string][]Status, len(nodes)),
-	}
-	for _, o := range objs {
-		r.Objectives = append(r.Objectives, NewStatus(o, FromStore(st, o, "", now-window, now), window))
-	}
-	for _, node := range nodes {
-		for _, o := range objs {
-			r.Nodes[node] = append(r.Nodes[node], NewStatus(o, FromStore(st, o, node, now-window, now), window))
-		}
-	}
-	return r
-}
-
 // EvaluateSamples builds a single-scope report from one cumulative scrape.
 func EvaluateSamples(samples []metrics.Sample, objs []Objective, scope string, window, now float64) Report {
 	r := Report{AtSeconds: now, WindowSeconds: window, Scope: scope}
@@ -362,33 +264,19 @@ func EvaluateSamples(samples []metrics.Sample, objs []Objective, scope string, w
 	return r
 }
 
-// Render formats a report as the aligned text panel swebtop and swebsim
-// print: one row per objective, budget remaining as a signed percentage.
+// Render formats a report as the aligned text panel swebload prints: one
+// row per objective, budget remaining as a signed percentage.
 func Render(r Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SLO %s (window %.0fs)\n", r.Scope, r.WindowSeconds)
-	writeRows := func(indent string, sts []Status) {
-		for _, s := range sts {
-			verdict := "ok"
-			if !s.Met {
-				verdict = "BREACH"
-			}
-			fmt.Fprintf(&b, "%s%-6s target %7s  good %7.0f/%-7.0f err %6.3f%%  burn %6.2fx  budget %7.1f%%  %s\n",
-				indent, s.Objective.Name, s.Objective.String(),
-				s.Good, s.Total, 100*s.ErrorRatio, s.BurnRate, 100*s.BudgetRemaining, verdict)
+	for _, s := range r.Objectives {
+		verdict := "ok"
+		if !s.Met {
+			verdict = "BREACH"
 		}
-	}
-	writeRows("  ", r.Objectives)
-	if len(r.Nodes) > 0 {
-		nodes := make([]string, 0, len(r.Nodes))
-		for n := range r.Nodes {
-			nodes = append(nodes, n)
-		}
-		sort.Strings(nodes)
-		for _, n := range nodes {
-			fmt.Fprintf(&b, "  node %s\n", n)
-			writeRows("    ", r.Nodes[n])
-		}
+		fmt.Fprintf(&b, "  %-6s target %7s  good %7.0f/%-7.0f err %6.3f%%  burn %6.2fx  budget %7.1f%%  %s\n",
+			s.Objective.Name, s.Objective.String(),
+			s.Good, s.Total, 100*s.ErrorRatio, s.BurnRate, 100*s.BudgetRemaining, verdict)
 	}
 	return b.String()
 }

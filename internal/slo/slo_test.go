@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sweb/internal/metrics"
-	"sweb/internal/monitor"
 )
 
 func TestParseObjectives(t *testing.T) {
@@ -38,149 +37,67 @@ func TestParseObjectives(t *testing.T) {
 	}
 }
 
-// seedStore writes a synthetic pair of counters (successes + one drop
-// cause) sampled once per second, via the same AppendSamples path the
-// monitor scraper uses.
-func seedStore(node string, at []float64, resp, drops []float64) *monitor.Store {
-	st := monitor.NewStore(0)
-	for i, t := range at {
-		st.AppendSamples(node, t, []metrics.Sample{
-			{Name: "sweb_response_seconds_count", Value: resp[i]},
-			{Name: "sweb_drops_total", Labels: metrics.Labels{"cause": "owner_unreachable"}, Value: drops[i]},
-		})
+// scrape is one cumulative exposition: successes plus one drop cause.
+func scrape(resp, drops float64) []metrics.Sample {
+	return []metrics.Sample{
+		{Name: "sweb_response_seconds_count", Value: resp},
+		{Name: "sweb_drops_total", Labels: metrics.Labels{"cause": "owner_unreachable"}, Value: drops},
 	}
-	return st
 }
 
+// TestAvailabilityCounts pins the counting rule: successes are good, and
+// server-fault drops are errors while client-attributable ones are not
+// charged at all.
 func TestAvailabilityCounts(t *testing.T) {
-	at := []float64{0, 1, 2, 3, 4}
-	st := seedStore("0", at, []float64{0, 10, 20, 30, 40}, []float64{0, 0, 1, 3, 6})
 	o := Objective{Name: "avail", Target: 0.9}
-
-	c := FromStore(st, o, "", 0, 4)
-	if c.Good != 40 || c.Total != 46 {
-		t.Fatalf("full window counts = %+v, want good 40 total 46", c)
+	c := FromSamples(scrape(40, 6), o)
+	if c.Good != 40 || c.Total != 46 || c.Errors() != 6 {
+		t.Fatalf("counts = %+v, want good 40 total 46", c)
 	}
-	// A sub-window sees only its own deltas.
-	c = FromStore(st, o, "2", 1, 3)
-	if c.Total != 0 {
-		t.Fatalf("wrong node matched: %+v", c)
-	}
-	c = FromStore(st, o, "0", 1, 3)
-	if c.Good != 20 || c.Total != 23 {
-		t.Fatalf("sub-window counts = %+v, want good 20 total 23", c)
-	}
-}
-
-// TestCounterResetMidWindow pins the reset-aware delta: a node restart
-// zeroes its counters mid-window, and the tally must count the post-reset
-// growth instead of going negative or spiking.
-func TestCounterResetMidWindow(t *testing.T) {
-	at := []float64{0, 1, 2, 3, 4}
-	// 0..30 then restart: 30 → 5 → 12. True growth = 30 + 12 = 42.
-	resp := []float64{0, 15, 30, 5, 12}
-	drops := []float64{0, 2, 4, 1, 3} // growth 4 + 3 = 7
-	st := seedStore("0", at, resp, drops)
-	c := FromStore(st, Objective{Name: "avail", Target: 0.9}, "", 0, 4)
-	if c.Good != 42 || c.Total != 49 {
-		t.Fatalf("reset-aware counts = %+v, want good 42 total 49", c)
-	}
-	if c.Errors() != 7 {
-		t.Fatalf("errors = %v, want 7", c.Errors())
-	}
-}
-
-// TestCounterBornMidWindow pins birth accounting: a lazily created family
-// — a drop cause first seen mid-window — enters the store with its first
-// scrape already nonzero, and that first value is in-window growth, not a
-// baseline to subtract. A series whose first point predates the window
-// keeps plain delta semantics.
-func TestCounterBornMidWindow(t *testing.T) {
-	o := Objective{Name: "avail", Target: 0.9}
-	st := monitor.NewStore(0)
-	// Successes scraped from t=0 (series born inside the window at 0).
-	for i, v := range []float64{0, 10, 20} {
-		st.AppendSamples("0", float64(i), []metrics.Sample{
-			{Name: "sweb_response_seconds_count", Value: v},
-		})
-	}
-	// The drop cause first appears at t=2 with 6 already counted: all 6
-	// happened since the previous scrape, inside the window.
-	st.AppendSamples("0", 2, []metrics.Sample{
-		{Name: "sweb_drops_total", Labels: metrics.Labels{"cause": "owner_unreachable"}, Value: 6},
-	})
-	c := FromStore(st, o, "", 0, 2)
-	if c.Good != 20 || c.Total != 26 {
-		t.Fatalf("born-mid-window counts = %+v, want good 20 total 26", c)
-	}
-	// A later sub-window that excludes the births is pure delta again.
-	st.AppendSamples("0", 3, []metrics.Sample{
-		{Name: "sweb_response_seconds_count", Value: 25},
-		{Name: "sweb_drops_total", Labels: metrics.Labels{"cause": "owner_unreachable"}, Value: 7},
-	})
-	// [2.5, 3.5]: both series predate the window, so the t=2 samples are
-	// pure baselines (no birth charge) and only the t=2→3 growth counts.
-	c = FromStore(st, o, "", 2.5, 3.5)
-	if c.Good != 5 || c.Total != 6 {
-		t.Fatalf("baseline sub-window counts = %+v, want good 5 total 6", c)
-	}
-	// [1.5, 3.5]: the response series has a baseline (t=1, value 10), but
-	// the drop series was born inside the window — 6 at birth + 1 growth.
-	c = FromStore(st, o, "", 1.5, 3.5)
-	if c.Good != 15 || c.Total != 22 {
-		t.Fatalf("sub-window past birth counts = %+v, want good 15 total 22", c)
+	samples := append(scrape(100, 5),
+		metrics.Sample{Name: "sweb_drops_total", Labels: metrics.Labels{"cause": "not_found"}, Value: 7},
+		metrics.Sample{Name: "sweb_drops_total", Labels: metrics.Labels{"cause": "bad_request"}, Value: 3})
+	if c := FromSamples(samples, o); c.Good != 100 || c.Total != 105 {
+		t.Fatalf("counts = %+v, want good 100 total 105 (client causes excluded)", c)
 	}
 }
 
 // TestEmptyAndShortWindows pins the no-data semantics: zero traffic means
-// zero burn (never an alert), and a window shorter than the sampling
-// period — a single point — reads as no growth.
+// zero burn, and a node reporting at its first instant (a zero-length
+// window) is met with its whole budget left.
 func TestEmptyAndShortWindows(t *testing.T) {
 	o := Objective{Name: "avail", Target: 0.999}
-	empty := monitor.NewStore(0)
-	if burn := burnOver(empty, o, "", 0, 100); burn != 0 {
-		t.Fatalf("empty store burns %v, want 0", burn)
+	if c := FromSamples(nil, o); c.Total != 0 || c.ErrorRatio() != 0 {
+		t.Fatalf("empty scrape counts %+v", c)
 	}
-	st := seedStore("0", []float64{0, 1, 2}, []float64{0, 10, 20}, []float64{0, 5, 10})
-	// The window [10,11] holds no points at all.
-	if burn := burnOver(st, o, "", 10, 11); burn != 0 {
-		t.Fatalf("beyond-data window burns %v, want 0", burn)
+	r := EvaluateSamples(nil, []Objective{o}, "node0", 0, 0)
+	if r.Breached() || len(r.Objectives) != 1 {
+		t.Fatalf("empty report = %+v", r)
 	}
-	// A window narrower than one sampling period sees a single point.
-	if c := FromStore(st, o, "", 1.2, 1.8); c.Total != 0 {
-		t.Fatalf("sub-sample window counts %+v, want zero", c)
-	}
-	// NewStatus on an empty window reports met with full budget.
-	s := NewStatus(o, Counts{}, 60)
-	if !s.Met || s.BurnRate != 0 || s.BudgetRemaining != 1 {
+	if s := r.Objectives[0]; !s.Met || s.BurnRate != 0 || s.BudgetRemaining != 1 {
 		t.Fatalf("empty status = %+v", s)
 	}
 }
 
-// latencyStore exposes a real histogram through the scrape path so bucket
-// series carry genuine cumulative structure.
-func latencyStore(t *testing.T, values []float64, at []float64, perStep int) *monitor.Store {
+// latencySamples exposes a real histogram through WriteText and ParseText,
+// so bucket series carry genuine cumulative structure.
+func latencySamples(t *testing.T, values []float64) []metrics.Sample {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	h := reg.Histogram("sweb_response_seconds", "t", nil, []float64{0.1, 0.2, 0.4})
 	reg.Counter("sweb_drops_total", "t", metrics.Labels{"cause": "timeout"})
-	st := monitor.NewStore(0)
-	src := &monitor.RegistrySource{Name: "0", Registry: reg, Up: func() bool { return true }}
-	i := 0
-	for _, now := range at {
-		// Scrape first: the sample at at[0] is the window baseline, so every
-		// observation made afterwards falls inside [at[0], at[len-1]].
-		samples, err := src.Scrape()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.AppendSamples(src.Name, now, samples)
-		for k := 0; k < perStep && i < len(values); k++ {
-			h.Observe(values[i])
-			i++
-		}
+	for _, v := range values {
+		h.Observe(v)
 	}
-	return st
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
 }
 
 // TestLatencyThresholdRounding pins the documented conservative rule: a
@@ -188,8 +105,7 @@ func latencyStore(t *testing.T, values []float64, at []float64, perStep int) *mo
 // one below the smallest edge counts nothing as good.
 func TestLatencyThresholdRounding(t *testing.T) {
 	// 6 observations: 3 at 0.05 (≤0.1), 2 at 0.15 (≤0.2), 1 at 0.3 (≤0.4).
-	vals := []float64{0.05, 0.15, 0.05, 0.3, 0.15, 0.05}
-	st := latencyStore(t, vals, []float64{0, 1, 2}, 3)
+	samples := latencySamples(t, []float64{0.05, 0.15, 0.05, 0.3, 0.15, 0.05})
 
 	cases := []struct {
 		threshold float64
@@ -205,7 +121,7 @@ func TestLatencyThresholdRounding(t *testing.T) {
 	}
 	for _, tc := range cases {
 		o := Objective{Name: "p99", Target: 0.5, Threshold: tc.threshold}
-		c := FromStore(st, o, "", 0, 2)
+		c := FromSamples(samples, o)
 		if c.Total != 6 {
 			t.Fatalf("threshold %v: total = %v, want 6", tc.threshold, c.Total)
 		}
@@ -215,91 +131,33 @@ func TestLatencyThresholdRounding(t *testing.T) {
 	}
 }
 
-// TestBurnRateAndRules drives the full alert path: an error ratio ten
-// times the budget must fire the fast rule through a monitor, and recovery
-// must clear it.
-func TestBurnRateAndRules(t *testing.T) {
-	o := Objective{Name: "avail", Target: 0.9} // 10% budget
-	// 50% errors → burn 5 with budget 10%.
-	st := seedStore("0", []float64{0, 1, 2, 3, 4},
-		[]float64{0, 5, 10, 15, 20}, []float64{0, 5, 10, 15, 20})
-	if burn := burnOver(st, o, "", 0, 4); math.Abs(burn-5) > 1e-9 {
-		t.Fatalf("burn = %v, want 5", burn)
-	}
-
-	w := Windows{FastLong: 4, FastShort: 2, SlowLong: 8, SlowShort: 4, FastBurn: 3, SlowBurn: 1}
-	rules := Rules([]Objective{o}, w)
-	if len(rules) != 2 || rules[0].Name != "slo_fast_avail" || rules[1].Name != "slo_slow_avail" {
-		t.Fatalf("rules = %v", rules)
-	}
-	view := &monitor.View{Store: st, Nodes: []string{"0"}, From: 0, To: 4}
-	vals := rules[0].Eval(view)
-	if math.Abs(vals["cluster"]-5) > 1e-9 || math.Abs(vals["0"]-5) > 1e-9 {
-		t.Fatalf("fast rule values = %v, want burn 5 for cluster and node 0", vals)
-	}
-
-	// Through the monitor: two collects (For: 2) fire, recovery clears.
-	reg := metrics.NewRegistry()
-	good := reg.Counter("sweb_response_seconds_count", "g", nil)
-	bad := reg.Counter("sweb_drops_total", "b", metrics.Labels{"cause": "timeout"})
-	mon := monitor.New(monitor.Config{
-		Window:     4,
-		ExtraRules: Rules([]Objective{o}, w),
-	})
-	mon.AddSource(&monitor.RegistrySource{Name: "0", Registry: reg, Up: func() bool { return true }})
-	now := 0.0
-	step := func(g, b float64) {
-		good.Add(g)
-		bad.Add(b)
-		now++
-		mon.Collect(now)
-	}
-	step(5, 5)
-	step(5, 5)
-	step(5, 5)
-	if !mon.AlertFiring("slo_fast_avail", "cluster") {
-		t.Fatalf("fast burn did not fire; alerts = %+v", mon.Alerts())
-	}
-	for i := 0; i < 12; i++ {
-		step(50, 0) // recovery: heavy healthy traffic dilutes the window
-	}
-	if mon.AlertFiring("slo_fast_avail", "cluster") {
-		t.Fatalf("fast burn did not clear; alerts = %+v", mon.Alerts())
-	}
-}
-
-// TestEvaluateAndRender covers the report plumbing both engines share.
+// TestEvaluateAndRender covers the report plumbing and the budget
+// arithmetic: an error ratio five times the budget burns at 5x and
+// overdraws it, and the rendered panel says so.
 func TestEvaluateAndRender(t *testing.T) {
-	st := seedStore("0", []float64{0, 1, 2}, []float64{0, 50, 100}, []float64{0, 0, 0})
 	objs := []Objective{{Name: "avail", Target: 0.999}}
-	r := Evaluate(st, []string{"0", "1"}, objs, 2, 2)
+	r := EvaluateSamples(scrape(100, 0), objs, "node0", 2, 2)
 	if r.Breached() {
 		t.Fatalf("healthy report breached: %+v", r)
 	}
 	if len(r.Objectives) != 1 || r.Objectives[0].Good != 100 {
-		t.Fatalf("cluster objectives = %+v", r.Objectives)
-	}
-	if got := r.Nodes["0"][0].Good; got != 100 {
-		t.Fatalf("node 0 good = %v", got)
-	}
-	if got := r.Nodes["1"][0].Total; got != 0 {
-		t.Fatalf("node 1 total = %v, want 0 (no traffic)", got)
+		t.Fatalf("objectives = %+v", r.Objectives)
 	}
 	text := Render(r)
-	for _, want := range []string{"SLO cluster", "avail", "node 0", "ok"} {
+	for _, want := range []string{"SLO node0", "avail", "ok"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
 	}
 
-	// FromSamples agrees with FromStore on the same cumulative totals.
-	samples := []metrics.Sample{
-		{Name: "sweb_response_seconds_count", Value: 100},
-		{Name: "sweb_drops_total", Labels: metrics.Labels{"cause": "shed"}, Value: 5},
-		{Name: "sweb_drops_total", Labels: metrics.Labels{"cause": "not_found"}, Value: 7},
+	// 50% errors against a 10% budget: burn 5.
+	o := Objective{Name: "avail", Target: 0.9}
+	r = EvaluateSamples(scrape(20, 20), []Objective{o}, "node0", 4, 4)
+	s := r.Objectives[0]
+	if math.Abs(s.BurnRate-5) > 1e-9 || math.Abs(s.BudgetRemaining+4) > 1e-9 || s.Met || !r.Breached() {
+		t.Fatalf("status = %+v, want burn 5 and budget -400%%", s)
 	}
-	c := FromSamples(samples, objs[0])
-	if c.Good != 100 || c.Total != 105 {
-		t.Fatalf("FromSamples = %+v, want good 100 total 105 (client causes excluded)", c)
+	if text := Render(r); !strings.Contains(text, "BREACH") {
+		t.Fatalf("render of a breach lacks BREACH:\n%s", text)
 	}
 }

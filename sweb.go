@@ -187,7 +187,7 @@ var (
 	MergeHeat = heat.Merge
 	// AdviseHeat ranks hot documents and prices an extra replica.
 	AdviseHeat = heat.Advise
-	// RenderHeat / RenderHeatAdvice are swebtop's heat panels.
+	// RenderHeat / RenderHeatAdvice draw the heat and advisor tables.
 	RenderHeat       = heat.Render
 	RenderHeatAdvice = heat.RenderAdvice
 )
