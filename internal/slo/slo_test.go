@@ -131,9 +131,8 @@ func TestLatencyThresholdRounding(t *testing.T) {
 	}
 }
 
-// TestEvaluateAndRender covers the report plumbing and the budget
-// arithmetic: an error ratio five times the budget burns at 5x and
-// overdraws it, and the rendered panel says so.
+// TestEvaluateAndRender covers the report plumbing: a healthy scrape
+// evaluates to a met objective and renders as ok.
 func TestEvaluateAndRender(t *testing.T) {
 	objs := []Objective{{Name: "avail", Target: 0.999}}
 	r := EvaluateSamples(scrape(100, 0), objs, "node0", 2, 2)
@@ -149,10 +148,15 @@ func TestEvaluateAndRender(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
 	}
+}
 
+// TestBurnRateAndRules pins the budget arithmetic and the rule that reads
+// it: an error ratio five times the budget burns at 5x, overdraws the
+// budget, breaches the report, and the rendered panel says so.
+func TestBurnRateAndRules(t *testing.T) {
 	// 50% errors against a 10% budget: burn 5.
 	o := Objective{Name: "avail", Target: 0.9}
-	r = EvaluateSamples(scrape(20, 20), []Objective{o}, "node0", 4, 4)
+	r := EvaluateSamples(scrape(20, 20), []Objective{o}, "node0", 4, 4)
 	s := r.Objectives[0]
 	if math.Abs(s.BurnRate-5) > 1e-9 || math.Abs(s.BudgetRemaining+4) > 1e-9 || s.Met || !r.Breached() {
 		t.Fatalf("status = %+v, want burn 5 and budget -400%%", s)
