@@ -3,7 +3,8 @@
 // the Unix buffer cache the paper credits for SWEB's superlinear
 // multi-node speedup — and the simulator's nodes hold it directly, with no
 // payload. Cache wraps the same Index for the live server: bodies of real
-// bytes, a lock, singleflight miss coalescing and recycled fill buffers.
+// bytes, a lock, singleflight miss coalescing and recycled fill buffers
+// mapped off the Go heap.
 // A live lookup also re-checks its entry against the backing truth (a stat
 // for local files, the manifest size for relayed ones) and treats a stale
 // entry as a miss, so a mutated document is never served from memory.
@@ -11,6 +12,7 @@ package cache
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,9 +24,10 @@ import (
 //
 // An entry whose Body came from Alloc also carries a pin on that buffer:
 // Alloc, Lookup and Fetch each hand out one pin per returned entry, and
-// Release gives it back once the caller has finished reading Body. A
-// caller-built Entry{Body: ...} carries no pin and its bytes are never
-// recycled, so Release on it is a no-op.
+// Release gives it back once the caller has finished reading Body; a read
+// of Body after its Release may fault. A caller-built Entry{Body: ...}
+// carries no pin and its bytes are never recycled, so Release on it is a
+// no-op.
 type Entry struct {
 	Path    string
 	Body    []byte
@@ -42,16 +45,17 @@ const (
 	// entries sit on big buffers.
 	recycleMin = 64 << 10
 	// freeMax bounds the free list's length; its bytes are further bounded
-	// by half the cache capacity so huge documents are left to the GC.
+	// by half the cache capacity so huge documents are unmapped at once.
 	freeMax = 4
 )
 
-// buffer is one fill buffer the cache handed out through Alloc. It is
-// recycled only when no cache slot holds it and every pin is released; a
-// pin that is never released keeps it out of the free list for good and
-// the garbage collector frees it. All fields are guarded by Cache.mu.
+// buffer is one fill buffer the cache handed out through Alloc, mapped off
+// the Go heap (mapBuffer). It is recycled or unmapped only when no cache
+// slot holds it and every pin is released; a pin that is never released
+// leaks the mapping for the life of the process, since nothing else ever
+// frees it. All fields are guarded by Cache.mu.
 type buffer struct {
-	data  []byte // full-capacity backing array
+	data  []byte // the whole mapping, as mapBuffer returned it
 	pins  int    // entries handed out and not yet released
 	slots int    // cache slots whose Body is this buffer
 }
@@ -94,6 +98,7 @@ type Cache struct {
 	free     []*buffer // evicted, unpinned buffers awaiting reuse
 	freeSize int64     // sum of cap(data) over free
 	shared   int64
+	mapped   atomic.Int64 // sum of cap(data) over buffers not yet unmapped
 }
 
 // New returns an LRU cache holding at most capacity bytes. A zero or
@@ -186,10 +191,11 @@ func (c *Cache) Fetch(path string, check func(Entry) bool, fill func() (Entry, e
 
 // Alloc returns an entry whose Body is n bytes of unspecified content for a
 // fill to read a document into; the caller sets Path and ModTime. Bodies of
-// recycleMin bytes and more are owned by the cache: the entry is pinned,
-// and once it has been evicted (or was never inserted) and every pin is
-// Released, the buffer serves a later Alloc of a similar size instead of a
-// fresh, zeroed make. A nil cache hands out plain slices.
+// recycleMin bytes and more are owned by the cache and live off the Go
+// heap: the entry is pinned, and once it has been evicted (or was never
+// inserted) and every pin is Released, the buffer serves a later Alloc of a
+// similar size instead of a fresh mapping, or is unmapped. A nil cache
+// hands out plain slices, and so does a cache the OS refuses a mapping.
 func (c *Cache) Alloc(n int64) Entry {
 	if c == nil || n < recycleMin {
 		return Entry{Body: make([]byte, n)}
@@ -197,8 +203,12 @@ func (c *Cache) Alloc(n int64) Entry {
 	if b := c.takeFree(n); b != nil {
 		return Entry{Body: b.data[:n], buf: b}
 	}
-	body := make([]byte, n) // zeroed outside the lock
-	return Entry{Body: body, buf: &buffer{data: body, pins: 1}}
+	data, err := mapBuffer(int(n)) // zeroed by the kernel, outside the lock
+	if err != nil {
+		return Entry{Body: make([]byte, n)}
+	}
+	c.mapped.Add(int64(cap(data)))
+	return Entry{Body: data[:n], buf: &buffer{data: data, pins: 1}}
 }
 
 // takeFree pops, pinned, the smallest free buffer holding n bytes in at
@@ -226,9 +236,10 @@ func (c *Cache) takeFree(n int64) *buffer {
 }
 
 // Release drops the pin an entry from Alloc, Lookup or Fetch carries. Call
-// it exactly once per such entry, after the last read of Body; a release
-// that is forgotten only costs the buffer's reuse. Entries without a
-// cache-owned body (and a nil cache) make it a no-op.
+// it exactly once per such entry, after the last read of Body: the buffer
+// may be unmapped the moment its last pin goes. A release that is
+// forgotten leaks the buffer's mapping. Entries without a cache-owned body
+// (and a nil cache) make it a no-op.
 func (c *Cache) Release(ent Entry) {
 	b := ent.buf
 	if c == nil || b == nil {
@@ -244,7 +255,7 @@ func (c *Cache) Release(ent Entry) {
 }
 
 // recycleLocked moves b to the free list if nothing can read it any more.
-// A full list drops it to the garbage collector.
+// A full list unmaps it.
 func (c *Cache) recycleLocked(b *buffer) {
 	if b.pins > 0 || b.slots > 0 {
 		return
@@ -252,7 +263,16 @@ func (c *Cache) recycleLocked(b *buffer) {
 	if k := int64(cap(b.data)); len(c.free) < freeMax && c.freeSize+k <= c.idx.capacity/2 {
 		c.free = append(c.free, b)
 		c.freeSize += k
+		return
 	}
+	c.unmapLocked(b)
+}
+
+// unmapLocked returns b's memory to the kernel.
+func (c *Cache) unmapLocked(b *buffer) {
+	c.mapped.Add(-int64(cap(b.data)))
+	unmapBuffer(b.data)
+	b.data = nil
 }
 
 // dropLocked takes a cache slot's claim off its entry's buffer; the Index
@@ -291,6 +311,26 @@ func (c *Cache) Invalidate(path string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.idx.Invalidate(path)
+}
+
+// Close empties the cache and unmaps every buffer nothing reads: the
+// resident entries and the free list at once, a pinned buffer at its last
+// Release. A closed cache stores nothing more, as one of zero capacity. A
+// nil cache makes it a no-op.
+func (c *Cache) Close() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.idx.capacity = 0 // refuses inserts; no buffer fits the free list
+	for path := range c.idx.entries {
+		c.idx.Invalidate(path)
+	}
+	for _, b := range c.free {
+		c.unmapLocked(b)
+	}
+	c.free, c.freeSize = nil, 0
 }
 
 // Hot returns up to n most-recently-used cached paths, hottest first.

@@ -12,8 +12,8 @@ import (
 // large_cold shape, through Fetch and Alloc, twice over so eviction and
 // reuse run too, and releases every pin. It then collects and reads how
 // far the Go heap grew per cached byte: the collector lets a heap grow to
-// twice its live bytes, so each heap byte a body holds costs about two of
-// the node's memory.
+// twice its live bytes, so each heap byte a body held would cost about two
+// of the node's memory.
 func TestCacheBodiesOffHeap(t *testing.T) {
 	const capacity, body = 16 << 20, 3 << 19
 	c := cache.New(capacity)
@@ -42,8 +42,10 @@ func TestCacheBodiesOffHeap(t *testing.T) {
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	ratio := float64(growth) / float64(st.UsedBytes)
 	t.Logf("heap grew %d bytes for %d cached bytes: %.3f per cached byte", growth, st.UsedBytes, ratio)
-	if ratio > 1.5 {
-		t.Errorf("heap grew %.3f bytes per cached byte", ratio)
+	// Bodies live off the heap: under 1 MiB of heap per 16 MiB cached
+	// (before they moved off it, 1.10 bytes per cached byte).
+	if ratio > 1.0/16 {
+		t.Errorf("heap grew %.3f bytes per cached byte, want under 1 MiB per 16 MiB", ratio)
 	}
 	runtime.KeepAlive(c)
 }

@@ -536,6 +536,7 @@ func (s *Server) closeConns() {
 
 // Close shuts the node down and waits for its goroutines. Open keep-alive
 // connections are force-closed — Close is the hard stop; Shutdown drains.
+// The cache's buffers are unmapped last, once no handler can read them.
 func (s *Server) Close() {
 	s.closeMu.Lock()
 	select {
@@ -551,6 +552,7 @@ func (s *Server) Close() {
 	s.ups.closeAll()
 	s.closeConns()
 	s.wg.Wait()
+	s.cache.Close()
 }
 
 // Shutdown stops the node gracefully: the listener closes immediately so

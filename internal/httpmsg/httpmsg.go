@@ -151,13 +151,11 @@ func hasToken(v, token string) bool {
 	return false
 }
 
-// write serializes headers in sorted key order (deterministic output).
-// The keys are insertion-sorted into a stack array — a response carries a
-// handful of fields — so the common case allocates nothing.
-func (h Header) write(w *bufio.Writer) error {
-	var stack [16]string
-	keys := stack[:0]
-	for k := range h {
+// sortedKeys returns h's keys in sorted order (deterministic output),
+// insertion-sorted into keys — a stack array's slice, as a message carries
+// a handful of fields — plus extra, when non-empty and not already a key.
+func (h Header) sortedKeys(keys []string, extra string) []string {
+	insert := func(k string) {
 		i := len(keys)
 		keys = append(keys, k)
 		for ; i > 0 && keys[i-1] > k; i-- {
@@ -165,7 +163,19 @@ func (h Header) write(w *bufio.Writer) error {
 		}
 		keys[i] = k
 	}
-	for _, k := range keys {
+	for k := range h {
+		insert(k)
+	}
+	if _, ok := h[extra]; extra != "" && !ok {
+		insert(extra)
+	}
+	return keys
+}
+
+// write serializes headers in sorted key order.
+func (h Header) write(w *bufio.Writer) error {
+	var stack [16]string
+	for _, k := range h.sortedKeys(stack[:0], "") {
 		for _, v := range h[k] {
 			if _, err := w.Write(appendField(w.AvailableBuffer(), k, v)); err != nil {
 				return err
@@ -337,42 +347,46 @@ func asciiSpace(c byte) bool {
 	return false
 }
 
-// Write serializes the request (client side).
+// Write serializes the request (client side): the head, and the body after
+// it, are appended into one buffer that leaves in one write. A body is
+// framed by a Content-Length of its own length, which replaces any the
+// header carries; the caller's Header is never changed.
 func (r *Request) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	target := escapePath(r.Path)
-	if r.Query != "" {
-		target += "?" + r.Query
-	}
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.0"
 	}
-	if _, err := fmt.Fprintf(bw, "%s %s %s\r\n", r.Method, target, proto); err != nil {
-		return err
+	buf := make([]byte, 0, 256+len(r.Body))
+	buf = append(buf, r.Method...)
+	buf = append(buf, ' ')
+	buf = appendEscapedPath(buf, r.Path)
+	if r.Query != "" {
+		buf = append(buf, '?')
+		buf = append(buf, r.Query...)
 	}
-	h := r.Header
-	if h == nil {
-		h = Header{}
-	}
+	buf = append(buf, ' ')
+	buf = append(buf, proto...)
+	buf = append(buf, "\r\n"...)
+	framed := ""
 	if r.Body != nil {
-		// Clone before stamping Content-Length: callers share one Header
-		// map across retries and across requests, and must not see it grow.
-		h = h.Clone()
-		h.Set("Content-Length", strconv.Itoa(len(r.Body)))
+		framed = "Content-Length"
 	}
-	if err := h.write(bw); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString("\r\n"); err != nil {
-		return err
-	}
-	if r.Body != nil {
-		if _, err := bw.Write(r.Body); err != nil {
-			return err
+	var stack [16]string
+	for _, k := range r.Header.sortedKeys(stack[:0], framed) {
+		if k == framed {
+			buf = append(buf, "Content-Length: "...)
+			buf = strconv.AppendInt(buf, int64(len(r.Body)), 10)
+			buf = append(buf, "\r\n"...)
+			continue
+		}
+		for _, v := range r.Header[k] {
+			buf = appendField(buf, k, v)
 		}
 	}
-	return bw.Flush()
+	buf = append(buf, "\r\n"...)
+	buf = append(buf, r.Body...)
+	_, err := w.Write(buf)
+	return err
 }
 
 // KeepAlive reports whether the client asked for the connection to stay

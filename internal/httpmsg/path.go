@@ -132,25 +132,21 @@ func isNormal(p string) bool {
 
 // EscapePath percent-encodes the bytes that cannot appear raw in a request
 // target or Location header. Slashes are kept as separators.
-func EscapePath(p string) string { return escapePath(p) }
+func EscapePath(p string) string { return string(appendEscapedPath(make([]byte, 0, len(p)), p)) }
 
-// escapePath percent-encodes the bytes that cannot appear raw in a request
-// target. Slashes are kept as separators.
-func escapePath(p string) string {
+// appendEscapedPath appends p to dst with the bytes that cannot appear raw
+// in a request target percent-encoded. Slashes are kept as separators.
+func appendEscapedPath(dst []byte, p string) []byte {
 	const hexDigits = "0123456789ABCDEF"
-	var b strings.Builder
-	b.Grow(len(p))
 	for i := 0; i < len(p); i++ {
 		c := p[i]
 		if shouldEscape(c) {
-			b.WriteByte('%')
-			b.WriteByte(hexDigits[c>>4])
-			b.WriteByte(hexDigits[c&0xf])
+			dst = append(dst, '%', hexDigits[c>>4], hexDigits[c&0xf])
 		} else {
-			b.WriteByte(c)
+			dst = append(dst, c)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 func shouldEscape(c byte) bool {

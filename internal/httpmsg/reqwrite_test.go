@@ -2,6 +2,7 @@ package httpmsg
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -56,14 +57,38 @@ func TestRequestWriteGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
-		if err := tc.req.Write(&buf); err != nil {
+		w := &countingWriter{w: &buf}
+		if err := tc.req.Write(w); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := buf.String(); got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
 		}
+		if w.writes != 1 {
+			t.Errorf("%s: %d writes, want the whole message in one", tc.name, w.writes)
+		}
 	}
 	if got := post.Header.Get("Content-Length"); got != "999" {
 		t.Errorf("Write changed the caller's Content-Length to %q", got)
+	}
+}
+
+// countingWriter counts the writes a message takes.
+type countingWriter struct {
+	w      io.Writer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.w.Write(p)
+}
+
+// TestRequestWriteAllocations: an internal fetch's request costs the one
+// buffer its bytes are built in, not a buffered writer and a formatter.
+func TestRequestWriteAllocations(t *testing.T) {
+	req := internalGET("GET", "/docs/a.html", "", "7f3a-2")
+	if allocs := testing.AllocsPerRun(100, func() { _ = req.Write(io.Discard) }); allocs > 1 {
+		t.Errorf("%.1f allocations per Request.Write, want 1", allocs)
 	}
 }
