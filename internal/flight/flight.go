@@ -4,13 +4,12 @@
 // "notable" ring so a burst of healthy traffic cannot evict the evidence
 // of the one that went wrong. A record is also the broker's decision audit:
 // it carries the per-node cost table behind the choice. The package is
-// shared verbatim by the live server and the simulator, so one renderer
-// and one parity test cover both substrates.
+// shared verbatim by the live server and the simulator, so one record
+// schema and one parity test cover both substrates.
 package flight
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"sweb/internal/core"
@@ -267,29 +266,4 @@ func (r *Recorder) withTables(recs []Record) []Record {
 		}
 	}
 	return recs
-}
-
-// Merge interleaves per-node dumps into one cluster-wide timeline,
-// ordered by arrival time then node then sequence. With notableOnly set
-// only the notable rings contribute.
-func Merge(dumps []Dump, notableOnly bool) []Record {
-	var out []Record
-	for _, d := range dumps {
-		if notableOnly {
-			out = append(out, d.Notable...)
-		} else {
-			out = append(out, d.Records...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.AtSeconds != b.AtSeconds {
-			return a.AtSeconds < b.AtSeconds
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Seq < b.Seq
-	})
-	return out
 }

@@ -144,48 +144,6 @@ func TestRingEvictionKeepsNotable(t *testing.T) {
 	}
 }
 
-func TestMergeOrdersAcrossNodes(t *testing.T) {
-	d0 := Dump{Records: []Record{
-		{Seq: 1, Node: 0, AtSeconds: 0.5},
-		{Seq: 2, Node: 0, AtSeconds: 2.0},
-	}}
-	d1 := Dump{Records: []Record{
-		{Seq: 1, Node: 1, AtSeconds: 1.0},
-		{Seq: 2, Node: 1, AtSeconds: 0.5},
-	}}
-	got := Merge([]Dump{d0, d1}, false)
-	if len(got) != 4 {
-		t.Fatalf("merged %d records, want 4", len(got))
-	}
-	order := []struct {
-		node int
-		seq  int64
-	}{{0, 1}, {1, 2}, {1, 1}, {0, 2}}
-	for i, want := range order {
-		if got[i].Node != want.node || got[i].Seq != want.seq {
-			t.Fatalf("merge[%d] = node %d seq %d, want node %d seq %d",
-				i, got[i].Node, got[i].Seq, want.node, want.seq)
-		}
-	}
-}
-
-func TestRenderRecords(t *testing.T) {
-	out := RenderRecords("flight", []Record{
-		{Seq: 1, Node: 0, Path: "/a", Status: 200, TTFBSeconds: 0.01,
-			TotalSeconds: 0.02, Target: -1, PredictedSeconds: -1, CacheHit: true},
-		{Seq: 2, Node: 1, Path: "/b", Status: 302, Redirected: true,
-			Target: 2, PredictedSeconds: 0.4, TTFBSeconds: -1},
-	})
-	for _, want := range []string{"/a", "/b", "ttfb", "302", "C", "R"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-	if empty := RenderRecords("flight", nil); !strings.Contains(empty, "no records") {
-		t.Fatalf("empty render missing placeholder:\n%s", empty)
-	}
-}
-
 func TestSnapshotWritesBundle(t *testing.T) {
 	dir := t.TempDir()
 	r := New(Config{})

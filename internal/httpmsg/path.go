@@ -131,8 +131,16 @@ func isNormal(p string) bool {
 }
 
 // EscapePath percent-encodes the bytes that cannot appear raw in a request
-// target or Location header. Slashes are kept as separators.
-func EscapePath(p string) string { return string(appendEscapedPath(make([]byte, 0, len(p)), p)) }
+// target or Location header. Slashes are kept as separators. A path with
+// nothing to encode comes back as is, without a copy.
+func EscapePath(p string) string {
+	for i := 0; i < len(p); i++ {
+		if shouldEscape(p[i]) {
+			return string(appendEscapedPath(make([]byte, 0, len(p)+8), p))
+		}
+	}
+	return p
+}
 
 // appendEscapedPath appends p to dst with the bytes that cannot appear raw
 // in a request target percent-encoded. Slashes are kept as separators.

@@ -49,15 +49,6 @@ func (o Objective) String() string {
 	return o.Name + "=" + strconv.FormatFloat(o.Target*100, 'f', -1, 64)
 }
 
-// FormatObjectives renders objectives back into the comma flag syntax.
-func FormatObjectives(objs []Objective) string {
-	parts := make([]string, len(objs))
-	for i, o := range objs {
-		parts[i] = o.String()
-	}
-	return strings.Join(parts, ",")
-}
-
 // DefaultObjectives is the out-of-the-box target: three nines of
 // availability and 99% of requests under 250ms.
 func DefaultObjectives() []Objective {
