@@ -26,7 +26,6 @@ import (
 
 	"sweb/internal/accesslog"
 	"sweb/internal/core"
-	"sweb/internal/heat"
 	"sweb/internal/httpd"
 	"sweb/internal/live"
 	"sweb/internal/oracle"
@@ -182,7 +181,7 @@ func run() error {
 		warnMissingReplicas(store, *id, *docroot)
 	}
 	rebalStop := make(chan struct{})
-	if *rebalPeriod > 0 && isLeader(*id, peers) {
+	if *rebalPeriod > 0 && live.IsLeader(*id, peers) {
 		fmt.Printf("swebd: node %d is the rebalance leader (period %s)\n", *id, *rebalPeriod)
 		go runRebalancer(store, peers, *rebalPeriod, rebalStop)
 	}
@@ -293,25 +292,8 @@ func warnMissingReplicas(store *storage.Store, id int, docroot string) {
 	}
 }
 
-// isLeader reports whether id is the lowest node id in the peer list —
-// the node that runs the rebalance controller when -rebalance is set on
-// every member uniformly.
-func isLeader(id int, peers []httpd.Peer) bool {
-	for _, p := range peers {
-		if p.ID < id {
-			return false
-		}
-	}
-	return true
-}
-
-// runRebalancer is the leader's control loop: each period it scrapes
-// every peer's /sweb/heat, merges the sketches into the cluster view,
-// asks the controller for actions, and broadcasts each action to every
-// reachable node via /sweb/replicate — the addressed node moves the
-// bytes, the rest update their routing maps. For adds the addressed node
-// goes first (materialize-then-announce); for drops it goes last, so
-// peers stop routing at the copy before it disappears.
+// runRebalancer is the leader's control loop: one live.RebalanceRound
+// per period until stop closes.
 func runRebalancer(store *storage.Store, peers []httpd.Peer, period time.Duration, stop chan struct{}) {
 	ctrl := rebalance.New(rebalance.Defaults())
 	t := time.NewTicker(period)
@@ -322,44 +304,9 @@ func runRebalancer(store *storage.Store, peers []httpd.Peer, period time.Duratio
 			return
 		case <-t.C:
 		}
-		var dumps []heat.Dump
-		up := make(map[int]bool)
-		for _, p := range peers {
-			d, err := live.Heat(p.HTTPAddr)
-			if err != nil {
-				continue
-			}
-			up[p.ID] = true
-			dumps = append(dumps, *d)
-		}
-		acts := ctrl.Tick(heat.Merge(dumps), store, func(n int) bool { return up[n] })
-		for _, act := range acts {
-			ordered := make([]httpd.Peer, 0, len(peers))
-			var addressed []httpd.Peer
-			for _, p := range peers {
-				if !up[p.ID] {
-					continue
-				}
-				if p.ID == act.Node {
-					addressed = append(addressed, p)
-					continue
-				}
-				ordered = append(ordered, p)
-			}
-			if act.Kind == "add" {
-				ordered = append(addressed, ordered...)
-			} else {
-				ordered = append(ordered, addressed...)
-			}
-			for _, p := range ordered {
-				if _, err := live.ReplicateCmd(p.HTTPAddr, act.Path, act.Node, act.Kind); err != nil {
-					fmt.Fprintf(os.Stderr, "swebd: rebalance %s %s@%d via node %d: %v\n",
-						act.Kind, act.Path, act.Node, p.ID, err)
-					if p.ID == act.Node && act.Kind == "add" {
-						break // the copy never landed; don't announce it
-					}
-				}
-			}
+		_, errs := live.RebalanceRound(ctrl, store, peers)
+		for _, err := range errs {
+			fmt.Fprintln(os.Stderr, "swebd:", err)
 		}
 	}
 }

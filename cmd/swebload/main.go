@@ -15,104 +15,97 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
-	"net"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"sweb/internal/httpmsg"
+	"sweb/internal/live"
 	"sweb/internal/slo"
 	"sweb/internal/stats"
 )
 
 func main() {
-	servers := flag.String("servers", "", "comma list of host:port servers (the DNS rotation)")
-	pathsFlag := flag.String("paths", "/", "comma list of request paths, drawn uniformly")
-	rps := flag.Int("rps", 8, "requests launched per second")
-	seconds := flag.Int("seconds", 30, "test duration")
-	timeout := flag.Duration("timeout", 60*time.Second, "per-request client timeout")
-	seed := flag.Int64("seed", 1, "random seed")
-	keepAlive := flag.Bool("keepalive", true, "reuse connections across requests (HTTP/1.1 persistent connections)")
-	sloSpec := flag.String("slo", "", `gate the run on client-observed objectives, e.g. "avail=99.9,p99=250ms"; breach exits nonzero`)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it returns the exit status, 2 for bad usage
+// and 1 for a breached -slo gate.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("swebload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	servers := fs.String("servers", "", "comma list of host:port servers (the DNS rotation)")
+	pathsFlag := fs.String("paths", "/", "comma list of request paths, drawn uniformly")
+	rps := fs.Int("rps", 8, "requests launched per second")
+	seconds := fs.Int("seconds", 30, "test duration")
+	timeout := fs.Duration("timeout", 60*time.Second, "per-request client timeout")
+	seed := fs.Int64("seed", 1, "random seed")
+	keepAlive := fs.Bool("keepalive", true, "reuse connections across requests (HTTP/1.1 persistent connections)")
+	sloSpec := fs.String("slo", "", `gate the run on client-observed objectives, e.g. "avail=99.9,p99=250ms"; breach exits nonzero`)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var objs []slo.Objective
 	if *sloSpec != "" {
 		var err error
 		if objs, err = slo.ParseObjectives(*sloSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "swebload:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "swebload:", err)
+			return 2
 		}
 	}
 
 	hosts := splitNonEmpty(*servers)
 	paths := splitNonEmpty(*pathsFlag)
 	if len(hosts) == 0 {
-		fmt.Fprintln(os.Stderr, "swebload: -servers is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "swebload: -servers is required")
+		return 2
 	}
 	rng := rand.New(rand.NewSource(*seed))
-
-	type outcome struct {
-		ok         bool
-		redirected bool
-		elapsed    time.Duration
-		ttfb       time.Duration // first response byte of the final hop, -1 none
-	}
 	total := *rps * *seconds
-	outcomes := make([]outcome, total)
-
-	pool := newConnPool(*keepAlive)
-	defer pool.closeAll()
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	idx := 0
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	for sec := 0; sec < *seconds; sec++ {
-		for k := 0; k < *rps; k++ {
-			i := idx
-			idx++
-			host := hosts[i%len(hosts)] // the DNS round-robin
-			path := paths[rng.Intn(len(paths))]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t0 := time.Now()
-				ok, redirected, ttfb := fetch(pool, host, path, *timeout)
-				outcomes[i] = outcome{ok: ok, redirected: redirected, elapsed: time.Since(t0), ttfb: ttfb}
-			}()
-		}
-		if sec < *seconds-1 {
-			<-ticker.C
-		}
+	picks := make([]string, total)
+	for i := range picks {
+		picks[i] = paths[rng.Intn(len(paths))]
 	}
-	wg.Wait()
+
+	client := live.NewClient(hosts)
+	client.SetTimeout(*timeout)
+	client.SetKeepAlive(*keepAlive)
+	defer client.Close()
+
+	start := time.Now()
+	// One attempt per request, entering at the i-th host of the DNS
+	// round-robin: GetVia does not fail over.
+	results := live.Burst(*rps, *seconds, func(i int) (*live.Result, error) {
+		return client.GetVia(i%len(hosts), picks[i])
+	})
+	wall := time.Since(start)
+	ok := func(r *live.Result) bool { return r != nil && r.Status == httpmsg.StatusOK }
 
 	var done, failed, redirected int
 	var latency, ttfb stats.Summary
-	for _, o := range outcomes {
-		if !o.ok {
+	for _, r := range results {
+		if !ok(r) {
 			failed++
 			continue
 		}
 		done++
-		if o.redirected {
+		if r.Redirected {
 			redirected++
 		}
-		latency.Add(o.elapsed.Seconds())
-		if o.ttfb >= 0 {
-			ttfb.Add(o.ttfb.Seconds())
-		}
+		latency.Add(r.Elapsed.Seconds())
+		ttfb.Add(r.TTFB.Seconds())
 	}
-	fmt.Printf("offered %d  completed %d  failed %d (%.1f%%)  redirected %d  wall %.1fs\n",
-		total, done, failed, 100*float64(failed)/float64(total), redirected, time.Since(start).Seconds())
+	fmt.Fprintf(stdout, "offered %d  completed %d  failed %d (%.1f%%)  redirected %d  wall %.1fs\n",
+		total, done, failed, 100*float64(failed)/float64(total), redirected, wall.Seconds())
 	for _, line := range []struct {
 		name string
 		s    *stats.Summary
@@ -120,7 +113,7 @@ func main() {
 		if line.s.N() == 0 {
 			continue
 		}
-		fmt.Printf("%s: mean %s  p50 %s  p95 %s  p99 %s  max %s\n",
+		fmt.Fprintf(stdout, "%s: mean %s  p50 %s  p95 %s  p99 %s  max %s\n",
 			line.name,
 			stats.FormatSeconds(line.s.Mean()),
 			stats.FormatSeconds(line.s.Quantile(0.50)),
@@ -142,20 +135,21 @@ func main() {
 		}
 		for _, o := range objs {
 			var c slo.Counts
-			for _, out := range outcomes {
+			for _, r := range results {
 				c.Total++
-				if out.ok && (!o.IsLatency() || out.elapsed.Seconds() <= o.Threshold) {
+				if ok(r) && (!o.IsLatency() || r.Elapsed.Seconds() <= o.Threshold) {
 					c.Good++
 				}
 			}
 			rep.Objectives = append(rep.Objectives, slo.NewStatus(o, c, rep.WindowSeconds))
 		}
-		fmt.Print(slo.Render(rep))
+		fmt.Fprint(stdout, slo.Render(rep))
 		if rep.Breached() {
-			fmt.Fprintln(os.Stderr, "swebload: SLO breached")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "swebload: SLO breached")
+			return 1
 		}
 	}
+	return 0
 }
 
 func splitNonEmpty(s string) []string {
@@ -166,148 +160,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-// pconn is one parked keep-alive connection with its response parser.
-type pconn struct {
-	c  net.Conn
-	br *bufio.Reader
-}
-
-// connPool parks idle keep-alive connections per server address so that a
-// generator goroutine's next request — including the follow-up after a
-// redirect — skips the TCP handshake. With keepAlive off it parks nothing
-// and every fetch dials fresh.
-type connPool struct {
-	mu        sync.Mutex
-	idle      map[string][]*pconn
-	keepAlive bool
-}
-
-func newConnPool(keepAlive bool) *connPool {
-	return &connPool{idle: make(map[string][]*pconn), keepAlive: keepAlive}
-}
-
-func (p *connPool) get(addr string) *pconn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.idle[addr]
-	if len(list) == 0 {
-		return nil
-	}
-	pc := list[len(list)-1]
-	p.idle[addr] = list[:len(list)-1]
-	return pc
-}
-
-func (p *connPool) put(addr string, pc *pconn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.keepAlive || len(p.idle[addr]) >= 64 {
-		pc.c.Close()
-		return
-	}
-	p.idle[addr] = append(p.idle[addr], pc)
-}
-
-func (p *connPool) closeAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for addr, list := range p.idle {
-		for _, pc := range list {
-			pc.c.Close()
-		}
-		delete(p.idle, addr)
-	}
-}
-
-// exchangeOnce runs one request/response on addr, pooled connection first
-// with a fresh-dial retry when the parked one went stale. The returned
-// time is when the response's first byte arrived.
-func exchangeOnce(pool *connPool, addr string, req *httpmsg.Request, timeout time.Duration) (*httpmsg.Response, time.Time, error) {
-	if pc := pool.get(addr); pc != nil {
-		if resp, firstByte, err := tryExchange(pc, req, timeout); err == nil {
-			finishExchange(pool, addr, pc, resp)
-			return resp, firstByte, nil
-		}
-		pc.c.Close()
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	pc := &pconn{c: conn, br: bufio.NewReader(conn)}
-	resp, firstByte, err := tryExchange(pc, req, timeout)
-	if err != nil {
-		pc.c.Close()
-		return nil, time.Time{}, err
-	}
-	finishExchange(pool, addr, pc, resp)
-	return resp, firstByte, nil
-}
-
-func tryExchange(pc *pconn, req *httpmsg.Request, timeout time.Duration) (*httpmsg.Response, time.Time, error) {
-	_ = pc.c.SetDeadline(time.Now().Add(timeout))
-	if err := req.Write(pc.c); err != nil {
-		return nil, time.Time{}, err
-	}
-	// Peek blocks until the first response byte is readable — the honest
-	// client-side TTFB instant — without consuming it from the parser.
-	if _, err := pc.br.Peek(1); err != nil {
-		return nil, time.Time{}, err
-	}
-	firstByte := time.Now()
-	resp, err := httpmsg.ReadResponse(pc.br, 128<<20)
-	return resp, firstByte, err
-}
-
-// finishExchange parks the connection when the response framing left it
-// positioned at the next response; otherwise the connection is spent.
-func finishExchange(pool *connPool, addr string, pc *pconn, resp *httpmsg.Response) {
-	if resp.KeepAlive() && resp.SelfDelimited() {
-		pool.put(addr, pc)
-	} else {
-		pc.c.Close()
-	}
-}
-
-// fetch performs one GET, following up to 4 redirects. ttfb is the final
-// hop's first response byte measured from the fetch's start — redirect
-// round-trips included, since that is the wait the user actually saw.
-func fetch(pool *connPool, addr, pathAndQuery string, timeout time.Duration) (ok, redirected bool, ttfb time.Duration) {
-	start := time.Now()
-	for hop := 0; hop < 4; hop++ {
-		p, q := pathAndQuery, ""
-		if i := strings.IndexByte(pathAndQuery, '?'); i >= 0 {
-			p, q = pathAndQuery[:i], pathAndQuery[i+1:]
-		}
-		if dp, err := httpmsg.DecodePath(p); err == nil {
-			p = dp // redirect Locations arrive percent-escaped
-		}
-		req := &httpmsg.Request{Method: "GET", Path: p, Query: q, Header: httpmsg.Header{}}
-		if pool.keepAlive {
-			req.Proto = "HTTP/1.1"
-			req.Header.Set("Connection", "keep-alive")
-		}
-		resp, firstByte, err := exchangeOnce(pool, addr, req, timeout)
-		if err != nil {
-			return false, redirected, -1
-		}
-		if resp.StatusCode == httpmsg.StatusMovedTemporarily {
-			loc := resp.Header.Get("Location")
-			rest, found := strings.CutPrefix(loc, "http://")
-			if !found {
-				return false, redirected, -1
-			}
-			redirected = true
-			if slash := strings.IndexByte(rest, '/'); slash >= 0 {
-				addr, pathAndQuery = rest[:slash], rest[slash:]
-			} else {
-				addr, pathAndQuery = rest, "/"
-			}
-			continue
-		}
-		return resp.StatusCode == httpmsg.StatusOK, redirected, firstByte.Sub(start)
-	}
-	return false, redirected, -1
 }

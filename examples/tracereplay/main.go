@@ -31,50 +31,32 @@ func main() {
 	paths := sweb.UniformSet(st, 12, 32<<10)
 	var logBuf bytes.Buffer
 	logger := sweb.NewAccessLogger(&logBuf)
-	// One shared recorder and epoch across the nodes: every request's
-	// lifecycle — 302 hops included — lands in a single stream, exported
-	// as a Perfetto trace after the run.
+	// One shared recorder across the nodes, on the cluster's one epoch:
+	// every request's lifecycle — 302 hops included — lands in a single
+	// stream, exported as a Perfetto trace after the run.
 	rec := sweb.NewTraceRecorder(0)
-	epoch := time.Now()
-
-	if err := live.Materialize(st, dir, 1); err != nil {
-		log.Fatal(err)
-	}
-	var servers []*httpd.Server
-	for i := 0; i < nodes; i++ {
-		srv, err := httpd.New(httpd.Config{
-			ID:      i,
-			DocRoot: fmt.Sprintf("%s/node%d", dir, i),
-			Store:   st,
-			// One shared CLF log, as a site with a log host would run it.
-			AccessLog: logger,
-			Trace:     rec,
-			Epoch:     epoch,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		servers = append(servers, srv)
-		defer srv.Close()
-	}
-	var peers []httpd.Peer
-	for i, srv := range servers {
-		peers = append(peers, httpd.Peer{ID: i, HTTPAddr: srv.Addr(), UDPAddr: srv.UDPAddr()})
-	}
-	for _, srv := range servers {
-		srv.SetPeers(peers)
-		srv.Start()
-	}
-	cl, err := live.Assemble(servers, st)
+	cl, err := live.Start(live.Options{
+		Nodes: nodes, Store: st, BaseDir: dir, Seed: 1,
+		// One shared CLF log, as a site with a log host would run it.
+		Node: httpd.Config{AccessLog: logger, Trace: rec},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cl.Close()
 
 	fmt.Println("Phase 1: live cluster serving a short burst over real sockets...")
-	gen := cl.Generate(25, 2, func(i int, rng *rand.Rand) string {
+	results := cl.Generate(25, 2, func(i int, rng *rand.Rand) string {
 		return paths[rng.Intn(len(paths))]
 	}, 42)
-	fmt.Printf("  offered %d, completed %d, mean %v\n", gen.Offered, gen.Completed, gen.Mean.Round(0))
+	completed, sum := 0, time.Duration(0)
+	for _, r := range results {
+		if r != nil && r.Status == 200 {
+			completed++
+			sum += r.Elapsed
+		}
+	}
+	fmt.Printf("  offered %d, completed %d, mean %v\n", len(results), completed, sum/time.Duration(max(completed, 1)))
 	if err := logger.Flush(); err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"sweb/internal/des"
 	"sweb/internal/flight"
+	"sweb/internal/httpd"
 	"sweb/internal/live"
 	"sweb/internal/simsrv"
 	"sweb/internal/storage"
@@ -52,8 +53,8 @@ func liveFlightDumps(t *testing.T) []flight.Dump {
 	paths := storage.UniformSet(st, 8, 4096)
 	cl, err := live.Start(live.Options{
 		Nodes: 2, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod: 50 * time.Millisecond,
-		Seed:        21,
+		Node: httpd.Config{LoaddPeriod: 50 * time.Millisecond},
+		Seed: 21,
 	})
 	if err != nil {
 		t.Fatal(err)

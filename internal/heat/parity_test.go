@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sweb/internal/heat"
+	"sweb/internal/httpd"
 	"sweb/internal/live"
 	"sweb/internal/simsrv"
 	"sweb/internal/storage"
@@ -50,8 +51,8 @@ func liveHeatDumps(t *testing.T) []heat.Dump {
 	paths := storage.UniformSet(st, 8, 4096)
 	cl, err := live.Start(live.Options{
 		Nodes: 2, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod: 50 * time.Millisecond,
-		Seed:        21,
+		Node: httpd.Config{LoaddPeriod: 50 * time.Millisecond},
+		Seed: 21,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,13 @@ import (
 )
 
 // HTTP/1.0 date handling (RFC 1945 §3.3): servers emit RFC 1123 dates and
-// must accept all three formats browsers of the era sent.
+// must accept all three formats browsers of the era sent. The GMT form
+// comes first: its zone is a literal, so parsing it allocates nothing,
+// where time.RFC1123's MST field builds a zone for every date. RFC1123
+// stays as the fallback for any other zone name.
 var httpDateLayouts = []string{
-	time.RFC1123,                     // Sun, 06 Nov 1994 08:49:37 GMT
+	httpDateLayout,                   // Sun, 06 Nov 1994 08:49:37 GMT
+	time.RFC1123,                     // Sun, 06 Nov 1994 08:49:37 EST
 	"Monday, 02-Jan-06 15:04:05 MST", // RFC 850
 	"Mon Jan  2 15:04:05 2006",       // ANSI C asctime()
 }

@@ -137,3 +137,20 @@ func TestAppendHTTPDateMatchesFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestParseGMTDateAllocatesNothing: the GMT form every server sends parses
+// without building a time zone; another zone name still parses, through
+// the RFC 1123 fallback.
+func TestParseGMTDateAllocatesNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseHTTPDate("Sun, 06 Nov 1994 08:49:37 GMT"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per GMT date, want 0", allocs)
+	}
+	if _, err := ParseHTTPDate("Sun, 06 Nov 1994 08:49:37 EST"); err != nil {
+		t.Fatalf("RFC 1123 date in another zone: %v", err)
+	}
+}

@@ -55,12 +55,14 @@ func TestChaosNodeKilledMidRun(t *testing.T) {
 	paths := storage.UniformSet(st, 9, 4096)
 	cl, err := Start(Options{
 		Nodes: nodes, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod:   loaddPeriod,
-		LoaddTimeout:  loaddTimeout,
-		FetchAttempts: 3,
-		FetchBackoff:  fetchBackoff,
-		Faults:        &Faults{BroadcastLoss: 0.2, Seed: 42},
-		Seed:          7,
+		Node: httpd.Config{
+			LoaddPeriod:   loaddPeriod,
+			LoaddTimeout:  loaddTimeout,
+			FetchAttempts: 3,
+			FetchBackoff:  fetchBackoff,
+		},
+		Faults: &Faults{BroadcastLoss: 0.2, Seed: 42},
+		Seed:   7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +265,11 @@ func TestMonitorAlertsOnKillAndRestart(t *testing.T) {
 	storage.UniformSet(st, 6, 2048)
 	cl, err := Start(Options{
 		Nodes: nodes, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod:  loaddPeriod,
-		LoaddTimeout: loaddTimeout,
-		Seed:         13,
+		Node: httpd.Config{
+			LoaddPeriod:  loaddPeriod,
+			LoaddTimeout: loaddTimeout,
+		},
+		Seed: 13,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,9 +324,9 @@ func TestGossipConvergesUnderLoss(t *testing.T) {
 	storage.UniformSet(st, 3, 1024)
 	cl, err := Start(Options{
 		Nodes: 3, Store: st, BaseDir: t.TempDir(),
-		LoaddPeriod: 50 * time.Millisecond,
-		Faults:      &Faults{BroadcastLoss: 0.3, Seed: 9},
-		Seed:        5,
+		Node:   httpd.Config{LoaddPeriod: 50 * time.Millisecond},
+		Faults: &Faults{BroadcastLoss: 0.3, Seed: 9},
+		Seed:   5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,8 +381,8 @@ func TestCacheServesDeadOwnerDocuments(t *testing.T) {
 		// documents through the internal fetch path — the path that fills
 		// its cache with foreign documents.
 		Nodes: 2, Store: st, BaseDir: t.TempDir(), Policy: "rr",
-		FetchAttempts: 1,
-		Seed:          19,
+		Node: httpd.Config{FetchAttempts: 1},
+		Seed: 19,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sweb/internal/flight"
+	"sweb/internal/httpd"
 	"sweb/internal/leakcheck"
 	"sweb/internal/storage"
 )
@@ -40,10 +41,12 @@ func TestFlightSnapshotOnNodeDown(t *testing.T) {
 	paths := storage.UniformSet(st, 6, 2048)
 	cl, err := Start(Options{
 		Nodes: nodes, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod:  loaddPeriod,
-		LoaddTimeout: loaddTimeout,
-		SnapshotDir:  snapDir,
-		Seed:         31,
+		Node: httpd.Config{
+			LoaddPeriod:  loaddPeriod,
+			LoaddTimeout: loaddTimeout,
+			SnapshotDir:  snapDir,
+		},
+		Seed: 31,
 	})
 	if err != nil {
 		t.Fatal(err)

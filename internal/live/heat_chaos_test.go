@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sweb/internal/heat"
+	"sweb/internal/httpd"
 	"sweb/internal/leakcheck"
 	"sweb/internal/metrics"
 	"sweb/internal/nodeobs"
@@ -51,9 +52,11 @@ func TestHeatHotDocChaos(t *testing.T) {
 	hot := storage.SkewedSet(st, 4096)
 	cl, err := Start(Options{
 		Nodes: nodes, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod: loaddPeriod,
-		SnapshotDir: snapDir,
-		Seed:        37,
+		Node: httpd.Config{
+			LoaddPeriod: loaddPeriod,
+			SnapshotDir: snapDir,
+		},
+		Seed: 37,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sweb/internal/httpd"
 	"sweb/internal/storage"
 )
 
@@ -42,7 +43,8 @@ func TestKeepAliveOffOptionPropagates(t *testing.T) {
 	st := storage.NewStore(1)
 	paths := storage.UniformSet(st, 2, 1024)
 	cl, err := Start(Options{Nodes: 1, Store: st, BaseDir: t.TempDir(), Policy: "rr",
-		KeepAliveOff: true, Seed: 1})
+		Node: httpd.Config{KeepAliveOff: true},
+		Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,12 @@ func TestChaosOwnerDiesUnderKeepAliveClient(t *testing.T) {
 	st := storage.NewStore(2)
 	paths := storage.UniformSet(st, 4, 4096)
 	cl, err := Start(Options{Nodes: 2, Store: st, BaseDir: t.TempDir(), Policy: "rr",
-		CacheOff: true, FetchAttempts: 1, FetchBackoff: 10 * time.Millisecond, Seed: 7})
+		Node: httpd.Config{
+			CacheOff:      true,
+			FetchAttempts: 1,
+			FetchBackoff:  10 * time.Millisecond,
+		},
+		Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

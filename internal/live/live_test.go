@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sweb/internal/core"
+	"sweb/internal/httpd"
 	"sweb/internal/httpmsg"
 	"sweb/internal/storage"
 )
@@ -91,11 +92,11 @@ func TestBodiesMatchDiskContent(t *testing.T) {
 // direct fetch against one specific node, no redirect following.
 func directGet(t *testing.T, addr, path string) (int, httpmsg.Header, []byte) {
 	t.Helper()
-	status, hdr, body, err := fetchOnce(addr, path, 10*time.Second, 64<<20)
+	resp, _, err := scraper.exchange(addr, "GET", path, nil)
 	if err != nil {
 		t.Fatalf("GET %s from %s: %v", path, addr, err)
 	}
-	return status, hdr, body
+	return resp.StatusCode, resp.Header, resp.Body
 }
 
 func TestRemoteFetchThroughNonOwner(t *testing.T) {
@@ -288,7 +289,8 @@ func TestLoaddGossipPopulatesTables(t *testing.T) {
 	storage.UniformSet(st, 3, 1024)
 	cl, err := Start(Options{
 		Nodes: 3, Store: st, BaseDir: t.TempDir(),
-		LoaddPeriod: 50 * time.Millisecond, Seed: 3,
+		Node: httpd.Config{LoaddPeriod: 50 * time.Millisecond},
+		Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +320,8 @@ func TestMaxConcurrentSheds(t *testing.T) {
 	paths := storage.UniformSet(st, 1, 1024)
 	cl, err := Start(Options{
 		Nodes: 1, Store: st, BaseDir: t.TempDir(),
-		MaxConcurrent: 1, Policy: "rr", Seed: 4,
+		Node:   httpd.Config{MaxConcurrent: 1},
+		Policy: "rr", Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,8 +340,8 @@ func TestMaxConcurrentSheds(t *testing.T) {
 	// request; a second connection must be shed with 503.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		status, _, _, err := fetchOnce(cl.Servers[0].Addr(), paths[0], time.Second, 1<<20)
-		if err == nil && status == 503 {
+		resp, _, err := scraper.exchange(cl.Servers[0].Addr(), "GET", paths[0], nil)
+		if err == nil && resp.StatusCode == 503 {
 			if cl.Servers[0].Stats().Refused == 0 {
 				t.Fatal("refused counter not incremented")
 			}
@@ -351,17 +354,25 @@ func TestMaxConcurrentSheds(t *testing.T) {
 
 func TestGenerateLoad(t *testing.T) {
 	cl, paths := startCluster(t, 2, 4, 2048, "sweb")
-	res := cl.Generate(20, 2, func(i int, rng *rand.Rand) string {
+	results := cl.Generate(20, 2, func(i int, rng *rand.Rand) string {
 		return paths[rng.Intn(len(paths))]
 	}, 5)
-	if res.Offered != 40 {
-		t.Fatalf("offered = %d", res.Offered)
+	if len(results) != 40 {
+		t.Fatalf("offered = %d", len(results))
 	}
-	if res.Completed < 38 {
-		t.Fatalf("completed = %d of %d (failed %d)", res.Completed, res.Offered, res.Failed)
+	completed, sum, maxElapsed := 0, time.Duration(0), time.Duration(0)
+	for _, r := range results {
+		if r != nil && r.Status == 200 {
+			completed++
+			sum += r.Elapsed
+			maxElapsed = max(maxElapsed, r.Elapsed)
+		}
 	}
-	if res.Mean <= 0 || res.Max < res.Mean {
-		t.Fatalf("timing stats broken: mean=%v max=%v", res.Mean, res.Max)
+	if completed < 38 {
+		t.Fatalf("completed = %d of %d (failed %d)", completed, len(results), len(results)-completed)
+	}
+	if mean := sum / time.Duration(completed); mean <= 0 || maxElapsed < mean {
+		t.Fatalf("timing stats broken: mean=%v max=%v", mean, maxElapsed)
 	}
 }
 
@@ -418,14 +429,22 @@ func TestSWEBPolicyLiveEndToEnd(t *testing.T) {
 	// A SWEB cluster under a small burst: everything completes, and the
 	// load spreads across both nodes.
 	cl, paths := startCluster(t, 2, 8, 16<<10, "sweb")
-	res := cl.Generate(30, 2, func(i int, rng *rand.Rand) string {
+	results := cl.Generate(30, 2, func(i int, rng *rand.Rand) string {
 		return paths[i%len(paths)]
 	}, 6)
-	if res.Failed > 0 {
-		t.Fatalf("failed = %d", res.Failed)
+	failed, byServer := 0, make(map[string]int)
+	for _, r := range results {
+		if r == nil || r.Status != 200 {
+			failed++
+			continue
+		}
+		byServer[r.ServedBy]++
 	}
-	if len(res.ByServer) < 2 {
-		t.Fatalf("all requests landed on one server: %v", res.ByServer)
+	if failed > 0 {
+		t.Fatalf("failed = %d", failed)
+	}
+	if len(byServer) < 2 {
+		t.Fatalf("all requests landed on one server: %v", byServer)
 	}
 }
 
@@ -437,7 +456,11 @@ func TestHonorsCoreParams(t *testing.T) {
 	p.MaxRedirects = 0
 	cl, err := Start(Options{
 		Nodes: 2, Store: st, BaseDir: t.TempDir(),
-		Policy: "fl", Params: p, HaveParams: true, Seed: 8,
+		Node: httpd.Config{
+			Params:     p,
+			HaveParams: true,
+		},
+		Policy: "fl", Seed: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

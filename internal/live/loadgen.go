@@ -6,54 +6,25 @@ import (
 	"time"
 )
 
-// GenResult aggregates a load-generation run against the live cluster.
-type GenResult struct {
-	Offered    int
-	Completed  int
-	Failed     int
-	Redirected int
-	Mean       time.Duration
-	Max        time.Duration
-	ByServer   map[string]int
-}
-
-// Generate fires rps requests per second for duration, drawing paths with
-// pick, exactly like the paper's burst tests ("at each second a constant
-// number of requests are launched"). It blocks until every request has
-// finished or failed.
-func (c *Cluster) Generate(rps, seconds int, pick func(i int, rng *rand.Rand) string, seed int64) GenResult {
-	client := c.NewClient()
-	defer client.Close()
-	rng := rand.New(rand.NewSource(seed))
-	type outcome struct {
-		ok         bool
-		redirected bool
-		servedBy   string
-		elapsed    time.Duration
-	}
-	total := rps * seconds
-	outcomes := make([]outcome, total)
-	paths := make([]string, total)
-	for i := range paths {
-		paths[i] = pick(i, rng)
-	}
-
+// Burst is the paper's burst test ("at each second a constant number of
+// requests are launched"): at the top of each of seconds seconds it
+// launches rps concurrent fetches, fetch(i) performing the i-th, and it
+// returns once every one has finished, with their results in launch order
+// — nil where a fetch failed outright.
+func Burst(rps, seconds int, fetch func(i int) (*Result, error)) []*Result {
+	out := make([]*Result, rps*seconds)
 	var wg sync.WaitGroup
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
-	idx := 0
 	for sec := 0; sec < seconds; sec++ {
 		for k := 0; k < rps; k++ {
-			i := idx
-			idx++
+			i := sec*rps + k
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := client.Get(paths[i])
-				if err != nil || res.Status != 200 {
-					return
+				if res, err := fetch(i); err == nil {
+					out[i] = res
 				}
-				outcomes[i] = outcome{ok: true, redirected: res.Redirected, servedBy: res.ServedBy, elapsed: res.Elapsed}
 			}()
 		}
 		if sec < seconds-1 {
@@ -61,26 +32,18 @@ func (c *Cluster) Generate(rps, seconds int, pick func(i int, rng *rand.Rand) st
 		}
 	}
 	wg.Wait()
-
-	out := GenResult{Offered: total, ByServer: make(map[string]int)}
-	var sum time.Duration
-	for _, o := range outcomes {
-		if !o.ok {
-			out.Failed++
-			continue
-		}
-		out.Completed++
-		if o.redirected {
-			out.Redirected++
-		}
-		sum += o.elapsed
-		if o.elapsed > out.Max {
-			out.Max = o.elapsed
-		}
-		out.ByServer[o.servedBy]++
-	}
-	if out.Completed > 0 {
-		out.Mean = sum / time.Duration(out.Completed)
-	}
 	return out
+}
+
+// Generate runs a Burst against the cluster through one client's rotation
+// and failover, drawing the i-th request's path with pick.
+func (c *Cluster) Generate(rps, seconds int, pick func(i int, rng *rand.Rand) string, seed int64) []*Result {
+	client := c.NewClient()
+	defer client.Close()
+	rng := rand.New(rand.NewSource(seed))
+	paths := make([]string, rps*seconds)
+	for i := range paths {
+		paths[i] = pick(i, rng)
+	}
+	return Burst(rps, seconds, func(i int) (*Result, error) { return client.Get(paths[i]) })
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/url"
 	"sort"
 	"strings"
 	"time"
@@ -14,8 +15,10 @@ import (
 	"sweb/internal/httpmsg"
 	"sweb/internal/metrics"
 	"sweb/internal/nodeobs"
+	"sweb/internal/rebalance"
 	"sweb/internal/slo"
 	"sweb/internal/stats"
+	"sweb/internal/storage"
 	"sweb/internal/trace"
 )
 
@@ -23,19 +26,34 @@ import (
 // fast and are skipped.
 const scrapeTimeout = 5 * time.Second
 
-// fetchJSON fetches one node's introspection endpoint and decodes its JSON
-// body — the reader every JSON /sweb/* scrape shares.
-func fetchJSON[T any](addr, pathAndQuery string, maxBytes int64) (*T, error) {
-	code, _, body, err := fetchOnce(addr, pathAndQuery, scrapeTimeout, maxBytes)
+// scraper fetches the /sweb/* introspection endpoints: one-shot HTTP/1.0
+// exchanges that follow no redirect.
+var scraper = &Client{timeout: scrapeTimeout}
+
+// scrape fetches one node's introspection endpoint and returns its body,
+// failing on any status but 200.
+func scrape(addr, pathAndQuery string) ([]byte, error) {
+	resp, _, err := scraper.exchange(addr, "GET", pathAndQuery, nil)
 	if err != nil {
 		return nil, err
 	}
-	endpoint, _, _ := strings.Cut(pathAndQuery, "?")
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s%s returned %d", addr, endpoint, code)
+	if resp.StatusCode != httpmsg.StatusOK {
+		endpoint, _, _ := strings.Cut(pathAndQuery, "?")
+		return nil, fmt.Errorf("live: %s%s returned %d", addr, endpoint, resp.StatusCode)
+	}
+	return resp.Body, nil
+}
+
+// fetchJSON scrapes one node's introspection endpoint and decodes its JSON
+// body — the reader every JSON /sweb/* scrape shares.
+func fetchJSON[T any](addr, pathAndQuery string) (*T, error) {
+	body, err := scrape(addr, pathAndQuery)
+	if err != nil {
+		return nil, err
 	}
 	v := new(T)
 	if err := json.Unmarshal(body, v); err != nil {
+		endpoint, _, _ := strings.Cut(pathAndQuery, "?")
 		return nil, fmt.Errorf("live: %s%s: %v", addr, endpoint, err)
 	}
 	return v, nil
@@ -43,17 +61,17 @@ func fetchJSON[T any](addr, pathAndQuery string, maxBytes int64) (*T, error) {
 
 // Status fetches and decodes one node's /sweb/status.
 func Status(addr string) (*httpd.StatusReport, error) {
-	return fetchJSON[httpd.StatusReport](addr, "/sweb/status", 16<<20)
+	return fetchJSON[httpd.StatusReport](addr, "/sweb/status")
 }
 
 // Flight fetches and decodes one node's /sweb/flight black-box dump.
 func Flight(addr string) (*flight.Dump, error) {
-	return fetchJSON[flight.Dump](addr, "/sweb/flight", 16<<20)
+	return fetchJSON[flight.Dump](addr, "/sweb/flight")
 }
 
 // SLO fetches and decodes one node's /sweb/slo lifetime-budget report.
 func SLO(addr string) (*slo.Report, error) {
-	return fetchJSON[slo.Report](addr, "/sweb/slo", 1<<20)
+	return fetchJSON[slo.Report](addr, "/sweb/slo")
 }
 
 // MergedHeat folds every live node's document-heat sketch into the
@@ -72,7 +90,7 @@ func (c *Cluster) MergedHeat() heat.Merged {
 
 // Heat fetches and decodes one node's /sweb/heat document-heat dump.
 func Heat(addr string) (*heat.Dump, error) {
-	return fetchJSON[heat.Dump](addr, "/sweb/heat", 16<<20)
+	return fetchJSON[heat.Dump](addr, "/sweb/heat")
 }
 
 // ReplicateCmd asks one node to apply a replica-set change via
@@ -80,44 +98,93 @@ func Heat(addr string) (*heat.Dump, error) {
 // (drop) its own copy when node is its id, and otherwise just records
 // the routing fact. Returns the replica set the node reports afterward.
 func ReplicateCmd(addr, path string, node int, action string) ([]int, error) {
+	// Every byte outside [A-Za-z0-9-_.~] is percent-encoded — '&', '=' and
+	// '+' included — so the node's query walker hands DecodePath the path
+	// whole.
 	q := fmt.Sprintf("/sweb/replicate?path=%s&node=%d&action=%s",
-		httpmsg.EscapePath(path), node, action)
+		strings.ReplaceAll(url.QueryEscape(path), "+", "%20"), node, action)
 	resp, err := fetchJSON[struct {
 		Replicas []int `json:"replicas"`
-	}](addr, q, 1<<20)
+	}](addr, q)
 	if err != nil {
 		return nil, err
 	}
 	return resp.Replicas, nil
 }
 
-// TriggerSnapshot asks one node to write a diagnostic bundle via
-// /sweb/snapshot and returns the bundle path (local to that node).
-func TriggerSnapshot(addr string) (string, error) {
-	resp, err := fetchJSON[struct {
-		Bundle string `json:"bundle"`
-	}](addr, "/sweb/snapshot", 1<<20)
-	if err != nil {
-		return "", err
+// IsLeader reports whether id is the lowest node id in peers — the node
+// that runs the rebalance round when every member is started with the
+// same -rebalance period.
+func IsLeader(id int, peers []httpd.Peer) bool {
+	for _, p := range peers {
+		if p.ID < id {
+			return false
+		}
 	}
-	return resp.Bundle, nil
+	return true
+}
+
+// RebalanceRound is one round of the heat-driven replica rebalancer, run
+// over HTTP the way swebd's -rebalance leader runs it each period: it
+// scrapes every peer's /sweb/heat, asks ctrl for actions on the merged
+// view, and broadcasts each action via /sweb/replicate to every peer that
+// answered — the addressed node moves the bytes, the rest update their
+// routing maps. For an add the addressed node goes first
+// (materialize-then-announce) and an add it failed is announced to
+// nobody; for a drop it goes last, so peers stop routing at the copy
+// before it disappears. It returns the actions ctrl asked for and one
+// error per failed call.
+func RebalanceRound(ctrl *rebalance.Controller, store *storage.Store, peers []httpd.Peer) ([]rebalance.Action, []error) {
+	var dumps []heat.Dump
+	up := make(map[int]bool)
+	for _, p := range peers {
+		if d, err := Heat(p.HTTPAddr); err == nil {
+			up[p.ID] = true
+			dumps = append(dumps, *d)
+		}
+	}
+	acts := ctrl.Tick(heat.Merge(dumps), store, func(n int) bool { return up[n] })
+	var errs []error
+	for _, act := range acts {
+		var addressed, rest []httpd.Peer
+		for _, p := range peers {
+			switch {
+			case !up[p.ID]:
+			case p.ID == act.Node:
+				addressed = append(addressed, p)
+			default:
+				rest = append(rest, p)
+			}
+		}
+		ordered := append(rest, addressed...) // a drop reaches it last
+		if act.Kind == "add" {
+			ordered = append(addressed, rest...) // an add reaches it first
+		}
+		for _, p := range ordered {
+			if _, err := ReplicateCmd(p.HTTPAddr, act.Path, act.Node, act.Kind); err != nil {
+				errs = append(errs, fmt.Errorf("rebalance %s %s@%d via node %d: %w",
+					act.Kind, act.Path, act.Node, p.ID, err))
+				if p.ID == act.Node && act.Kind == "add" {
+					break // the copy never landed; don't announce it
+				}
+			}
+		}
+	}
+	return acts, errs
 }
 
 // Metrics scrapes and parses one node's /sweb/metrics exposition.
 func Metrics(addr string) ([]metrics.Sample, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/metrics", scrapeTimeout, 16<<20)
+	body, err := scrape(addr, "/sweb/metrics")
 	if err != nil {
 		return nil, err
-	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/metrics returned %d", addr, code)
 	}
 	return metrics.ParseText(strings.NewReader(string(body)))
 }
 
 // ScrapeTrace fetches and decodes one node's /sweb/trace dump.
 func ScrapeTrace(addr string) (*httpd.TraceDump, error) {
-	return fetchJSON[httpd.TraceDump](addr, "/sweb/trace", 64<<20)
+	return fetchJSON[httpd.TraceDump](addr, "/sweb/trace")
 }
 
 // ScrapeTraces pulls every live node's event stream into a Collector —

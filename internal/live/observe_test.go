@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sweb/internal/httpd"
 	"sweb/internal/storage"
 	"sweb/internal/trace"
 )
@@ -20,9 +21,11 @@ func TestClusterObservability(t *testing.T) {
 	paths := storage.UniformSet(st, 6, 8192)
 	cl, err := Start(Options{
 		Nodes: 2, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod: 50 * time.Millisecond,
-		Trace:       rec,
-		Seed:        13,
+		Node: httpd.Config{
+			LoaddPeriod: 50 * time.Millisecond,
+			Trace:       rec,
+		},
+		Seed: 13,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,9 +54,8 @@ func TestAccessLogCapturedAndReplayable(t *testing.T) {
 	// Drive some traffic directly at both nodes.
 	for i := 0; i < 8; i++ {
 		addr := servers[i%nodes].Addr()
-		status, _, _, err := fetchOnce(addr, paths[i%len(paths)], 5*time.Second, 1<<20)
-		if err != nil || status != 200 {
-			t.Fatalf("fetch %d: status=%d err=%v", i, status, err)
+		if status, _, _ := directGet(t, addr, paths[i%len(paths)]); status != 200 {
+			t.Fatalf("fetch %d: status=%d", i, status)
 		}
 	}
 	if err := logger.Flush(); err != nil {
@@ -130,8 +129,8 @@ func TestAccessLogRecordsErrorsAndRedirects(t *testing.T) {
 		}
 	}
 	// 404.
-	if status, _, _, err := fetchOnce(servers[0].Addr(), "/nope", 5*time.Second, 1<<20); err != nil || status != 404 {
-		t.Fatalf("status=%d err=%v", status, err)
+	if status, _, _ := directGet(t, servers[0].Addr(), "/nope"); status != 404 {
+		t.Fatalf("status=%d", status)
 	}
 	// 302: ask node 0 for a file owned by node 1 under file locality.
 	var owned1 string
@@ -140,8 +139,8 @@ func TestAccessLogRecordsErrorsAndRedirects(t *testing.T) {
 			owned1 = p
 		}
 	}
-	if status, _, _, err := fetchOnce(servers[0].Addr(), owned1, 5*time.Second, 1<<20); err != nil || status != 302 {
-		t.Fatalf("status=%d err=%v", status, err)
+	if status, _, _ := directGet(t, servers[0].Addr(), owned1); status != 302 {
+		t.Fatalf("status=%d", status)
 	}
 	if err := logger.Flush(); err != nil {
 		t.Fatal(err)

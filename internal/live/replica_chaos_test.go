@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sweb/internal/httpd"
 	"sweb/internal/leakcheck"
 	"sweb/internal/metrics"
 	"sweb/internal/storage"
@@ -31,12 +32,14 @@ func TestReplicaSurvivesOwnerKill(t *testing.T) {
 		// Round-robin serves where the request lands, so pinning the entry
 		// node forces the internal fetch path instead of a redirect.
 		Nodes: nodes, Store: st, BaseDir: t.TempDir(), Policy: "rr",
-		Replicas:      2,
-		CacheOff:      true, // every foreign serve re-fetches: steady failover evidence
-		LoaddPeriod:   loaddPeriod,
-		FetchAttempts: 2,
-		FetchBackoff:  10 * time.Millisecond,
-		Seed:          23,
+		Replicas: 2,
+		Node: httpd.Config{
+			CacheOff:      true, // every foreign serve re-fetches: steady failover evidence
+			LoaddPeriod:   loaddPeriod,
+			FetchAttempts: 2,
+			FetchBackoff:  10 * time.Millisecond,
+		},
+		Seed: 23,
 	})
 	if err != nil {
 		t.Fatal(err)

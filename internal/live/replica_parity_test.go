@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sweb/internal/httpd"
 	"sweb/internal/metrics"
 	"sweb/internal/simsrv"
 	"sweb/internal/storage"
@@ -149,9 +150,12 @@ func TestSimLiveReplicaParity(t *testing.T) {
 	st := replicaParityStore(t)
 	cl, err := Start(Options{
 		Nodes: 3, Store: st, BaseDir: t.TempDir(), Policy: "rr",
-		CacheOff:      true,
-		LoaddPeriod:   50 * time.Millisecond,
-		FetchAttempts: 2, FetchBackoff: 5 * time.Millisecond,
+		Node: httpd.Config{
+			CacheOff:      true,
+			LoaddPeriod:   50 * time.Millisecond,
+			FetchAttempts: 2,
+			FetchBackoff:  5 * time.Millisecond,
+		},
 		Seed: 3,
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sweb/internal/flight"
+	"sweb/internal/httpd"
 	"sweb/internal/leakcheck"
 	"sweb/internal/metrics"
 	"sweb/internal/nodeobs"
@@ -68,13 +69,15 @@ func TestSLOBreachFiresFastBurnAndSnapshot(t *testing.T) {
 		// relay dead-owner documents itself — every injected request is one
 		// deterministic owner_unreachable drop (FetchAttempts 1).
 		Nodes: nodes, Store: st, BaseDir: t.TempDir(), Policy: "rr",
-		LoaddPeriod:   loaddPeriod,
-		FetchAttempts: 1,
-		SnapshotDir:   t.TempDir(),
-		Trace:         rec,
-		FlightRing:    4096,
-		SLO:           objs,
-		Seed:          37,
+		Node: httpd.Config{
+			LoaddPeriod:   loaddPeriod,
+			FetchAttempts: 1,
+			SnapshotDir:   t.TempDir(),
+			Trace:         rec,
+			FlightRing:    4096,
+			SLO:           objs,
+		},
+		Seed: 37,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sweb/internal/httpd"
 	"sweb/internal/leakcheck"
 	"sweb/internal/metrics"
 	"sweb/internal/simsrv"
@@ -68,9 +69,11 @@ func TestSimLiveSLOParity(t *testing.T) {
 	paths := storage.UniformSet(st, 8, 4096)
 	cl, err := Start(Options{
 		Nodes: 2, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod: 50 * time.Millisecond,
-		SLO:         objs,
-		Seed:        21,
+		Node: httpd.Config{
+			LoaddPeriod: 50 * time.Millisecond,
+			SLO:         objs,
+		},
+		Seed: 21,
 	})
 	if err != nil {
 		t.Fatal(err)

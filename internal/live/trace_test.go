@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sweb/internal/httpd"
 	"sweb/internal/metrics"
 	"sweb/internal/simsrv"
 	"sweb/internal/storage"
@@ -173,7 +174,7 @@ func TestSimLiveParity(t *testing.T) {
 	rec := trace.NewRecorder(0)
 	cl, err := Start(Options{
 		Nodes: nodes, Store: liveStore, BaseDir: t.TempDir(), Policy: "fl",
-		Trace: rec,
+		Node: httpd.Config{Trace: rec},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +241,10 @@ func TestGossipStalenessChaos(t *testing.T) {
 	storage.UniformSet(st, 6, 2048)
 	cl, err := Start(Options{
 		Nodes: nodes, Store: st, BaseDir: t.TempDir(), Policy: "sweb",
-		LoaddPeriod:  loaddPeriod,
-		LoaddTimeout: loaddTimeout,
+		Node: httpd.Config{
+			LoaddPeriod:  loaddPeriod,
+			LoaddTimeout: loaddTimeout,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
