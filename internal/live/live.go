@@ -506,16 +506,19 @@ func (cl *Client) Post(path string, body []byte) (*Result, error) {
 
 // exchange runs one request/response with addr and returns the response
 // and the instant its first byte arrived. With keep-alive on it speaks
-// HTTP/1.1, over a parked connection when there is one (dialing fresh if
-// the server timed that one out), and parks the connection again when the
-// response's framing leaves it clean. With keep-alive off it is a one-shot
-// HTTP/1.0 exchange.
+// HTTP/1.1, a GET over a parked connection when there is one (dialing
+// fresh if the server timed that one out), and parks the connection again
+// when the response's framing leaves it clean. With keep-alive off it is
+// a one-shot HTTP/1.0 exchange.
 func (cl *Client) exchange(addr, method, pathAndQuery string, body []byte) (*httpmsg.Response, time.Time, error) {
 	cl.mu.Lock()
 	keepAlive, timeout := cl.keepAlive && !cl.closed, cl.timeout
 	cl.mu.Unlock()
 	req := newRequest(method, pathAndQuery, body, keepAlive)
-	if keepAlive {
+	// Only a GET rides a parked connection: when that connection turns out
+	// stale the request is sent again on a fresh one, and a POST must not
+	// be sent twice.
+	if keepAlive && method == "GET" {
 		if pc := cl.takeConn(addr); pc != nil {
 			if resp, firstByte, err := roundTrip(pc, req, timeout); err == nil {
 				cl.finish(addr, pc, resp)
